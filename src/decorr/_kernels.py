@@ -1,41 +1,17 @@
-"""Brute-force counting kernels, numba-accelerated with a pure-python fallback.
+"""Brute-force counting kernel.
 
 The exhaustive subset-filter count (iterate every k-subset of a candidate
 universe, keep the R-connected ones through the anchor) is the independent
 oracle that the canonical-growth enumerator in :mod:`decorr.lattice` is
 checked against.  The universe for D=2, R=2, k=4 already has ~300 sites and
-~5e6 subsets, so the inner loop is jitted; set the environment variable
-``DECORR_DISABLE_NUMBA=1`` to force the pure-python path (same semantics,
-slower).
+~5e6 subsets, so the inner loop works on integer bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
-
-_disable = os.environ.get("DECORR_DISABLE_NUMBA", "").strip().lower()
-DISABLE_NUMBA = _disable not in ("", "0", "false", "no")
-
-try:
-    if DISABLE_NUMBA:
-        raise ImportError("numba disabled by DECORR_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 def reach_radius(R: int, k: int) -> int:
@@ -64,52 +40,6 @@ def adjacency(points: np.ndarray, R: int) -> np.ndarray:
     """Boolean matrix of the pairwise relation l1(x, y) <= 2R."""
     diff = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
     return (diff <= 2 * R).astype(np.uint8)
-
-
-@njit(cache=True)
-def _count_nb(adj: np.ndarray, k: int) -> int:  # pragma: no cover - jitted
-    m = adj.shape[0]
-    if k == 1:
-        return 1
-    r = k - 1
-    idx = np.empty(r, np.int64)
-    for i in range(r):
-        idx[i] = i + 1
-    nodes = np.empty(k, np.int64)
-    stack = np.empty(k, np.int64)
-    seen = np.empty(k, np.uint8)
-    total = 0
-    while True:
-        nodes[0] = 0
-        for i in range(r):
-            nodes[i + 1] = idx[i]
-        for i in range(k):
-            seen[i] = 0
-        seen[0] = 1
-        stack[0] = 0
-        sp = 1
-        found = 1
-        while sp > 0:
-            sp -= 1
-            u = nodes[stack[sp]]
-            for j in range(k):
-                if seen[j] == 0 and adj[u, nodes[j]] != 0:
-                    seen[j] = 1
-                    stack[sp] = j
-                    sp += 1
-                    found += 1
-        if found == k:
-            total += 1
-        # advance to the next (k-1)-combination of {1..m-1}
-        j = r - 1
-        while j >= 0 and idx[j] == m - r + j:
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        for t in range(j + 1, r):
-            idx[t] = idx[t - 1] + 1
-    return total
 
 
 def _count_py(adj: np.ndarray, k: int) -> int:
@@ -148,10 +78,7 @@ def count_connected_ksubsets(points: np.ndarray, R: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    adj = adjacency(points, R)
-    if USING_NUMBA:
-        return int(_count_nb(adj, k))
-    return _count_py(adj, k)
+    return _count_py(adjacency(points, R), k)
 
 
 def brute_force_connected_count(D: int, R: int, k: int) -> int:

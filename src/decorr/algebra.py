@@ -5,17 +5,22 @@ k-th site in canonical (sorted) order is the k-th most significant digit of
 the matrix index, so a basis state |d_0 d_1 ... d_{m-1}> has index
 sum_k d_k q^(m-1-k).
 
-Eigen-solves dispatch on dtype: complex128 goes to LAPACK, clongdouble to a
-cyclic complex Jacobi solver (LAPACK has no extended-precision path).  The
-Jacobi route exists because inclusion-exclusion weights in the cluster
-expansion cancel to ~1e-12 of the summand scale, which plain double
-arithmetic cannot resolve; see :mod:`decorr.expansion`.
+Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
+extended-precision path, so clongdouble blocks are solved by LAPACK in
+double and then refined by Ogita-Aishima iterations, which need only matrix
+products and so run in clongdouble; the rare block with degenerate or
+clustered eigenvalues that the refinement cannot separate falls back to a
+cyclic complex Jacobi solver.  Extended precision exists because
+inclusion-exclusion weights in the cluster expansion cancel to ~1e-12 of
+the summand scale, which plain double arithmetic cannot resolve; see
+:mod:`decorr.expansion`.
 
 Eigen-solves and matrix exponentials split the matrix into its exact
-zero-pattern blocks first.  The split is decided by entries being exactly
-zero, so nothing is thresholded; it preserves sparsity-protected exact zeros
-in the output (a dense rotation-based solver would otherwise pollute them)
-and it is much faster for number-conserving Hamiltonians.  It also makes the
+zero-pattern blocks first and solve the blocks of each size as one stack.
+The split is decided by entries being exactly zero, so nothing is
+thresholded; it preserves sparsity-protected exact zeros in the output (a
+dense rotation-based solver would otherwise pollute them) and it is much
+faster for number-conserving Hamiltonians.  It also makes the
 results independent of the BLAS thread count for block sizes up to 126 (the
 largest block of the 10-site chain), where one dense solve of the whole
 1024x1024 matrix rounds differently at different thread counts.
@@ -32,6 +37,11 @@ from .lattice import Region
 MAX_DENSE_SITES = 14  # hard cap; q^m matrices beyond this are not materialized
 
 HERMITICITY_TOL = 1e-10  # absolute, on max |M - M^dagger|
+
+EPS_EXT = np.finfo(np.longdouble).eps
+# bound on a refined block's |X^H A X| off-diagonal, in EPS_EXT ||A||, and on
+# |I - X^H X|, in EPS_EXT; converged blocks reach about 1
+CLUSTER_TOL = 16
 
 
 class DimensionError(ValueError):
@@ -148,24 +158,28 @@ def _require_hermitian(M: np.ndarray, tol: float) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
+def _conj_t(X: np.ndarray) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
 def _jacobi_eigh(A: np.ndarray, max_sweeps: int = 80):
     """Cyclic complex Jacobi diagonalization in extended precision.
 
-    Runs entirely in clongdouble.  Each rotation annihilates one off-diagonal
-    pair; sweeps repeat until the off-diagonal Frobenius mass falls below a
-    few units of longdouble epsilon relative to the matrix norm.  Quadratic
-    convergence makes ~6-10 sweeps typical; the iteration cap is a safety
-    net, not a tuning knob.
+    The fallback of :func:`_refined_eigh` for blocks with degenerate or
+    clustered eigenvalues.  Runs entirely in clongdouble.  Each rotation
+    annihilates one off-diagonal pair; sweeps repeat until the off-diagonal
+    Frobenius mass falls below a few units of longdouble epsilon relative to
+    the matrix norm.  Quadratic convergence makes ~6-10 sweeps typical; the
+    iteration cap is a safety net, not a tuning knob.
     """
     A = np.array(A, dtype=np.clongdouble)
     n = A.shape[0]
     V = np.eye(n, dtype=np.clongdouble)
-    eps = np.finfo(np.longdouble).eps
     for _ in range(max_sweeps):
         offd = A - np.diag(np.diag(A))
         off = np.sqrt(np.abs(offd * offd.conj()).sum().real)
         nrm = np.sqrt(np.abs(A * A.conj()).sum().real)
-        if off == 0 or off <= 4 * eps * nrm:
+        if off == 0 or off <= 4 * EPS_EXT * nrm:
             break
         for p in range(n - 1):
             for q_ in range(p + 1, n):
@@ -191,6 +205,84 @@ def _jacobi_eigh(A: np.ndarray, max_sweeps: int = 80):
     w = np.diag(A).real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], V[:, order]
+
+
+def _ogita_aishima_step(A: np.ndarray, X: np.ndarray, norm_a: np.ndarray) -> np.ndarray:
+    """One Ogita-Aishima refinement step for a stack of Hermitian blocks.
+
+    T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
+    decomposition", JJIAM 35 (2018), Algorithm 1, with S symmetrized.  For
+    approximate eigenvectors X of A (shape (k, m, m), any dtype) and the
+    2-norms ``norm_a`` of the blocks, returns E such that X + X E is the
+    refined X.  Only matrix products are needed, so the step runs in the
+    precision of its inputs.  Eigenvalue pairs closer than the step's error
+    bound are treated as a cluster: E only re-orthogonalizes them.
+    """
+    diag = np.arange(X.shape[-1])
+    Xh = _conj_t(X)
+    R = np.eye(len(diag), dtype=X.dtype) - Xh @ X
+    S = Xh @ A @ X
+    S = (S + _conj_t(S)) / 2
+    lam = S[:, diag, diag].real / (1 - R[:, diag, diag].real)
+    off = S.copy()
+    off[:, diag, diag] -= lam
+    # Frobenius norms bound the 2-norms of Algorithm 1 from above
+    delta = 2 * (
+        np.linalg.norm(off, axis=(-2, -1)) + norm_a * np.linalg.norm(R, axis=(-2, -1))
+    )
+    gap = lam[:, None, :] - lam[:, :, None]
+    near = np.abs(gap) <= delta[:, None, None]
+    return np.where(near, R / 2, (S + lam[:, None, :] * R) / np.where(near, 1, gap))
+
+
+def _refined_eigh(A: np.ndarray):
+    """Eigensystems of a stack of Hermitian blocks in extended precision.
+
+    Each block is first shifted by the mean of its diagonal, so products
+    round relative to the spread of its eigenvalues instead of their size
+    (symmetry sectors have nearly equal diagonals; the shift makes the
+    refined eigenvalues several times more accurate there).  One stacked
+    complex128 LAPACK solve gives the start; Ogita-Aishima steps refine it in
+    clongdouble until the correction max|E| of a block stops halving or falls
+    to a few units of longdouble epsilon.  (Stopping on the orthogonality
+    residual instead ends too early for blocks whose start mixes close
+    eigenvalues.)  A block whose X^H A X keeps an off-diagonal above
+    ``CLUSTER_TOL * EPS_EXT * ||A||``, or whose X stays further than
+    ``CLUSTER_TOL * EPS_EXT`` from orthonormal, has degenerate or clustered
+    eigenvalues the refinement cannot separate; it is solved again by
+    Jacobi.  The step cap is a safety net: quadratic convergence takes two or
+    three steps from a double-precision start.
+    """
+    A = A.astype(np.clongdouble)
+    diag = np.arange(A.shape[-1])
+    shift = A[:, diag, diag].real.mean(axis=-1)
+    A[:, diag, diag] -= shift[:, None]
+    w0, X = np.linalg.eigh(A.astype(np.complex128))
+    X = X.astype(np.clongdouble)
+    norm_a = np.abs(w0).max(axis=-1)
+    last = np.full(len(A), np.inf)
+    todo = np.arange(len(A))
+    for _ in range(12):  # safety cap
+        E = _ogita_aishima_step(A[todo], X[todo], norm_a[todo])
+        size = np.abs(E).max(axis=(-2, -1))
+        halved = size <= last[todo] / 2
+        X[todo[halved]] += X[todo[halved]] @ E[halved]
+        last[todo] = size
+        todo = todo[halved & (size > 4 * EPS_EXT)]
+        if not todo.size:
+            break
+    Xh = _conj_t(X)
+    S = Xh @ A @ X
+    w = S[:, diag, diag].real.copy()
+    S[:, diag, diag] = 0
+    off = np.abs(S).max(axis=(-2, -1))
+    orth = np.abs(np.eye(len(diag)) - Xh @ X).max(axis=(-2, -1))
+    unresolved = (off > CLUSTER_TOL * EPS_EXT * norm_a) | (orth > CLUSTER_TOL * EPS_EXT)
+    for i in np.nonzero(unresolved)[0]:
+        w[i], X[i] = _jacobi_eigh(A[i])
+    w += shift[:, None]
+    order = np.argsort(w, axis=-1, kind="stable")
+    return np.take_along_axis(w, order, -1), np.take_along_axis(X, order[:, None, :], -1)
 
 
 def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
@@ -220,27 +312,34 @@ def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
 def _block_eighs(A: np.ndarray):
     """Eigensystems of the exact zero-pattern blocks of a Hermitian matrix.
 
-    Yields ``(idx, w, V)`` per block: its row indices, ascending eigenvalues
-    and eigenvector columns, solved with the dtype-appropriate solver.
-    Blocks of size one need no solve.
+    Blocks of equal size are solved as one stack.  Yields ``(rows, w, V)``
+    per block size m: the row indices of its k blocks (k, m), their
+    ascending eigenvalues (k, m) and eigenvector columns (k, m, m).  complex128
+    stacks go to LAPACK (bit-identical to solving each block on its own),
+    clongdouble stacks to :func:`_refined_eigh`; blocks of size one need no
+    solve.
     """
     extended = A.dtype in (np.longdouble, np.clongdouble)
+    by_size: dict[int, list[np.ndarray]] = {}
     for idx in _zero_pattern_components(A):
-        block = A[np.ix_(idx, idx)]
-        if idx.size == 1:
-            yield idx, block[0].real, np.ones_like(block)
+        by_size.setdefault(idx.size, []).append(idx)
+    for m, comps in by_size.items():
+        rows = np.array(comps)
+        blocks = A[rows[:, :, None], rows[:, None, :]]
+        if m == 1:
+            yield rows, blocks[:, 0].real, np.ones_like(blocks)
         elif extended:
-            yield (idx, *_jacobi_eigh(block))
+            yield (rows, *_refined_eigh(blocks))
         else:
-            yield (idx, *np.linalg.eigh(block))
+            yield (rows, *np.linalg.eigh(blocks))
 
 
 def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
     """Full eigensystem of a Hermitian matrix (symmetrized before solving).
 
     The matrix is split into the connected components of its exact zero
-    pattern and each block is solved on its own (LAPACK for complex128, the
-    Jacobi solver in extended precision for clongdouble).  The block
+    pattern and each block is solved on its own (LAPACK for complex128,
+    refined LAPACK in extended precision for clongdouble).  The block
     eigenvectors are scattered into their rows and the columns ordered by
     ascending eigenvalue, so entries coupling different blocks are exactly
     zero.  Number-conserving Hamiltonians split into small sectors (chain10:
@@ -248,16 +347,21 @@ def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
     the BLAS thread count where one dense solve of the whole matrix is not.
     """
     A = _require_hermitian(_matrix_of(M), tol)
-    blocks = list(_block_eighs(A))
-    w = np.concatenate([bw for _, bw, _ in blocks])
-    order = np.argsort(w, kind="stable")
+    groups = list(_block_eighs(A))
+    w = np.concatenate([bw.ravel() for _, bw, _ in groups])
+    # equal eigenvalues of different blocks keep the order of the blocks'
+    # first rows, so the columns are those of a block-by-block solve
+    first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in groups])
+    pos = np.concatenate([np.tile(np.arange(r.shape[1]), len(r)) for r, _, _ in groups])
+    order = np.lexsort((pos, first, w))
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    V = np.zeros(A.shape, dtype=np.result_type(*{bV.dtype for _, _, bV in blocks}))
+    V = np.zeros(A.shape, dtype=np.result_type(*{bV.dtype for _, _, bV in groups}))
     start = 0
-    for idx, bw, bV in blocks:
-        V[np.ix_(idx, column[start : start + bw.size])] = bV
-        start += bw.size
+    for rows, _, bV in groups:
+        cols = column[start : start + rows.size].reshape(rows.shape)
+        V[rows[:, :, None], cols[:, None, :]] = bV
+        start += rows.size
     return Eigensystem(eigenvalues=w[order], eigenvectors=V)
 
 
@@ -265,8 +369,9 @@ def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """exp(s * M) for Hermitian M, via blockwise eigendecomposition.
 
     The matrix is first split into the connected components of its exact
-    zero pattern (an exact operation -- nothing is thresholded), then each
-    block is diagonalized with the dtype-appropriate solver.  Entries
+    zero pattern (an exact operation -- nothing is thresholded), then the
+    blocks of each size are diagonalized as one stack with the
+    dtype-appropriate solver and written back with one assignment.  Entries
     coupling different blocks stay exactly zero in the output.
     """
     A = _matrix_of(M)
@@ -274,8 +379,9 @@ def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:
     A = _require_hermitian(A.astype(dtype, copy=False), tol)
     out = np.zeros_like(A)
     s = np.clongdouble(s) if dtype == np.clongdouble else complex(s)
-    for idx, w, V in _block_eighs(A):
-        out[np.ix_(idx, idx)] = (V * np.exp(s * w)) @ V.conj().T
+    for rows, w, V in _block_eighs(A):
+        expw = np.exp(s * w)[:, None, :]
+        out[rows[:, :, None], rows[:, None, :]] = (V * expw) @ _conj_t(V)
     return out
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expansion, gibbs, lattice, model
-from ._kernels import USING_NUMBA, brute_force_connected_count, build_universe
+from ._kernels import brute_force_connected_count, build_universe
 from .algebra import DimensionError, GlobalOperator
 from .lattice import LatticeGeometry, Region, interior, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
@@ -133,20 +133,19 @@ def _write_json(path: Path, payload: dict):
 
 
 def _set_threads(n: int | None):
+    """Pin the BLAS thread pools to ``n`` threads, or warn that nothing was pinned."""
     if not n:
         return
     try:
-        import numba
-
-        numba.set_num_threads(max(1, n))
-    except Exception:
-        pass
-    try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=max(1, n))
-    except Exception:
-        pass
+    except ImportError:
+        print(
+            f"warning: --threads {n} pinned nothing: threadpoolctl is not installed "
+            "(set OMP_NUM_THREADS/OPENBLAS_NUM_THREADS before starting instead)",
+            file=sys.stderr,
+        )
+        return
+    threadpool_limits(limits=max(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,6 @@ def run_verify(cfg: dict, outdir: Path) -> int:
                 "prefactor_exponent": cert.prefactor_exponent,
                 "active": cert.active,
             },
-            "numba": USING_NUMBA,
         },
     )
     for c in checks:
@@ -417,7 +415,7 @@ def run_count(cfg: dict, outdir: Path) -> int:
 
     _write_json(
         outdir / "count_report.json",
-        {"command": "count", "D": D, "R": R, "rows": rows, "numba": USING_NUMBA},
+        {"command": "count", "D": D, "R": R, "rows": rows},
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

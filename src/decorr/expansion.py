@@ -15,11 +15,13 @@ Precision: the alternating sum cancels to roughly (2a q^{(2R+1)^D})^{|I|} of
 the individual summand scale, so double arithmetic leaves relative noise of
 order 1e-16 / weight -- far too coarse for third-order weights.  All weight
 computations therefore run in clongdouble (80-bit extended) through the
-Jacobi eigensolver in :mod:`decorr.algebra`, combined with the exact
-zero-pattern block split: the split keeps structurally-exact zeros exact
-(pure rotations would smear the ground sector at large beta), and the
-extended mantissa pushes the cancellation noise below 1e-13 relative even
-for weights of order 1e-50.
+extended-precision eigensolver in :mod:`decorr.algebra` (LAPACK in double,
+then Ogita-Aishima refinement in clongdouble of each block shifted by its
+mean diagonal, with a Jacobi fallback for clustered eigenvalues), combined
+with the exact zero-pattern block split: the split keeps structurally-exact
+zeros exact (pure rotations would smear the ground sector at large beta),
+and the extended mantissa pushes the cancellation noise below 1e-13
+relative even for weights of order 1e-50.
 """
 
 from __future__ import annotations

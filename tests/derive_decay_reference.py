@@ -2,15 +2,15 @@
 
 Recomputes the sweep that ``test_gibbs.test_decay_sweep_frozen_fit`` pins
 (chain10, beta = 5, |Cov(X_1, X_{1+d})| for d = 2..7), and the beta = 50
-sweep of acceptance criterion 10, without the program's own
-spectral path: each exact zero-pattern block of H is solved by LAPACK in
-double, then refined in clongdouble by Ogita-Aishima iterations (T. Ogita
-and K. Aishima, JJIAM 35 (2018), Algorithm 1, with S symmetrized) until the
-orthogonality residual max|I - X^H X| stops falling.  The Gibbs weights,
-both trace routes and the least-squares fit run in clongdouble; the spread
-of the two routes estimates the rounding noise of the reference itself.
+sweep of acceptance criterion 10, without the program's double-precision
+Gibbs path: each exact zero-pattern block of H is solved by the library's
+extended-precision block solver (LAPACK in double, then Ogita-Aishima
+refinement in clongdouble; T. Ogita and K. Aishima, JJIAM 35 (2018)), and
+the Gibbs weights, both trace routes and the least-squares fit run in
+clongdouble; the spread of the two routes estimates the rounding noise of
+the reference itself.
 
-Run from the repository root (about three minutes, one core):
+Run from the repository root (about 15 seconds, one core):
 
     PYTHONPATH=src python tests/derive_decay_reference.py
 """
@@ -18,7 +18,7 @@ Run from the repository root (about three minutes, one core):
 import numpy as np
 
 import decorr as dc
-from decorr.algebra import _zero_pattern_components, embed
+from decorr.algebra import _block_eighs, embed
 from decorr.lattice import Region
 from decorr.model import PAULI_BY_NAME
 
@@ -30,45 +30,16 @@ DISTANCES = [2, 3, 4, 5, 6, 7]
 ANCHOR = 1
 
 
-def refine(A, X, max_iter=10):
-    """Ogita-Aishima refinement of approximate eigenvectors X of Hermitian A."""
-    eye = np.eye(A.shape[0], dtype=EXT)
-    norm_a = np.linalg.norm(np.asarray(A, dtype=complex), 2)
-    best = np.inf
-    for _ in range(max_iter):
-        R = eye - X.conj().T @ X
-        S = X.conj().T @ A @ X
-        S = (S + S.conj().T) / 2
-        lam = np.diag(S).real / (1 - np.diag(R).real)
-        off = np.asarray(S - np.diag(lam), dtype=complex)
-        norm_r = np.linalg.norm(np.asarray(R, dtype=complex), 2)
-        delta = 2 * (np.linalg.norm(off, 2) + norm_a * norm_r)
-        gap = lam[None, :] - lam[:, None]
-        near = np.abs(gap) <= delta
-        E = np.where(near, R / 2, (S + lam[None, :] * R) / np.where(near, 1, gap))
-        X_new = X + X @ E
-        orth = float(np.abs(eye - X_new.conj().T @ X_new).max())
-        if orth >= best:
-            break
-        X, best = X_new, orth
-    S = X.conj().T @ A @ X
-    return np.diag(S).real, X, best
-
-
 def main():
     spec = chain(10)
-    H = dc.build_restricted(spec, spec.sites)[2].matrix
+    H = dc.build_restricted(spec, spec.sites)[2].matrix.astype(EXT)
     blocks, orth, resid = [], 0.0, 0.0
-    for idx in _zero_pattern_components(H):
-        A = H[np.ix_(idx, idx)].astype(EXT)
-        if idx.size == 1:
-            lam, X, o = A[0].real, np.ones((1, 1), dtype=EXT), 0.0
-        else:
-            X0 = np.linalg.eigh(H[np.ix_(idx, idx)])[1].astype(EXT)
-            lam, X, o = refine(A, X0)
-        orth = max(orth, o)
-        resid = max(resid, float(np.abs(A @ X - X * lam).max()))
-        blocks.append((idx, lam, X))
+    for rows, lams, Xs in _block_eighs(H):
+        for idx, lam, X in zip(rows, lams, Xs):
+            A = H[np.ix_(idx, idx)]
+            orth = max(orth, float(np.abs(np.eye(idx.size) - X.conj().T @ X).max()))
+            resid = max(resid, float(np.abs(A @ X - X * lam).max()))
+            blocks.append((idx, lam, X))
     print(f"{len(blocks)} blocks, largest {max(b[0].size for b in blocks)}; "
           f"max|I - X^H X| = {orth:.2e}, max|AX - X diag(lam)| = {resid:.2e}")
 

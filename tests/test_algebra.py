@@ -1,12 +1,16 @@
 """Dense operator layer: embeddings, Hermitian eigensolves, exponentials.
 
-The extended-precision Jacobi path is cross-checked against LAPACK here;
-its raison d'etre (weights at large beta) is exercised in test_expansion.
+The extended-precision path (LAPACK start, Ogita-Aishima refinement, Jacobi
+fallback) is cross-checked against LAPACK and a 40-digit mpmath oracle
+here; its raison d'etre (weights at large beta) is exercised in
+test_expansion.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
+from decorr import algebra
 from decorr.algebra import (
     MAX_DENSE_SITES,
     DimensionError,
@@ -18,6 +22,9 @@ from decorr.algebra import (
     trace,
 )
 from decorr.lattice import Region
+from decorr.model import build_restricted
+
+from conftest import chain
 
 rng = np.random.default_rng(42)
 
@@ -203,7 +210,133 @@ def test_herm_eig_block_split_keeps_exact_zeros(dtype):
     assert np.abs(res).max() < 1e-14
 
 
+
+def _per_block_eig(A):
+    """One LAPACK call per zero-pattern block, scattered block by block.
+
+    Columns follow the stable ascending order of the block eigenvalues
+    concatenated in the order of the blocks' first rows.
+    """
+    blocks = []
+    for idx in algebra._zero_pattern_components(A):
+        if idx.size == 1:
+            blocks.append((idx, A[idx, idx].real, np.ones((1, 1), dtype=A.dtype)))
+        else:
+            blocks.append((idx, *np.linalg.eigh(A[np.ix_(idx, idx)])))
+    w = np.concatenate([bw for _, bw, _ in blocks])
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    V = np.zeros(A.shape, dtype=A.dtype)
+    start = 0
+    for idx, bw, bV in blocks:
+        V[np.ix_(idx, column[start : start + bw.size])] = bV
+        start += bw.size
+    return w[order], V
+
+
+def _tied_blocks():
+    # eigenvalue 1 in three blocks of sizes 2, 1, 2 (rows [0, 3], [1], [2, 4])
+    M = np.zeros((5, 5), dtype=complex)
+    M[np.ix_([0, 3], [0, 3])] = [[2, 1], [1, 2]]
+    M[1, 1] = 1
+    M[np.ix_([2, 4], [2, 4])] = [[2, 1j], [-1j, 2]]
+    return M
+
+
+@pytest.mark.parametrize("case", ["chain10", "tied-blocks"])
+def test_herm_eig_stacked_lapack_is_bit_identical_to_per_block(case):
+    if case == "chain10":
+        spec = chain(10)
+        H = build_restricted(spec, spec.sites)[2].matrix
+    else:
+        H = _tied_blocks()
+    w, V = _per_block_eig((H + H.conj().T) / 2)
+    es = herm_eig(H)
+    assert np.array_equal(es.eigenvalues, w)
+    assert np.array_equal(es.eigenvectors, V)
+
+
 def test_op_norm_values():
     assert op_norm(SZ) == pytest.approx(1.0)
     assert op_norm(2 * np.eye(3)) == pytest.approx(2.0)
     assert op_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# extended-precision solver against a 40-digit mpmath oracle
+# ---------------------------------------------------------------------------
+
+EPS_EXT = np.finfo(np.longdouble).eps
+
+
+def _mpf(x):
+    """The exact value of a longdouble as an mpmath number."""
+    mant, expo = np.frexp(np.longdouble(x))
+    return mpmath.mpf(int(np.ldexp(mant, 64))) * mpmath.mpf(2) ** (int(expo) - 64)
+
+
+def _mp_reference(A, beta):
+    """Eigenvalues and exp(-beta A) of the stored entries of A, to 40 digits."""
+    n = A.shape[0]
+    with mpmath.workdps(40):
+        M = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = mpmath.mpc(_mpf(A[i, j].real), _mpf(A[i, j].imag))
+        w, Q = mpmath.eighe(M)
+        E = Q * mpmath.diag([mpmath.exp(-beta * x) for x in w]) * Q.transpose_conj()
+        to_ld = lambda x: np.longdouble(mpmath.nstr(x, 30))  # noqa: E731
+        w = np.array([to_ld(x) for x in w])
+        E = np.array(
+            [[to_ld(E[i, j].real) + 1j * to_ld(E[i, j].imag) for j in range(n)] for i in range(n)],
+            dtype=np.clongdouble,
+        )
+    return w, E
+
+
+def _block_with_spectrum(spectrum, seed):
+    """U diag(spectrum) U^H in clongdouble for a random unitary U."""
+    r = np.random.default_rng(seed)
+    n = len(spectrum)
+    U, _ = np.linalg.qr(r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
+    U = U.astype(np.clongdouble)
+    A = (U * np.array(spectrum, dtype=np.longdouble)) @ U.conj().T
+    return (A + A.conj().T) / 2
+
+
+ORACLE_BLOCKS = {
+    "2x2": lambda: random_hermitian(2, 41).astype(np.clongdouble),
+    "random-10x10": lambda: random_hermitian(10, 43).astype(np.clongdouble),
+    # a three-fold eigenvalue; rounding the product splits it by ~1e-16,
+    # which the refinement cannot resolve: the Jacobi fallback takes over
+    "degenerate": lambda: _block_with_spectrum([1.0, 1.0, 1.0, 2.0, -0.5, 0.25], 47),
+    "gap-1e-14": lambda: _block_with_spectrum([1.0, 1.0 + 1e-14, 2.0, 3.0, -1.0, 0.25], 3),
+    # like a symmetry sector: eigenvalues spread by ~2 around 100
+    "offset-100": lambda: (random_hermitian(6, 59) / 4 + 100 * np.eye(6)).astype(np.clongdouble),
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_BLOCKS))
+def test_extended_solver_matches_mpmath(kind, monkeypatch):
+    # the solver works on A shifted by its mean diagonal, so eigenvalues are
+    # good to 16 eps times the spread of the spectrum plus one rounding when
+    # the shift is added back; exp(-beta A) moves by beta times that
+    A = ORACLE_BLOCKS[kind]()
+    fallbacks = []
+    jacobi = algebra._jacobi_eigh
+    monkeypatch.setattr(
+        algebra, "_jacobi_eigh", lambda B: fallbacks.append(B.shape) or jacobi(B)
+    )
+    beta = 2.0
+    es = herm_eig(A)
+    out = herm_exp(A, -beta)
+    ref_w, ref_exp = _mp_reference(A, beta)
+    bound = EPS_EXT * (16 * (ref_w.max() - ref_w.min()) + np.abs(ref_w).max() / 2)
+    assert np.abs(es.eigenvalues - ref_w).max() <= bound
+    exp_tol = max(16 * EPS_EXT, beta * bound) * np.abs(ref_exp).max()
+    assert np.abs(out - ref_exp).max() <= exp_tol
+    if kind == "degenerate":
+        assert fallbacks
+    elif kind in ("2x2", "random-10x10", "offset-100"):
+        assert not fallbacks

@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, and report determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -157,3 +158,13 @@ def test_threads_flag_accepted(tmp_path):
     cfg = write_cfg(tmp_path, "v.json", payload)
     rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == EXIT_OK
+
+
+def test_threads_flag_warns_when_nothing_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+    payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
+    cfg = write_cfg(tmp_path, "v.json", payload)
+    rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert rc == EXIT_OK
+    err = capsys.readouterr().err
+    assert "--threads 2 pinned nothing" in err

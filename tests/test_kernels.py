@@ -1,4 +1,4 @@
-"""Brute-force counting kernels and the numba/pure-python dispatch."""
+"""Brute-force counting kernel, cross-checked against a maximally dumb reference."""
 
 import itertools
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from decorr._kernels import (
-    USING_NUMBA,
     _count_py,
     adjacency,
     brute_force_connected_count,
@@ -98,9 +97,3 @@ def test_k_validation():
     with pytest.raises(ValueError):
         count_connected_ksubsets(pts, 1, 0)
 
-
-def test_numba_flag_is_exported():
-    import decorr._kernels as kernels
-
-    assert isinstance(USING_NUMBA, bool)
-    assert kernels.DISABLE_NUMBA in (True, False)
