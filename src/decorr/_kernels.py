@@ -4,7 +4,11 @@ The exhaustive subset-filter count (iterate every k-subset of a candidate
 universe, keep the R-connected ones through the anchor) is the independent
 oracle that the canonical-growth enumerator in :mod:`decorr.lattice` is
 checked against.  The universe for D=2, R=2, k=4 already has ~300 sites and
-~5e6 subsets, so the inner loop works on integer bitmasks.
+~5e6 subsets, so the filter runs in numpy chunks: a Python loop fixes all
+but the last two chosen rows, and one chunk holds every pair of rows after
+them.  Each subset in a chunk gets its local adjacency as k-bit row masks,
+reachability from the anchor is closed by k-1 rounds of bit-smearing, and
+the subsets whose reach covers all k bits are counted.
 """
 
 from __future__ import annotations
@@ -42,33 +46,6 @@ def adjacency(points: np.ndarray, R: int) -> np.ndarray:
     return (diff <= 2 * R).astype(np.uint8)
 
 
-def _count_py(adj: np.ndarray, k: int) -> int:
-    m = adj.shape[0]
-    if k == 1:
-        return 1
-    # adjacency rows as int bitmasks; reachability closure by bit-smearing
-    masks = [int.from_bytes(np.packbits(adj[i], bitorder="little").tobytes(), "little") for i in range(m)]
-    total = 0
-    for comb in itertools.combinations(range(1, m), k - 1):
-        subset = 1
-        for i in comb:
-            subset |= 1 << i
-        reach = 1
-        while True:
-            new = reach
-            mm = reach
-            while mm:
-                low = mm & (-mm)
-                new |= masks[low.bit_length() - 1] & subset
-                mm ^= low
-            if new == reach:
-                break
-            reach = new
-        if reach == subset:
-            total += 1
-    return total
-
-
 def count_connected_ksubsets(points: np.ndarray, R: int, k: int) -> int:
     """Exhaustive count of R-connected k-subsets of ``points`` containing row 0.
 
@@ -78,7 +55,34 @@ def count_connected_ksubsets(points: np.ndarray, R: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _count_py(adjacency(points, R), k)
+    if k == 1:
+        return 1
+    full = (1 << k) - 1
+    adj = adjacency(points, R).astype(np.min_scalar_type(full), copy=False)
+    m = adj.shape[0]
+    n_tail = min(k - 1, 2)
+    total = 0
+    for head in itertools.combinations(range(1, m), k - 1 - n_tail):
+        lo = (head[-1] if head else 0) + 1
+        if n_tail == 2:
+            tail = [t + lo for t in np.triu_indices(m - lo, 1)]
+        else:
+            tail = [np.arange(lo, m)]
+        # one entry per bit: fixed rows as ints, the chunk's rows as arrays
+        rows = [0, *head, *tail]
+        masks = [adj.dtype.type(1 << p) for p in range(k)]
+        for p, q in itertools.combinations(range(k), 2):
+            bit = adj[rows[p], rows[q]]
+            masks[p] = masks[p] | (bit << q)
+            masks[q] = masks[q] | (bit << p)
+        reach = masks[0]
+        for _ in range(k - 2):
+            new = reach
+            for p in range(1, k):
+                new = new | np.where(reach & (1 << p), masks[p], 0)
+            reach = new
+        total += int(np.count_nonzero(reach == full))
+    return total
 
 
 def brute_force_connected_count(D: int, R: int, k: int) -> int:

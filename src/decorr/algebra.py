@@ -80,22 +80,6 @@ class GlobalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _compatible(self, other: "GlobalOperator"):
-        if self.region != other.region or self.q != other.q:
-            raise ValueError("operators live on different regions")
-
-    def __matmul__(self, other: "GlobalOperator") -> "GlobalOperator":
-        self._compatible(other)
-        return GlobalOperator(self.region, self.q, self.matrix @ other.matrix)
-
-    def __add__(self, other: "GlobalOperator") -> "GlobalOperator":
-        self._compatible(other)
-        return GlobalOperator(self.region, self.q, self.matrix + other.matrix)
-
-    def __sub__(self, other: "GlobalOperator") -> "GlobalOperator":
-        self._compatible(other)
-        return GlobalOperator(self.region, self.q, self.matrix - other.matrix)
-
     def __mul__(self, scalar) -> "GlobalOperator":
         return GlobalOperator(self.region, self.q, self.matrix * scalar)
 

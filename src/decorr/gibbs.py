@@ -13,11 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .algebra import GlobalOperator, embed, herm_eig, trace
 from .lattice import Region, counting_constant
 from .model import PAULI_BY_NAME, HamiltonianSpec, build_restricted
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))), shifted by max(x) so that nothing overflows."""
+    top = np.max(x)
+    return float(top + np.log(np.sum(np.exp(x - top))))
 
 
 class DegenerateFitError(RuntimeError):
@@ -28,7 +33,7 @@ def partition_function(H, beta: float) -> tuple[float, float]:
     """(Z, log Z) for Z = tr e^{-beta H}."""
     mat = H.matrix if isinstance(H, GlobalOperator) else np.asarray(H)
     w = herm_eig(mat).eigenvalues
-    logZ = float(logsumexp(-beta * w))
+    logZ = _logsumexp(-beta * w)
     return float(np.exp(logZ)), logZ
 
 
@@ -48,7 +53,7 @@ def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
     w, V = eig.eigenvalues, eig.eigenvectors
     boltz = np.exp(-beta * (w - w[0]))
     rho = (V * (boltz / boltz.sum())) @ V.conj().T
-    logZ = float(logsumexp(-beta * w))
+    logZ = _logsumexp(-beta * w)
     return ThermalState(rho=GlobalOperator(H.region, H.q, rho), beta=beta, logZ=logZ)
 
 

@@ -318,9 +318,19 @@ def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Regi
     Each set is produced exactly once, via depth-first growth of canonical
     generation sequences: a partial sequence (w_1 .. w_i) is extended by a
     site c within 2R of some w_j, and the extension is kept iff the greedy
-    order of {w_1 .. w_i, c} is exactly the extended sequence.  Prefixes of
-    canonical sequences are canonical, so the search needs no seen-set and
-    never revisits a set.
+    order of {w_1 .. w_i, c} (:func:`canonical_site_order`) is exactly the
+    extended sequence.  Prefixes of canonical sequences are canonical, so the
+    search needs no seen-set and never revisits a set.
+
+    The greedy-order test is decided incrementally.  Let j be c's first
+    neighbour index, the smallest j with l1(c, w_j) <= 2R.  Then c extends
+    the sequence canonically iff c > w_t for every t > j.  Greedy ordering of
+    S + {c} places w_1 .. w_j exactly as for S, since c is no candidate
+    before w_j is listed, and c brings no other site into candidacy.  At each
+    later step t > j, c is a candidate next to w_t, the smallest candidate
+    from S, and the greedy order lists w_t there iff c > w_t.  Candidates
+    are visited in sorted order, so the output order is that of the plain
+    greedy-order filter.
     """
     v1 = _as_site(v1)
     if v1 not in geometry.sites:
@@ -328,21 +338,37 @@ def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Regi
     if k < 1:
         raise ValueError("k must be positive")
     R = geometry.R
+    if k == 1:
+        return [Region([v1])]
+    neighbours: dict[Site, tuple[Site, ...]] = {}
+
+    def nbrs(w: Site) -> tuple[Site, ...]:
+        got = neighbours.get(w)
+        if got is None:
+            got = neighbours[w] = tuple(s for s in ball(w, 2 * R, geometry) if s != w)
+        return got
+
     out: list[Region] = []
 
-    def grow(seq: tuple[Site, ...]):
-        if len(seq) == k:
-            out.append(Region(seq))
-            return
-        current = frozenset(seq)
-        cand: set[Site] = set()
-        for w in seq:
-            cand.update(s for s in ball(w, 2 * R, geometry) if s not in current)
-        for c in sorted(cand):
-            if _greedy_order(current | {c}, v1, R) == seq + (c,):
-                grow(seq + (c,))
+    def grow(seq: tuple[Site, ...], first: dict[Site, int]):
+        # first: candidate site -> index of its first neighbour in seq
+        i = len(seq)
+        # later[j] = max(w_t : t > j); () sorts below every site
+        later = [()] * i
+        for t in range(i - 2, -1, -1):
+            later[t] = max(later[t + 1], seq[t + 1])
+        for c in sorted(c for c, j in first.items() if c > later[j]):
+            if i + 1 == k:
+                out.append(Region(seq + (c,)))
+                continue
+            nxt = dict(first)
+            del nxt[c]
+            for s in nbrs(c):
+                if s not in nxt and s not in seq:
+                    nxt[s] = i
+            grow(seq + (c,), nxt)
 
-    grow((v1,))
+    grow((v1,), dict.fromkeys(nbrs(v1), 0))
     return out
 
 

@@ -18,7 +18,6 @@ unperturbed ground state to itself or to excited states).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -474,7 +473,3 @@ def spec_from_json(data: dict) -> HamiltonianSpec:
         x = tuple(x)
         interactions[x] = InteractionTerm(x, Region.from_json(support), _matrix_from_json(m))
     return make_spec(geometry, q, onsite, interactions, model="custom")
-
-
-def spec_dumps(spec: HamiltonianSpec) -> str:
-    return json.dumps(spec_to_json(spec), sort_keys=True)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from decorr._kernels import (
-    _count_py,
     adjacency,
     brute_force_connected_count,
     build_universe,
@@ -72,18 +71,14 @@ def _count_reference(pts, R, k):
     return total
 
 
-@pytest.mark.parametrize("D,R,k", [(1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3)])
+# k <= 3 is one chunk, k = 4 one chunk per first chosen row, k = 5 one per pair
+@pytest.mark.parametrize(
+    "D,R,k",
+    [(1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3), (1, 1, 4), (1, 2, 4), (2, 1, 4), (1, 1, 5)],
+)
 def test_python_path_matches_reference(D, R, k):
     pts = build_universe(D, R, k)
-    adj = adjacency(pts, R)
-    assert _count_py(adj, k) == _count_reference(pts, R, k)
-
-
-@pytest.mark.parametrize("D,R,k", [(1, 1, 3), (1, 1, 4), (1, 2, 3), (2, 1, 3)])
-def test_dispatch_matches_python_path(D, R, k):
-    pts = build_universe(D, R, k)
-    adj = adjacency(pts, R)
-    assert count_connected_ksubsets(pts, R, k) == _count_py(adj, k)
+    assert count_connected_ksubsets(pts, R, k) == _count_reference(pts, R, k)
 
 
 def test_brute_force_frozen_values():

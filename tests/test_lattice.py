@@ -194,6 +194,21 @@ def test_enumerate_matches_subset_filter(n, R, k):
     assert got == _brute_connected_through(v1, k, g)
 
 
+@pytest.mark.parametrize(
+    "extent,R,v1,k",
+    [((4, 4), 1, (0, 0), 4), ((4, 4), 1, (1, 2), 4), ((4, 5), 2, (0, 3), 3)],
+    ids=["corner-R1-k4", "interior-R1-k4", "edge-R2-k3"],
+)
+def test_enumerate_matches_subset_filter_on_clipped_box(extent, R, v1, k):
+    # corner and edge anchors see the box edges cut their 2R-balls
+    g = box_geometry(extent, R)
+    sets = enumerate_connected_sets(v1, k, g)
+    assert len(sets) == len(set(sets))
+    assert sorted(sets) == _brute_connected_through(v1, k, g)
+    for S in sets:
+        assert canonical_site_order(S, v1, R)[0] == v1
+
+
 def test_enumerate_respects_lattice_clipping():
     g = chain_geometry(9, 1)
     got = {tuple(s) for s in enumerate_connected_sets((0,), 2, g)}

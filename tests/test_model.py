@@ -186,7 +186,7 @@ def test_build_restricted_subregion(chain6):
     S = Region([(0,), (1,), (2,)])
     H0, V, H = dc.build_restricted(chain6, S)
     assert H0.region == S and H.region == S
-    assert np.allclose((H0 + V).matrix, H.matrix)
+    assert np.allclose(H0.matrix + V.matrix, H.matrix)
     # only center 1 has its ball inside S
     assert interaction_centers(chain6, S) == Region([(1,)])
 
