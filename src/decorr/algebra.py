@@ -119,6 +119,23 @@ def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalO
     return GlobalOperator(target, q, np.ascontiguousarray(tensor.reshape(q**m, q**m)))
 
 
+def operator_product(*ops: GlobalOperator) -> GlobalOperator:
+    """The product ops[0] ops[1] ... on the union of their regions.
+
+    Each factor is embedded into the union and the matrices are multiplied
+    left to right; supports may overlap.  Later factors that already act on
+    the whole union are used as they are (embedding would only copy them).
+    """
+    q = ops[0].q
+    region = Region(site for op in ops for site in op.region)
+    mat = embed(ops[0].matrix, ops[0].region, region, q).matrix
+    for op in ops[1:]:
+        if op.region != region:
+            op = embed(op.matrix, op.region, region, q)
+        mat = mat @ op.matrix
+    return GlobalOperator(region, q, mat)
+
+
 # ---------------------------------------------------------------------------
 # Hermitian eigen-machinery
 # ---------------------------------------------------------------------------

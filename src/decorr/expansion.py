@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_eig, herm_exp, op_norm
+from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product
+from .gibbs import partition_function
 from .lattice import (
     LatticeGeometry,
     Region,
@@ -42,7 +43,7 @@ from .lattice import (
     set_distance,
     supercluster_decompose,
 )
-from .model import HamiltonianSpec, build_restricted, is_nonpositive
+from .model import HamiltonianSpec, build_restricted, is_nonpositive, onsite_sum
 
 MAX_TERM_SIZE = 20  # 2^|I| exponentials per term
 MAX_RESUM_INTERIOR = 12
@@ -57,6 +58,28 @@ def _dtype(extended: bool):
 def _rel(lhs, rhs) -> float:
     scale = max(abs(float(lhs)), abs(float(rhs)), ZERO_FLOOR)
     return abs(float(lhs) - float(rhs)) / scale
+
+
+def interior_configurations(
+    centers: Region, cap: int, max_size: int | None = None
+) -> list[Region]:
+    """Every configuration I of ``centers`` with |I| <= max_size (default: all).
+
+    Ordered by increasing size and, within a size, in itertools.combinations
+    order, so sums over the configurations accumulate the same way on every
+    call.  ``cap`` bounds the sweep at the 2^cap configurations of a
+    cap-site interior; a larger sweep raises ValueError.
+    """
+    top = len(centers) if max_size is None else min(max_size, len(centers))
+    count = sum(math.comb(len(centers), k) for k in range(top + 1))
+    if count > 2**cap:
+        raise ValueError(
+            f"{count} configurations of an interior of size {len(centers)} "
+            f"exceed the cap 2^{cap}"
+        )
+    return [
+        Region(c) for k in range(top + 1) for c in itertools.combinations(centers, k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +109,7 @@ def yarotsky_term(
     dim = q ** len(base)
     if any(x not in spec.interactions for x in I):
         return GlobalOperator(base, q, np.zeros((dim, dim), dtype=dt))
-    H0 = np.zeros((dim, dim), dtype=dt)
-    for z in base:
-        H0 += embed(spec.onsite[z].astype(dt), Region([z]), base, q).matrix
+    H0 = onsite_sum(spec.onsite, base, q, dt)
     v_emb = {
         x: embed(spec.interactions[x].matrix.astype(dt), spec.interactions[x].support, base, q).matrix
         for x in I
@@ -111,18 +132,9 @@ def global_term(
     geo = spec.geometry
     cl = closure(I, geo)
     rest = spec.sites - cl
-    q = spec.q
-    dt = _dtype(extended)
     inner = yarotsky_term(I, cl, spec, beta, extended=extended)
-    dim_rest = q ** len(rest)
-    H0r = np.zeros((dim_rest, dim_rest), dtype=dt)
-    for z in rest:
-        H0r += embed(spec.onsite[z].astype(dt), Region([z]), rest, q).matrix
-    outer = herm_exp(H0r, -beta)
-    full = embed(outer, rest, spec.sites, q).matrix @ embed(
-        inner.matrix, cl, spec.sites, q
-    ).matrix
-    return GlobalOperator(spec.sites, q, full)
+    outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, _dtype(extended)), -beta)
+    return operator_product(GlobalOperator(rest, spec.q, outer), inner)
 
 
 def verify_resummation(spec: HamiltonianSpec, beta: float, extended: bool = True) -> float:
@@ -132,20 +144,14 @@ def verify_resummation(spec: HamiltonianSpec, beta: float, extended: bool = True
     centers without interactions contribute exact zeros but are included --
     the resummation identity is about the full subset lattice).
     """
-    geo = spec.geometry
-    inter = interior(spec.sites, geo)
-    if len(inter) > MAX_RESUM_INTERIOR:
-        raise ValueError(
-            f"interior of size {len(inter)} exceeds the resummation cap "
-            f"{MAX_RESUM_INTERIOR}"
-        )
-    dt = _dtype(extended)
-    _, _, H = build_restricted(spec, spec.sites)
-    ref = herm_exp(H.matrix.astype(dt), -beta)
+    configs = interior_configurations(
+        interior(spec.sites, spec.geometry), MAX_RESUM_INTERIOR
+    )
+    _, _, H = build_restricted(spec, spec.sites, _dtype(extended))
+    ref = herm_exp(H.matrix, -beta)
     acc = np.zeros_like(ref)
-    for k in range(len(inter) + 1):
-        for I in itertools.combinations(inter, k):
-            acc += global_term(Region(I), spec, beta, extended=extended).matrix
+    for I in configs:
+        acc += global_term(I, spec, beta, extended=extended).matrix
     diff = acc - ref
     num = np.sqrt(np.abs(diff * diff.conj()).sum().real)
     den = np.sqrt(np.abs(ref * ref.conj()).sum().real)
@@ -161,15 +167,15 @@ def term_norm_scan(
     path is ample here.
     """
     geo = spec.geometry
-    inter = interior(spec.sites, geo)
+    configs = interior_configurations(
+        interior(spec.sites, geo), MAX_RESUM_INTERIOR, max_size
+    )
     rows = []
-    for k in range(1, max_size + 1):
-        for I in itertools.combinations(inter, k):
-            I = Region(I)
-            if any(x not in spec.interactions for x in I):
-                continue
-            T = yarotsky_term(I, closure(I, geo), spec, beta, extended=extended)
-            rows.append((I, op_norm(T.matrix), (2 * spec.a) ** len(I)))
+    for I in configs[1:]:  # the empty configuration comes first
+        if any(x not in spec.interactions for x in I):
+            continue
+        T = yarotsky_term(I, closure(I, geo), spec, beta, extended=extended)
+        rows.append((I, op_norm(T.matrix), (2 * spec.a) ** len(I)))
     return rows
 
 
@@ -178,11 +184,10 @@ def term_norm_scan(
 # ---------------------------------------------------------------------------
 
 def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.longdouble:
-    """Z0 over a region: product of single-site traces (exact factorization)."""
+    """Z0 over a region: product of single-site Z's (exact factorization)."""
     z = np.longdouble(1.0)
     for site in region:
-        w = herm_eig(spec.onsite[site].astype(np.clongdouble)).eigenvalues
-        z *= np.exp(-np.longdouble(beta) * w).sum()
+        z *= partition_function(spec.onsite[site].astype(np.clongdouble), beta)[0]
     return z
 
 
@@ -198,8 +203,7 @@ def _observable_weight_hp(
 ) -> np.longdouble:
     base = closure(I, spec.geometry) | O.region
     T = yarotsky_term(I, base, spec, beta, extended=True)
-    O_emb = embed(O.matrix.astype(np.clongdouble), O.region, base, spec.q).matrix
-    tr = np.trace(O_emb @ T.matrix).real
+    tr = np.trace(operator_product(O, T).matrix).real
     return tr / _free_partition(base, spec, beta)
 
 
@@ -219,12 +223,9 @@ def observable_weight(
     return float(_observable_weight_hp(I, O, spec, beta))
 
 
-def _product_observable(A: GlobalOperator, B: GlobalOperator, q: int) -> GlobalOperator:
+def _require_disjoint(A: GlobalOperator, B: GlobalOperator):
     if not A.region.isdisjoint(B.region):
         raise ValueError("product observable requires disjoint supports")
-    both = A.region | B.region
-    mat = embed(A.matrix, A.region, both, q).matrix @ embed(B.matrix, B.region, both, q).matrix
-    return GlobalOperator(both, q, mat)
 
 
 @dataclass(frozen=True)
@@ -252,8 +253,7 @@ def verify_factorization(
     part2 = I2 | O2.region
     if set_distance(part1, part2) <= 2 * spec.geometry.R:
         raise ValueError("the two halves are R-connected; factorization does not apply")
-    O12 = _product_observable(O1, O2, spec.q)
-    lhs = _observable_weight_hp(I1 | I2, O12, spec, beta)
+    lhs = _observable_weight_hp(I1 | I2, operator_product(O1, O2), spec, beta)
     rhs = _observable_weight_hp(I1, O1, spec, beta) * _observable_weight_hp(
         I2, O2, spec, beta
     )
@@ -315,18 +315,8 @@ def verify_swap_identity(
     X, Y = A.region, B.region
     if set_distance(X, Y) <= 2 * geo.R:
         raise ValueError("supports of A and B must be further than 2R apart")
-    inter = interior(spec.sites, geo)
-    if len(inter) > MAX_SWEEP_INTERIOR:
-        raise ValueError(
-            f"interior of size {len(inter)} exceeds the sweep cap {MAX_SWEEP_INTERIOR}"
-        )
-    AB = _product_observable(A, B, spec.q)
-
-    configs = [
-        Region(c)
-        for k in range(len(inter) + 1)
-        for c in itertools.combinations(inter, k)
-    ]
+    configs = interior_configurations(interior(spec.sites, geo), MAX_SWEEP_INTERIOR)
+    AB = operator_product(A, B)
     w = {c: _weight_hp(c, spec, beta) for c in configs}
     wa = {c: _observable_weight_hp(c, A, spec, beta) for c in configs}
     wb = {c: _observable_weight_hp(c, B, spec, beta) for c in configs}
@@ -368,17 +358,13 @@ def verify_swap_identity(
 def _interacting_partition(
     region: Region, spec: HamiltonianSpec, beta: float
 ) -> np.longdouble:
-    """Z over a region, as a longdouble sum over double-precision eigenvalues.
+    """Z over a region (1 for the empty region), from double-precision eigenvalues.
 
     No extended-precision solve here: a partition function is a sum of
     positive terms, so unlike the alternating weight sums it carries no
     cancellation and LAPACK doubles already give ~1e-15 relative accuracy.
     """
-    if len(region) == 0:
-        return np.longdouble(1.0)
-    _, _, H = build_restricted(spec, region)
-    w = herm_eig(H.matrix).eigenvalues
-    return np.exp(-np.longdouble(beta) * w).sum()
+    return partition_function(build_restricted(spec, region)[2], beta)[0]
 
 
 @dataclass(frozen=True)
@@ -423,19 +409,9 @@ def verify_supercluster_resummation(
         raise ValueError("I0 and J0 must lie in the lattice interior")
     lattice_rest = spec.sites - closure(S0, geo)
     geo_rest = LatticeGeometry(D=geo.D, R=geo.R, sites=lattice_rest)
-    inter_rest = interior(lattice_rest, geo_rest)
-    if len(inter_rest) > MAX_SWEEP_INTERIOR:
-        raise ValueError(
-            f"restricted interior of size {len(inter_rest)} exceeds the cap "
-            f"{MAX_SWEEP_INTERIOR}"
-        )
-    AB = _product_observable(A, B, spec.q)
-
-    addons = [
-        Region(c)
-        for k in range(len(inter_rest) + 1)
-        for c in itertools.combinations(inter_rest, k)
-    ]
+    addons = interior_configurations(interior(lattice_rest, geo_rest), MAX_SWEEP_INTERIOR)
+    _require_disjoint(A, B)
+    AB = operator_product(A, B)
     lhs_w = np.longdouble(0.0)
     lhs_o = np.longdouble(0.0)
     n_pairs = 0
@@ -557,18 +533,11 @@ def covariance_from_expansion(
     sum factorizes into products of single sums, which is how it is
     evaluated.  Exact for any lattice small enough to enumerate.
     """
-    geo = spec.geometry
-    inter = interior(spec.sites, geo)
-    if len(inter) > MAX_SWEEP_INTERIOR:
-        raise ValueError(
-            f"interior of size {len(inter)} exceeds the sweep cap {MAX_SWEEP_INTERIOR}"
-        )
-    AB = _product_observable(A, B, spec.q)
-    configs = [
-        Region(c)
-        for k in range(len(inter) + 1)
-        for c in itertools.combinations(inter, k)
-    ]
+    configs = interior_configurations(
+        interior(spec.sites, spec.geometry), MAX_SWEEP_INTERIOR
+    )
+    _require_disjoint(A, B)
+    AB = operator_product(A, B)
     sum_w = np.longdouble(0.0)
     sum_a = np.longdouble(0.0)
     sum_b = np.longdouble(0.0)

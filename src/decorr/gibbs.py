@@ -2,9 +2,10 @@
 
 Everything here is plain dense exact diagonalization: rho = e^{-beta H} / Z
 with the spectrum shifted by the ground energy before exponentiating, so
-large beta never overflows.  Partition functions are returned with their
-logarithm (computed by max-shifted log-sum-exp) because ratios of Z's at
-beta = 50 underflow double precision long before the physics degenerates.
+large beta never overflows.  Partition functions are summed in longdouble
+and returned with their logarithm (a max-shifted log-sum-exp) because ratios
+of Z's at beta = 50 underflow double precision long before the physics
+degenerates.
 """
 
 from __future__ import annotations
@@ -14,27 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_eig, trace
+from .algebra import GlobalOperator, embed, herm_eig, operator_product
 from .lattice import Region, counting_constant
 from .model import PAULI_BY_NAME, HamiltonianSpec, build_restricted
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))), shifted by max(x) so that nothing overflows."""
-    top = np.max(x)
-    return float(top + np.log(np.sum(np.exp(x - top))))
 
 
 class DegenerateFitError(RuntimeError):
     """Fewer than two sweep points survive the noise floor."""
 
 
-def partition_function(H, beta: float) -> tuple[float, float]:
-    """(Z, log Z) for Z = tr e^{-beta H}."""
-    mat = H.matrix if isinstance(H, GlobalOperator) else np.asarray(H)
-    w = herm_eig(mat).eigenvalues
-    logZ = _logsumexp(-beta * w)
-    return float(np.exp(logZ)), logZ
+def _partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdouble]:
+    x = -np.longdouble(beta) * w
+    top = x.max()
+    s = np.exp(x - top).sum()
+    return np.exp(top) * s, top + np.log(s)
+
+
+def partition_function(H, beta: float) -> tuple[np.longdouble, np.longdouble]:
+    """(Z, log Z) for Z = tr e^{-beta H}, as longdouble.
+
+    The eigenvalues are summed in longdouble after shifting the exponents by
+    their maximum, so log Z never overflows.
+    """
+    return _partition_sum(herm_eig(H).eigenvalues, beta)
 
 
 @dataclass(frozen=True)
@@ -53,47 +56,27 @@ def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
     w, V = eig.eigenvalues, eig.eigenvectors
     boltz = np.exp(-beta * (w - w[0]))
     rho = (V * (boltz / boltz.sum())) @ V.conj().T
-    logZ = _logsumexp(-beta * w)
+    logZ = float(_partition_sum(w, beta)[1])
     return ThermalState(rho=GlobalOperator(H.region, H.q, rho), beta=beta, logZ=logZ)
 
 
-def _on_region(A: GlobalOperator, region: Region, q: int) -> np.ndarray:
-    if A.region == region:
-        return A.matrix
-    return embed(A.matrix, A.region, region, q).matrix
-
-
-def _traced_with(rho: np.ndarray, mat: np.ndarray) -> complex:
-    # tr(rho @ mat) without forming the product
-    return complex(np.einsum("ij,ji->", rho, mat))
-
-
 def expectation(state: ThermalState, A: GlobalOperator) -> complex:
-    mat = _on_region(A, state.region, state.rho.q)
-    return _traced_with(state.rho.matrix, mat)
+    mat = A.matrix
+    if A.region != state.region:
+        mat = embed(mat, A.region, state.region, state.rho.q).matrix
+    # tr(rho @ mat) without forming the product
+    return complex(np.einsum("ij,ji->", state.rho.matrix, mat))
 
 
 def covariance(state: ThermalState, A: GlobalOperator, B: GlobalOperator) -> complex:
     """<AB> - <A><B> in the given thermal state.
 
-    For observables on disjoint supports the product AB is assembled on the
-    small joint support before embedding, so the cost stays quadratic in the
-    full dimension rather than cubic.
+    The product AB is assembled on the joint support of A and B before it is
+    embedded, so the cost stays quadratic in the full dimension rather than
+    cubic.
     """
-    q = state.rho.q
-    rho = state.rho.matrix
-    if A.region.isdisjoint(B.region):
-        both = A.region | B.region
-        ab = embed(A.matrix, A.region, both, q).matrix @ embed(
-            B.matrix, B.region, both, q
-        ).matrix
-        ab_full = embed(ab, both, state.region, q).matrix
-    else:
-        ab_full = _on_region(A, state.region, q) @ _on_region(B, state.region, q)
-    mean_ab = _traced_with(rho, ab_full)
-    mean_a = _traced_with(rho, _on_region(A, state.region, q))
-    mean_b = _traced_with(rho, _on_region(B, state.region, q))
-    return complex(mean_ab - mean_a * mean_b)
+    mean_ab = expectation(state, operator_product(A, B))
+    return complex(mean_ab - expectation(state, A) * expectation(state, B))
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +104,8 @@ def observable_from_template(
         site = (site[0] + shift,) + site[1:]
         if site not in spec.sites:
             raise ValueError(f"observable site {site} is outside the lattice")
-        factors.append((site, PAULI_BY_NAME[name]))
-    support = Region(site for site, _ in factors)
-    dim = spec.q ** len(support)
-    mat = np.eye(dim, dtype=complex)
-    for site, local in factors:
-        mat = mat @ embed(local, Region([site]), support, spec.q).matrix
-    return GlobalOperator(support, spec.q, mat)
+        factors.append(GlobalOperator(Region([site]), spec.q, PAULI_BY_NAME[name]))
+    return operator_product(*factors)
 
 
 @dataclass(frozen=True)
@@ -175,35 +153,29 @@ def decay_sweep(
         B = observable_from_template(B_template, anchor, spec, shift=d)
         points.append((d, abs(covariance(state, A, B))))
 
-    usable = [(d, math.log(c)) for d, c in points if c > floor]
-    if len(usable) < 2:
-        if strict:
-            raise DegenerateFitError(
-                f"only {len(usable)} of {len(points)} covariances exceed the "
-                f"floor {floor:g} at beta = {beta}"
-            )
-        return DecayFit(
-            beta=beta,
-            points=tuple(points),
-            points_used=len(usable),
-            slope=math.nan,
-            intercept=math.nan,
-            xi=math.nan,
-            outcome="floor",
+    usable = [(d, c) for d, c in points if c > floor]
+    if len(usable) >= 2:
+        fit, outcome = fit_decay(usable), "ok"
+    elif strict:
+        raise DegenerateFitError(
+            f"only {len(usable)} of {len(points)} covariances exceed the "
+            f"floor {floor:g} at beta = {beta}"
         )
-    xs = np.array([d for d, _ in usable], dtype=float)
-    ys = np.array([y for _, y in usable], dtype=float)
+    else:
+        fit, outcome = (math.nan, math.nan, math.nan), "floor"
+    return DecayFit(beta, tuple(points), len(usable), *fit, outcome=outcome)
+
+
+def fit_decay(points) -> tuple[float, float, float]:
+    """Least-squares line ln c = slope * d + intercept through (d, c) points.
+
+    Returns (slope, intercept, xi) with the correlation length xi = -1/slope.
+    """
+    xs = np.array([d for d, _ in points], dtype=float)
+    ys = np.array([math.log(c) for _, c in points], dtype=float)
     slope, intercept = np.polyfit(xs, ys, 1)
     xi = -1.0 / slope if slope != 0 else math.inf
-    return DecayFit(
-        beta=beta,
-        points=tuple(points),
-        points_used=len(usable),
-        slope=float(slope),
-        intercept=float(intercept),
-        xi=float(xi),
-        outcome="ok",
-    )
+    return float(slope), float(intercept), float(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +194,21 @@ def ising_hamiltonian(n: int, J: float) -> GlobalOperator:
     return GlobalOperator(sites, 2, H)
 
 
-def ising_oracle(n: int, J: float, beta: float, i: int, j: int) -> float:
-    """Exact Cov(sigma3_i, sigma3_j) in the open-chain classical model.
+def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
+    """Exact Cov(sigma3_i, sigma3_j) for every pair i < j of the open classical chain.
 
     For free boundaries the transfer-matrix answer is tanh(beta J)^|i-j|
-    independently of n; this routine computes the same number through the
-    generic Gibbs machinery so the two can be compared as independent routes.
+    independently of n; this routine computes the same numbers through the
+    generic Gibbs machinery, from one Gibbs state, so the two can be compared
+    as independent routes.
     """
-    H = ising_hamiltonian(n, J)
-    state = gibbs_state(H, beta)
-    Z = PAULI_BY_NAME["Z"]
-    A = GlobalOperator(Region([(i,)]), 2, Z.copy())
-    B = GlobalOperator(Region([(j,)]), 2, Z.copy())
-    return float(covariance(state, A, B).real)
+    state = gibbs_state(ising_hamiltonian(n, J), beta)
+    Z = [GlobalOperator(Region([(i,)]), 2, PAULI_BY_NAME["Z"]) for i in range(n)]
+    return {
+        (i, j): float(covariance(state, Z[i], Z[j]).real)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
 
 
 def ising_exact_covariance(J: float, beta: float, i: int, j: int) -> float:
@@ -258,8 +232,7 @@ def mbdos_histogram(H, bin_width: float = 1.0) -> list[tuple[float, int]]:
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    mat = H.matrix if isinstance(H, GlobalOperator) else np.asarray(H)
-    w = herm_eig(mat).eigenvalues
+    w = herm_eig(H).eigenvalues
     counts: dict[int, int] = {}
     for e in w:
         k = int(round(float(e) / bin_width))

@@ -131,10 +131,7 @@ def certify_form_bound(
         )
     card = (2 * geometry.R + 1) ** geometry.D
     dim = q ** len(B)
-    H0B = np.zeros((dim, dim), dtype=complex)
-    for z in B:
-        H0B += embed(onsite[z], Region([z]), B, q).matrix
-    K = H0B / card
+    K = onsite_sum(onsite, B, q, complex) / card
     V = embed(interaction.matrix, interaction.support, B, q).matrix
 
     eig = herm_eig(K)
@@ -336,19 +333,28 @@ def xxz_spec(
 # restriction and normalization
 # ---------------------------------------------------------------------------
 
-def build_restricted(spec: HamiltonianSpec, S: Region):
-    """(H0_S, V_S, H_S) on S: all on-site terms in S, interactions with ball in S."""
+def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
+    """H0 on ``region``: the embedded on-site terms summed in ``dtype``, in site order."""
+    dim = q ** len(region)
+    H0 = np.zeros((dim, dim), dtype=dtype)
+    for z in region:
+        H0 += embed(onsite[z].astype(dtype), Region([z]), region, q).matrix
+    return H0
+
+
+def build_restricted(spec: HamiltonianSpec, S: Region, dtype=complex):
+    """(H0_S, V_S, H_S) on S: all on-site terms in S, interactions with ball in S.
+
+    The terms are summed in ``dtype`` (clongdouble for extended-precision references).
+    """
     if not S.issubset(spec.sites):
         raise ValueError("restriction region is not contained in the lattice")
     q = spec.q
-    dim = q ** len(S)
-    H0 = np.zeros((dim, dim), dtype=complex)
-    for z in S:
-        H0 += embed(spec.onsite[z], Region([z]), S, q).matrix
-    V = np.zeros((dim, dim), dtype=complex)
-    for x, term in spec.interactions.items():
-        if ball(x, spec.geometry.R, spec.geometry).issubset(S):
-            V += embed(term.matrix, term.support, S, q).matrix
+    H0 = onsite_sum(spec.onsite, S, q, dtype)
+    V = np.zeros_like(H0)
+    for x in interaction_centers(spec, S):
+        term = spec.interactions[x]
+        V += embed(term.matrix.astype(dtype), term.support, S, q).matrix
     return (
         GlobalOperator(S, q, H0),
         GlobalOperator(S, q, V),
@@ -402,11 +408,9 @@ def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:
     interactions = {}
     for x, term in spec.interactions.items():
         B = ball(x, geometry.R, geometry)
-        dim = q ** len(B)
-        ball_h0 = np.zeros((dim, dim), dtype=complex)
-        for z in B:
-            ball_h0 += embed(spec.onsite[z], Region([z]), B, q).matrix
-        m = embed(term.matrix, term.support, B, q).matrix - atilde * ball_h0
+        m = embed(term.matrix, term.support, B, q).matrix - atilde * onsite_sum(
+            spec.onsite, B, q, complex
+        )
         interactions[x] = InteractionTerm(x, B, m)
 
     params = dict(spec.params)

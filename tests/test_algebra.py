@@ -19,6 +19,7 @@ from decorr.algebra import (
     herm_eig,
     herm_exp,
     op_norm,
+    operator_product,
     trace,
 )
 from decorr.lattice import Region
@@ -99,6 +100,26 @@ def test_embed_dimension_cap():
     big = Region([(i,) for i in range(MAX_DENSE_SITES + 1)])
     with pytest.raises(DimensionError):
         embed(SZ, Region([(0,)]), big, 2)
+
+
+def test_operator_product_overlapping_supports():
+    # three non-commuting factors on {0,1}, {1,2} and {0}: the product lives
+    # on the union {0,1,2} and equals the product of full-space Kronecker
+    # embeds taken in the same order
+    r = np.random.default_rng(5)
+    a, b, c = (r.normal(size=(d, d)) + 1j * r.normal(size=(d, d)) for d in (4, 4, 2))
+    ops = (
+        GlobalOperator(Region([(0,), (1,)]), 2, a),
+        GlobalOperator(Region([(1,), (2,)]), 2, b),
+        GlobalOperator(Region([(0,)]), 2, c),
+    )
+    I2, I4 = np.eye(2), np.eye(4)
+    full = np.kron(a, I2) @ np.kron(I2, b) @ np.kron(c, I4)
+    got = operator_product(*ops)
+    assert got.region == Region([(0,), (1,), (2,)])
+    assert np.allclose(got.matrix, full, rtol=0, atol=1e-13 * np.abs(full).max())
+    swapped = operator_product(ops[1], ops[0], ops[2]).matrix
+    assert not np.allclose(swapped, full)
 
 
 def test_global_operator_arithmetic():

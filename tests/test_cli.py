@@ -54,6 +54,11 @@ def test_verify_coupled_model(tmp_path, capsys):
     assert "swap_identity_per_pair" in names
     assert "partition_ratio_bound" in names
     assert all(c["pass"] for c in report["checks"])
+    # on n = 6 the reduced lattice of the supercluster check has an empty
+    # interior: one class pair, and the report says so
+    supercluster = [c for c in report["checks"] if c["name"].startswith("supercluster")]
+    assert len(supercluster) == 2
+    assert all(c["instance"].endswith("pairs=1 (vacuous)") for c in supercluster)
     # certificate p = 2 a q^{(2R+1)^D} for the frozen canonical constant
     assert report["certificate"]["p"] == pytest.approx(1.779842023704731, rel=1e-10)
 

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 import decorr as dc
 from decorr.algebra import herm_exp
-from decorr.expansion import MAX_TERM_SIZE
+from decorr.expansion import MAX_TERM_SIZE, interior_configurations
 from decorr.lattice import Region, closure, interior
 
 from conftest import chain, pauli_at
@@ -79,6 +79,37 @@ def test_resummation_free_spec(free6):
     assert dc.verify_resummation(free6, 1.0) <= 1e-14
     T = dc.yarotsky_term(Region([(2,)]), free6.sites, free6, 1.0)
     assert np.abs(np.asarray(T.matrix, dtype=complex)).max() == 0.0
+
+
+def test_resummation_residual_at_extended_floor(chain5):
+    # H is assembled in clongdouble like the terms it is compared with, so the
+    # residual sits at the longdouble rounding floor (eps_ld = 1.1e-19)
+    for beta in (0.5, 2.0, 10.0):
+        assert dc.verify_resummation(chain5, beta) <= 1e-18
+
+
+def test_interior_configurations_order_cap_and_max_size():
+    centers = Region([(1,), (2,), (3,)])
+    expected = [(), ((1,),), ((2,),), ((3,),), ((1,), (2,)), ((1,), (3,)),
+                ((2,), (3,)), ((1,), (2,), (3,))]
+    assert interior_configurations(centers, 3) == [Region(c) for c in expected]
+    assert interior_configurations(centers, 3, max_size=1) == [
+        Region(c) for c in expected[:4]
+    ]
+    assert interior_configurations(centers, 3, max_size=9) == [Region(c) for c in expected]
+    with pytest.raises(ValueError, match=r"^8 configurations of an interior of size 3 exceed the cap 2\^2$"):
+        interior_configurations(centers, 2)
+    # the cap counts what is swept: 1 + 3 configurations fit under 2^2
+    assert len(interior_configurations(centers, 2, max_size=1)) == 4
+
+
+def test_sweep_cap():
+    # chain9 has 7 interior centers, one over the 2^6 cap of the pair sweeps
+    spec = chain(9)
+    with pytest.raises(ValueError, match="128 configurations"):
+        dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(8, "Z"), 1.0)
+    with pytest.raises(ValueError, match="128 configurations"):
+        dc.covariance_from_expansion(spec, pauli_at(0, "Z"), pauli_at(8, "Z"), 1.0)
 
 
 def test_resummation_cap():

@@ -15,6 +15,7 @@ from decorr.gibbs import (
     FIT_FLOOR,
     DegenerateFitError,
     bound_certificate,
+    fit_decay,
     observable_from_template,
 )
 from decorr.lattice import Region, counting_constant
@@ -38,6 +39,19 @@ def test_partition_function_single_site():
 def test_partition_function_accepts_matrix():
     Z, _ = dc.partition_function(N2, 2.0)
     assert Z == pytest.approx(1 + np.exp(-2.0), rel=1e-14)
+
+
+def test_partition_function_empty_region_is_one(chain5):
+    Z, logZ = dc.partition_function(dc.build_restricted(chain5, Region())[2], 3.0)
+    assert Z == 1 and logZ == 0
+
+
+def test_partition_function_large_beta_log_is_finite():
+    # Z = e^{50000} overflows even longdouble, log Z does not
+    H = np.diag([-1000.0, 0.0]).astype(complex)
+    with np.errstate(over="ignore"):
+        _, logZ = dc.partition_function(H, 50.0)
+    assert logZ == pytest.approx(50000.0, rel=1e-15)
 
 
 def test_gibbs_state_single_site():
@@ -172,6 +186,14 @@ def test_decay_sweep_strictness(free6):
     assert FIT_FLOOR == 1e-13
 
 
+def test_fit_decay_recovers_exponential():
+    points = [(d, 3.0 * np.exp(-d / 0.7)) for d in (1, 2, 4, 5)]
+    slope, intercept, xi = fit_decay(points)
+    assert slope == pytest.approx(-1 / 0.7, rel=1e-12)
+    assert intercept == pytest.approx(np.log(3.0), rel=1e-12)
+    assert xi == pytest.approx(0.7, rel=1e-12)
+
+
 def test_ising_hamiltonian_is_classical():
     H = dc.ising_hamiltonian(4, 1.0)
     off = H.matrix - np.diag(np.diag(H.matrix))
@@ -185,7 +207,7 @@ def test_ising_hamiltonian_is_classical():
 @pytest.mark.parametrize("i,j", [(0, 1), (2, 5), (0, 7)])
 def test_ising_oracle_matches_closed_form(i, j):
     n, J, beta = 8, 1.0, 0.7
-    got = dc.ising_oracle(n, J, beta, i, j)
+    got = dc.ising_oracle(n, J, beta)[i, j]
     assert got == pytest.approx(dc.ising_exact_covariance(J, beta, i, j), rel=1e-12)
     assert dc.ising_exact_covariance(J, beta, i, j) == pytest.approx(
         np.tanh(beta * J) ** (j - i), rel=1e-14

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import decorr as dc
-from decorr.lattice import Region, chain_geometry
+from decorr.lattice import Region, box_geometry, chain_geometry
 from decorr.model import (
     NUMBER,
     PAULI_BY_NAME,
@@ -13,6 +13,7 @@ from decorr.model import (
     InteractionTerm,
     certify_form_bound,
     interaction_centers,
+    onsite_sum,
 )
 
 from conftest import chain
@@ -189,6 +190,36 @@ def test_build_restricted_subregion(chain6):
     assert np.allclose(H0.matrix + V.matrix, H.matrix)
     # only center 1 has its ball inside S
     assert interaction_centers(chain6, S) == Region([(1,)])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_onsite_sum_matches_kronecker_sum(dtype):
+    # non-diagonal on-site terms on a 2x2 box; the Kronecker sum puts site k
+    # (canonical order) on the k-th most significant tensor leg
+    sites = box_geometry((2, 2)).sites
+    r = np.random.default_rng(11)
+    onsite = {}
+    for z in sites:
+        m = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
+        onsite[z] = m + m.conj().T
+    assert all(onsite[z][0, 1] != 0 for z in sites)
+    ref = np.zeros((16, 16), dtype=dtype)
+    for k, z in enumerate(sites):
+        ref += np.kron(
+            np.kron(np.eye(2**k, dtype=dtype), onsite[z].astype(dtype)),
+            np.eye(2 ** (len(sites) - 1 - k), dtype=dtype),
+        )
+    got = onsite_sum(onsite, sites, 2, dtype)
+    assert got.dtype == dtype
+    assert np.array_equal(got, ref)
+
+
+def test_build_restricted_keeps_dtype(chain6):
+    H0, V, H = dc.build_restricted(chain6, chain6.sites, np.clongdouble)
+    assert H0.matrix.dtype == V.matrix.dtype == H.matrix.dtype == np.clongdouble
+    H_double = dc.build_restricted(chain6, chain6.sites)[2].matrix
+    assert H_double.dtype == np.complex128
+    assert np.abs(H.matrix - H_double).max() <= 1e-15
 
 
 def test_disjoint_pieces_split_additively(chain6):
