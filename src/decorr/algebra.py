@@ -93,11 +93,31 @@ def _matrix_of(op) -> np.ndarray:
     return op.matrix if isinstance(op, GlobalOperator) else np.asarray(op)
 
 
+def support_index_map(support: Region, target: Region, q: int):
+    """Where the support's tensor legs sit in the index of ``target``.
+
+    Returns integer arrays (alpha, base, off): row i of a target-indexed
+    matrix has support digits alpha[i] (an index in the support's canonical
+    order), and the target index with the same off-support digits as i and
+    support digits b is base[i] + off[b].  off is increasing in b.
+    """
+    place = {site: q ** (len(target) - 1 - k) for k, site in enumerate(target)}
+    weights = np.array([place[site] for site in support], dtype=np.int64)
+    local_place = q ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
+    off = (np.arange(q ** len(support))[:, None] // local_place % q) @ weights
+    rows = np.arange(q ** len(target))
+    alpha = (rows[:, None] // weights % q) @ local_place
+    return alpha, rows - off[alpha], off
+
+
 def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalOperator:
     """Embed an operator on ``support`` into ``target`` as local (x) identity.
 
     ``local`` must be indexed by the canonical order of ``support``; the
-    result is indexed by the canonical order of ``target``.
+    result is indexed by the canonical order of ``target``.  Entry
+    local[alpha(i), b] goes to row i, column base(i) + off(b) of a zero matrix
+    (see :func:`support_index_map`); the entries are copied, not multiplied,
+    so the result equals local (x) identity with its legs permuted, exactly.
     """
     if not support.issubset(target):
         raise ValueError("support is not contained in the target region")
@@ -106,17 +126,10 @@ def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalO
     local = np.asarray(local)
     if local.shape != (q**s, q**s):
         raise ValueError(f"local operator shape {local.shape} != q^|support|")
-    dtype = _work_dtype(local.dtype)
-    local = local.astype(dtype, copy=False)
-    rest = [site for site in target if site not in support]
-    full = np.kron(local, np.eye(q ** len(rest), dtype=dtype))
-    # row legs of `full` are ordered [support..., rest...]; permute to target order
-    src_order = list(support) + rest
-    src_pos = {site: i for i, site in enumerate(src_order)}
-    perm = [src_pos[site] for site in target]
-    tensor = full.reshape([q] * (2 * m))
-    tensor = tensor.transpose(perm + [m + p for p in perm])
-    return GlobalOperator(target, q, np.ascontiguousarray(tensor.reshape(q**m, q**m)))
+    alpha, base, off = support_index_map(support, target, q)
+    full = np.zeros((q**m, q**m), dtype=_work_dtype(local.dtype))
+    full[np.arange(q**m)[:, None], base[:, None] + off] = local[alpha]
+    return GlobalOperator(target, q, full)
 
 
 def operator_product(*ops: GlobalOperator) -> GlobalOperator:
@@ -335,35 +348,61 @@ def _block_eighs(A: np.ndarray):
             yield (rows, *np.linalg.eigh(blocks))
 
 
-def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
-    """Full eigensystem of a Hermitian matrix (symmetrized before solving).
+@dataclass(frozen=True)
+class BlockEigensystem:
+    """Eigensystems of the exact zero-pattern blocks of one Hermitian matrix.
+
+    ``blocks`` holds one ``(rows, w, V)`` per block size, as yielded by
+    :func:`_block_eighs`.  ``order`` sorts the concatenated block eigenvalues
+    (block by block, each block's ascending) into ``eigenvalues``; equal
+    eigenvalues of different blocks keep the order of the blocks' first rows,
+    so the columns are those of a block-by-block solve.
+    """
+
+    dim: int
+    blocks: tuple
+    order: np.ndarray
+    eigenvalues: np.ndarray
+
+
+def herm_blocks(M, tol: float = HERMITICITY_TOL) -> BlockEigensystem:
+    """Block eigensystems of a Hermitian matrix (symmetrized before solving).
 
     The matrix is split into the connected components of its exact zero
     pattern and each block is solved on its own (LAPACK for complex128,
-    refined LAPACK in extended precision for clongdouble).  The block
-    eigenvectors are scattered into their rows and the columns ordered by
-    ascending eigenvalue, so entries coupling different blocks are exactly
-    zero.  Number-conserving Hamiltonians split into small sectors (chain10:
-    20 blocks, the largest 126x126), which keeps the result independent of
-    the BLAS thread count where one dense solve of the whole matrix is not.
+    refined LAPACK in extended precision for clongdouble); no eigenvector
+    matrix of the full dimension is formed.  Number-conserving Hamiltonians
+    split into small sectors (chain10: 20 blocks, the largest 126x126), which
+    keeps the result independent of the BLAS thread count where one dense
+    solve of the whole matrix is not.
     """
     A = _require_hermitian(_matrix_of(M), tol)
-    groups = list(_block_eighs(A))
-    w = np.concatenate([bw.ravel() for _, bw, _ in groups])
-    # equal eigenvalues of different blocks keep the order of the blocks'
-    # first rows, so the columns are those of a block-by-block solve
-    first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in groups])
-    pos = np.concatenate([np.tile(np.arange(r.shape[1]), len(r)) for r, _, _ in groups])
+    blocks = tuple(_block_eighs(A))
+    w = np.concatenate([bw.ravel() for _, bw, _ in blocks])
+    first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in blocks])
+    pos = np.concatenate([np.tile(np.arange(r.shape[1]), len(r)) for r, _, _ in blocks])
     order = np.lexsort((pos, first, w))
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    V = np.zeros(A.shape, dtype=np.result_type(*{bV.dtype for _, _, bV in groups}))
+    return BlockEigensystem(A.shape[0], blocks, order, w[order])
+
+
+def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
+    """Full eigensystem of a Hermitian matrix, from :func:`herm_blocks`.
+
+    The block eigenvectors are scattered into their rows and the columns
+    ordered by ascending eigenvalue, so entries coupling different blocks
+    are exactly zero.
+    """
+    eig = herm_blocks(M, tol)
+    column = np.empty_like(eig.order)
+    column[eig.order] = np.arange(eig.order.size)
+    dtype = np.result_type(*{bV.dtype for _, _, bV in eig.blocks})
+    V = np.zeros((eig.dim, eig.dim), dtype=dtype)
     start = 0
-    for rows, _, bV in groups:
+    for rows, _, bV in eig.blocks:
         cols = column[start : start + rows.size].reshape(rows.shape)
         V[rows[:, :, None], cols[:, None, :]] = bV
         start += rows.size
-    return Eigensystem(eigenvalues=w[order], eigenvectors=V)
+    return Eigensystem(eigenvalues=eig.eigenvalues, eigenvectors=V)
 
 
 def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:

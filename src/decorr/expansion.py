@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product
-from .gibbs import partition_function
+from .gibbs import partition_function, partition_sum
 from .lattice import (
     LatticeGeometry,
     Region,
@@ -43,7 +43,13 @@ from .lattice import (
     set_distance,
     supercluster_decompose,
 )
-from .model import HamiltonianSpec, build_restricted, is_nonpositive, onsite_sum
+from .model import (
+    HamiltonianSpec,
+    build_restricted,
+    is_nonpositive,
+    onsite_sum,
+    restricted_spectrum,
+)
 
 MAX_TERM_SIZE = 20  # 2^|I| exponentials per term
 MAX_RESUM_INTERIOR = 12
@@ -360,11 +366,14 @@ def _interacting_partition(
 ) -> np.longdouble:
     """Z over a region (1 for the empty region), from double-precision eigenvalues.
 
+    The eigenvalues of each region are solved once per spec and reused at
+    every beta (:func:`~decorr.model.restricted_spectrum`).
+
     No extended-precision solve here: a partition function is a sum of
     positive terms, so unlike the alternating weight sums it carries no
     cancellation and LAPACK doubles already give ~1e-15 relative accuracy.
     """
-    return partition_function(build_restricted(spec, region)[2], beta)[0]
+    return partition_sum(restricted_spectrum(spec, region).eigenvalues, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -412,31 +421,29 @@ def verify_supercluster_resummation(
     addons = interior_configurations(interior(lattice_rest, geo_rest), MAX_SWEEP_INTERIOR)
     _require_disjoint(A, B)
     AB = operator_product(A, B)
+    # each weight depends on one side's add-on only: one of each per add-on
+    wI = {a: _weight_hp(I0 | a, spec, beta) for a in addons}
+    waI = {a: _observable_weight_hp(I0 | a, A, spec, beta) for a in addons}
+    wabJ = {a: _observable_weight_hp(J0 | a, AB, spec, beta) for a in addons}
+    wbJ = {a: _observable_weight_hp(J0 | a, B, spec, beta) for a in addons}
     lhs_w = np.longdouble(0.0)
     lhs_o = np.longdouble(0.0)
     n_pairs = 0
     for Iadd in addons:
-        I = I0 | Iadd
-        wI = _weight_hp(I, spec, beta)
-        waI = _observable_weight_hp(I, A, spec, beta)
         for Jadd in addons:
-            J = J0 | Jadd
-            dec = supercluster_decompose([I, J, X, Y], geo.R)
+            dec = supercluster_decompose([I0 | Iadd, J0 | Jadd, X, Y], geo.R)
             if dec.component_of(X[0]) != S0:
                 raise AssertionError("class member lost the supercluster S0")
             n_pairs += 1
-            lhs_w += wI * _observable_weight_hp(J, AB, spec, beta)
-            lhs_o += waI * _observable_weight_hp(J, B, spec, beta)
+            lhs_w += wI[Iadd] * wabJ[Jadd]
+            lhs_o += waI[Iadd] * wbJ[Jadd]
 
     ratio = _interacting_partition(lattice_rest, spec, beta) / _free_partition(
         lattice_rest, spec, beta
     )
-    rhs_w = _weight_hp(I0, spec, beta) * _observable_weight_hp(J0, AB, spec, beta) * ratio**2
-    rhs_o = (
-        _observable_weight_hp(I0, A, spec, beta)
-        * _observable_weight_hp(J0, B, spec, beta)
-        * ratio**2
-    )
+    empty = addons[0]  # the empty add-on comes first
+    rhs_w = wI[empty] * wabJ[empty] * ratio**2
+    rhs_o = waI[empty] * wbJ[empty] * ratio**2
     return SuperclusterCheck(
         lhs_weight=float(lhs_w),
         rhs_weight=float(rhs_w),

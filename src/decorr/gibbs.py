@@ -1,10 +1,14 @@
 """Exact Gibbs states and truncated-correlation measurements.
 
-Everything here is plain dense exact diagonalization: rho = e^{-beta H} / Z
-with the spectrum shifted by the ground energy before exponentiating, so
-large beta never overflows.  Partition functions are summed in longdouble
-and returned with their logarithm (a max-shifted log-sum-exp) because ratios
-of Z's at beta = 50 underflow double precision long before the physics
+Everything here is exact diagonalization: rho = e^{-beta H} / Z with the
+spectrum shifted by the ground energy before exponentiating, so large beta
+never overflows.  H is solved block by block on its exact zero pattern
+(:func:`~decorr.algebra.herm_blocks`) and rho is written block by block;
+nothing of the full dimension is multiplied.  Expectations read tr(rho A)
+from the entries of rho that A meets, so observables are never embedded
+into the full space.  Partition functions are summed in longdouble and
+returned with their logarithm (a max-shifted log-sum-exp) because ratios of
+Z's at beta = 50 underflow double precision long before the physics
 degenerates.
 """
 
@@ -15,16 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_eig, operator_product
+from .algebra import (
+    BlockEigensystem,
+    GlobalOperator,
+    embed,
+    herm_blocks,
+    operator_product,
+    support_index_map,
+)
 from .lattice import Region, counting_constant
-from .model import PAULI_BY_NAME, HamiltonianSpec, build_restricted
+from .model import PAULI_BY_NAME, HamiltonianSpec, restricted_spectrum
 
 
 class DegenerateFitError(RuntimeError):
     """Fewer than two sweep points survive the noise floor."""
 
 
-def _partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdouble]:
+def partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdouble]:
+    """(Z, log Z) for Z = sum_k e^{-beta w_k}, summed in longdouble after a max shift."""
     x = -np.longdouble(beta) * w
     top = x.max()
     s = np.exp(x - top).sum()
@@ -34,10 +46,11 @@ def _partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdo
 def partition_function(H, beta: float) -> tuple[np.longdouble, np.longdouble]:
     """(Z, log Z) for Z = tr e^{-beta H}, as longdouble.
 
-    The eigenvalues are summed in longdouble after shifting the exponents by
-    their maximum, so log Z never overflows.
+    The eigenvalues come from the block solves of :func:`herm_blocks`; they
+    are summed in longdouble after shifting the exponents by their maximum,
+    so log Z never overflows.
     """
-    return _partition_sum(herm_eig(H).eigenvalues, beta)
+    return partition_sum(herm_blocks(H).eigenvalues, beta)
 
 
 @dataclass(frozen=True)
@@ -51,29 +64,60 @@ class ThermalState:
         return self.rho.region
 
 
-def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
-    eig = herm_eig(H.matrix)
-    w, V = eig.eigenvalues, eig.eigenvectors
+def _state_from_blocks(
+    eig: BlockEigensystem, region: Region, q: int, beta: float
+) -> ThermalState:
+    """rho = e^{-beta H} / Z written block by block from H's block eigensystems.
+
+    The Boltzmann weights are formed and normalized over the ascending
+    eigenvalues, then (V_b p_b) V_b^H fills each block's rows and columns;
+    entries coupling different blocks are exactly zero.
+    """
+    w = eig.eigenvalues
     boltz = np.exp(-beta * (w - w[0]))
-    rho = (V * (boltz / boltz.sum())) @ V.conj().T
-    logZ = float(_partition_sum(w, beta)[1])
-    return ThermalState(rho=GlobalOperator(H.region, H.q, rho), beta=beta, logZ=logZ)
+    p = np.empty_like(boltz)
+    p[eig.order] = boltz / boltz.sum()
+    rho = np.zeros((eig.dim, eig.dim), dtype=eig.blocks[0][2].dtype)
+    start = 0
+    for rows, _, V in eig.blocks:
+        pb = p[start : start + rows.size].reshape(rows.shape)
+        Vh = V.conj().swapaxes(-1, -2)
+        rho[rows[:, :, None], rows[:, None, :]] = (V * pb[:, None, :]) @ Vh
+        start += rows.size
+    logZ = float(partition_sum(w, beta)[1])
+    return ThermalState(rho=GlobalOperator(region, q, rho), beta=beta, logZ=logZ)
+
+
+def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
+    """The Gibbs state e^{-beta H} / Z, rho written block by block."""
+    return _state_from_blocks(herm_blocks(H.matrix), H.region, H.q, beta)
 
 
 def expectation(state: ThermalState, A: GlobalOperator) -> complex:
-    mat = A.matrix
-    if A.region != state.region:
-        mat = embed(mat, A.region, state.region, state.rho.q).matrix
-    # tr(rho @ mat) without forming the product
-    return complex(np.einsum("ij,ji->", state.rho.matrix, mat))
+    """tr(rho A), with A acting on a subregion of the state's region.
+
+    A is never embedded: row i of rho meets A only in the columns
+    base(i) + off(b) of :func:`support_index_map`, so the trace is the sum
+    of the terms rho[i, base(i) + off(b)] A[b, alpha(i)], O(dim q^|supp A|).
+    The terms are added within each row in column order and the row sums in
+    row order, the order in which einsum("ij,ji->") adds the nonzero terms
+    of tr(rho embed(A)).
+    """
+    if not A.region.issubset(state.region):
+        raise ValueError("observable support is not contained in the state's region")
+    rho = state.rho.matrix
+    alpha, base, off = support_index_map(A.region, state.region, state.rho.q)
+    rows = np.arange(rho.shape[0])[:, None]
+    terms = rho[rows, base[:, None] + off] * A.matrix.T[alpha]
+    return complex(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
 
 
 def covariance(state: ThermalState, A: GlobalOperator, B: GlobalOperator) -> complex:
     """<AB> - <A><B> in the given thermal state.
 
-    The product AB is assembled on the joint support of A and B before it is
-    embedded, so the cost stays quadratic in the full dimension rather than
-    cubic.
+    The product AB is formed on the joint support of A and B, and each
+    expectation costs dim * q^|support| operations (see :func:`expectation`),
+    so the cost is linear in the full dimension.
     """
     mean_ab = expectation(state, operator_product(A, B))
     return complex(mean_ab - expectation(state, A) * expectation(state, B))
@@ -145,8 +189,8 @@ def decay_sweep(
     if anchor is None:
         anchor = spec.sites[0]
     A = observable_from_template(A_template, anchor, spec)
-    _, _, H = build_restricted(spec, spec.sites)
-    state = gibbs_state(H, beta)
+    eig = restricted_spectrum(spec, spec.sites)  # solved once per spec, at any beta
+    state = _state_from_blocks(eig, spec.sites, spec.q, beta)
 
     points = []
     for d in distances:
@@ -232,7 +276,7 @@ def mbdos_histogram(H, bin_width: float = 1.0) -> list[tuple[float, int]]:
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    w = herm_eig(H).eigenvalues
+    w = herm_blocks(H).eigenvalues
     counts: dict[int, int] = {}
     for e in w:
         k = int(round(float(e) / bin_width))

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_eig, op_norm
+from .algebra import BlockEigensystem, GlobalOperator, embed, herm_blocks, herm_eig, op_norm
 from .lattice import LatticeGeometry, Region, Site, ball, chain_geometry, l1_distance
 
 # single-site operator basis (q = 2)
@@ -63,7 +63,7 @@ class GapCheck:
 
 def gap_check(h: np.ndarray, tol: float = 1e-9) -> GapCheck:
     """Check one on-site term: PSD, simple ground state at 0, gap >= 1."""
-    w = herm_eig(h).eigenvalues
+    w = herm_blocks(h).eigenvalues
     e0 = float(w[0])
     degeneracy = int(np.sum(w <= e0 + tol))
     gap = float(w[degeneracy] - e0) if len(w) > degeneracy else np.inf
@@ -87,6 +87,11 @@ class HamiltonianSpec:
     ``a`` is the certified form-bound constant (max over interaction
     centers), ``h_sup``/``v_sup`` the largest operator norms among the
     on-site and interaction terms.
+
+    A spec is not changed after :func:`make_spec` builds it (no function
+    here assigns to its fields or to its term dicts), so ``spectra`` can
+    memoize, per region S, the block eigensystems of H_S that
+    :func:`restricted_spectrum` solves; the memo lives and dies with the spec.
     """
 
     geometry: LatticeGeometry
@@ -98,6 +103,7 @@ class HamiltonianSpec:
     v_sup: float
     model: str = "custom"
     params: dict = field(default_factory=dict)
+    spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def sites(self) -> Region:
@@ -362,6 +368,17 @@ def build_restricted(spec: HamiltonianSpec, S: Region, dtype=complex):
     )
 
 
+def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
+    """Block eigensystems of H_S in complex128, solved once per spec and region.
+
+    Later calls with the same region (at any beta) reuse the memo in
+    ``spec.spectra``.
+    """
+    if S not in spec.spectra:
+        spec.spectra[S] = herm_blocks(build_restricted(spec, S)[2])
+    return spec.spectra[S]
+
+
 def interaction_centers(spec: HamiltonianSpec, S: Region) -> Region:
     """Centers whose interaction survives restriction to S."""
     return Region(
@@ -374,7 +391,7 @@ def interaction_centers(spec: HamiltonianSpec, S: Region) -> Region:
 def is_nonpositive(spec: HamiltonianSpec, tol: float = 1e-12) -> bool:
     """True iff every interaction term is negative semidefinite."""
     for term in spec.interactions.values():
-        w = herm_eig(term.matrix).eigenvalues
+        w = herm_blocks(term.matrix).eigenvalues
         if float(w[-1]) > tol * max(1.0, abs(float(w[0]))):
             return False
     return True

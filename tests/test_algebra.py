@@ -81,6 +81,43 @@ def test_embed_multisite_support():
     assert np.allclose(full.matrix, ref, atol=1e-13)
 
 
+def kron_embed(local, support, target, q):
+    """The Kronecker-product embed: local (x) identity, legs permuted into target order."""
+    m = len(target)
+    dtype = np.clongdouble if local.dtype in (np.longdouble, np.clongdouble) else complex
+    rest = [site for site in target if site not in support]
+    full = np.kron(local.astype(dtype), np.eye(q ** len(rest), dtype=dtype))
+    src_pos = {site: i for i, site in enumerate(list(support) + rest)}
+    perm = [src_pos[site] for site in target]
+    tensor = full.reshape([q] * (2 * m)).transpose(perm + [m + p for p in perm])
+    return tensor.reshape(q**m, q**m)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize(
+    "q, m, support",
+    [
+        (2, 5, [(2,)]),
+        (2, 6, [(0,), (3,)]),
+        (2, 7, [(1,), (2,), (6,)]),
+        (2, 10, [(0,), (4,), (9,)]),
+        (3, 4, [(1,), (3,)]),
+        (3, 5, [(0,), (2,), (4,)]),
+        (2, 4, []),
+    ],
+)
+def test_embed_matches_kron_reference(dtype, q, m, support):
+    # the index-map embed copies entries where the Kronecker route multiplies
+    # them by 1: equal to the last bit, on non-contiguous supports too
+    r = np.random.default_rng(m * 10 + q)
+    d = q ** len(support)
+    local = (r.normal(size=(d, d)) + 1j * r.normal(size=(d, d))).astype(dtype)
+    sup, tgt = Region(support), Region((i,) for i in range(m))
+    got = embed(local, sup, tgt, q).matrix
+    assert got.dtype == dtype
+    assert np.array_equal(got, kron_embed(local, sup, tgt, q))
+
+
 def test_embed_trace_scaling():
     tgt = Region([(0,), (1,), (2,)])
     A = random_hermitian(2, 5)

@@ -1,5 +1,6 @@
 """Inclusion-exclusion terms, weights, swap identity, ratio bounds."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import decorr as dc
+from decorr import model
 from decorr.algebra import herm_exp
 from decorr.expansion import MAX_TERM_SIZE, interior_configurations
-from decorr.lattice import Region, closure, interior
+from decorr.lattice import Region, closure, interior, r_connected_set
 
 from conftest import chain, pauli_at
 
@@ -293,6 +295,39 @@ def test_partition_ratio_frozen(chain8):
     assert out.cl_size == 4
     assert out.bound_ok and out.split_product_le_full
     assert out.free_le_power and out.interacting_ge_one
+
+
+def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
+    # criterion 06's loop: 41 sets x 2 betas x 3 regions (rest, closure,
+    # lattice) are 246 partition functions over 35 distinct regions
+    norm = dc.normalize_nonpositive(chain8)
+    assert norm.spectra == {} and norm.spectra is not chain8.spectra
+    before = set(chain8.spectra)
+    sets = [
+        Region(c)
+        for k in (1, 2, 3)
+        for c in itertools.combinations(norm.sites, k)
+        if r_connected_set(Region(c), norm.geometry.R)
+    ]
+    solved = []
+    original = model.build_restricted
+
+    def counting_build(spec, S, dtype=complex):
+        solved.append(S)
+        return original(spec, S, dtype)
+
+    monkeypatch.setattr(model, "build_restricted", counting_build)
+    betas = (1.0, 10.0)
+    memoized = [dc.partition_ratio(S, norm, b).ratio for b in betas for S in sets]
+    monkeypatch.undo()
+    assert len(sets) == 41
+    assert len(solved) == len(set(solved)) == 35
+    assert set(chain8.spectra) == before
+    # a fresh spec (same terms, empty memo) per call gives the same bits
+    fresh = [
+        dc.partition_ratio(S, dataclasses.replace(norm), b).ratio for b in betas for S in sets
+    ]
+    assert memoized == fresh
 
 
 def test_partition_ratio_preconditions(chain8):

@@ -1,5 +1,6 @@
 """Thermal states, covariances, decay fits, closed-form oracles."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import decorr as dc
-from decorr.algebra import GlobalOperator, embed
+from decorr import algebra, gibbs
+from decorr.algebra import GlobalOperator, embed, operator_product
 from decorr.gibbs import (
     FIT_FLOOR,
     DegenerateFitError,
@@ -98,8 +100,8 @@ def test_covariance_basics(chain5):
 
 
 def test_covariance_paths_agree(chain5):
-    # minimal disjoint supports take the product-embedding fast path;
-    # padding the supports until they overlap forces the dense fallback
+    # minimal disjoint supports against supports padded with identities
+    # until they overlap, so that AB is multiplied on a shared site
     H = dc.build_restricted(chain5, chain5.sites)[2]
     state = dc.gibbs_state(H, 2.0)
     fast = dc.covariance(state, pauli_at(1, "Z"), pauli_at(3, "Z"))
@@ -118,6 +120,97 @@ def test_covariance_product_state_uncorrelated(free6):
     state = dc.gibbs_state(H, 1.5)
     cov = dc.covariance(state, pauli_at(0, "Z"), pauli_at(5, "Z"))
     assert abs(complex(cov)) < 1e-14
+
+
+def full_space_expectation(state, A):
+    """tr(rho A) with A embedded into the state's whole region."""
+    mat = embed(A.matrix, A.region, state.region, state.rho.q).matrix
+    return complex(np.einsum("ij,ji->", state.rho.matrix, mat))
+
+
+def test_expectation_matches_full_space_einsum(chain6):
+    state = dc.gibbs_state(dc.build_restricted(chain6, chain6.sites)[2], 2.0)
+    strings = [
+        [(2, "X")],
+        [(0, "Z")],
+        [(1, "X"), (4, "X")],
+        [(0, "Y"), (3, "Y")],
+        [(2, "N"), (3, "X"), (5, "Z")],
+        [(0, "X"), (1, "Y"), (2, "Z"), (3, "N")],
+    ]
+    for factors in strings:
+        A = operator_product(*(pauli_at(i, name) for i, name in factors))
+        # same terms, added in the same order as the einsum
+        assert dc.expectation(state, A) == full_space_expectation(state, A)
+    r = np.random.default_rng(11)
+    dense = GlobalOperator(
+        Region([(1,), (4,)]), 2, r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4))
+    )
+    assert dc.expectation(state, dense) == pytest.approx(
+        full_space_expectation(state, dense), rel=1e-14
+    )
+    outside = pauli_at(6, "Z")
+    with pytest.raises(ValueError):
+        dc.expectation(state, outside)
+
+
+def test_gibbs_state_blockwise(chain6):
+    H = dc.build_restricted(chain6, chain6.sites)[2]
+    beta = 2.0
+    rho = dc.gibbs_state(H, beta).rho.matrix
+    block = np.empty(H.dim, dtype=int)
+    for k, idx in enumerate(algebra._zero_pattern_components(H.matrix)):
+        block[idx] = k
+    assert block.max() > 0
+    cross = block[:, None] != block[None, :]
+    assert np.all(rho[cross] == 0)
+    assert abs(np.trace(rho) - 1) <= 1e-15
+    eig = algebra.herm_eig(H)
+    w, V = eig.eigenvalues, eig.eigenvectors
+    boltz = np.exp(-beta * (w - w[0]))
+    dense = (V * (boltz / boltz.sum())) @ V.conj().T
+    assert np.abs(rho - dense).max() <= 1e-15
+
+
+def test_covariance_never_embeds_into_the_full_space(chain10, monkeypatch):
+    # covariance multiplies A and B on their joint support; a regression
+    # back to full-space embeds would show here as a 10-site target
+    state = dc.gibbs_state(dc.build_restricted(chain10, chain10.sites)[2], 5.0)
+    targets = []
+    original = algebra.embed
+
+    def counting_embed(local, support, target, q):
+        targets.append(len(target))
+        return original(local, support, target, q)
+
+    monkeypatch.setattr(algebra, "embed", counting_embed)
+    monkeypatch.setattr(gibbs, "embed", counting_embed)
+    cov = dc.covariance(state, pauli_at(1, "X"), pauli_at(6, "X"))
+    assert targets and max(targets) < len(chain10.sites)
+    monkeypatch.undo()
+    A, B = pauli_at(1, "X"), pauli_at(6, "X")
+    ref = full_space_expectation(state, operator_product(A, B)) - full_space_expectation(
+        state, A
+    ) * full_space_expectation(state, B)
+    assert cov == ref
+
+
+def test_decay_sweep_solves_the_full_spectrum_once(chain10, monkeypatch):
+    spec = dataclasses.replace(chain10)  # same Hamiltonian, empty spectrum memo
+    solves = []
+    original = algebra._block_eighs
+
+    def counting_block_eighs(A):
+        solves.append(A.shape[0])
+        return original(A)
+
+    monkeypatch.setattr(algebra, "_block_eighs", counting_block_eighs)
+    fits = [
+        dc.decay_sweep(spec, beta, [(0, "X")], [(0, "X")], [2, 3], anchor=(1,), strict=False)
+        for beta in (5.0, 50.0)
+    ]
+    assert solves.count(2 ** len(spec.sites)) == 1
+    assert fits[0].points != fits[1].points
 
 
 def test_observable_from_template(chain6):
