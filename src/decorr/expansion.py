@@ -22,6 +22,10 @@ with the exact zero-pattern block split: the split keeps structurally-exact
 zeros exact (pure rotations would smear the ground sector at large beta),
 and the extended mantissa pushes the cancellation noise below 1e-13
 relative even for weights of order 1e-50.
+
+A weight w(I; O) lives on the base closure(I) + supp O.  The sweeps (swap
+identity, supercluster classes, covariance from weights) build one term per
+(configuration, base) and read every trace from it, with O never embedded.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product
+from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product, support_index_map
 from .gibbs import partition_function, partition_sum
 from .lattice import (
     LatticeGeometry,
@@ -197,20 +201,42 @@ def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.lo
     return z
 
 
-def _weight_hp(I: Region, spec: HamiltonianSpec, beta: float) -> np.longdouble:
+def _trace_product(O: GlobalOperator, T: GlobalOperator) -> np.clongdouble:
+    """tr(O T) for O on a subregion of T's region, in dim q^|supp O| operations.
+
+    Row i of embed(O) T meets only T[base(i) + off(b), i] (see
+    :func:`~decorr.algebra.support_index_map`).  Those terms are added per
+    row in ascending b from a clongdouble zero and the row sums reduced as
+    np.trace reduces a diagonal: the order in which the longdouble matmul of
+    tr(operator_product(O, T)) adds its nonzero terms, so the bits agree.
+    """
+    alpha, base, off = support_index_map(O.region, T.region, T.q)
+    rows = np.arange(T.dim)
+    acc = np.zeros(T.dim, dtype=np.clongdouble)
+    for b in range(off.size):
+        acc += O.matrix[alpha, b] * T.matrix[base + off[b], rows]
+    return acc.sum()
+
+
+def _weights(
+    I: Region, observables: list, spec: HamiltonianSpec, beta: float
+) -> list[np.longdouble]:
+    """w(I; O) for each O in ``observables`` (None stands for w(I)).
+
+    One term and one Z0 per distinct base closure(I) + supp O; every trace
+    on a base is read from its term.
+    """
     cl = closure(I, spec.geometry)
-    T = yarotsky_term(I, cl, spec, beta, extended=True)
-    tr = np.trace(T.matrix).real
-    return tr / _free_partition(cl, spec, beta)
-
-
-def _observable_weight_hp(
-    I: Region, O: GlobalOperator, spec: HamiltonianSpec, beta: float
-) -> np.longdouble:
-    base = closure(I, spec.geometry) | O.region
-    T = yarotsky_term(I, base, spec, beta, extended=True)
-    tr = np.trace(operator_product(O, T).matrix).real
-    return tr / _free_partition(base, spec, beta)
+    bases = [cl if O is None else cl | O.region for O in observables]
+    out = [None] * len(observables)
+    for base in dict.fromkeys(bases):
+        T = yarotsky_term(I, base, spec, beta, extended=True)
+        z0 = _free_partition(base, spec, beta)
+        for k, O in enumerate(observables):
+            if bases[k] == base:
+                tr = np.trace(T.matrix) if O is None else _trace_product(O, T)
+                out[k] = tr.real / z0
+    return out
 
 
 def weight(I: Region, spec: HamiltonianSpec, beta: float) -> float:
@@ -219,14 +245,14 @@ def weight(I: Region, spec: HamiltonianSpec, beta: float) -> float:
     Both trace and normalization live on the closure of I only; the rest of
     the lattice cancels exactly between numerator and denominator.
     """
-    return float(_weight_hp(I, spec, beta))
+    return float(_weights(I, [None], spec, beta)[0])
 
 
 def observable_weight(
     I: Region, O: GlobalOperator, spec: HamiltonianSpec, beta: float
 ) -> float:
     """w(I; O) = tr(O T_I^{cl I + supp O}) / Z0_{cl I + supp O}."""
-    return float(_observable_weight_hp(I, O, spec, beta))
+    return float(_weights(I, [O], spec, beta)[0])
 
 
 def _require_disjoint(A: GlobalOperator, B: GlobalOperator):
@@ -259,10 +285,8 @@ def verify_factorization(
     part2 = I2 | O2.region
     if set_distance(part1, part2) <= 2 * spec.geometry.R:
         raise ValueError("the two halves are R-connected; factorization does not apply")
-    lhs = _observable_weight_hp(I1 | I2, operator_product(O1, O2), spec, beta)
-    rhs = _observable_weight_hp(I1, O1, spec, beta) * _observable_weight_hp(
-        I2, O2, spec, beta
-    )
+    lhs = _weights(I1 | I2, [operator_product(O1, O2)], spec, beta)[0]
+    rhs = _weights(I1, [O1], spec, beta)[0] * _weights(I2, [O2], spec, beta)[0]
     return FactorizationCheck(lhs=float(lhs), rhs=float(rhs), rel_residual=_rel(lhs, rhs))
 
 
@@ -323,10 +347,9 @@ def verify_swap_identity(
         raise ValueError("supports of A and B must be further than 2R apart")
     configs = interior_configurations(interior(spec.sites, geo), MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
-    w = {c: _weight_hp(c, spec, beta) for c in configs}
-    wa = {c: _observable_weight_hp(c, A, spec, beta) for c in configs}
-    wb = {c: _observable_weight_hp(c, B, spec, beta) for c in configs}
-    wab = {c: _observable_weight_hp(c, AB, spec, beta) for c in configs}
+    w, wa, wb, wab = {}, {}, {}, {}
+    for c in configs:
+        w[c], wa[c], wb[c], wab[c] = _weights(c, [None, A, B, AB], spec, beta)
 
     lhs = np.longdouble(0.0)
     rhs = np.longdouble(0.0)
@@ -422,10 +445,10 @@ def verify_supercluster_resummation(
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     # each weight depends on one side's add-on only: one of each per add-on
-    wI = {a: _weight_hp(I0 | a, spec, beta) for a in addons}
-    waI = {a: _observable_weight_hp(I0 | a, A, spec, beta) for a in addons}
-    wabJ = {a: _observable_weight_hp(J0 | a, AB, spec, beta) for a in addons}
-    wbJ = {a: _observable_weight_hp(J0 | a, B, spec, beta) for a in addons}
+    wI, waI, wabJ, wbJ = {}, {}, {}, {}
+    for a in addons:
+        wI[a], waI[a] = _weights(I0 | a, [None, A], spec, beta)
+        wabJ[a], wbJ[a] = _weights(J0 | a, [AB, B], spec, beta)
     lhs_w = np.longdouble(0.0)
     lhs_o = np.longdouble(0.0)
     n_pairs = 0
@@ -545,15 +568,10 @@ def covariance_from_expansion(
     )
     _require_disjoint(A, B)
     AB = operator_product(A, B)
-    sum_w = np.longdouble(0.0)
-    sum_a = np.longdouble(0.0)
-    sum_b = np.longdouble(0.0)
-    sum_ab = np.longdouble(0.0)
+    sums = [np.longdouble(0.0)] * 4
     for c in configs:
-        sum_w += _weight_hp(c, spec, beta)
-        sum_a += _observable_weight_hp(c, A, spec, beta)
-        sum_b += _observable_weight_hp(c, B, spec, beta)
-        sum_ab += _observable_weight_hp(c, AB, spec, beta)
+        sums = [s + w for s, w in zip(sums, _weights(c, [None, A, B, AB], spec, beta))]
+    sum_w, sum_a, sum_b, sum_ab = sums
     z_full = _interacting_partition(spec.sites, spec, beta)
     z_free = _free_partition(spec.sites, spec, beta)
     scale = (z_free / z_full) ** 2

@@ -91,7 +91,9 @@ class HamiltonianSpec:
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
-    :func:`restricted_spectrum` solves; the memo lives and dies with the spec.
+    :func:`restricted_spectrum` solves, and ``nonpositive``, per tolerance,
+    the verdict of :func:`is_nonpositive`; both memos live and die with the
+    spec and take no part in its repr or equality.
     """
 
     geometry: LatticeGeometry
@@ -104,6 +106,7 @@ class HamiltonianSpec:
     model: str = "custom"
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    nonpositive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def sites(self) -> Region:
@@ -389,12 +392,16 @@ def interaction_centers(spec: HamiltonianSpec, S: Region) -> Region:
 
 
 def is_nonpositive(spec: HamiltonianSpec, tol: float = 1e-12) -> bool:
-    """True iff every interaction term is negative semidefinite."""
-    for term in spec.interactions.values():
-        w = herm_blocks(term.matrix).eigenvalues
-        if float(w[-1]) > tol * max(1.0, abs(float(w[0]))):
-            return False
-    return True
+    """True iff every interaction term is negative semidefinite.
+
+    Decided once per spec and tolerance; later calls read ``spec.nonpositive``.
+    """
+    if tol not in spec.nonpositive:
+        eigenvalues = (herm_blocks(t.matrix).eigenvalues for t in spec.interactions.values())
+        spec.nonpositive[tol] = all(
+            float(w[-1]) <= tol * max(1.0, abs(float(w[0]))) for w in eigenvalues
+        )
+    return spec.nonpositive[tol]
 
 
 def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import decorr as dc
-from decorr import model
-from decorr.algebra import herm_exp
-from decorr.expansion import MAX_TERM_SIZE, interior_configurations
+from decorr import expansion, model
+from decorr.algebra import GlobalOperator, herm_exp, operator_product
+from decorr.expansion import MAX_TERM_SIZE, _trace_product, interior_configurations
 from decorr.lattice import Region, closure, interior, r_connected_set
 
 from conftest import chain, pauli_at
@@ -180,6 +180,51 @@ def test_observable_weights_sum_to_weighted_trace(chain6):
     assert total == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_observable_trace_matches_dense_product(m):
+    # tr(O T) read through the index map adds the nonzero terms of the dense
+    # product's diagonal in the same order, so the bits agree exactly
+    rng = np.random.default_rng(m)
+    base = Region([(i,) for i in range(m)])
+    dim = 2**m
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    T = GlobalOperator(base, 2, raw.astype(np.clongdouble) / np.longdouble(3))
+    supports = [c for k in (1, 2) for c in itertools.combinations(range(m), k)]
+    if m <= 4:
+        supports.append(tuple(range(m)))  # O on the whole base, as for I = {}
+    for sup in supports:
+        k = 2 ** len(sup)
+        O = GlobalOperator(
+            Region([(i,) for i in sup]), 2,
+            rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+        )
+        assert _trace_product(O, T) == np.trace(operator_product(O, T).matrix), sup
+
+
+def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
+    built = []
+    original = expansion.yarotsky_term
+
+    def counting_term(I, base, *args, **kwargs):
+        built.append((I, base))
+        return original(I, base, *args, **kwargs)
+
+    monkeypatch.setattr(expansion, "yarotsky_term", counting_term)
+    A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
+    chk = dc.verify_swap_identity(chain6, A, B, 2.0)
+    assert len(built) == len(set(built)) == 36  # 16 configurations x 4 weights, 36 bases
+    assert chk.per_pair_max == 6.95754581817457e-12
+    assert chk.lhs == chk.rhs == 0.7066842324676711
+    built.clear()
+    dc.verify_supercluster_resummation(
+        Region([(3,)]), Region(), pauli_at(2, "Z"), pauli_at(4, "Z"), chain10, 2.0
+    )
+    assert len(built) == len(set(built)) == 12  # 4 add-ons x 4 weights, 12 bases
+    built.clear()
+    dc.covariance_from_expansion(chain6, pauli_at(1, "X"), pauli_at(2, "X"), 2.0)
+    assert len(built) == len(set(built)) == 24  # 64 weights, 24 bases
+
+
 def test_factorization_identity(chain9):
     chk = dc.verify_factorization(
         Region([(1,)]), pauli_at(0, "Z"), Region([(7,)]), pauli_at(8, "Z"),
@@ -297,18 +342,22 @@ def test_partition_ratio_frozen(chain8):
     assert out.free_le_power and out.interacting_ge_one
 
 
+def connected_sets(spec):
+    return [
+        Region(c)
+        for k in (1, 2, 3)
+        for c in itertools.combinations(spec.sites, k)
+        if r_connected_set(Region(c), spec.geometry.R)
+    ]
+
+
 def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     # criterion 06's loop: 41 sets x 2 betas x 3 regions (rest, closure,
     # lattice) are 246 partition functions over 35 distinct regions
     norm = dc.normalize_nonpositive(chain8)
     assert norm.spectra == {} and norm.spectra is not chain8.spectra
     before = set(chain8.spectra)
-    sets = [
-        Region(c)
-        for k in (1, 2, 3)
-        for c in itertools.combinations(norm.sites, k)
-        if r_connected_set(Region(c), norm.geometry.R)
-    ]
+    sets = connected_sets(norm)
     solved = []
     original = model.build_restricted
 
@@ -327,6 +376,29 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     fresh = [
         dc.partition_ratio(S, dataclasses.replace(norm), b).ratio for b in betas for S in sets
     ]
+    assert memoized == fresh
+
+
+def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
+    # criterion 06's 82 calls decide the sign of the interaction terms once
+    norm = dc.normalize_nonpositive(chain8)
+    terms = [t.matrix for t in norm.interactions.values()]
+    solved = []
+    original = model.herm_blocks
+
+    def counting_blocks(M, *args, **kwargs):
+        if any(M is t for t in terms):
+            solved.append(M)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(model, "herm_blocks", counting_blocks)
+    calls = [(S, b) for b in (1.0, 10.0) for S in connected_sets(norm)]
+    memoized = [dc.partition_ratio(S, norm, b) for S, b in calls]
+    monkeypatch.undo()
+    assert len(calls) == 82
+    assert len(solved) == len(terms) > 0
+    assert norm.nonpositive == {1e-12: True}
+    fresh = [dc.partition_ratio(S, dataclasses.replace(norm), b) for S, b in calls]
     assert memoized == fresh
 
 
