@@ -66,7 +66,7 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
         raise ConfigError("config needs a 'model' object")
     block = dict(block)
     if "n" in block and "lattice" not in block:
-        n = int(block.pop("n"))
+        n = _convert(int, block.pop("n"), "n")
         block["lattice"] = [[i] for i in range(n)]
         block.setdefault("D", 1)
     block.setdefault("model", "xxz")
@@ -83,11 +83,19 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
         raise ConfigError(f"bad model block: {exc}") from exc
 
 
+def _convert(convert, value, what: str):
+    """convert(value), reporting a value it rejects as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
+
+
 def _betas(cfg: dict) -> list[float]:
     betas = cfg.get("betas")
     if not isinstance(betas, list) or not betas:
         raise ConfigError("config needs a nonempty 'betas' list")
-    betas = [float(b) for b in betas]
+    betas = [_convert(float, b, "beta") for b in betas]
     if any(b <= 0 for b in betas):
         raise ConfigError("betas must be positive")
     return betas
@@ -97,7 +105,7 @@ def _distances(cfg: dict) -> list[int]:
     ds = cfg.get("distances")
     if not isinstance(ds, list) or len(ds) < 1:
         raise ConfigError("config needs a 'distances' list")
-    ds = [int(d) for d in ds]
+    ds = [_convert(int, d, "distance") for d in ds]
     if any(d2 <= d1 for d1, d2 in zip(ds, ds[1:])):
         raise ConfigError("distances must be strictly increasing")
     return ds
@@ -108,15 +116,25 @@ def _template(raw, name: str):
         raise ConfigError(f"observable {name} must be a nonempty list of [offset, pauli]")
     out = []
     for entry in raw:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(f"observable {name} needs [offset, pauli] pairs, got {entry!r}")
         off, pauli = entry
-        if pauli not in PAULI_BY_NAME:
+        if not isinstance(pauli, str) or pauli not in PAULI_BY_NAME:
             raise ConfigError(f"unknown operator name {pauli!r} in observable {name}")
-        out.append((off if isinstance(off, int) else tuple(off), str(pauli)))
+        out.append((_site(off, f"offset in observable {name}"), pauli))
     return out
 
 
+def _site(value, what: str):
+    """A site or offset: an int, or a list of ints as a tuple."""
+    return _convert(lambda v: v if isinstance(v, int) else tuple(int(c) for c in v), value, what)
+
+
 def _tolerance(cfg: dict, key: str, default: float) -> float:
-    return float(cfg.get("tolerances", {}).get(key, default))
+    tolerances = cfg.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("'tolerances' must be an object")
+    return _convert(float, tolerances.get(key, default), f"tolerance {key}")
 
 
 def _site_observable(spec: HamiltonianSpec, site, name: str) -> GlobalOperator:
@@ -322,8 +340,7 @@ def run_decay(cfg: dict, outdir: Path) -> int:
         raise ConfigError("config needs an 'observables' object with A, B, anchor")
     A_t = _template(obs.get("A"), "A")
     B_t = _template(obs.get("B"), "B")
-    anchor = obs.get("anchor", 0)
-    anchor = (anchor,) if isinstance(anchor, int) else tuple(anchor)
+    anchor = _site(obs.get("anchor", 0), "anchor")
     if len(spec.sites) > 14:
         raise CapError("lattice too large for a dense decay sweep")
 
@@ -372,9 +389,9 @@ def run_decay(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_count(cfg: dict, outdir: Path) -> int:
-    D = int(cfg.get("D", 1))
-    R = int(cfg.get("R", 1))
-    k_max = int(cfg.get("k_max", 4))
+    D = _convert(int, cfg.get("D", 1), "D")
+    R = _convert(int, cfg.get("R", 1), "R")
+    k_max = _convert(int, cfg.get("k_max", 4), "k_max")
     if D < 1 or R < 1 or k_max < 1:
         raise ConfigError("D, R and k_max must be positive")
     if D > 3 or k_max > 6:
@@ -419,8 +436,8 @@ def run_count(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_ising(cfg: dict, outdir: Path) -> int:
-    n = int(cfg.get("n", 10))
-    J = float(cfg.get("J", 1.0))
+    n = _convert(int, cfg.get("n", 10), "n")
+    J = _convert(float, cfg.get("J", 1.0), "J")
     betas = _betas(cfg)
     if n > 12:
         raise CapError(f"classical-chain oracle capped at n = 12 (got {n})")

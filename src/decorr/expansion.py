@@ -26,6 +26,9 @@ relative even for weights of order 1e-50.
 A weight w(I; O) lives on the base closure(I) + supp O.  The sweeps (swap
 identity, supercluster classes, covariance from weights) build one term per
 (configuration, base) and read every trace from it, with O never embedded.
+The pair sweeps split each distinct union into superclusters once, since
+the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
+the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product, support_index_map
-from .gibbs import partition_function, partition_sum
+from .gibbs import partition_sum
 from .lattice import (
     LatticeGeometry,
     Region,
@@ -59,10 +62,6 @@ MAX_TERM_SIZE = 20  # 2^|I| exponentials per term
 MAX_RESUM_INTERIOR = 12
 MAX_SWEEP_INTERIOR = 6  # 4^|interior| (I, J) pairs
 ZERO_FLOOR = 1e-300
-
-
-def _dtype(extended: bool):
-    return np.clongdouble if extended else np.complex128
 
 
 def _rel(lhs, rhs) -> float:
@@ -114,7 +113,7 @@ def yarotsky_term(
         raise ValueError("configuration must lie in the lattice interior")
     if not closure(I, geo).issubset(base):
         raise ValueError("base region must contain the closure of I")
-    dt = _dtype(extended)
+    dt = np.clongdouble if extended else np.complex128
     q = spec.q
     dim = q ** len(base)
     if any(x not in spec.interactions for x in I):
@@ -135,20 +134,18 @@ def yarotsky_term(
     return GlobalOperator(base, q, total)
 
 
-def global_term(
-    I: Region, spec: HamiltonianSpec, beta: float, extended: bool = True
-) -> GlobalOperator:
-    """T_I on the whole lattice: free Boltzmann factor outside closure(I)."""
+def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
+    """T_I on the whole lattice, in extended precision: free factor outside closure(I)."""
     geo = spec.geometry
     cl = closure(I, geo)
     rest = spec.sites - cl
-    inner = yarotsky_term(I, cl, spec, beta, extended=extended)
-    outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, _dtype(extended)), -beta)
+    inner = yarotsky_term(I, cl, spec, beta)
+    outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta)
     return operator_product(GlobalOperator(rest, spec.q, outer), inner)
 
 
-def verify_resummation(spec: HamiltonianSpec, beta: float, extended: bool = True) -> float:
-    """Relative Frobenius residual of sum_I T_I against e^{-beta H}.
+def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
+    """Relative Frobenius residual of sum_I T_I against e^{-beta H} (extended precision).
 
     The sum runs over all subsets of the lattice interior (configurations on
     centers without interactions contribute exact zeros but are included --
@@ -157,11 +154,11 @@ def verify_resummation(spec: HamiltonianSpec, beta: float, extended: bool = True
     configs = interior_configurations(
         interior(spec.sites, spec.geometry), MAX_RESUM_INTERIOR
     )
-    _, _, H = build_restricted(spec, spec.sites, _dtype(extended))
+    _, _, H = build_restricted(spec, spec.sites, np.clongdouble)
     ref = herm_exp(H.matrix, -beta)
     acc = np.zeros_like(ref)
     for I in configs:
-        acc += global_term(I, spec, beta, extended=extended).matrix
+        acc += global_term(I, spec, beta).matrix
     diff = acc - ref
     num = np.sqrt(np.abs(diff * diff.conj()).sum().real)
     den = np.sqrt(np.abs(ref * ref.conj()).sum().real)
@@ -169,12 +166,12 @@ def verify_resummation(spec: HamiltonianSpec, beta: float, extended: bool = True
 
 
 def term_norm_scan(
-    spec: HamiltonianSpec, beta: float, max_size: int = 3, extended: bool = False
+    spec: HamiltonianSpec, beta: float, max_size: int = 3
 ) -> list[tuple[Region, float, float]]:
     """(I, ||T_I^{cl I}||, (2a)^|I|) for all interior configurations up to max_size.
 
-    The norm bound has exponential headroom, so the default double-precision
-    path is ample here.
+    The norm bound has exponential headroom, so the terms are built in
+    double precision.
     """
     geo = spec.geometry
     configs = interior_configurations(
@@ -184,7 +181,7 @@ def term_norm_scan(
     for I in configs[1:]:  # the empty configuration comes first
         if any(x not in spec.interactions for x in I):
             continue
-        T = yarotsky_term(I, closure(I, geo), spec, beta, extended=extended)
+        T = yarotsky_term(I, closure(I, geo), spec, beta, extended=False)
         rows.append((I, op_norm(T.matrix), (2 * spec.a) ** len(I)))
     return rows
 
@@ -193,11 +190,32 @@ def term_norm_scan(
 # weights
 # ---------------------------------------------------------------------------
 
+def _interacting_partition(
+    region: Region, spec: HamiltonianSpec, beta: float
+) -> np.longdouble:
+    """Z over a region (1 for the empty region), from double-precision eigenvalues.
+
+    The eigenvalues of each region are solved once per spec and reused at
+    every beta (:func:`~decorr.model.restricted_spectrum`).
+
+    No extended-precision solve here: a partition function is a sum of
+    positive terms, so unlike the alternating weight sums it carries no
+    cancellation and LAPACK doubles already give ~1e-15 relative accuracy.
+    """
+    return partition_sum(restricted_spectrum(spec, region).eigenvalues, beta)[0]
+
+
 def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.longdouble:
-    """Z0 over a region: product of single-site Z's (exact factorization)."""
+    """Z0 over a region: product of single-site Z's (exact factorization).
+
+    Each site's Z is read from the spectrum memo, so a site is solved once
+    per spec.  Its double eigenvalues are exact for diagonal on-site terms
+    and about one ulp off otherwise, which is enough for a sum of positive
+    terms (see :func:`_interacting_partition`).
+    """
     z = np.longdouble(1.0)
     for site in region:
-        z *= partition_function(spec.onsite[site].astype(np.clongdouble), beta)[0]
+        z *= _interacting_partition(Region([site]), spec, beta)
     return z
 
 
@@ -230,7 +248,7 @@ def _weights(
     bases = [cl if O is None else cl | O.region for O in observables]
     out = [None] * len(observables)
     for base in dict.fromkeys(bases):
-        T = yarotsky_term(I, base, spec, beta, extended=True)
+        T = yarotsky_term(I, base, spec, beta)
         z0 = _free_partition(base, spec, beta)
         for k, O in enumerate(observables):
             if bases[k] == base:
@@ -308,10 +326,12 @@ def swap_configurations(I: Region, J: Region, X: Region, Y: Region, R: int):
     dec = supercluster_decompose([I, J, X, Y], R)
     if not dec.in_different_components(X, Y):
         raise ValueError("swap undefined: X and Y lie in the same supercluster")
-    S1 = dec.component_of(X[0])
-    I_new = (J & S1) | (I - S1)
-    J_new = (I & S1) | (J - S1)
-    return I_new, J_new
+    return _swap(I, J, dec.component_of(X[0]))
+
+
+def _swap(I: Region, J: Region, S1: Region) -> tuple[Region, Region]:
+    """(I, J) with their contents inside S1 exchanged; keeps I + J."""
+    return (J & S1) | (I - S1), (I & S1) | (J - S1)
 
 
 @dataclass(frozen=True)
@@ -355,17 +375,21 @@ def verify_swap_identity(
     rhs = np.longdouble(0.0)
     per_pair_max = 0.0
     n_pairs = 0
+    splits = {}  # the event and S1 depend on U = I + J only: split each U once
     for I in configs:
         for J in configs:
-            dec = supercluster_decompose([I, J, X, Y], geo.R)
-            if not dec.in_different_components(X, Y):
+            U = I | J
+            if U not in splits:
+                splits[U] = supercluster_decompose([U, X, Y], geo.R)
+            if not splits[U].in_different_components(X, Y):
                 continue
             n_pairs += 1
             lhs += w[I] * wab[J]
             rhs += wa[I] * wb[J]
-            I2, J2 = swap_configurations(I, J, X, Y, geo.R)
-            I3, J3 = swap_configurations(I2, J2, X, Y, geo.R)
-            if (I3, J3) != (I, J):
+            S1 = splits[U].component_of(X[0])
+            I2, J2 = _swap(I, J, S1)
+            # the swap keeps the union, hence the split and S1
+            if I2 | J2 != U or _swap(I2, J2, S1) != (I, J):
                 raise AssertionError("swap failed to be an involution")
             per_pair_max = max(
                 per_pair_max, _rel(w[I] * wab[J], wa[I2] * wb[J2])
@@ -383,21 +407,6 @@ def verify_swap_identity(
 # ---------------------------------------------------------------------------
 # supercluster class resummation
 # ---------------------------------------------------------------------------
-
-def _interacting_partition(
-    region: Region, spec: HamiltonianSpec, beta: float
-) -> np.longdouble:
-    """Z over a region (1 for the empty region), from double-precision eigenvalues.
-
-    The eigenvalues of each region are solved once per spec and reused at
-    every beta (:func:`~decorr.model.restricted_spectrum`).
-
-    No extended-precision solve here: a partition function is a sum of
-    positive terms, so unlike the alternating weight sums it carries no
-    cancellation and LAPACK doubles already give ~1e-15 relative accuracy.
-    """
-    return partition_sum(restricted_spectrum(spec, region).eigenvalues, beta)[0]
-
 
 @dataclass(frozen=True)
 class SuperclusterCheck:
@@ -452,10 +461,13 @@ def verify_supercluster_resummation(
     lhs_w = np.longdouble(0.0)
     lhs_o = np.longdouble(0.0)
     n_pairs = 0
+    splits = {}  # Iadd + Jadd -> decomposition of the pair's union with X, Y
     for Iadd in addons:
         for Jadd in addons:
-            dec = supercluster_decompose([I0 | Iadd, J0 | Jadd, X, Y], geo.R)
-            if dec.component_of(X[0]) != S0:
+            U = Iadd | Jadd
+            if U not in splits:
+                splits[U] = supercluster_decompose([S0, U], geo.R)
+            if splits[U].component_of(X[0]) != S0:
                 raise AssertionError("class member lost the supercluster S0")
             n_pairs += 1
             lhs_w += wI[Iadd] * wabJ[Jadd]

@@ -198,18 +198,7 @@ def r_connected_set(S: Region, R: int) -> bool:
 
     Empty and singleton sets count as connected.
     """
-    if len(S) <= 1:
-        return True
-    sites = list(S)
-    seen = {sites[0]}
-    frontier = [sites[0]]
-    while frontier:
-        cur = frontier.pop()
-        for s in sites:
-            if s not in seen and r_connected(cur, s, R):
-                seen.add(s)
-                frontier.append(s)
-    return len(seen) == len(sites)
+    return len(connected_components(S, R)) <= 1
 
 
 def connected_components(S: Region, R: int) -> tuple[Region, ...]:
@@ -232,17 +221,14 @@ def connected_components(S: Region, R: int) -> tuple[Region, ...]:
 
 @dataclass(frozen=True)
 class SuperclusterDecomposition:
-    """R-connected components of a union of regions, with site provenance.
+    """The maximal R-connected components of a union of regions.
 
-    ``components`` are the maximal R-connected components of the union of the
-    input parts (merging is decided by geometry alone, never by which part a
-    site came from).  ``provenance`` maps each site to the indices of the
-    parts that contained it.
+    Merging is decided by geometry alone, never by which part a site came
+    from, so the components are all the record keeps; they depend only on
+    the union of the parts.
     """
 
     components: tuple[Region, ...]
-    provenance: dict[Site, tuple[int, ...]]
-    R: int
 
     def component_of(self, site) -> Region:
         site = _as_site(site)
@@ -264,12 +250,7 @@ class SuperclusterDecomposition:
 
 def supercluster_decompose(parts: Sequence[Region], R: int) -> SuperclusterDecomposition:
     union = Region(itertools.chain.from_iterable(parts))
-    prov: dict[Site, tuple[int, ...]] = {
-        s: tuple(i for i, p in enumerate(parts) if s in p) for s in union
-    }
-    return SuperclusterDecomposition(
-        components=connected_components(union, R), provenance=prov, R=R
-    )
+    return SuperclusterDecomposition(components=connected_components(union, R))
 
 
 # ---------------------------------------------------------------------------

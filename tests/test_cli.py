@@ -79,6 +79,48 @@ def test_verify_bad_betas(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify", {"model": CANONICAL_MODEL, "betas": ["x"]}),
+        (
+            "decay",
+            {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3],
+             "observables": {**DECAY_OBSERVABLES, "A": [5]}},
+        ),
+        (
+            "decay",
+            {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3],
+             "observables": {**DECAY_OBSERVABLES, "A": [[0, ["X"]]]}},
+        ),
+        (
+            "decay",
+            {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, "a"],
+             "observables": DECAY_OBSERVABLES},
+        ),
+        (
+            "decay",
+            {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3],
+             "observables": {**DECAY_OBSERVABLES, "anchor": "x"}},
+        ),
+        ("count", {"D": "two"}),
+        ("ising", {"n": 6, "J": 1.0, "betas": [0.5], "tolerances": 3}),
+        ("verify", {"model": {**CANONICAL_MODEL, "n": "six"}, "betas": [1.0]}),
+    ],
+    ids=[
+        "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
+        "count-D", "ising-tol", "verify-n",
+    ],
+)
+def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
+    rc, _ = run(tmp_path, command, payload)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_decay_reports_and_is_deterministic(tmp_path):
     payload = {
         "model": {"n": 8, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.02, "J3": 0.02},

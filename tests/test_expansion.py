@@ -203,23 +203,33 @@ def test_observable_trace_matches_dense_product(m):
 
 def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
     built = []
-    original = expansion.yarotsky_term
+    split = []
+    original_term = expansion.yarotsky_term
+    original_split = expansion.supercluster_decompose
 
     def counting_term(I, base, *args, **kwargs):
         built.append((I, base))
-        return original(I, base, *args, **kwargs)
+        return original_term(I, base, *args, **kwargs)
+
+    def counting_split(parts, R):
+        split.append(parts)
+        return original_split(parts, R)
 
     monkeypatch.setattr(expansion, "yarotsky_term", counting_term)
+    monkeypatch.setattr(expansion, "supercluster_decompose", counting_split)
     A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
     chk = dc.verify_swap_identity(chain6, A, B, 2.0)
     assert len(built) == len(set(built)) == 36  # 16 configurations x 4 weights, 36 bases
+    assert len(split) == 16  # 256 pairs, one split per union I + J
     assert chk.per_pair_max == 6.95754581817457e-12
     assert chk.lhs == chk.rhs == 0.7066842324676711
     built.clear()
+    split.clear()
     dc.verify_supercluster_resummation(
         Region([(3,)]), Region(), pauli_at(2, "Z"), pauli_at(4, "Z"), chain10, 2.0
     )
     assert len(built) == len(set(built)) == 12  # 4 add-ons x 4 weights, 12 bases
+    assert len(split) == 4  # 16 class pairs, one split per union of add-ons
     built.clear()
     dc.covariance_from_expansion(chain6, pauli_at(1, "X"), pauli_at(2, "X"), 2.0)
     assert len(built) == len(set(built)) == 24  # 64 weights, 24 bases
@@ -353,7 +363,8 @@ def connected_sets(spec):
 
 def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     # criterion 06's loop: 41 sets x 2 betas x 3 regions (rest, closure,
-    # lattice) are 246 partition functions over 35 distinct regions
+    # lattice) are 246 partition functions over 35 distinct regions; the Z0
+    # of each closure adds the 6 single sites not among them
     norm = dc.normalize_nonpositive(chain8)
     assert norm.spectra == {} and norm.spectra is not chain8.spectra
     before = set(chain8.spectra)
@@ -370,13 +381,37 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     memoized = [dc.partition_ratio(S, norm, b).ratio for b in betas for S in sets]
     monkeypatch.undo()
     assert len(sets) == 41
-    assert len(solved) == len(set(solved)) == 35
+    assert len(solved) == len(set(solved)) == 41
     assert set(chain8.spectra) == before
     # a fresh spec (same terms, empty memo) per call gives the same bits
     fresh = [
         dc.partition_ratio(S, dataclasses.replace(norm), b).ratio for b in betas for S in sets
     ]
     assert memoized == fresh
+
+
+def test_free_partition_reads_site_spectra(chain6, chain8):
+    def per_site(spec, beta):
+        z = np.longdouble(1.0)
+        for site in spec.sites:
+            h = spec.onsite[site].astype(np.clongdouble)
+            z *= dc.partition_function(h, beta)[0]
+        return z
+
+    for spec in (chain6, dc.normalize_nonpositive(chain8)):
+        for beta in (0.5, 2.0, 50.0):
+            assert expansion._free_partition(spec.sites, spec, beta) == per_site(spec, beta)
+    # a non-diagonal on-site term: double eigenvalues, about one ulp off
+    c, s = np.cos(0.4), np.sin(0.4)
+    V = np.array([[c, -s], [s, c]])
+    h = V @ np.diag([0.0, 1.7]) @ V.T
+    mixed = model.make_spec(chain6.geometry, 2, {**chain6.onsite, (2,): h}, {})
+    pairs = [
+        (expansion._free_partition(mixed.sites, mixed, b), per_site(mixed, b))
+        for b in (0.5, 2.0, 50.0)
+    ]
+    assert all(abs(z0 - ref) <= 1e-15 * ref for z0, ref in pairs)
+    assert any(z0 != ref for z0, ref in pairs)  # the routes do differ here
 
 
 def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
