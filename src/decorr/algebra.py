@@ -24,6 +24,16 @@ faster for number-conserving Hamiltonians.  It also makes the
 results independent of the BLAS thread count for block sizes up to 126 (the
 largest block of the 10-site chain), where one dense solve of the whole
 1024x1024 matrix rounds differently at different thread counts.
+
+The alternating sums of :mod:`decorr.expansion` meet the same sector block
+again and again, across subsets, bases and beta.  Their private exponential
+:func:`_herm_exp` takes a memo (``HamiltonianSpec.block_spectra``, one per
+spec and living as long as it) keyed by the dtype, size and exact bytes of a
+clongdouble block and holding its eigenvalues and eigenvectors, so each
+distinct block is refined once per spec.  A refined solve treats every block
+of its stack on its own, so reading a block from the memo is bit-identical to
+solving it again.  The public :func:`herm_exp`, :func:`herm_blocks` and
+:func:`herm_eig` keep no memo.
 """
 
 from __future__ import annotations
@@ -300,30 +310,33 @@ def _refined_eigh(A: np.ndarray):
 
 
 def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
-    """Index groups of the connected components of the exact nonzero pattern."""
-    n = A.shape[0]
-    pattern = A != 0
-    pattern |= pattern.T
-    unvisited = np.ones(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if not unvisited[start]:
-            continue
-        comp = [start]
-        unvisited[start] = False
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            hits = np.nonzero(pattern[i] & unvisited)[0]
-            if hits.size:
-                unvisited[hits] = False
-                comp.extend(hits.tolist())
-                frontier.extend(hits.tolist())
-        comps.append(np.array(sorted(comp)))
-    return comps
+    """Index groups of the connected components of the exact nonzero pattern.
+
+    Label propagation over the nonzero entries, read in both directions so the
+    pattern need not be symmetric: every index starts as its own label; each
+    round it takes the smallest label among its neighbours and then its
+    label's label, until a round changes nothing.  Labels only ever name an
+    index of the same component and the smallest index of a component keeps
+    its own, so each component ends up labelled by its smallest index.
+    Memory is O(n + nnz).  Components come in order of their smallest index,
+    each index group ascending.
+    """
+    i, j = np.nonzero(A)
+    labels = np.arange(A.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, j, labels[i])
+        new = new[new]
+        if (new == labels).all():
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(order == labels[order]).tolist()  # each group's own label
+    return [order[a:b] for a, b in zip(starts, starts[1:] + [order.size])]
 
 
-def _block_eighs(A: np.ndarray):
+def _block_eighs(A: np.ndarray, memo: dict | None = None):
     """Eigensystems of the exact zero-pattern blocks of a Hermitian matrix.
 
     Blocks of equal size are solved as one stack.  Yields ``(rows, w, V)``
@@ -331,7 +344,8 @@ def _block_eighs(A: np.ndarray):
     ascending eigenvalues (k, m) and eigenvector columns (k, m, m).  complex128
     stacks go to LAPACK (bit-identical to solving each block on its own),
     clongdouble stacks to :func:`_refined_eigh`; blocks of size one need no
-    solve.
+    solve.  With a ``memo`` (see :func:`_memo_refined_eigh`), a clongdouble
+    block whose exact contents were solved before is read from it.
     """
     extended = A.dtype in (np.longdouble, np.clongdouble)
     by_size: dict[int, list[np.ndarray]] = {}
@@ -342,10 +356,35 @@ def _block_eighs(A: np.ndarray):
         blocks = A[rows[:, :, None], rows[:, None, :]]
         if m == 1:
             yield rows, blocks[:, 0].real, np.ones_like(blocks)
-        elif extended:
+        elif not extended:
+            yield (rows, *np.linalg.eigh(blocks))
+        elif memo is None:
             yield (rows, *_refined_eigh(blocks))
         else:
-            yield (rows, *np.linalg.eigh(blocks))
+            yield (rows, *_memo_refined_eigh(blocks, memo))
+
+
+def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
+    """:func:`_refined_eigh` of a stack, solving only blocks not in ``memo``.
+
+    ``memo`` maps (dtype, size, exact bytes) of a block to its ascending
+    eigenvalues and eigenvectors.  The distinct blocks not yet in it are
+    solved as one stack and added.  A refined solve treats each block of a
+    stack on its own (the LAPACK start, the clongdouble products, the stop
+    test and the Jacobi fallback are all per block), so a block's result does
+    not depend on which stack solved it, and a memo hit is bit-identical to a
+    fresh solve.  Nothing in the memo depends on the exponent a caller
+    applies, so one solve serves every beta.
+    """
+    keys = [(b.dtype.str, b.shape[0], b.tobytes()) for b in blocks]
+    new: dict = {}
+    for k, key in enumerate(keys):
+        if key not in memo:
+            new.setdefault(key, k)
+    if new:
+        w, V = _refined_eigh(blocks[list(new.values())])
+        memo.update(zip(new, zip(w, V)))
+    return np.array([memo[key][0] for key in keys]), np.array([memo[key][1] for key in keys])
 
 
 @dataclass(frozen=True)
@@ -415,11 +454,20 @@ def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:
     coupling different blocks stay exactly zero in the output.
     """
     A = _matrix_of(M)
-    dtype = _work_dtype(A.dtype)
-    A = _require_hermitian(A.astype(dtype, copy=False), tol)
+    A = _require_hermitian(A.astype(_work_dtype(A.dtype), copy=False), tol)
+    return _herm_exp(A, s)
+
+
+def _herm_exp(A: np.ndarray, s, memo: dict | None = None) -> np.ndarray:
+    """:func:`herm_exp` of a Hermitian A of a work dtype, without the check.
+
+    A must equal its symmetrization bit for bit, as every fixed-order sum of
+    exactly Hermitian matrices accumulated from zeros does; then this is
+    herm_exp(A, s) exactly.  ``memo`` is passed to :func:`_block_eighs`.
+    """
     out = np.zeros_like(A)
-    s = np.clongdouble(s) if dtype == np.clongdouble else complex(s)
-    for rows, w, V in _block_eighs(A):
+    s = np.clongdouble(s) if A.dtype == np.clongdouble else complex(s)
+    for rows, w, V in _block_eighs(A, memo):
         expw = np.exp(s * w)[:, None, :]
         out[rows[:, :, None], rows[:, None, :]] = (V * expw) @ _conj_t(V)
     return out

@@ -66,13 +66,16 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
         raise ConfigError("config needs a 'model' object")
     block = dict(block)
     if "n" in block and "lattice" not in block:
-        n = _convert(int, block.pop("n"), "n")
+        n = _convert(_integer, block.pop("n"), "n")
         block["lattice"] = [[i] for i in range(n)]
         block.setdefault("D", 1)
     block.setdefault("model", "xxz")
     block.setdefault("q", 2)
     if "seed" in cfg and "seed" not in block:
         block["seed"] = cfg["seed"]
+    for key in ("D", "R", "q", "seed"):
+        if key in block:
+            block[key] = _convert(_integer, block[key], key)
     try:
         return model.spec_from_json(block)
     except CertificationError:
@@ -91,6 +94,13 @@ def _convert(convert, value, what: str):
         raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _betas(cfg: dict) -> list[float]:
     betas = cfg.get("betas")
     if not isinstance(betas, list) or not betas:
@@ -105,7 +115,7 @@ def _distances(cfg: dict) -> list[int]:
     ds = cfg.get("distances")
     if not isinstance(ds, list) or len(ds) < 1:
         raise ConfigError("config needs a 'distances' list")
-    ds = [_convert(int, d, "distance") for d in ds]
+    ds = [_convert(_integer, d, "distance") for d in ds]
     if any(d2 <= d1 for d1, d2 in zip(ds, ds[1:])):
         raise ConfigError("distances must be strictly increasing")
     return ds
@@ -127,7 +137,7 @@ def _template(raw, name: str):
 
 def _site(value, what: str):
     """A site or offset: an int, or a list of ints as a tuple."""
-    return _convert(lambda v: v if isinstance(v, int) else tuple(int(c) for c in v), value, what)
+    return _convert(lambda v: v if isinstance(v, int) else tuple(map(_integer, v)), value, what)
 
 
 def _tolerance(cfg: dict, key: str, default: float) -> float:
@@ -389,9 +399,9 @@ def run_decay(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_count(cfg: dict, outdir: Path) -> int:
-    D = _convert(int, cfg.get("D", 1), "D")
-    R = _convert(int, cfg.get("R", 1), "R")
-    k_max = _convert(int, cfg.get("k_max", 4), "k_max")
+    D = _convert(_integer, cfg.get("D", 1), "D")
+    R = _convert(_integer, cfg.get("R", 1), "R")
+    k_max = _convert(_integer, cfg.get("k_max", 4), "k_max")
     if D < 1 or R < 1 or k_max < 1:
         raise ConfigError("D, R and k_max must be positive")
     if D > 3 or k_max > 6:
@@ -436,7 +446,7 @@ def run_count(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_ising(cfg: dict, outdir: Path) -> int:
-    n = _convert(int, cfg.get("n", 10), "n")
+    n = _convert(_integer, cfg.get("n", 10), "n")
     J = _convert(float, cfg.get("J", 1.0), "J")
     betas = _betas(cfg)
     if n > 12:

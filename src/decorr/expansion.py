@@ -29,6 +29,12 @@ identity, supercluster classes, covariance from weights) build one term per
 The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
+
+Inside a term, the on-site and interaction matrices are checked for
+hermiticity once, before they are embedded; every H_M is then an exactly
+Hermitian sum.  The exponentials of the H_M read their zero-pattern blocks'
+eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`): each
+distinct block is solved once per spec, whatever the subset, base or beta.
 """
 
 from __future__ import annotations
@@ -39,7 +45,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GlobalOperator, embed, herm_exp, op_norm, operator_product, support_index_map
+from .algebra import (
+    HERMITICITY_TOL,
+    GlobalOperator,
+    _herm_exp,
+    _require_hermitian,
+    embed,
+    herm_exp,
+    op_norm,
+    operator_product,
+    support_index_map,
+)
 from .gibbs import partition_sum
 from .lattice import (
     LatticeGeometry,
@@ -118,9 +134,13 @@ def yarotsky_term(
     dim = q ** len(base)
     if any(x not in spec.interactions for x in I):
         return GlobalOperator(base, q, np.zeros((dim, dim), dtype=dt))
-    H0 = onsite_sum(spec.onsite, base, q, dt)
+
+    def local(m):  # checked once; every H_M summed from these is exactly Hermitian
+        return _require_hermitian(m.astype(dt), HERMITICITY_TOL)
+
+    H0 = onsite_sum({z: local(spec.onsite[z]) for z in base}, base, q, dt)
     v_emb = {
-        x: embed(spec.interactions[x].matrix.astype(dt), spec.interactions[x].support, base, q).matrix
+        x: embed(local(spec.interactions[x].matrix), spec.interactions[x].support, base, q).matrix
         for x in I
     }
     total = np.zeros((dim, dim), dtype=dt)
@@ -130,18 +150,27 @@ def yarotsky_term(
             HM = H0.copy()
             for x in M:
                 HM += v_emb[x]
-            total += sign * herm_exp(HM, -beta)
+            total += sign * _herm_exp(HM, -beta, spec.block_spectra)
     return GlobalOperator(base, q, total)
 
 
 def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
-    """T_I on the whole lattice, in extended precision: free factor outside closure(I)."""
-    geo = spec.geometry
-    cl = closure(I, geo)
+    """T_I on the whole lattice, in extended precision: free factor outside closure(I).
+
+    The factors act on the disjoint regions rest = L - closure(I) and
+    closure(I), so entry (i, j) of their product is the single product
+    outer[a1(i), a1(j)] inner[a2(i), a2(j)], with a1, a2 the digits of an
+    index on each region (:func:`~decorr.algebra.support_index_map`).  That
+    is the one nonzero term of each entry of operator_product(outer, inner),
+    built here without its dim^3 matrix product.
+    """
+    cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    inner = yarotsky_term(I, cl, spec, beta)
+    inner = yarotsky_term(I, cl, spec, beta).matrix
     outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta)
-    return operator_product(GlobalOperator(rest, spec.q, outer), inner)
+    a1 = support_index_map(rest, spec.sites, spec.q)[0]
+    a2 = support_index_map(cl, spec.sites, spec.q)[0]
+    return GlobalOperator(spec.sites, spec.q, outer[np.ix_(a1, a1)] * inner[np.ix_(a2, a2)])
 
 
 def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:

@@ -37,6 +37,13 @@ class Region(tuple):
     def __init__(self, sites: Iterable = ()):
         self._set = frozenset(self)
 
+    @classmethod
+    def _canonical(cls, sites: tuple[Site, ...]) -> "Region":
+        """The Region of distinct int-tuple sites already in sorted order, as given."""
+        region = tuple.__new__(cls, sites)
+        region._set = frozenset(sites)
+        return region
+
     # -- set algebra -------------------------------------------------------
     def __contains__(self, site) -> bool:
         return _as_site(site) in self._set
@@ -340,7 +347,7 @@ def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Regi
             later[t] = max(later[t + 1], seq[t + 1])
         for c in sorted(c for c, j in first.items() if c > later[j]):
             if i + 1 == k:
-                out.append(Region(seq + (c,)))
+                out.append(Region._canonical(tuple(sorted(seq + (c,)))))
                 continue
             nxt = dict(first)
             del nxt[c]

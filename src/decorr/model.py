@@ -91,9 +91,12 @@ class HamiltonianSpec:
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
-    :func:`restricted_spectrum` solves, and ``nonpositive``, per tolerance,
-    the verdict of :func:`is_nonpositive`; both memos live and die with the
-    spec and take no part in its repr or equality.
+    :func:`restricted_spectrum` solves, ``nonpositive``, per tolerance,
+    the verdict of :func:`is_nonpositive`, and ``block_spectra``, per
+    (dtype, size, exact bytes) of a clongdouble zero-pattern block of some
+    H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
+    (beta-independent; see :mod:`decorr.algebra`).  The memos live and die
+    with the spec and take no part in its repr or equality.
     """
 
     geometry: LatticeGeometry
@@ -107,6 +110,7 @@ class HamiltonianSpec:
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     nonpositive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def sites(self) -> Region:

@@ -310,6 +310,73 @@ def test_herm_eig_stacked_lapack_is_bit_identical_to_per_block(case):
     assert np.array_equal(es.eigenvectors, V)
 
 
+def _bfs_components(A):
+    """Reference split: breadth-first search over the symmetrized nonzero pattern."""
+    pattern = A != 0
+    pattern |= pattern.T
+    unvisited = np.ones(A.shape[0], dtype=bool)
+    comps = []
+    for start in range(A.shape[0]):
+        if not unvisited[start]:
+            continue
+        unvisited[start] = False
+        comp, frontier = [start], [start]
+        while frontier:
+            hits = np.nonzero(pattern[frontier.pop()] & unvisited)[0]
+            unvisited[hits] = False
+            comp.extend(hits.tolist())
+            frontier.extend(hits.tolist())
+        comps.append(sorted(comp))
+    return comps
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 150])
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.3])
+def test_zero_pattern_components_match_bfs(n, density):
+    # random patterns need not be symmetric; rows with no entry at all are
+    # components of their own
+    r = np.random.default_rng(1000 * n + int(100 * density))
+    A = np.where(r.random((n, n)) < density, r.normal(size=(n, n)), 0.0)
+    if n > 3:
+        A[n // 2] = 0
+        A[:, n // 2] = 0
+    got = algebra._zero_pattern_components(A.astype(np.clongdouble))
+    assert [g.tolist() for g in got] == _bfs_components(A)
+
+
+def test_zero_pattern_components_of_a_long_path():
+    # a path graph over shuffled indices: labels must travel its full length
+    n = 64
+    perm = np.random.default_rng(5).permutation(n)
+    A = np.zeros((n, n))
+    A[perm[:-1], perm[1:]] = 1.0
+    assert [g.tolist() for g in algebra._zero_pattern_components(A)] == [list(range(n))]
+
+
+def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
+    # two copies of one block, a third block, and a 1x1 block that needs no solve
+    M = np.zeros((7, 7), dtype=np.clongdouble)
+    B = random_hermitian(3, 81).astype(np.clongdouble)
+    M[np.ix_([0, 2, 4], [0, 2, 4])] = B
+    M[np.ix_([1, 3, 5], [1, 3, 5])] = B
+    M[6, 6] = 2
+    N = M.copy()
+    N[np.ix_([1, 3, 5], [1, 3, 5])] = random_hermitian(3, 83)
+    solved = []
+    refined = algebra._refined_eigh
+    monkeypatch.setattr(
+        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
+    )
+    memo = {}
+    for A in (M, N, M, N):
+        assert np.array_equal(algebra._herm_exp(A, -2.0, memo), herm_exp(A, -2.0))
+    # fresh solves: the public path solves 2 + 2 blocks per call (4 calls),
+    # the memo path 1 (M) and then 1 (the new block of N)
+    assert solved.count(2) == 4
+    assert solved.count(1) == 2
+    assert len(memo) == 2
+
+
 def test_op_norm_values():
     assert op_norm(SZ) == pytest.approx(1.0)
     assert op_norm(2 * np.eye(3)) == pytest.approx(2.0)
@@ -393,3 +460,26 @@ def test_extended_solver_matches_mpmath(kind, monkeypatch):
         assert fallbacks
     elif kind in ("2x2", "random-10x10", "offset-100"):
         assert not fallbacks
+
+
+def test_stacked_refined_eigh_is_bit_identical_to_per_block(monkeypatch):
+    # the premise of the block memo: a block's refined eigensystem does not
+    # depend on the other blocks of its stack, the Jacobi fallback included
+    fallbacks = []
+    jacobi = algebra._jacobi_eigh
+    monkeypatch.setattr(
+        algebra, "_jacobi_eigh", lambda B: fallbacks.append(B.shape) or jacobi(B)
+    )
+    stack = np.array([
+        random_hermitian(6, 71).astype(np.clongdouble),
+        ORACLE_BLOCKS["degenerate"](),
+        ORACLE_BLOCKS["gap-1e-14"](),
+        ORACLE_BLOCKS["offset-100"](),
+        random_hermitian(6, 73).astype(np.clongdouble) * 1e-6,
+    ])
+    w, V = algebra._refined_eigh(stack)
+    for k, block in enumerate(stack):
+        wk, Vk = algebra._refined_eigh(block[None])
+        assert np.array_equal(w[k], wk[0])
+        assert np.array_equal(V[k], Vk[0])
+    assert fallbacks  # the degenerate block took the Jacobi fallback

@@ -109,10 +109,24 @@ DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
         ("count", {"D": "two"}),
         ("ising", {"n": 6, "J": 1.0, "betas": [0.5], "tolerances": 3}),
         ("verify", {"model": {**CANONICAL_MODEL, "n": "six"}, "betas": [1.0]}),
+        # a fractional number where an integer is meant is refused, not truncated
+        ("count", {"D": 1.7, "R": 1, "k_max": 2}),
+        ("count", {"D": 1, "R": 1.5, "k_max": 2}),
+        ("count", {"D": 1, "R": 1, "k_max": 2.5}),
+        ("ising", {"n": 6.5, "J": 1.0, "betas": [0.5]}),
+        ("verify", {"model": {**CANONICAL_MODEL, "n": 6.5}, "betas": [1.0]}),
+        ("verify", {"model": {**CANONICAL_MODEL, "R": 1.5}, "betas": [1.0]}),
+        (
+            "decay",
+            {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3.5],
+             "observables": DECAY_OBSERVABLES},
+        ),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
-        "count-D", "ising-tol", "verify-n",
+        "count-D", "ising-tol", "verify-n", "count-D-fraction", "count-R-fraction",
+        "count-kmax-fraction", "ising-n-fraction", "verify-n-fraction",
+        "verify-R-fraction", "decay-distance-fraction",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):

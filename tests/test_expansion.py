@@ -2,6 +2,11 @@
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import decorr as dc
-from decorr import expansion, model
-from decorr.algebra import GlobalOperator, herm_exp, operator_product
+from decorr import algebra, expansion, model
+from decorr.algebra import GlobalOperator, embed, herm_exp, operator_product
 from decorr.expansion import MAX_TERM_SIZE, _trace_product, interior_configurations
 from decorr.lattice import Region, closure, interior, r_connected_set
 
@@ -56,6 +61,79 @@ def test_single_site_term_by_hand(chain5):
     V = dc.embed(term.matrix, term.support, base, 2)
     ref = herm_exp(H0.matrix + V.matrix, -beta) - herm_exp(H0.matrix, -beta)
     assert np.allclose(np.asarray(T.matrix, dtype=complex), ref, atol=1e-12)
+
+
+def _reference_term(I, base, spec, beta, dt=np.clongdouble):
+    """T_I^{base} as the signed sum of public herm_exp calls, each H_M checked."""
+    q = spec.q
+    H0 = model.onsite_sum(spec.onsite, base, q, dt)
+    v = {
+        x: embed(spec.interactions[x].matrix.astype(dt), spec.interactions[x].support, base, q).matrix
+        for x in I
+    }
+    total = np.zeros_like(H0)
+    for k in range(len(I) + 1):
+        for M in itertools.combinations(I, k):
+            HM = H0.copy()
+            for x in M:
+                HM += v[x]
+            total += (-1) ** (len(I) - k) * herm_exp(HM, -beta)
+    return total
+
+
+def _rotated_onsite(spec, site):
+    """spec with a non-diagonal on-site term at ``site`` (same spectrum), uncertified."""
+    c, s = np.cos(0.4), np.sin(0.4)
+    R = np.array([[c, -s], [s, c]])
+    onsite = {**spec.onsite, site: R @ spec.onsite[site] @ R.T}
+    return model.HamiltonianSpec(
+        spec.geometry, spec.q, onsite, spec.interactions, spec.a, spec.h_sup, spec.v_sup
+    )
+
+
+@pytest.mark.parametrize("variant", ["chain6", "normalized-chain8", "rotated-onsite"])
+def test_term_matches_public_herm_exp_sum(variant, chain6, chain8):
+    # the term checks hermiticity once on the local matrices and memoizes
+    # blocks; neither may move a bit against the plain route
+    spec = {
+        "chain6": lambda: chain(6),
+        "normalized-chain8": lambda: dc.normalize_nonpositive(chain8),
+        "rotated-onsite": lambda: _rotated_onsite(chain(6), (2,)),
+    }[variant]()
+    geo = spec.geometry
+    for I in [Region([(1,)]), Region([(1,), (2,)]), Region([(1,), (2,), (4,)])]:
+        base = closure(I, geo)
+        for beta in (0.5, 2.0, 50.0):
+            T = dc.yarotsky_term(I, base, spec, beta)
+            assert np.array_equal(T.matrix, _reference_term(I, base, spec, beta))
+        T = dc.yarotsky_term(I, spec.sites, spec, 2.0, extended=False)
+        assert np.array_equal(T.matrix, _reference_term(I, spec.sites, spec, 2.0, np.complex128))
+    assert spec.block_spectra  # the memo was used
+
+
+def test_term_rejects_non_hermitian_local_matrix(chain6):
+    bad = dict(chain6.onsite)
+    bad[(3,)] = bad[(3,)] + np.array([[0, 1e-6], [0, 0]])
+    spec = model.HamiltonianSpec(
+        chain6.geometry, 2, bad, chain6.interactions, chain6.a, chain6.h_sup, chain6.v_sup
+    )
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dc.yarotsky_term(Region([(2,)]), closure(Region([(2,)]), spec.geometry), spec, 1.0)
+
+
+def test_global_term_matches_operator_product(chain5):
+    # each entry of the disjoint product has one nonzero term, so the index-map
+    # outer product equals the dense matrix product exactly
+    rest_of = lambda I: chain5.sites - closure(I, chain5.geometry)  # noqa: E731
+    for I in [Region(), Region([(1,)]), Region([(1,), (3,)]), Region([(1,), (2,), (3,)])]:
+        for beta in (0.5, 2.0):
+            inner = dc.yarotsky_term(I, closure(I, chain5.geometry), chain5, beta)
+            H0 = model.onsite_sum(chain5.onsite, rest_of(I), 2, np.clongdouble)
+            outer = GlobalOperator(rest_of(I), 2, herm_exp(H0, -beta))
+            ref = operator_product(outer, inner)
+            T = dc.global_term(I, chain5, beta)
+            assert T.region == ref.region
+            assert np.array_equal(T.matrix, ref.matrix)
 
 
 def test_term_validation(chain5):
@@ -233,6 +311,55 @@ def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
     built.clear()
     dc.covariance_from_expansion(chain6, pauli_at(1, "X"), pauli_at(2, "X"), 2.0)
     assert len(built) == len(set(built)) == 24  # 64 weights, 24 bases
+
+
+def test_swap_solves_each_distinct_block_once(monkeypatch):
+    spec = chain(6)
+    solved = []
+    refined = algebra._refined_eigh
+    monkeypatch.setattr(
+        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
+    )
+    A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
+    cold = dc.verify_swap_identity(spec, A, B, 2.0)
+    # 60 stacked solves of 196 distinct blocks; without the memo the same
+    # sweep makes 139 stacked solves of 1248 blocks
+    assert (len(solved), sum(solved)) == (60, 196)
+    assert len(spec.block_spectra) == 196
+    solved.clear()
+    dc.verify_swap_identity(spec, A, B, 0.5)
+    assert solved == []  # the eigensystems do not depend on beta
+    warm = dc.verify_swap_identity(spec, A, B, 2.0)
+    assert solved == []
+    fresh = dc.verify_swap_identity(chain(6), A, B, 2.0)
+    assert cold == warm == fresh
+    assert cold.per_pair_max == 6.95754581817457e-12
+
+
+SWAP_SCRIPT = """
+import json
+from conftest import chain, pauli_at
+import decorr as dc
+chk = dc.verify_swap_identity(chain(6), pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
+print(json.dumps({"per_pair_max": chk.per_pair_max, "lhs": chk.lhs, "rhs": chk.rhs}))
+"""
+
+
+def test_swap_check_independent_of_blas_threads():
+    # the memo decides which blocks share a stacked solve; the LAPACK starts
+    # of those stacks must not round differently at another thread count
+    paths = [str(Path(dc.__file__).parents[1]), str(Path(__file__).parent)]
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", SWAP_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        ).stdout
+        runs[threads] = json.loads(out)
+    assert runs["1"] == runs["2"]
+    assert runs["1"]["per_pair_max"] == 6.95754581817457e-12
 
 
 def test_factorization_identity(chain9):

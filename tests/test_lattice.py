@@ -204,6 +204,8 @@ def test_enumerate_matches_subset_filter_on_clipped_box(extent, R, v1, k):
     assert sorted(sets) == _brute_connected_through(v1, k, g)
     for S in sets:
         assert canonical_site_order(S, v1, R)[0] == v1
+        # the enumerator builds its Regions without re-normalizing the sites
+        assert type(S) is Region and S == Region(S) and S._set == Region(S)._set
 
 
 def test_enumerate_respects_lattice_clipping():
