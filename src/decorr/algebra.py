@@ -28,12 +28,13 @@ largest block of the 10-site chain), where one dense solve of the whole
 The alternating sums of :mod:`decorr.expansion` meet the same sector block
 again and again, across subsets, bases and beta.  Their private exponential
 :func:`_herm_exp` takes a memo (``HamiltonianSpec.block_spectra``, one per
-spec and living as long as it) keyed by the dtype, size and exact bytes of a
-clongdouble block and holding its eigenvalues and eigenvectors, so each
-distinct block is refined once per spec.  A refined solve treats every block
+spec and living as long as it) keyed by the dtype, size and value bytes (no
+padding) of a clongdouble block and holding its eigenvalues and
+eigenvectors, so each distinct block is refined once per spec.  A refined solve treats every block
 of its stack on its own, so reading a block from the memo is bit-identical to
 solving it again.  The public :func:`herm_exp`, :func:`herm_blocks` and
-:func:`herm_eig` keep no memo.
+:func:`herm_eig` keep nothing across calls; within one call, equal
+clongdouble blocks are refined once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,26 @@ EPS_EXT = np.finfo(np.longdouble).eps
 # bound on a refined block's |X^H A X| off-diagonal, in EPS_EXT ||A||, and on
 # |I - X^H X|, in EPS_EXT; converged blocks reach about 1
 CLUSTER_TOL = 16
+
+
+def _value_bytes(dtype) -> np.ndarray:
+    """Mask of the bytes of a ``dtype`` item that hold its value.
+
+    x87 extended precision keeps 10 value bytes in a 16-byte longdouble; the
+    other 6 are padding, left as whatever the buffer held, so equal numbers
+    may differ there.  A cast writes the value bytes only: the bytes where a
+    zero-filled and a 0xff-filled buffer still differ after the same cast
+    are padding.
+    """
+    probe = np.array([1.0, -2.5, 1e-300, np.inf])
+    size = np.dtype(dtype).itemsize
+    bufs = [np.full(probe.size * size, fill, np.uint8) for fill in (0, 255)]
+    for buf in bufs:
+        buf.view(dtype)[:] = probe
+    return (bufs[0] == bufs[1]).reshape(probe.size, size).all(axis=0)
+
+
+_LONGDOUBLE_VALUE_BYTES = _value_bytes(np.longdouble)
 
 
 class DimensionError(ValueError):
@@ -343,9 +364,9 @@ def _block_eighs(A: np.ndarray, memo: dict | None = None):
     per block size m: the row indices of its k blocks (k, m), their
     ascending eigenvalues (k, m) and eigenvector columns (k, m, m).  complex128
     stacks go to LAPACK (bit-identical to solving each block on its own),
-    clongdouble stacks to :func:`_refined_eigh`; blocks of size one need no
-    solve.  With a ``memo`` (see :func:`_memo_refined_eigh`), a clongdouble
-    block whose exact contents were solved before is read from it.
+    clongdouble stacks to :func:`_memo_refined_eigh`, which refines each
+    distinct block once; blocks of size one need no solve.  A ``memo`` keeps
+    the refined blocks across calls; without one, they last for this call.
     """
     extended = A.dtype in (np.longdouble, np.clongdouble)
     by_size: dict[int, list[np.ndarray]] = {}
@@ -358,25 +379,26 @@ def _block_eighs(A: np.ndarray, memo: dict | None = None):
             yield rows, blocks[:, 0].real, np.ones_like(blocks)
         elif not extended:
             yield (rows, *np.linalg.eigh(blocks))
-        elif memo is None:
-            yield (rows, *_refined_eigh(blocks))
         else:
-            yield (rows, *_memo_refined_eigh(blocks, memo))
+            yield (rows, *_memo_refined_eigh(blocks, {} if memo is None else memo))
 
 
 def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
     """:func:`_refined_eigh` of a stack, solving only blocks not in ``memo``.
 
-    ``memo`` maps (dtype, size, exact bytes) of a block to its ascending
-    eigenvalues and eigenvectors.  The distinct blocks not yet in it are
-    solved as one stack and added.  A refined solve treats each block of a
-    stack on its own (the LAPACK start, the clongdouble products, the stop
-    test and the Jacobi fallback are all per block), so a block's result does
-    not depend on which stack solved it, and a memo hit is bit-identical to a
-    fresh solve.  Nothing in the memo depends on the exponent a caller
+    ``memo`` maps (dtype, size, value bytes) of a block to its ascending
+    eigenvalues and eigenvectors; the value bytes leave out the padding of
+    each longdouble (see :func:`_value_bytes`).  The distinct blocks not yet
+    in it are solved as one stack and added.  A refined solve treats each
+    block of a stack on its own (the LAPACK start, the clongdouble products,
+    the stop test and the Jacobi fallback are all per block), so a block's
+    result does not depend on which stack solved it, and a memo hit is
+    bit-identical to a fresh solve.  Nothing in the memo depends on the exponent a caller
     applies, so one solve serves every beta.
     """
-    keys = [(b.dtype.str, b.shape[0], b.tobytes()) for b in blocks]
+    mask = _LONGDOUBLE_VALUE_BYTES
+    values = blocks.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
+    keys = [(blocks.dtype.str, blocks.shape[1], v.tobytes()) for v in values]
     new: dict = {}
     for k, key in enumerate(keys):
         if key not in memo:

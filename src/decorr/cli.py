@@ -27,7 +27,7 @@ from . import expansion, gibbs, lattice, model
 from ._kernels import brute_force_connected_count, build_universe
 from .algebra import DimensionError, GlobalOperator
 from .lattice import LatticeGeometry, Region, interior, r_connected_set, set_distance
-from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
+from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME, _integer
 
 SCHEMA_VERSION = 1
 
@@ -73,9 +73,6 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
     block.setdefault("q", 2)
     if "seed" in cfg and "seed" not in block:
         block["seed"] = cfg["seed"]
-    for key in ("D", "R", "q", "seed"):
-        if key in block:
-            block[key] = _convert(_integer, block[key], key)
     try:
         return model.spec_from_json(block)
     except CertificationError:
@@ -92,13 +89,6 @@ def _convert(convert, value, what: str):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
 
 
 def _betas(cfg: dict) -> list[float]:

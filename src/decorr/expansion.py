@@ -35,6 +35,8 @@ hermiticity once, before they are embedded; every H_M is then an exactly
 Hermitian sum.  The exponentials of the H_M read their zero-pattern blocks'
 eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`): each
 distinct block is solved once per spec, whatever the subset, base or beta.
+:func:`global_term` is the exception: it keeps none, so that its
+whole-lattice blocks do not stay in memory.
 """
 
 from __future__ import annotations
@@ -120,8 +122,16 @@ def yarotsky_term(
     every interaction of I acts within the base region.  A center of I with
     no interaction carries v_x = 0, and the in/out halves of the alternating
     sum cancel exactly: the term is a structural zero, returned without
-    computing any exponentials.
+    computing any exponentials.  The exponentials read their blocks'
+    eigensystems from ``spec.block_spectra``.
     """
+    return _term(I, base, spec, beta, extended, spec.block_spectra)
+
+
+def _term(
+    I: Region, base: Region, spec: HamiltonianSpec, beta: float, extended: bool, memo
+) -> GlobalOperator:
+    """:func:`yarotsky_term` with the block memo ``memo`` (None: none kept)."""
     if len(I) > MAX_TERM_SIZE:
         raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
     geo = spec.geometry
@@ -150,7 +160,7 @@ def yarotsky_term(
             HM = H0.copy()
             for x in M:
                 HM += v_emb[x]
-            total += sign * _herm_exp(HM, -beta, spec.block_spectra)
+            total += sign * _herm_exp(HM, -beta, memo)
     return GlobalOperator(base, q, total)
 
 
@@ -163,10 +173,15 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     index on each region (:func:`~decorr.algebra.support_index_map`).  That
     is the one nonzero term of each entry of operator_product(outer, inner),
     built here without its dim^3 matrix product.
+
+    The term keeps no block memo.  Its H_M live on bases up to the whole
+    lattice, and ``spec.block_spectra`` would keep all their blocks as long
+    as the spec: on a 10-site ``decorr verify`` that saved a quarter of the
+    time (1068 s -> 793 s) but raised the peak RSS from 571 MB to 699 MB.
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    inner = yarotsky_term(I, cl, spec, beta).matrix
+    inner = _term(I, cl, spec, beta, True, None).matrix
     outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta)
     a1 = support_index_map(rest, spec.sites, spec.q)[0]
     a2 = support_index_map(cl, spec.sites, spec.q)[0]

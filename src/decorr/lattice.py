@@ -19,7 +19,7 @@ Site = tuple[int, ...]
 def _as_site(x) -> Site:
     if isinstance(x, int):
         return (x,)
-    return tuple(int(c) for c in x)
+    return tuple(map(int, x))
 
 
 class Region(tuple):
@@ -39,7 +39,16 @@ class Region(tuple):
 
     @classmethod
     def _canonical(cls, sites: tuple[Site, ...]) -> "Region":
-        """The Region of distinct int-tuple sites already in sorted order, as given."""
+        """The Region of distinct int-tuple sites already in sorted order, as given.
+
+        Only the connected-set enumerator builds Regions this way: it makes
+        tens of thousands of them from sorted int tuples, and going through
+        ``Region(...)`` (normalize each site, dedupe, sort) takes about as
+        long again as the rest of the enumeration.  The counting workload
+        (2-core host) runs in ~0.75 s this way and in ~1.3 s through
+        ``Region(...)``, even with its sites normalized by
+        ``tuple(map(int, x))``.
+        """
         region = tuple.__new__(cls, sites)
         region._set = frozenset(sites)
         return region

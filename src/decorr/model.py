@@ -93,10 +93,12 @@ class HamiltonianSpec:
     memoize, per region S, the block eigensystems of H_S that
     :func:`restricted_spectrum` solves, ``nonpositive``, per tolerance,
     the verdict of :func:`is_nonpositive`, and ``block_spectra``, per
-    (dtype, size, exact bytes) of a clongdouble zero-pattern block of some
+    (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
-    (beta-independent; see :mod:`decorr.algebra`).  The memos live and die
-    with the spec and take no part in its repr or equality.
+    (beta-independent; see :mod:`decorr.algebra`;
+    :func:`~decorr.expansion.global_term` keeps its whole-lattice blocks out
+    of it).  The memos live and die with the spec and take no part in its
+    repr or equality.
     """
 
     geometry: LatticeGeometry
@@ -484,21 +486,28 @@ def spec_to_json(spec: HamiltonianSpec) -> dict:
     return out
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def spec_from_json(data: dict) -> HamiltonianSpec:
     geometry = LatticeGeometry(
-        D=int(data["D"]), R=int(data["R"]), sites=Region.from_json(data["lattice"])
+        D=_integer(data["D"]), R=_integer(data["R"]), sites=Region.from_json(data["lattice"])
     )
     model = data.get("model", "xxz")
     if model == "xxz":
         return xxz_spec(
             geometry,
             lam=float(data.get("lambda", 0.0)),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0)),
             J12=data.get("J12", 0.0),
             J3=data.get("J3", 0.0),
             R=geometry.R,
         )
-    q = int(data["q"])
+    q = _integer(data["q"])
     onsite = {tuple(z): _matrix_from_json(h) for z, h in data["onsite"]}
     interactions = {}
     for x, support, m in data["interactions"]:

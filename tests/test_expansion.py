@@ -136,6 +136,15 @@ def test_global_term_matches_operator_product(chain5):
             assert np.array_equal(T.matrix, ref.matrix)
 
 
+def test_global_term_keeps_no_block_memo():
+    # the resummation keeps its whole-lattice blocks out of the spec memo,
+    # which would hold them as long as the spec
+    spec = chain(6)
+    for beta in (0.5, 2.0):
+        dc.verify_resummation(spec, beta)
+    assert spec.block_spectra == {}
+
+
 def test_term_validation(chain5):
     with pytest.raises(ValueError, match="interior"):
         dc.yarotsky_term(Region([(0,)]), chain5.sites, chain5, 1.0)
@@ -322,8 +331,8 @@ def test_swap_solves_each_distinct_block_once(monkeypatch):
     )
     A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
     cold = dc.verify_swap_identity(spec, A, B, 2.0)
-    # 60 stacked solves of 196 distinct blocks; without the memo the same
-    # sweep makes 139 stacked solves of 1248 blocks
+    # 60 stacked solves of 196 distinct blocks; solving the blocks of each
+    # H_M afresh, the same sweep makes 139 stacked solves of 1248 blocks
     assert (len(solved), sum(solved)) == (60, 196)
     assert len(spec.block_spectra) == 196
     solved.clear()
