@@ -196,10 +196,12 @@ class Eigensystem:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def _require_hermitian(M: np.ndarray, tol: float) -> np.ndarray:
+def _require_hermitian(M: np.ndarray) -> np.ndarray:
     dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITICITY_TOL:.1e}"
+        )
     return (M + M.conj().T) / 2
 
 
@@ -207,7 +209,7 @@ def _conj_t(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def _jacobi_eigh(A: np.ndarray, max_sweeps: int = 80):
+def _jacobi_eigh(A: np.ndarray):
     """Cyclic complex Jacobi diagonalization in extended precision.
 
     The fallback of :func:`_refined_eigh` for blocks with degenerate or
@@ -215,12 +217,12 @@ def _jacobi_eigh(A: np.ndarray, max_sweeps: int = 80):
     annihilates one off-diagonal pair; sweeps repeat until the off-diagonal
     Frobenius mass falls below a few units of longdouble epsilon relative to
     the matrix norm.  Quadratic convergence makes ~6-10 sweeps typical; the
-    iteration cap is a safety net, not a tuning knob.
+    cap of 80 sweeps is a safety net, not a tuning knob.
     """
     A = np.array(A, dtype=np.clongdouble)
     n = A.shape[0]
     V = np.eye(n, dtype=np.clongdouble)
-    for _ in range(max_sweeps):
+    for _ in range(80):
         offd = A - np.diag(np.diag(A))
         off = np.sqrt(np.abs(offd * offd.conj()).sum().real)
         nrm = np.sqrt(np.abs(A * A.conj()).sum().real)
@@ -426,7 +428,7 @@ class BlockEigensystem:
     eigenvalues: np.ndarray
 
 
-def herm_blocks(M, tol: float = HERMITICITY_TOL) -> BlockEigensystem:
+def herm_blocks(M) -> BlockEigensystem:
     """Block eigensystems of a Hermitian matrix (symmetrized before solving).
 
     The matrix is split into the connected components of its exact zero
@@ -437,7 +439,7 @@ def herm_blocks(M, tol: float = HERMITICITY_TOL) -> BlockEigensystem:
     keeps the result independent of the BLAS thread count where one dense
     solve of the whole matrix is not.
     """
-    A = _require_hermitian(_matrix_of(M), tol)
+    A = _require_hermitian(_matrix_of(M))
     blocks = tuple(_block_eighs(A))
     w = np.concatenate([bw.ravel() for _, bw, _ in blocks])
     first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in blocks])
@@ -446,14 +448,14 @@ def herm_blocks(M, tol: float = HERMITICITY_TOL) -> BlockEigensystem:
     return BlockEigensystem(A.shape[0], blocks, order, w[order])
 
 
-def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
+def herm_eig(M) -> Eigensystem:
     """Full eigensystem of a Hermitian matrix, from :func:`herm_blocks`.
 
     The block eigenvectors are scattered into their rows and the columns
     ordered by ascending eigenvalue, so entries coupling different blocks
     are exactly zero.
     """
-    eig = herm_blocks(M, tol)
+    eig = herm_blocks(M)
     column = np.empty_like(eig.order)
     column[eig.order] = np.arange(eig.order.size)
     dtype = np.result_type(*{bV.dtype for _, _, bV in eig.blocks})
@@ -466,7 +468,7 @@ def herm_eig(M, tol: float = HERMITICITY_TOL) -> Eigensystem:
     return Eigensystem(eigenvalues=eig.eigenvalues, eigenvectors=V)
 
 
-def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def herm_exp(M, s) -> np.ndarray:
     """exp(s * M) for Hermitian M, via blockwise eigendecomposition.
 
     The matrix is first split into the connected components of its exact
@@ -476,7 +478,7 @@ def herm_exp(M, s, tol: float = HERMITICITY_TOL) -> np.ndarray:
     coupling different blocks stay exactly zero in the output.
     """
     A = _matrix_of(M)
-    A = _require_hermitian(A.astype(_work_dtype(A.dtype), copy=False), tol)
+    A = _require_hermitian(A.astype(_work_dtype(A.dtype), copy=False))
     return _herm_exp(A, s)
 
 

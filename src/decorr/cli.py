@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import expansion, gibbs, lattice, model
 from ._kernels import brute_force_connected_count, build_universe
-from .algebra import DimensionError, GlobalOperator
+from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
 from .lattice import LatticeGeometry, Region, interior, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME, _integer
 
@@ -311,12 +312,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
             "command": "verify",
             "checks": checks,
             "skipped": skipped,
-            "certificate": {
-                "p": cert.p,
-                "decay_base": cert.decay_base,
-                "prefactor_exponent": cert.prefactor_exponent,
-                "active": cert.active,
-            },
+            "certificate": dataclasses.asdict(cert),
         },
     )
     for c in checks:
@@ -341,7 +337,7 @@ def run_decay(cfg: dict, outdir: Path) -> int:
     A_t = _template(obs.get("A"), "A")
     B_t = _template(obs.get("B"), "B")
     anchor = _site(obs.get("anchor", 0), "anchor")
-    if len(spec.sites) > 14:
+    if len(spec.sites) > MAX_DENSE_SITES:
         raise CapError("lattice too large for a dense decay sweep")
 
     fits = []
@@ -512,12 +508,7 @@ def run_certify(cfg: dict, outdir: Path) -> int:
         "h_sup": spec.h_sup,
         "v_sup": spec.v_sup,
         "n_interactions": len(spec.interactions),
-        "certificate": {
-            "p": cert.p,
-            "decay_base": cert.decay_base,
-            "prefactor_exponent": cert.prefactor_exponent,
-            "active": cert.active,
-        },
+        "certificate": dataclasses.asdict(cert),
     }
     _write_json(outdir / "certify_report.json", payload)
     print(

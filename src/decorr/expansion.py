@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    HERMITICITY_TOL,
     GlobalOperator,
     _herm_exp,
     _require_hermitian,
@@ -113,10 +112,8 @@ def interior_configurations(
 # terms
 # ---------------------------------------------------------------------------
 
-def yarotsky_term(
-    I: Region, base: Region, spec: HamiltonianSpec, beta: float, extended: bool = True
-) -> GlobalOperator:
-    """The alternating-sum term T_I^{base} on the region ``base``.
+def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
+    """The alternating-sum term T_I^{base} on the region ``base``, in clongdouble.
 
     Requires I inside the lattice interior and closure(I) inside base, so
     every interaction of I acts within the base region.  A center of I with
@@ -125,12 +122,10 @@ def yarotsky_term(
     computing any exponentials.  The exponentials read their blocks'
     eigensystems from ``spec.block_spectra``.
     """
-    return _term(I, base, spec, beta, extended, spec.block_spectra)
+    return _term(I, base, spec, beta, spec.block_spectra)
 
 
-def _term(
-    I: Region, base: Region, spec: HamiltonianSpec, beta: float, extended: bool, memo
-) -> GlobalOperator:
+def _term(I: Region, base: Region, spec: HamiltonianSpec, beta: float, memo) -> GlobalOperator:
     """:func:`yarotsky_term` with the block memo ``memo`` (None: none kept)."""
     if len(I) > MAX_TERM_SIZE:
         raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
@@ -139,21 +134,20 @@ def _term(
         raise ValueError("configuration must lie in the lattice interior")
     if not closure(I, geo).issubset(base):
         raise ValueError("base region must contain the closure of I")
-    dt = np.clongdouble if extended else np.complex128
     q = spec.q
     dim = q ** len(base)
     if any(x not in spec.interactions for x in I):
-        return GlobalOperator(base, q, np.zeros((dim, dim), dtype=dt))
+        return GlobalOperator(base, q, np.zeros((dim, dim), dtype=np.clongdouble))
 
     def local(m):  # checked once; every H_M summed from these is exactly Hermitian
-        return _require_hermitian(m.astype(dt), HERMITICITY_TOL)
+        return _require_hermitian(m.astype(np.clongdouble))
 
-    H0 = onsite_sum({z: local(spec.onsite[z]) for z in base}, base, q, dt)
+    H0 = onsite_sum({z: local(spec.onsite[z]) for z in base}, base, q, np.clongdouble)
     v_emb = {
         x: embed(local(spec.interactions[x].matrix), spec.interactions[x].support, base, q).matrix
         for x in I
     }
-    total = np.zeros((dim, dim), dtype=dt)
+    total = np.zeros((dim, dim), dtype=np.clongdouble)
     for m_size in range(len(I) + 1):
         sign = (-1) ** (len(I) - m_size)
         for M in itertools.combinations(I, m_size):
@@ -181,7 +175,7 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    inner = _term(I, cl, spec, beta, True, None).matrix
+    inner = _term(I, cl, spec, beta, None).matrix
     outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta)
     a1 = support_index_map(rest, spec.sites, spec.q)[0]
     a2 = support_index_map(cl, spec.sites, spec.q)[0]
@@ -214,8 +208,8 @@ def term_norm_scan(
 ) -> list[tuple[Region, float, float]]:
     """(I, ||T_I^{cl I}||, (2a)^|I|) for all interior configurations up to max_size.
 
-    The norm bound has exponential headroom, so the terms are built in
-    double precision.
+    The terms are built as every sweep builds them, reading their blocks
+    from ``spec.block_spectra``.
     """
     geo = spec.geometry
     configs = interior_configurations(
@@ -225,7 +219,7 @@ def term_norm_scan(
     for I in configs[1:]:  # the empty configuration comes first
         if any(x not in spec.interactions for x in I):
             continue
-        T = yarotsky_term(I, closure(I, geo), spec, beta, extended=False)
+        T = yarotsky_term(I, closure(I, geo), spec, beta)
         rows.append((I, op_norm(T.matrix), (2 * spec.a) ** len(I)))
     return rows
 

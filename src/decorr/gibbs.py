@@ -15,6 +15,7 @@ degenerates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +174,11 @@ def decay_sweep(
     distances,
     anchor=None,
     strict: bool = True,
-    floor: float = FIT_FLOOR,
 ) -> DecayFit:
     """Measure |Cov(A, B_d)| over a list of distances and fit ln|cov| ~ d.
 
     B is the B_template displaced by d along the first axis.  Distances must
-    be strictly increasing.  Points with |cov| <= floor are recorded but
+    be strictly increasing.  Points with |cov| <= FIT_FLOOR are recorded but
     excluded from the fit; if fewer than two remain the sweep has no usable
     decay signal -- strict mode raises DegenerateFitError, otherwise a
     DecayFit with outcome "floor" and NaN fit parameters is returned.
@@ -197,13 +197,13 @@ def decay_sweep(
         B = observable_from_template(B_template, anchor, spec, shift=d)
         points.append((d, abs(covariance(state, A, B))))
 
-    usable = [(d, c) for d, c in points if c > floor]
+    usable = [(d, c) for d, c in points if c > FIT_FLOOR]
     if len(usable) >= 2:
         fit, outcome = fit_decay(usable), "ok"
     elif strict:
         raise DegenerateFitError(
             f"only {len(usable)} of {len(points)} covariances exceed the "
-            f"floor {floor:g} at beta = {beta}"
+            f"floor {FIT_FLOOR:g} at beta = {beta}"
         )
     else:
         fit, outcome = (math.nan, math.nan, math.nan), "floor"
@@ -267,21 +267,14 @@ def ising_exact_xi(J: float, beta: float) -> float:
 # spectral histogram and the decay-bound certificate
 # ---------------------------------------------------------------------------
 
-def mbdos_histogram(H, bin_width: float = 1.0) -> list[tuple[float, int]]:
-    """Many-body density of states: eigenvalue counts in bins k * bin_width.
+def mbdos_histogram(H) -> list[tuple[float, int]]:
+    """Many-body density of states: eigenvalue counts in unit-width bins.
 
-    Each eigenvalue is assigned to the nearest integer multiple of
-    bin_width; returned as a sorted list of (bin center, count) with empty
-    bins omitted.
+    Each eigenvalue is assigned to the nearest integer; returned as a
+    sorted list of (bin center, count) with empty bins omitted.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    w = herm_blocks(H).eigenvalues
-    counts: dict[int, int] = {}
-    for e in w:
-        k = int(round(float(e) / bin_width))
-        counts[k] = counts.get(k, 0) + 1
-    return [(k * bin_width, counts[k]) for k in sorted(counts)]
+    counts = Counter(int(round(float(e))) for e in herm_blocks(H).eigenvalues)
+    return [(float(k), counts[k]) for k in sorted(counts)]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import BlockEigensystem, GlobalOperator, embed, herm_blocks, herm_eig, op_norm
+from .algebra import (
+    BlockEigensystem,
+    GlobalOperator,
+    _require_hermitian,
+    embed,
+    herm_blocks,
+    herm_eig,
+    op_norm,
+)
 from .lattice import LatticeGeometry, Region, Site, ball, chain_geometry, l1_distance
 
 # single-site operator basis (q = 2)
@@ -39,6 +47,8 @@ NUMBER = np.diag([0.0, 1.0]).astype(complex)  # N = (1 - sigma3)/2
 PAULI_BY_NAME = {"I": SIGMA0, "X": SIGMA1, "Y": SIGMA2, "Z": SIGMA3, "N": NUMBER}
 
 KERNEL_TOL = 1e-12
+GAP_TOL = 1e-9  # absolute, on the ground energy, its degeneracy and the gap
+NONPOSITIVE_TOL = 1e-12
 
 
 class CertificationError(ValueError):
@@ -61,13 +71,13 @@ class GapCheck:
     ground_degeneracy: int
 
 
-def gap_check(h: np.ndarray, tol: float = 1e-9) -> GapCheck:
+def gap_check(h: np.ndarray) -> GapCheck:
     """Check one on-site term: PSD, simple ground state at 0, gap >= 1."""
     w = herm_blocks(h).eigenvalues
     e0 = float(w[0])
-    degeneracy = int(np.sum(w <= e0 + tol))
+    degeneracy = int(np.sum(w <= e0 + GAP_TOL))
     gap = float(w[degeneracy] - e0) if len(w) > degeneracy else np.inf
-    ok = abs(e0) <= tol and degeneracy == 1 and gap >= 1 - tol
+    ok = abs(e0) <= GAP_TOL and degeneracy == 1 and gap >= 1 - GAP_TOL
     return GapCheck(ok=ok, ground_energy=e0, gap=gap, ground_degeneracy=degeneracy)
 
 
@@ -91,8 +101,8 @@ class HamiltonianSpec:
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
-    :func:`restricted_spectrum` solves, ``nonpositive``, per tolerance,
-    the verdict of :func:`is_nonpositive`, and ``block_spectra``, per
+    :func:`restricted_spectrum` solves, ``nonpositive`` the verdict of
+    :func:`is_nonpositive` (None until decided), and ``block_spectra``, per
     (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
     (beta-independent; see :mod:`decorr.algebra`;
@@ -111,7 +121,7 @@ class HamiltonianSpec:
     model: str = "custom"
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    nonpositive: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    nonpositive: bool | None = field(default=None, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -180,7 +190,7 @@ def make_spec(
     model: str = "custom",
     params: dict | None = None,
 ) -> HamiltonianSpec:
-    """Assemble and certify a spec: gap checks, form bounds, metadata."""
+    """Assemble and certify a spec: gap checks, hermiticity, form bounds, metadata."""
     for z in geometry.sites:
         if z not in onsite:
             raise ValueError(f"missing on-site term at {z}")
@@ -195,6 +205,10 @@ def make_spec(
     for x, term in interactions.items():
         if term.center != x:
             raise ValueError("interaction dict key must equal the term center")
+        try:
+            _require_hermitian(term.matrix)
+        except ValueError as exc:
+            raise ValueError(f"interaction at {x}: {exc}") from exc
         a = max(a, certify_form_bound(term, onsite, geometry, q))
     if a >= 1:
         raise CertificationError(f"certified constant a = {a:.4f} is not below 1")
@@ -221,7 +235,7 @@ def _pair_key(x: Site, y: Site) -> tuple[Site, Site]:
     return (x, y) if x <= y else (y, x)
 
 
-def _coupling_map(values, sites: Region, R: int, hermitian: bool) -> dict:
+def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
     """Normalize scalar or per-pair coupling input to {ordered pair: value}.
 
     A scalar J means J on every ordered pair at l1 distance exactly 1
@@ -296,8 +310,8 @@ def xxz_spec(
         z: (1.0 + lam * float(omega[i])) * NUMBER for i, z in enumerate(sites)
     }
 
-    j12 = _coupling_map(J12, sites, geometry.R, hermitian=True)
-    j3 = _coupling_map(J3, sites, geometry.R, hermitian=False)
+    j12 = _coupling_map(J12, sites, hermitian=True)
+    j3 = _coupling_map(J3, sites, hermitian=False)
 
     hop = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
     nn = np.kron(NUMBER, NUMBER)
@@ -397,17 +411,18 @@ def interaction_centers(spec: HamiltonianSpec, S: Region) -> Region:
     )
 
 
-def is_nonpositive(spec: HamiltonianSpec, tol: float = 1e-12) -> bool:
+def is_nonpositive(spec: HamiltonianSpec) -> bool:
     """True iff every interaction term is negative semidefinite.
 
-    Decided once per spec and tolerance; later calls read ``spec.nonpositive``.
+    An eigenvalue up to NONPOSITIVE_TOL * max(1, |lowest|) counts as zero.
+    Decided once per spec; later calls read ``spec.nonpositive``.
     """
-    if tol not in spec.nonpositive:
+    if spec.nonpositive is None:
         eigenvalues = (herm_blocks(t.matrix).eigenvalues for t in spec.interactions.values())
-        spec.nonpositive[tol] = all(
-            float(w[-1]) <= tol * max(1.0, abs(float(w[0]))) for w in eigenvalues
+        spec.nonpositive = all(
+            float(w[-1]) <= NONPOSITIVE_TOL * max(1.0, abs(float(w[0]))) for w in eigenvalues
         )
-    return spec.nonpositive[tol]
+    return spec.nonpositive
 
 
 def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:

@@ -214,6 +214,24 @@ def test_certify_failure_exit_code(tmp_path):
     assert report["certified"] is False
 
 
+def test_certify_non_hermitian_interaction_is_config_error(tmp_path, capsys):
+    # v = -0.1 N(x)N on sites 2, 3 with v[3, 3] = -0.1 + 0.05j; the form-bound
+    # certificate symmetrizes v, so only the hermiticity check rejects it
+    number = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]  # entries are [re, im]
+    v = [[[0, 0]] * 4 for _ in range(4)]
+    v[3][3] = [-0.1, 0.05]
+    block = {
+        "model": "custom", "D": 1, "R": 1, "q": 2, "lattice": [[i] for i in range(5)],
+        "onsite": [[[i], number] for i in range(5)],
+        "interactions": [[[2], [[2], [3]], v]],
+    }
+    rc, out = run(tmp_path, "certify", {"model": block})
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "interaction at (2,)" in err
+    assert not (out / "certify_report.json").exists()
+
+
 def test_threads_flag_accepted(tmp_path):
     payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
     cfg = write_cfg(tmp_path, "v.json", payload)

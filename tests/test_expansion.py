@@ -63,9 +63,9 @@ def test_single_site_term_by_hand(chain5):
     assert np.allclose(np.asarray(T.matrix, dtype=complex), ref, atol=1e-12)
 
 
-def _reference_term(I, base, spec, beta, dt=np.clongdouble):
+def _reference_term(I, base, spec, beta):
     """T_I^{base} as the signed sum of public herm_exp calls, each H_M checked."""
-    q = spec.q
+    q, dt = spec.q, np.clongdouble
     H0 = model.onsite_sum(spec.onsite, base, q, dt)
     v = {
         x: embed(spec.interactions[x].matrix.astype(dt), spec.interactions[x].support, base, q).matrix
@@ -106,8 +106,6 @@ def test_term_matches_public_herm_exp_sum(variant, chain6, chain8):
         for beta in (0.5, 2.0, 50.0):
             T = dc.yarotsky_term(I, base, spec, beta)
             assert np.array_equal(T.matrix, _reference_term(I, base, spec, beta))
-        T = dc.yarotsky_term(I, spec.sites, spec, 2.0, extended=False)
-        assert np.array_equal(T.matrix, _reference_term(I, spec.sites, spec, 2.0, np.complex128))
     assert spec.block_spectra  # the memo was used
 
 
@@ -207,12 +205,16 @@ def test_resummation_cap():
         dc.verify_resummation(spec, 1.0)
 
 
-def test_term_norm_scan(chain6):
-    rows = dc.term_norm_scan(chain6, 0.5, max_size=3)
+def test_term_norm_scan():
+    spec = chain(6)  # a fresh spec, so its block memo starts empty
+    rows = dc.term_norm_scan(spec, 0.5, max_size=3)
     assert len(rows) == 14  # all nonempty interior subsets of size <= 3
+    assert spec.block_spectra  # the terms are built as the sweeps build them
     for I, norm, bound in rows:
-        assert bound == pytest.approx((2 * chain6.a) ** len(I), rel=1e-12)
+        assert bound == pytest.approx((2 * spec.a) ** len(I), rel=1e-12)
         assert norm <= bound + 1e-12
+        T = dc.yarotsky_term(I, closure(I, spec.geometry), spec, 0.5)
+        assert T.matrix.dtype == np.clongdouble and norm == dc.op_norm(T)
 
 
 def test_weight_empty_is_one(chain6):
@@ -568,7 +570,7 @@ def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 82
     assert len(solved) == len(terms) > 0
-    assert norm.nonpositive == {1e-12: True}
+    assert norm.nonpositive is True
     fresh = [dc.partition_ratio(S, dataclasses.replace(norm), b) for S, b in calls]
     assert memoized == fresh
 

@@ -276,6 +276,17 @@ def test_spec_json_roundtrip_xxz(chain5):
         assert np.array_equal(back.onsite[s], chain5.onsite[s])
 
 
+def test_make_spec_rejects_non_hermitian_interaction():
+    # the form-bound certificate symmetrizes v, so it alone would pass this term
+    v = -0.1 * np.kron(NUMBER, NUMBER).astype(complex)
+    v[3, 3] += 0.05j
+    geo = chain_geometry(5, 1)
+    onsite = {s: NUMBER.astype(complex) for s in geo.sites}
+    terms = {(2,): InteractionTerm((2,), Region([(2,), (3,)]), v)}
+    with pytest.raises(ValueError, match=r"interaction at \(2,\): matrix is not Hermitian"):
+        dc.make_spec(geo, 2, onsite, terms)
+
+
 def test_spec_json_roundtrip_custom():
     geo = chain_geometry(5, 1)
     onsite = {s: NUMBER.astype(complex) for s in geo.sites}
