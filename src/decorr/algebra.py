@@ -26,15 +26,16 @@ largest block of the 10-site chain), where one dense solve of the whole
 1024x1024 matrix rounds differently at different thread counts.
 
 The alternating sums of :mod:`decorr.expansion` meet the same sector block
-again and again, across subsets, bases and beta.  Their private exponential
-:func:`_herm_exp` takes a memo (``HamiltonianSpec.block_spectra``, one per
-spec and living as long as it) keyed by the dtype, size and value bytes (no
-padding) of a clongdouble block and holding its eigenvalues and
-eigenvectors, so each distinct block is refined once per spec.  A refined solve treats every block
-of its stack on its own, so reading a block from the memo is bit-identical to
-solving it again.  The public :func:`herm_exp`, :func:`herm_blocks` and
-:func:`herm_eig` keep nothing across calls; within one call, equal
-clongdouble blocks are refined once.
+again and again, across subsets, bases, beta and the whole-lattice terms of
+the resummation.  Every such term calls the private exponential
+:func:`_herm_exp` with the memo ``HamiltonianSpec.block_spectra`` (one per
+spec and living as long as it), keyed by the dtype, size and value bytes
+(no padding) of a clongdouble block and holding its eigenvalues and
+eigenvectors, so each distinct block is refined once per spec.  A refined
+solve treats every block of its stack on its own, so reading a block from
+the memo is bit-identical to solving it again.  The public :func:`herm_exp`,
+:func:`herm_blocks` and :func:`herm_eig` keep nothing across calls; within
+one call, equal clongdouble blocks are refined once.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ class GlobalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __mul__(self, scalar) -> "GlobalOperator":
-        return GlobalOperator(self.region, self.q, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "GlobalOperator":
-        return GlobalOperator(self.region, self.q, self.matrix.conj().T)
-
 
 def _matrix_of(op) -> np.ndarray:
     return op.matrix if isinstance(op, GlobalOperator) else np.asarray(op)
@@ -161,6 +154,21 @@ def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalO
     full = np.zeros((q**m, q**m), dtype=_work_dtype(local.dtype))
     full[np.arange(q**m)[:, None], base[:, None] + off] = local[alpha]
     return GlobalOperator(target, q, full)
+
+
+def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
+    """out += embed(local).matrix, adding only the entries the embedding fills.
+
+    ``index_map`` is :func:`support_index_map` of local's support in out's
+    region.  The embedding is zero elsewhere, and adding zero leaves an
+    entry as it is unless the entry is -0.  A sum accumulated from zeros
+    never holds -0 (x + y rounds an exact zero to +0, and +0 + -0 is +0),
+    so on such a sum this is the dense addition bit for bit.
+    """
+    alpha, base, off = index_map
+    if local.shape != (off.size, off.size):
+        raise ValueError(f"local operator shape {local.shape} != q^|support|")
+    out[np.arange(base.size)[:, None], base[:, None] + off] += local[alpha]
 
 
 def operator_product(*ops: GlobalOperator) -> GlobalOperator:

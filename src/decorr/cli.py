@@ -132,10 +132,14 @@ def _site(value, what: str):
 
 
 def _tolerance(cfg: dict, key: str, default: float) -> float:
+    """A finite, nonnegative tolerance: an infinite one would pass every check, NaN none."""
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object")
-    return _convert(float, tolerances.get(key, default), f"tolerance {key}")
+    tol = _convert(float, tolerances.get(key, default), f"tolerance {key}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance {key} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _site_observable(spec: HamiltonianSpec, site, name: str) -> GlobalOperator:
@@ -151,8 +155,10 @@ def _write_json(path: Path, payload: dict):
 
 def _set_threads(n: int | None):
     """Pin the BLAS thread pools to ``n`` threads, or warn that nothing was pinned."""
-    if not n:
+    if n is None:
         return
+    if n < 1:
+        raise ConfigError(f"--threads must be at least 1, got {n}")
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
@@ -162,7 +168,7 @@ def _set_threads(n: int | None):
             file=sys.stderr,
         )
         return
-    threadpool_limits(limits=max(1, n))
+    threadpool_limits(limits=n)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     spec = _model_spec(cfg)
     betas = _betas(cfg)
     tol = _tolerance(cfg, "identity", 1e-10)
+    norm_slack = _tolerance(cfg, "norm_slack", 1e-12)
     geo = spec.geometry
     inter = interior(spec.sites, geo)
     if len(inter) > expansion.MAX_RESUM_INTERIOR:
@@ -201,7 +208,6 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         res = expansion.verify_resummation(spec, beta)
         add("resummation", f"beta={beta:g}", res, tol, res <= tol)
 
-    norm_slack = _tolerance(cfg, "norm_slack", 1e-12)
     rows = expansion.term_norm_scan(spec, betas[0], max_size=min(3, len(inter)))
     worst = max((norm - bound for _, norm, bound in rows), default=-1.0)
     add(

@@ -30,28 +30,31 @@ The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 
-Inside a term, the on-site and interaction matrices are checked for
-hermiticity once, before they are embedded; every H_M is then an exactly
-Hermitian sum.  The exponentials of the H_M read their zero-pattern blocks'
-eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`): each
-distinct block is solved once per spec, whatever the subset, base or beta.
-:func:`global_term` is the exception: it keeps none, so that its
-whole-lattice blocks do not stay in memory.
+Every term, :func:`global_term`'s included, is built from pieces its spec
+prepares once, on first use (:class:`_TermPieces` in ``spec.term_pieces``):
+each on-site and interaction matrix is checked for hermiticity and cast to
+clongdouble once per spec, so every H_M summed from them is exactly
+Hermitian; H0 and each v_x are scattered onto a base through (support, base)
+index maps kept with them.  The exponentials of the H_M read their
+zero-pattern blocks' eigensystems from ``spec.block_spectra`` (see
+:mod:`decorr.algebra`): each distinct block is solved once per spec,
+whatever the subset, base or beta.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
     GlobalOperator,
+    _check_dense,
     _herm_exp,
     _require_hermitian,
-    embed,
+    _scatter_add,
     herm_exp,
     op_norm,
     operator_product,
@@ -71,7 +74,6 @@ from .model import (
     HamiltonianSpec,
     build_restricted,
     is_nonpositive,
-    onsite_sum,
     restricted_spectrum,
 )
 
@@ -112,6 +114,58 @@ def interior_configurations(
 # terms
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _TermPieces:
+    """What every alternating-sum term of one spec reads, prepared on first use.
+
+    ``onsite`` and ``interactions`` map a site or center to its local matrix
+    in clongdouble, checked for hermiticity and symmetrized once, so every
+    H_M summed from them is exactly Hermitian.  ``index_maps`` maps
+    (support, base) to :func:`~decorr.algebra.support_index_map` of the
+    support in the base, as read-only arrays.  Kept in ``spec.term_pieces``.
+    """
+
+    interior: Region
+    onsite: dict = field(default_factory=dict)
+    interactions: dict = field(default_factory=dict)
+    index_maps: dict = field(default_factory=dict)
+
+
+def _pieces(spec: HamiltonianSpec) -> _TermPieces:
+    if spec.term_pieces is None:
+        spec.term_pieces = _TermPieces(interior(spec.sites, spec.geometry))
+    return spec.term_pieces
+
+
+def _checked(prepared: dict, key, matrix: np.ndarray) -> np.ndarray:
+    """prepared[key], the clongdouble ``matrix`` checked and symmetrized on first use."""
+    if key not in prepared:
+        prepared[key] = _require_hermitian(matrix.astype(np.clongdouble))
+    return prepared[key]
+
+
+def _index_map(spec: HamiltonianSpec, support: Region, base: Region):
+    """support_index_map(support, base, spec.q), made once per spec, read-only."""
+    maps = _pieces(spec).index_maps
+    if (support, base) not in maps:
+        arrays = support_index_map(support, base, spec.q)
+        for a in arrays:
+            a.flags.writeable = False
+        maps[support, base] = arrays
+    return maps[support, base]
+
+
+def _onsite(spec: HamiltonianSpec, base: Region) -> np.ndarray:
+    """H0 on ``base`` in clongdouble: the prepared on-site terms scattered in site order."""
+    prepared = _pieces(spec).onsite
+    dim = spec.q ** len(base)
+    H0 = np.zeros((dim, dim), dtype=np.clongdouble)
+    for z in base:
+        local = _checked(prepared, z, spec.onsite[z])
+        _scatter_add(H0, local, _index_map(spec, Region([z]), base))
+    return H0
+
+
 def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
     """The alternating-sum term T_I^{base} on the region ``base``, in clongdouble.
 
@@ -119,42 +173,39 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     every interaction of I acts within the base region.  A center of I with
     no interaction carries v_x = 0, and the in/out halves of the alternating
     sum cancel exactly: the term is a structural zero, returned without
-    computing any exponentials.  The exponentials read their blocks'
-    eigensystems from ``spec.block_spectra``.
+    computing any exponentials.  H0 and each v_x are scattered from the
+    spec's prepared local matrices (:class:`_TermPieces`), and the
+    exponentials read their blocks' eigensystems from ``spec.block_spectra``.
     """
-    return _term(I, base, spec, beta, spec.block_spectra)
-
-
-def _term(I: Region, base: Region, spec: HamiltonianSpec, beta: float, memo) -> GlobalOperator:
-    """:func:`yarotsky_term` with the block memo ``memo`` (None: none kept)."""
     if len(I) > MAX_TERM_SIZE:
         raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
-    geo = spec.geometry
-    if not I.issubset(interior(spec.sites, geo)):
+    pieces = _pieces(spec)
+    if not I.issubset(pieces.interior):
         raise ValueError("configuration must lie in the lattice interior")
-    if not closure(I, geo).issubset(base):
+    if not closure(I, spec.geometry).issubset(base):
         raise ValueError("base region must contain the closure of I")
+    _check_dense(len(base))
     q = spec.q
     dim = q ** len(base)
     if any(x not in spec.interactions for x in I):
         return GlobalOperator(base, q, np.zeros((dim, dim), dtype=np.clongdouble))
 
-    def local(m):  # checked once; every H_M summed from these is exactly Hermitian
-        return _require_hermitian(m.astype(np.clongdouble))
-
-    H0 = onsite_sum({z: local(spec.onsite[z]) for z in base}, base, q, np.clongdouble)
-    v_emb = {
-        x: embed(local(spec.interactions[x].matrix), spec.interactions[x].support, base, q).matrix
-        for x in I
-    }
-    total = np.zeros((dim, dim), dtype=np.clongdouble)
+    H0 = _onsite(spec, base)
+    v = {}
+    for x in I:
+        term = spec.interactions[x]
+        local = _checked(pieces.interactions, x, term.matrix)
+        v[x] = local, _index_map(spec, term.support, base)
+    HM = np.empty_like(H0)
+    total = np.zeros_like(H0)
     for m_size in range(len(I) + 1):
-        sign = (-1) ** (len(I) - m_size)
+        # subtracting is adding the summand times -1 bit for bit, without its copy
+        add = np.add if (len(I) - m_size) % 2 == 0 else np.subtract
         for M in itertools.combinations(I, m_size):
-            HM = H0.copy()
+            np.copyto(HM, H0)
             for x in M:
-                HM += v_emb[x]
-            total += sign * _herm_exp(HM, -beta, memo)
+                _scatter_add(HM, *v[x])
+            add(total, _herm_exp(HM, -beta, spec.block_spectra), out=total)
     return GlobalOperator(base, q, total)
 
 
@@ -166,20 +217,25 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     outer[a1(i), a1(j)] inner[a2(i), a2(j)], with a1, a2 the digits of an
     index on each region (:func:`~decorr.algebra.support_index_map`).  That
     is the one nonzero term of each entry of operator_product(outer, inner),
-    built here without its dim^3 matrix product.
+    built here without its dim^3 matrix product, in place in the gathered
+    outer factor.
 
-    The term keeps no block memo.  Its H_M live on bases up to the whole
-    lattice, and ``spec.block_spectra`` would keep all their blocks as long
-    as the spec: on a 10-site ``decorr verify`` that saved a quarter of the
-    time (1068 s -> 793 s) but raised the peak RSS from 571 MB to 699 MB.
+    Both factors read their blocks from ``spec.block_spectra`` like every
+    term, so the terms of one closure share their solves across I and beta,
+    and the memo keeps whole-lattice blocks as long as the spec.  The terms
+    hold no dense v_x and no whole-lattice temporary they can do without,
+    which more than pays for that: on the 10-site README ``decorr verify``
+    (1 BLAS thread) the memo-less path took 847 s at 570 MB peak RSS, this
+    one 378 s at 436 MB.
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    inner = _term(I, cl, spec, beta, None).matrix
-    outer = herm_exp(onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta)
-    a1 = support_index_map(rest, spec.sites, spec.q)[0]
-    a2 = support_index_map(cl, spec.sites, spec.q)[0]
-    return GlobalOperator(spec.sites, spec.q, outer[np.ix_(a1, a1)] * inner[np.ix_(a2, a2)])
+    a1 = _index_map(spec, rest, spec.sites)[0]
+    a2 = _index_map(spec, cl, spec.sites)[0]
+    inner = yarotsky_term(I, cl, spec, beta).matrix
+    product = _herm_exp(_onsite(spec, rest), -beta, spec.block_spectra)[np.ix_(a1, a1)]
+    product *= inner[np.ix_(a2, a2)]
+    return GlobalOperator(spec.sites, spec.q, product)
 
 
 def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
@@ -189,16 +245,14 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     centers without interactions contribute exact zeros but are included --
     the resummation identity is about the full subset lattice).
     """
-    configs = interior_configurations(
-        interior(spec.sites, spec.geometry), MAX_RESUM_INTERIOR
-    )
+    configs = interior_configurations(_pieces(spec).interior, MAX_RESUM_INTERIOR)
     _, _, H = build_restricted(spec, spec.sites, np.clongdouble)
     ref = herm_exp(H.matrix, -beta)
     acc = np.zeros_like(ref)
     for I in configs:
         acc += global_term(I, spec, beta).matrix
-    diff = acc - ref
-    num = np.sqrt(np.abs(diff * diff.conj()).sum().real)
+    acc -= ref  # the difference, without a whole-lattice temporary
+    num = np.sqrt(np.abs(acc * acc.conj()).sum().real)
     den = np.sqrt(np.abs(ref * ref.conj()).sum().real)
     return float(num / max(den, ZERO_FLOOR))
 
@@ -212,9 +266,7 @@ def term_norm_scan(
     from ``spec.block_spectra``.
     """
     geo = spec.geometry
-    configs = interior_configurations(
-        interior(spec.sites, geo), MAX_RESUM_INTERIOR, max_size
-    )
+    configs = interior_configurations(_pieces(spec).interior, MAX_RESUM_INTERIOR, max_size)
     rows = []
     for I in configs[1:]:  # the empty configuration comes first
         if any(x not in spec.interactions for x in I):
@@ -403,7 +455,7 @@ def verify_swap_identity(
     X, Y = A.region, B.region
     if set_distance(X, Y) <= 2 * geo.R:
         raise ValueError("supports of A and B must be further than 2R apart")
-    configs = interior_configurations(interior(spec.sites, geo), MAX_SWEEP_INTERIOR)
+    configs = interior_configurations(_pieces(spec).interior, MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
     w, wa, wb, wab = {}, {}, {}, {}
     for c in configs:
@@ -483,7 +535,7 @@ def verify_supercluster_resummation(
     S0 = I0 | J0 | X | Y
     if not r_connected_set(S0, geo.R):
         raise ValueError("I0 + J0 + X + Y must be a single R-connected cluster")
-    inter = interior(spec.sites, geo)
+    inter = _pieces(spec).interior
     if not (I0.issubset(inter) and J0.issubset(inter)):
         raise ValueError("I0 and J0 must lie in the lattice interior")
     lattice_rest = spec.sites - closure(S0, geo)
@@ -613,9 +665,7 @@ def covariance_from_expansion(
     sum factorizes into products of single sums, which is how it is
     evaluated.  Exact for any lattice small enough to enumerate.
     """
-    configs = interior_configurations(
-        interior(spec.sites, spec.geometry), MAX_SWEEP_INTERIOR
-    )
+    configs = interior_configurations(_pieces(spec).interior, MAX_SWEEP_INTERIOR)
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     sums = [np.longdouble(0.0)] * 4

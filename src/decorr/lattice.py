@@ -41,8 +41,9 @@ class Region(tuple):
     def _canonical(cls, sites: tuple[Site, ...]) -> "Region":
         """The Region of distinct int-tuple sites already in sorted order, as given.
 
-        Only the connected-set enumerator builds Regions this way: it makes
-        tens of thousands of them from sorted int tuples, and going through
+        The connected-set enumerator and the set operations between two
+        Regions build Regions this way.  The enumerator makes tens of
+        thousands of them from sorted int tuples, and going through
         ``Region(...)`` (normalize each site, dedupe, sort) takes about as
         long again as the rest of the enumeration.  The counting workload
         (2-core host) runs in ~0.75 s this way and in ~1.3 s through
@@ -54,18 +55,26 @@ class Region(tuple):
         return region
 
     # -- set algebra -------------------------------------------------------
+    # Between two Regions, both operands' sites are already canonical, so
+    # the result is built without normalizing them again.
     def __contains__(self, site) -> bool:
         return _as_site(site) in self._set
 
     def __or__(self, other) -> "Region":
+        if isinstance(other, Region):
+            return Region._canonical(tuple(sorted(self._set | other._set)))
         return Region(itertools.chain(self, other))
 
     def __and__(self, other) -> "Region":
-        o = other._set if isinstance(other, Region) else set(map(_as_site, other))
+        if isinstance(other, Region):
+            return Region._canonical(tuple(s for s in self if s in other._set))
+        o = set(map(_as_site, other))
         return Region(s for s in self if s in o)
 
     def __sub__(self, other) -> "Region":
-        o = other._set if isinstance(other, Region) else set(map(_as_site, other))
+        if isinstance(other, Region):
+            return Region._canonical(tuple(s for s in self if s not in other._set))
+        o = set(map(_as_site, other))
         return Region(s for s in self if s not in o)
 
     def issubset(self, other) -> bool:
@@ -75,9 +84,6 @@ class Region(tuple):
     def isdisjoint(self, other) -> bool:
         o = other._set if isinstance(other, Region) else set(map(_as_site, other))
         return self._set.isdisjoint(o)
-
-    def index_of(self, site) -> int:
-        return tuple.index(self, _as_site(site))
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> list[list[int]]:

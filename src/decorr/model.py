@@ -26,11 +26,14 @@ import numpy as np
 from .algebra import (
     BlockEigensystem,
     GlobalOperator,
+    _check_dense,
     _require_hermitian,
+    _scatter_add,
     embed,
     herm_blocks,
     herm_eig,
     op_norm,
+    support_index_map,
 )
 from .lattice import LatticeGeometry, Region, Site, ball, chain_geometry, l1_distance
 
@@ -102,13 +105,13 @@ class HamiltonianSpec:
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
     :func:`restricted_spectrum` solves, ``nonpositive`` the verdict of
-    :func:`is_nonpositive` (None until decided), and ``block_spectra``, per
+    :func:`is_nonpositive` (None until decided), ``block_spectra``, per
     (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
-    (beta-independent; see :mod:`decorr.algebra`;
-    :func:`~decorr.expansion.global_term` keeps its whole-lattice blocks out
-    of it).  The memos live and die with the spec and take no part in its
-    repr or equality.
+    (beta-independent; see :mod:`decorr.algebra`), and ``term_pieces`` what
+    every alternating-sum term of the spec reads (None until the first term;
+    see :mod:`decorr.expansion`).  The memos live and die with the spec and
+    take no part in its repr or equality.
     """
 
     geometry: LatticeGeometry
@@ -123,6 +126,7 @@ class HamiltonianSpec:
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     nonpositive: bool | None = field(default=None, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    term_pieces: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sites(self) -> Region:
@@ -363,11 +367,16 @@ def xxz_spec(
 # ---------------------------------------------------------------------------
 
 def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
-    """H0 on ``region``: the embedded on-site terms summed in ``dtype``, in site order."""
+    """H0 on ``region``: the on-site terms scattered into ``dtype`` zeros, in site order.
+
+    Bit for bit the sum of their embeddings (see :func:`~decorr.algebra._scatter_add`).
+    """
+    _check_dense(len(region))
     dim = q ** len(region)
     H0 = np.zeros((dim, dim), dtype=dtype)
     for z in region:
-        H0 += embed(onsite[z].astype(dtype), Region([z]), region, q).matrix
+        site = Region([z])
+        _scatter_add(H0, onsite[z].astype(dtype), support_index_map(site, region, q))
     return H0
 
 

@@ -161,9 +161,6 @@ def test_operator_product_overlapping_supports():
 
 def test_global_operator_arithmetic():
     tgt = two_sites()
-    A = embed(SZ, Region([(0,)]), tgt, 2)
-    assert np.allclose((2.0 * A).matrix, 2 * A.matrix)
-    assert np.allclose(A.dagger().matrix, A.matrix.conj().T)
     with pytest.raises(ValueError):
         GlobalOperator(tgt, 2, np.eye(3, dtype=complex))
 

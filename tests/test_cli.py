@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, and report determinism."""
 
 import json
+import math
 import sys
 
 import pytest
@@ -121,12 +122,19 @@ DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
             {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3.5],
              "observables": DECAY_OBSERVABLES},
         ),
+        # an infinite tolerance would pass every check, NaN would fail each
+        # without a reason; json.dumps writes them as Infinity and NaN
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": math.inf}}),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": math.nan}}),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"norm_slack": -1e-12}}),
+        ("ising", {"n": 6, "J": 1.0, "betas": [0.5], "tolerances": {"xi_rel": math.inf}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
         "count-D", "ising-tol", "verify-n", "count-D-fraction", "count-R-fraction",
         "count-kmax-fraction", "ising-n-fraction", "verify-n-fraction",
-        "verify-R-fraction", "decay-distance-fraction",
+        "verify-R-fraction", "decay-distance-fraction", "verify-tol-inf", "verify-tol-nan",
+        "verify-tol-negative", "ising-tol-inf",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
@@ -247,3 +255,13 @@ def test_threads_flag_warns_when_nothing_is_pinned(tmp_path, monkeypatch, capsys
     assert rc == EXIT_OK
     err = capsys.readouterr().err
     assert "--threads 2 pinned nothing" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
+    cfg = write_cfg(tmp_path, "v.json", payload)
+    rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --threads must be at least 1, got {threads}\n"
+    assert not (tmp_path / "o").exists()

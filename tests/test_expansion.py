@@ -134,13 +134,45 @@ def test_global_term_matches_operator_product(chain5):
             assert np.array_equal(T.matrix, ref.matrix)
 
 
-def test_global_term_keeps_no_block_memo():
-    # the resummation keeps its whole-lattice blocks out of the spec memo,
-    # which would hold them as long as the spec
+def test_resummation_and_sweeps_share_block_solves(monkeypatch):
+    # global_term reads the spec memo like every term, so a second beta and
+    # the swap sweep solve only blocks they newly meet
     spec = chain(6)
+    solved = []
+    refined = algebra._refined_eigh
+    monkeypatch.setattr(
+        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
+    )
+    dc.verify_resummation(spec, 0.5)
+    # 196 distinct term blocks, plus the 8 of the reference exp(-beta H),
+    # which the public herm_exp solves on every call; without the memo the
+    # terms solved 736 blocks per beta
+    assert (len(solved), sum(solved)) == (53, 204)
+    assert len(spec.block_spectra) == 196
+    dc.verify_resummation(spec, 2.0)
+    assert (len(solved), sum(solved)) == (55, 212)  # the reference only
+    dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
+    assert (len(solved), sum(solved)) == (55, 212)  # every swap block was met
+    assert len(spec.block_spectra) == 196
+
+
+def test_each_local_matrix_is_checked_once_per_spec(monkeypatch):
+    spec = chain(6)
+    checked = []
+    original = expansion._require_hermitian
+    monkeypatch.setattr(
+        expansion, "_require_hermitian", lambda m: checked.append(m) or original(m)
+    )
+    A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
     for beta in (0.5, 2.0):
-        dc.verify_resummation(spec, beta)
-    assert spec.block_spectra == {}
+        dc.verify_swap_identity(spec, A, B, beta)
+    dc.verify_resummation(spec, 0.5)
+    # 6 on-site terms and the interactions at the 4 interior centers
+    assert len(checked) == 10
+    pieces = spec.term_pieces
+    assert len(pieces.onsite) == 6 and len(pieces.interactions) == 4
+    for alpha, base, off in pieces.index_maps.values():
+        assert not (alpha.flags.writeable or base.flags.writeable or off.flags.writeable)
 
 
 def test_term_validation(chain5):

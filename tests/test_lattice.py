@@ -53,7 +53,6 @@ def test_set_distance():
 def test_region_is_sorted_and_unique():
     r = Region([(3,), (1,), (3,)])
     assert tuple(r) == ((1,), (3,))
-    assert r.index_of((3,)) == 1
     assert (1,) in r._set
     assert r | Region([(2,)]) == Region([(1,), (2,), (3,)])
     assert r - Region([(1,)]) == Region([(3,)])
@@ -73,6 +72,25 @@ def test_region_set_semantics(sites):
     r = Region(sites)
     assert tuple(r) == tuple(sorted(set(sites)))
     assert Region(tuple(r)) == r
+
+
+sites_2d = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=10)
+
+
+@given(sites_2d, sites_2d)
+def test_region_operations_match_construction(a, b):
+    # set operations between two Regions skip re-normalizing their sites;
+    # each result must be the Region built from the same sites
+    A, B = Region(a), Region(b)
+    for got, sites in (
+        (A | B, set(a) | set(b)),
+        (A & B, set(a) & set(b)),
+        (A - B, set(a) - set(b)),
+    ):
+        want = Region(sites)
+        assert type(got) is Region
+        assert tuple(got) == tuple(want) and got._set == want._set
+        assert hash(got) == hash(want)
 
 
 def test_chain_and_box_geometry():
