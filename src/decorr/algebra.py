@@ -5,6 +5,12 @@ k-th site in canonical (sorted) order is the k-th most significant digit of
 the matrix index, so a basis state |d_0 d_1 ... d_{m-1}> has index
 sum_k d_k q^(m-1-k).
 
+Local operators are placed on a region by index arithmetic
+(:func:`support_index_map`): :func:`embed` scatters one into zeros and
+:func:`_scatter_add` adds one into a running sum, in place.  The index maps
+depend on the support, the region and q alone; each is made once per
+process and shared read-only.
+
 Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
 extended-precision path, so clongdouble blocks are solved by LAPACK in
 double and then refined by Ogita-Aishima iterations, which need only matrix
@@ -40,6 +46,7 @@ one call, equal clongdouble blocks are refined once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +124,16 @@ def _matrix_of(op) -> np.ndarray:
     return op.matrix if isinstance(op, GlobalOperator) else np.asarray(op)
 
 
+@functools.lru_cache(maxsize=None)
 def support_index_map(support: Region, target: Region, q: int):
     """Where the support's tensor legs sit in the index of ``target``.
 
     Returns integer arrays (alpha, base, off): row i of a target-indexed
     matrix has support digits alpha[i] (an index in the support's canonical
     order), and the target index with the same off-support digits as i and
-    support digits b is base[i] + off[b].  off is increasing in b.
+    support digits b is base[i] + off[b].  off is increasing in b.  The maps
+    depend on (support, target, q) alone, so each is made once per process
+    and handed out as read-only arrays.
     """
     place = {site: q ** (len(target) - 1 - k) for k, site in enumerate(target)}
     weights = np.array([place[site] for site in support], dtype=np.int64)
@@ -131,7 +141,10 @@ def support_index_map(support: Region, target: Region, q: int):
     off = (np.arange(q ** len(support))[:, None] // local_place % q) @ weights
     rows = np.arange(q ** len(target))
     alpha = (rows[:, None] // weights % q) @ local_place
-    return alpha, rows - off[alpha], off
+    maps = alpha, rows - off[alpha], off
+    for a in maps:
+        a.flags.writeable = False
+    return maps
 
 
 def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalOperator:

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import expansion, gibbs, lattice, model
 from ._kernels import brute_force_connected_count, build_universe
 from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
-from .lattice import LatticeGeometry, Region, interior, r_connected_set, set_distance
+from .lattice import LatticeGeometry, Region, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME, _integer
 
 SCHEMA_VERSION = 1
@@ -181,7 +181,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     tol = _tolerance(cfg, "identity", 1e-10)
     norm_slack = _tolerance(cfg, "norm_slack", 1e-12)
     geo = spec.geometry
-    inter = interior(spec.sites, geo)
+    inter = spec.interior
     if len(inter) > expansion.MAX_RESUM_INTERIOR:
         raise CapError(
             f"lattice interior {len(inter)} exceeds the resummation cap "

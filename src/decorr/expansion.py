@@ -30,22 +30,22 @@ The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 
-Every term, :func:`global_term`'s included, is built from pieces its spec
-prepares once, on first use (:class:`_TermPieces` in ``spec.term_pieces``):
-each on-site and interaction matrix is checked for hermiticity and cast to
-clongdouble once per spec, so every H_M summed from them is exactly
-Hermitian; H0 and each v_x are scattered onto a base through (support, base)
-index maps kept with them.  The exponentials of the H_M read their
-zero-pattern blocks' eigensystems from ``spec.block_spectra`` (see
-:mod:`decorr.algebra`): each distinct block is solved once per spec,
-whatever the subset, base or beta.
+Every term, :func:`global_term`'s included, places its spec's local
+matrices on a base the one way every H_S is built: H0 by
+:func:`~decorr.model.onsite_sum`, each v_x added by index map
+(:func:`~decorr.algebra._scatter_add`), in clongdouble.  The spec checked
+and symmetrized those matrices when it was built, so every H_M summed from
+them is exactly Hermitian and no term checks them again.  The exponentials
+of the H_M read their zero-pattern blocks' eigensystems from
+``spec.block_spectra`` (see :mod:`decorr.algebra`): each distinct block is
+solved once per spec, whatever the subset, base or beta.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .algebra import (
     GlobalOperator,
     _check_dense,
     _herm_exp,
-    _require_hermitian,
     _scatter_add,
     herm_exp,
     op_norm,
@@ -74,6 +73,7 @@ from .model import (
     HamiltonianSpec,
     build_restricted,
     is_nonpositive,
+    onsite_sum,
     restricted_spectrum,
 )
 
@@ -114,58 +114,6 @@ def interior_configurations(
 # terms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TermPieces:
-    """What every alternating-sum term of one spec reads, prepared on first use.
-
-    ``onsite`` and ``interactions`` map a site or center to its local matrix
-    in clongdouble, checked for hermiticity and symmetrized once, so every
-    H_M summed from them is exactly Hermitian.  ``index_maps`` maps
-    (support, base) to :func:`~decorr.algebra.support_index_map` of the
-    support in the base, as read-only arrays.  Kept in ``spec.term_pieces``.
-    """
-
-    interior: Region
-    onsite: dict = field(default_factory=dict)
-    interactions: dict = field(default_factory=dict)
-    index_maps: dict = field(default_factory=dict)
-
-
-def _pieces(spec: HamiltonianSpec) -> _TermPieces:
-    if spec.term_pieces is None:
-        spec.term_pieces = _TermPieces(interior(spec.sites, spec.geometry))
-    return spec.term_pieces
-
-
-def _checked(prepared: dict, key, matrix: np.ndarray) -> np.ndarray:
-    """prepared[key], the clongdouble ``matrix`` checked and symmetrized on first use."""
-    if key not in prepared:
-        prepared[key] = _require_hermitian(matrix.astype(np.clongdouble))
-    return prepared[key]
-
-
-def _index_map(spec: HamiltonianSpec, support: Region, base: Region):
-    """support_index_map(support, base, spec.q), made once per spec, read-only."""
-    maps = _pieces(spec).index_maps
-    if (support, base) not in maps:
-        arrays = support_index_map(support, base, spec.q)
-        for a in arrays:
-            a.flags.writeable = False
-        maps[support, base] = arrays
-    return maps[support, base]
-
-
-def _onsite(spec: HamiltonianSpec, base: Region) -> np.ndarray:
-    """H0 on ``base`` in clongdouble: the prepared on-site terms scattered in site order."""
-    prepared = _pieces(spec).onsite
-    dim = spec.q ** len(base)
-    H0 = np.zeros((dim, dim), dtype=np.clongdouble)
-    for z in base:
-        local = _checked(prepared, z, spec.onsite[z])
-        _scatter_add(H0, local, _index_map(spec, Region([z]), base))
-    return H0
-
-
 def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
     """The alternating-sum term T_I^{base} on the region ``base``, in clongdouble.
 
@@ -173,14 +121,12 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     every interaction of I acts within the base region.  A center of I with
     no interaction carries v_x = 0, and the in/out halves of the alternating
     sum cancel exactly: the term is a structural zero, returned without
-    computing any exponentials.  H0 and each v_x are scattered from the
-    spec's prepared local matrices (:class:`_TermPieces`), and the
-    exponentials read their blocks' eigensystems from ``spec.block_spectra``.
+    computing any exponentials.  The exponentials read their blocks'
+    eigensystems from ``spec.block_spectra``.
     """
     if len(I) > MAX_TERM_SIZE:
         raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
-    pieces = _pieces(spec)
-    if not I.issubset(pieces.interior):
+    if not I.issubset(spec.interior):
         raise ValueError("configuration must lie in the lattice interior")
     if not closure(I, spec.geometry).issubset(base):
         raise ValueError("base region must contain the closure of I")
@@ -190,12 +136,11 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     if any(x not in spec.interactions for x in I):
         return GlobalOperator(base, q, np.zeros((dim, dim), dtype=np.clongdouble))
 
-    H0 = _onsite(spec, base)
+    H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
     v = {}
     for x in I:
         term = spec.interactions[x]
-        local = _checked(pieces.interactions, x, term.matrix)
-        v[x] = local, _index_map(spec, term.support, base)
+        v[x] = term.matrix.astype(np.clongdouble), support_index_map(term.support, base, q)
     HM = np.empty_like(H0)
     total = np.zeros_like(H0)
     for m_size in range(len(I) + 1):
@@ -230,12 +175,15 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    a1 = _index_map(spec, rest, spec.sites)[0]
-    a2 = _index_map(spec, cl, spec.sites)[0]
+    q = spec.q
+    a1 = support_index_map(rest, spec.sites, q)[0]
+    a2 = support_index_map(cl, spec.sites, q)[0]
     inner = yarotsky_term(I, cl, spec, beta).matrix
-    product = _herm_exp(_onsite(spec, rest), -beta, spec.block_spectra)[np.ix_(a1, a1)]
+    product = _herm_exp(
+        onsite_sum(spec.onsite, rest, q, np.clongdouble), -beta, spec.block_spectra
+    )[np.ix_(a1, a1)]
     product *= inner[np.ix_(a2, a2)]
-    return GlobalOperator(spec.sites, spec.q, product)
+    return GlobalOperator(spec.sites, q, product)
 
 
 def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
@@ -245,7 +193,7 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     centers without interactions contribute exact zeros but are included --
     the resummation identity is about the full subset lattice).
     """
-    configs = interior_configurations(_pieces(spec).interior, MAX_RESUM_INTERIOR)
+    configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
     _, _, H = build_restricted(spec, spec.sites, np.clongdouble)
     ref = herm_exp(H.matrix, -beta)
     acc = np.zeros_like(ref)
@@ -266,7 +214,7 @@ def term_norm_scan(
     from ``spec.block_spectra``.
     """
     geo = spec.geometry
-    configs = interior_configurations(_pieces(spec).interior, MAX_RESUM_INTERIOR, max_size)
+    configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR, max_size)
     rows = []
     for I in configs[1:]:  # the empty configuration comes first
         if any(x not in spec.interactions for x in I):
@@ -455,7 +403,7 @@ def verify_swap_identity(
     X, Y = A.region, B.region
     if set_distance(X, Y) <= 2 * geo.R:
         raise ValueError("supports of A and B must be further than 2R apart")
-    configs = interior_configurations(_pieces(spec).interior, MAX_SWEEP_INTERIOR)
+    configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
     w, wa, wb, wab = {}, {}, {}, {}
     for c in configs:
@@ -535,7 +483,7 @@ def verify_supercluster_resummation(
     S0 = I0 | J0 | X | Y
     if not r_connected_set(S0, geo.R):
         raise ValueError("I0 + J0 + X + Y must be a single R-connected cluster")
-    inter = _pieces(spec).interior
+    inter = spec.interior
     if not (I0.issubset(inter) and J0.issubset(inter)):
         raise ValueError("I0 and J0 must lie in the lattice interior")
     lattice_rest = spec.sites - closure(S0, geo)
@@ -665,7 +613,7 @@ def covariance_from_expansion(
     sum factorizes into products of single sums, which is how it is
     evaluated.  Exact for any lattice small enough to enumerate.
     """
-    configs = interior_configurations(_pieces(spec).interior, MAX_SWEEP_INTERIOR)
+    configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     sums = [np.longdouble(0.0)] * 4

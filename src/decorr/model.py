@@ -18,6 +18,7 @@ unperturbed ground state to itself or to excited states).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -35,7 +36,15 @@ from .algebra import (
     op_norm,
     support_index_map,
 )
-from .lattice import LatticeGeometry, Region, Site, ball, chain_geometry, l1_distance
+from .lattice import (
+    LatticeGeometry,
+    Region,
+    Site,
+    ball,
+    chain_geometry,
+    interior,
+    l1_distance,
+)
 
 # single-site operator basis (q = 2)
 SIGMA0 = np.eye(2, dtype=complex)
@@ -93,6 +102,16 @@ class InteractionTerm:
     matrix: np.ndarray
 
 
+def _checked(M, what: str) -> np.ndarray:
+    """The symmetrization of a Hermitian M, read-only; ValueError naming ``what`` otherwise."""
+    try:
+        M = _require_hermitian(np.asarray(M))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    M.flags.writeable = False
+    return M
+
+
 @dataclass
 class HamiltonianSpec:
     """A lattice, on-site terms, certified interactions, and their metadata.
@@ -101,17 +120,22 @@ class HamiltonianSpec:
     centers), ``h_sup``/``v_sup`` the largest operator norms among the
     on-site and interaction terms.
 
+    Building a spec checks every on-site and interaction matrix for
+    hermiticity, once, and keeps its symmetrization (M + M^dagger) / 2,
+    read-only: every sum of them accumulated from zeros is then exactly
+    Hermitian, and nothing downstream checks them again.  It also stores
+    ``interior``, the sites whose radius-R ball lies in the lattice (the
+    centers a configuration may use).
+
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
     :func:`restricted_spectrum` solves, ``nonpositive`` the verdict of
-    :func:`is_nonpositive` (None until decided), ``block_spectra``, per
+    :func:`is_nonpositive` (None until decided), and ``block_spectra``, per
     (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
-    (beta-independent; see :mod:`decorr.algebra`), and ``term_pieces`` what
-    every alternating-sum term of the spec reads (None until the first term;
-    see :mod:`decorr.expansion`).  The memos live and die with the spec and
-    take no part in its repr or equality.
+    (beta-independent; see :mod:`decorr.algebra`).  The memos live and die
+    with the spec and take no part in its repr or equality.
     """
 
     geometry: LatticeGeometry
@@ -126,7 +150,15 @@ class HamiltonianSpec:
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     nonpositive: bool | None = field(default=None, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    term_pieces: object = field(default=None, init=False, repr=False, compare=False)
+    interior: Region = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.onsite = {z: _checked(h, f"on-site term at {z}") for z, h in self.onsite.items()}
+        self.interactions = {
+            x: InteractionTerm(t.center, t.support, _checked(t.matrix, f"interaction at {x}"))
+            for x, t in self.interactions.items()
+        }
+        self.interior = interior(self.sites, self.geometry)
 
     @property
     def sites(self) -> Region:
@@ -194,41 +226,44 @@ def make_spec(
     model: str = "custom",
     params: dict | None = None,
 ) -> HamiltonianSpec:
-    """Assemble and certify a spec: gap checks, hermiticity, form bounds, metadata."""
+    """Assemble and certify a spec: hermiticity, gap checks, form bounds, metadata.
+
+    The spec is built before anything is solved, so its hermiticity check
+    (:class:`HamiltonianSpec`) rejects a non-Hermitian term first; the gap
+    checks and form bounds then read its checked matrices, and the certified
+    constant is set on it last.
+    """
+    if any(term.center != x for x, term in interactions.items()):
+        raise ValueError("interaction dict key must equal the term center")
+    spec = HamiltonianSpec(
+        geometry=geometry,
+        q=q,
+        onsite=onsite,
+        interactions=interactions,
+        a=math.nan,
+        h_sup=float(max((op_norm(h) for h in onsite.values()), default=0.0)),
+        v_sup=float(max((op_norm(t.matrix) for t in interactions.values()), default=0.0)),
+        model=model,
+        params=dict(params or {}),
+    )
     for z in geometry.sites:
-        if z not in onsite:
+        if z not in spec.onsite:
             raise ValueError(f"missing on-site term at {z}")
-        chk = gap_check(onsite[z])
+        chk = gap_check(spec.onsite[z])
         if not chk.ok:
             raise ValueError(
                 f"on-site term at {z} violates the gap condition: "
                 f"ground energy {chk.ground_energy:.2e}, gap {chk.gap:.3f}, "
                 f"degeneracy {chk.ground_degeneracy}"
             )
-    a = 0.0
-    for x, term in interactions.items():
-        if term.center != x:
-            raise ValueError("interaction dict key must equal the term center")
-        try:
-            _require_hermitian(term.matrix)
-        except ValueError as exc:
-            raise ValueError(f"interaction at {x}: {exc}") from exc
-        a = max(a, certify_form_bound(term, onsite, geometry, q))
+    a = max(
+        (certify_form_bound(t, spec.onsite, geometry, q) for t in spec.interactions.values()),
+        default=0.0,
+    )
     if a >= 1:
         raise CertificationError(f"certified constant a = {a:.4f} is not below 1")
-    h_sup = max((op_norm(h) for h in onsite.values()), default=0.0)
-    v_sup = max((op_norm(t.matrix) for t in interactions.values()), default=0.0)
-    return HamiltonianSpec(
-        geometry=geometry,
-        q=q,
-        onsite=dict(onsite),
-        interactions=dict(interactions),
-        a=float(a),
-        h_sup=float(h_sup),
-        v_sup=float(v_sup),
-        model=model,
-        params=dict(params or {}),
-    )
+    spec.a = float(a)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +427,7 @@ def build_restricted(spec: HamiltonianSpec, S: Region, dtype=complex):
     V = np.zeros_like(H0)
     for x in interaction_centers(spec, S):
         term = spec.interactions[x]
-        V += embed(term.matrix.astype(dtype), term.support, S, q).matrix
+        _scatter_add(V, term.matrix.astype(dtype), support_index_map(term.support, S, q))
     return (
         GlobalOperator(S, q, H0),
         GlobalOperator(S, q, V),

@@ -110,13 +110,13 @@ def test_term_matches_public_herm_exp_sum(variant, chain6, chain8):
 
 
 def test_term_rejects_non_hermitian_local_matrix(chain6):
+    # the spec checks its local matrices when it is built, before any term
     bad = dict(chain6.onsite)
     bad[(3,)] = bad[(3,)] + np.array([[0, 1e-6], [0, 0]])
-    spec = model.HamiltonianSpec(
-        chain6.geometry, 2, bad, chain6.interactions, chain6.a, chain6.h_sup, chain6.v_sup
-    )
-    with pytest.raises(ValueError, match="not Hermitian"):
-        dc.yarotsky_term(Region([(2,)]), closure(Region([(2,)]), spec.geometry), spec, 1.0)
+    with pytest.raises(ValueError, match=r"^on-site term at \(3,\): matrix is not Hermitian"):
+        model.HamiltonianSpec(
+            chain6.geometry, 2, bad, chain6.interactions, chain6.a, chain6.h_sup, chain6.v_sup
+        )
 
 
 def test_global_term_matches_operator_product(chain5):
@@ -157,22 +157,31 @@ def test_resummation_and_sweeps_share_block_solves(monkeypatch):
 
 
 def test_each_local_matrix_is_checked_once_per_spec(monkeypatch):
+    calls = {"model": [], "algebra": []}
+    for name, module in (("model", model), ("algebra", algebra)):
+        original = module._require_hermitian
+        monkeypatch.setattr(
+            module,
+            "_require_hermitian",
+            lambda m, log=calls[name], f=original: log.append(m) or f(m),
+        )
     spec = chain(6)
-    checked = []
-    original = expansion._require_hermitian
-    monkeypatch.setattr(
-        expansion, "_require_hermitian", lambda m: checked.append(m) or original(m)
-    )
+    # building the spec checks the 6 on-site terms and the interactions at
+    # the 4 interior centers, each once, and keeps them read-only
+    assert len(calls["model"]) == 10
+    assert all(not h.flags.writeable for h in spec.onsite.values())
+    assert all(not t.matrix.flags.writeable for t in spec.interactions.values())
+    calls["algebra"].clear()
     A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
     for beta in (0.5, 2.0):
         dc.verify_swap_identity(spec, A, B, beta)
     dc.verify_resummation(spec, 0.5)
-    # 6 on-site terms and the interactions at the 4 interior centers
-    assert len(checked) == 10
-    pieces = spec.term_pieces
-    assert len(pieces.onsite) == 6 and len(pieces.interactions) == 4
-    for alpha, base, off in pieces.index_maps.values():
-        assert not (alpha.flags.writeable or base.flags.writeable or off.flags.writeable)
+    # the terms check nothing: the only checks left are the spectrum memo's,
+    # one per region, and that of the resummation's reference exp(-beta H)
+    assert len(calls["model"]) == 10
+    assert len(calls["algebra"]) == len(spec.spectra) + 1
+    alpha, base, off = algebra.support_index_map(Region([(2,)]), spec.sites, 2)
+    assert not (alpha.flags.writeable or base.flags.writeable or off.flags.writeable)
 
 
 def test_term_validation(chain5):
