@@ -84,8 +84,13 @@ ZERO_FLOOR = 1e-300
 
 
 def _rel(lhs, rhs) -> float:
-    scale = max(abs(float(lhs)), abs(float(rhs)), ZERO_FLOOR)
-    return abs(float(lhs) - float(rhs)) / scale
+    """|lhs - rhs| / max(|lhs|, |rhs|), subtracted in longdouble before rounding to float.
+
+    Rounding both sides to double first would hide a difference below the
+    double ulp of the larger side and report exactly zero.
+    """
+    lhs, rhs = np.longdouble(lhs), np.longdouble(rhs)
+    return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.longdouble(ZERO_FLOOR)))
 
 
 def interior_configurations(

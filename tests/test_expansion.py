@@ -351,7 +351,7 @@ def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
     chk = dc.verify_swap_identity(chain6, A, B, 2.0)
     assert len(built) == len(set(built)) == 36  # 16 configurations x 4 weights, 36 bases
     assert len(split) == 16  # 256 pairs, one split per union I + J
-    assert chk.per_pair_max == 6.95754581817457e-12
+    assert chk.per_pair_max == 6.957567300521535e-12
     assert chk.lhs == chk.rhs == 0.7066842324676711
     built.clear()
     split.clear()
@@ -385,7 +385,7 @@ def test_swap_solves_each_distinct_block_once(monkeypatch):
     assert solved == []
     fresh = dc.verify_swap_identity(chain(6), A, B, 2.0)
     assert cold == warm == fresh
-    assert cold.per_pair_max == 6.95754581817457e-12
+    assert cold.per_pair_max == 6.957567300521535e-12
 
 
 SWAP_SCRIPT = """
@@ -411,7 +411,7 @@ def test_swap_check_independent_of_blas_threads():
         ).stdout
         runs[threads] = json.loads(out)
     assert runs["1"] == runs["2"]
-    assert runs["1"]["per_pair_max"] == 6.95754581817457e-12
+    assert runs["1"]["per_pair_max"] == 6.957567300521535e-12
 
 
 def test_factorization_identity(chain9):
@@ -475,6 +475,16 @@ def test_swap_identity_sums(chain6):
     assert chk.n_configs == 16
     assert chk.lhs == pytest.approx(0.7066842324676711, rel=1e-10)
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
+
+
+def test_residuals_are_subtracted_in_extended_precision(chain6):
+    # the two swap sums round to the same double and differ by 5.4e-20 in
+    # longdouble; rounding each side before subtracting read that as 0
+    chk = dc.verify_swap_identity(chain6, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
+    assert chk.lhs == chk.rhs
+    assert 0 < chk.rel_residual < 1e-18
+    one_ulp_up = np.nextafter(np.longdouble(1), np.longdouble(2))
+    assert expansion._rel(one_ulp_up, 1.0) == float(one_ulp_up - 1) / float(one_ulp_up)
 
 
 def test_swap_identity_requires_distance(chain6):
