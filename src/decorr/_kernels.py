@@ -14,6 +14,7 @@ the subsets whose reach covers all k bits are counted.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +22,16 @@ import numpy as np
 def reach_radius(R: int, k: int) -> int:
     """Any R-connected k-set through the origin fits in this l1 radius."""
     return 2 * R * max(k - 1, 0)
+
+
+def universe_size(D: int, R: int, k: int) -> int:
+    """Rows of :func:`build_universe`: integer points of Z^D with l1 norm <= 2R(k-1).
+
+    Closed form: choose the i nonzero coordinates, their signs, and their
+    absolute values, positive integers summing to at most the radius.
+    """
+    r = reach_radius(R, k)
+    return sum(2**i * math.comb(D, i) * math.comb(r, i) for i in range(D + 1))
 
 
 def build_universe(D: int, R: int, k: int) -> np.ndarray:

@@ -25,10 +25,10 @@ import sys
 from pathlib import Path
 
 from . import expansion, gibbs, lattice, model
-from ._kernels import brute_force_connected_count, build_universe
+from ._kernels import brute_force_connected_count, build_universe, universe_size
 from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
-from .lattice import LatticeGeometry, Region, r_connected_set, set_distance
-from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME, _integer
+from .lattice import LatticeGeometry, Region, _integer, r_connected_set, set_distance
+from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
 
 SCHEMA_VERSION = 1
 
@@ -36,6 +36,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+
+# k-subsets the brute-force count may test for its largest k; the largest
+# config in use, D=2, R=2, k=4, tests 5,013,320
+MAX_COUNT_SUBSETS = 10**7
+# sites of the brute-force universe, whose pairwise adjacency is held densely
+MAX_COUNT_UNIVERSE = 2000
 
 
 class ConfigError(ValueError):
@@ -398,6 +404,13 @@ def run_count(cfg: dict, outdir: Path) -> int:
         raise ConfigError("D, R and k_max must be positive")
     if D > 3 or k_max > 6:
         raise CapError(f"counting capped at D <= 3, k <= 6 (got D={D}, k={k_max})")
+    m = universe_size(D, R, k_max)
+    subsets = math.comb(m - 1, k_max - 1)
+    if m > MAX_COUNT_UNIVERSE or subsets > MAX_COUNT_SUBSETS:
+        raise CapError(
+            f"brute-force count at k={k_max} would test {subsets} subsets of {m} sites "
+            f"(caps {MAX_COUNT_SUBSETS} and {MAX_COUNT_UNIVERSE})"
+        )
 
     origin = (0,) * D
     rows = []
@@ -441,6 +454,15 @@ def run_ising(cfg: dict, outdir: Path) -> int:
     n = _convert(_integer, cfg.get("n", 10), "n")
     J = _convert(float, cfg.get("J", 1.0), "J")
     betas = _betas(cfg)
+    if n < 3:
+        raise ConfigError(f"the decay fit needs at least 3 spins, got n = {n}")
+    if not (math.isfinite(J) and J != 0):
+        raise ConfigError(f"J must be finite and nonzero, got {J!r}")
+    for beta in betas:
+        if math.tanh(beta * abs(J)) == 1:
+            raise ConfigError(
+                f"beta |J| = {beta * abs(J):g} rounds tanh(beta J) to 1: no decay to fit"
+            )
     if n > 12:
         raise CapError(f"classical-chain oracle capped at n = 12 (got {n})")
     cov_tol = _tolerance(cfg, "covariance", 1e-10)

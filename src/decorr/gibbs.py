@@ -260,7 +260,8 @@ def ising_exact_covariance(J: float, beta: float, i: int, j: int) -> float:
 
 
 def ising_exact_xi(J: float, beta: float) -> float:
-    return -1.0 / math.log(math.tanh(beta * J))
+    """-1 / ln|tanh(beta J)|: |Cov| decays the same way for either sign of J."""
+    return -1.0 / math.log(abs(math.tanh(beta * J)))
 
 
 # ---------------------------------------------------------------------------

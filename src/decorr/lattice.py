@@ -16,6 +16,13 @@ from typing import Iterable, Sequence
 Site = tuple[int, ...]
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _as_site(x) -> Site:
     if isinstance(x, int):
         return (x,)
@@ -91,7 +98,7 @@ class Region(tuple):
 
     @classmethod
     def from_json(cls, data) -> "Region":
-        return cls(tuple(int(c) for c in s) for s in data)
+        return cls(tuple(_integer(c) for c in s) for s in data)
 
     def __repr__(self) -> str:
         return f"Region({list(self)})"

@@ -40,6 +40,7 @@ from .lattice import (
     LatticeGeometry,
     Region,
     Site,
+    _integer,
     ball,
     chain_geometry,
     interior,
@@ -543,13 +544,6 @@ def spec_to_json(spec: HamiltonianSpec) -> dict:
             for x, t in sorted(spec.interactions.items())
         ]
     return out
-
-
-def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def spec_from_json(data: dict) -> HamiltonianSpec:

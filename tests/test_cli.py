@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from decorr import cli
 from decorr.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -128,13 +129,29 @@ DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": math.nan}}),
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"norm_slack": -1e-12}}),
         ("ising", {"n": 6, "J": 1.0, "betas": [0.5], "tolerances": {"xi_rel": math.inf}}),
+        # an oracle with no decay to fit: no coupling, too few spins, or
+        # tanh(beta J) rounded to 1
+        ("ising", {"n": 6, "J": 0, "betas": [0.5]}),
+        ("ising", {"n": 1, "J": 1.0, "betas": [0.5]}),
+        ("ising", {"n": 2, "J": 1.0, "betas": [0.5]}),
+        ("ising", {"n": 6, "J": 20.0, "betas": [1.0]}),
+        # a fractional site coordinate is refused, not truncated to a duplicate
+        (
+            "certify",
+            {"model": {**CANONICAL_MODEL, "lattice": [[0], [1], [2], [3], [4], [4.5]]}},
+        ),
+        (
+            "certify",
+            {"model": {**CANONICAL_MODEL, "lattice": [[0], [1.5], [2], [3], [4], [5]]}},
+        ),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
         "count-D", "ising-tol", "verify-n", "count-D-fraction", "count-R-fraction",
         "count-kmax-fraction", "ising-n-fraction", "verify-n-fraction",
         "verify-R-fraction", "decay-distance-fraction", "verify-tol-inf", "verify-tol-nan",
-        "verify-tol-negative", "ising-tol-inf",
+        "verify-tol-negative", "ising-tol-inf", "ising-J-zero", "ising-n-1", "ising-n-2",
+        "ising-tanh-one", "certify-site-fraction", "certify-site-fraction-inner",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
@@ -189,6 +206,26 @@ def test_count_cap(tmp_path):
     assert rc == EXIT_CAP
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"D": 1, "R": 1000, "k_max": 6},  # a 20001-site universe
+        {"D": 3, "R": 1, "k_max": 6},  # C(1560, 5) = 7.7e13 subsets
+        {"D": 1, "R": 10**6, "k_max": 2},  # few subsets, a dense 4e6 x 4e6 adjacency
+    ],
+    ids=["R-1000", "D3-k6", "k2-wide"],
+)
+def test_count_brute_force_size_cap(tmp_path, monkeypatch, capsys, payload):
+    # the cap is decided from the closed-form universe size, before anything is built
+    def refuse(*args):
+        raise AssertionError("the universe was built")
+
+    monkeypatch.setattr(cli, "build_universe", refuse)
+    rc, _ = run(tmp_path, "count", payload)
+    assert rc == EXIT_CAP
+    assert capsys.readouterr().err.startswith("size cap: brute-force count")
+
+
 def test_ising_oracle_run(tmp_path):
     rc, out = run(tmp_path, "ising", {"n": 6, "J": 1.0, "betas": [0.5]})
     assert rc == EXIT_OK
@@ -198,6 +235,16 @@ def test_ising_oracle_run(tmp_path):
     assert row["max_cov_deviation"] < 1e-10
     assert row["xi_rel_err"] < 1e-6
     assert (out / "ising_cov.csv").exists()
+
+
+def test_ising_antiferromagnetic_run(tmp_path):
+    # |Cov| = |tanh(beta J)|^d decays alike for J < 0, with alternating signs
+    rc, out = run(tmp_path, "ising", {"n": 6, "J": -1.0, "betas": [0.5]})
+    assert rc == EXIT_OK
+    row = json.loads((out / "ising_report.json").read_text())["rows"][0]
+    assert row["pass"]
+    assert row["xi_exact"] == 1.295442784141215
+    assert row["xi"] == pytest.approx(1.2954427841412157, rel=1e-12)
 
 
 def test_ising_cap(tmp_path):

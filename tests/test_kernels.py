@@ -11,6 +11,7 @@ from decorr._kernels import (
     build_universe,
     count_connected_ksubsets,
     reach_radius,
+    universe_size,
 )
 
 # frozen counts of R-connected k-sets through the origin in Z^D
@@ -37,6 +38,11 @@ def test_build_universe_shape():
     rows = [tuple(p) for p in pts]
     assert len(rows) == len(set(rows))
     assert rows[1:] == sorted(rows[1:])
+
+
+@pytest.mark.parametrize("D, R, k", [(1, 1, 1), (1, 2, 4), (2, 1, 3), (2, 2, 4), (3, 1, 3)])
+def test_universe_size_is_closed_form_of_build_universe(D, R, k):
+    assert universe_size(D, R, k) == len(build_universe(D, R, k))
 
 
 def test_adjacency_symmetric_reflexive():
