@@ -25,11 +25,7 @@ def reach_radius(R: int, k: int) -> int:
 
 
 def universe_size(D: int, R: int, k: int) -> int:
-    """Rows of :func:`build_universe`: integer points of Z^D with l1 norm <= 2R(k-1).
-
-    Closed form: choose the i nonzero coordinates, their signs, and their
-    absolute values, positive integers summing to at most the radius.
-    """
+    """Rows of :func:`build_universe`: the points of Z^D with l1 norm <= 2R(k-1)."""
     r = reach_radius(R, k)
     return sum(2**i * math.comb(D, i) * math.comb(r, i) for i in range(D + 1))
 

@@ -5,11 +5,9 @@ k-th site in canonical (sorted) order is the k-th most significant digit of
 the matrix index, so a basis state |d_0 d_1 ... d_{m-1}> has index
 sum_k d_k q^(m-1-k).
 
-Local operators are placed on a region by index arithmetic
-(:func:`support_index_map`): :func:`embed` scatters one into zeros and
-:func:`_scatter_add` adds one into a running sum, in place.  The index maps
-depend on the support, the region and q alone; each is made once per
-process and shared read-only.
+Local operators are placed on a region through the cached index maps of
+:func:`support_index_map`: :func:`embed` scatters one into zeros and
+:func:`_scatter_add` adds one into a running sum.
 
 Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
 extended-precision path, so clongdouble blocks are solved by LAPACK in
@@ -131,9 +129,8 @@ def support_index_map(support: Region, target: Region, q: int):
     Returns integer arrays (alpha, base, off): row i of a target-indexed
     matrix has support digits alpha[i] (an index in the support's canonical
     order), and the target index with the same off-support digits as i and
-    support digits b is base[i] + off[b].  off is increasing in b.  The maps
-    depend on (support, target, q) alone, so each is made once per process
-    and handed out as read-only arrays.
+    support digits b is base[i] + off[b].  off is increasing in b.  Each
+    map is made once per process and shared as read-only arrays.
     """
     place = {site: q ** (len(target) - 1 - k) for k, site in enumerate(target)}
     weights = np.array([place[site] for site in support], dtype=np.int64)

@@ -37,11 +37,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 
-# k-subsets the brute-force count may test for its largest k; the largest
-# config in use, D=2, R=2, k=4, tests 5,013,320
-MAX_COUNT_SUBSETS = 10**7
-# sites of the brute-force universe, whose pairwise adjacency is held densely
-MAX_COUNT_UNIVERSE = 2000
+# cap on a brute-force count's work at its largest k: m^2 dense adjacency
+# entries of its m sites plus C(m-1, k-1) subsets tested; the largest config
+# in use, D=2, R=2, k=4, comes to 5,111,289
+MAX_COUNT_WORK = 10**7
 
 
 class ConfigError(ValueError):
@@ -405,12 +404,9 @@ def run_count(cfg: dict, outdir: Path) -> int:
     if D > 3 or k_max > 6:
         raise CapError(f"counting capped at D <= 3, k <= 6 (got D={D}, k={k_max})")
     m = universe_size(D, R, k_max)
-    subsets = math.comb(m - 1, k_max - 1)
-    if m > MAX_COUNT_UNIVERSE or subsets > MAX_COUNT_SUBSETS:
-        raise CapError(
-            f"brute-force count at k={k_max} would test {subsets} subsets of {m} sites "
-            f"(caps {MAX_COUNT_SUBSETS} and {MAX_COUNT_UNIVERSE})"
-        )
+    work = m * m + math.comb(m - 1, k_max - 1)
+    if work > MAX_COUNT_WORK:
+        raise CapError(f"brute-force count work {work} at k={k_max} exceeds {MAX_COUNT_WORK}")
 
     origin = (0,) * D
     rows = []
@@ -454,15 +450,10 @@ def run_ising(cfg: dict, outdir: Path) -> int:
     n = _convert(_integer, cfg.get("n", 10), "n")
     J = _convert(float, cfg.get("J", 1.0), "J")
     betas = _betas(cfg)
-    if n < 3:
-        raise ConfigError(f"the decay fit needs at least 3 spins, got n = {n}")
-    if not (math.isfinite(J) and J != 0):
-        raise ConfigError(f"J must be finite and nonzero, got {J!r}")
-    for beta in betas:
-        if math.tanh(beta * abs(J)) == 1:
-            raise ConfigError(
-                f"beta |J| = {beta * abs(J):g} rounds tanh(beta J) to 1: no decay to fit"
-            )
+    # a decay fit needs 3 spins and 0 < |tanh(beta J)| < 1 in double at every beta
+    tanh = [abs(math.tanh(beta * J)) for beta in betas]
+    if n < 3 or not all(0 < t < 1 for t in tanh):
+        raise ConfigError(f"no decay to fit: n = {n}, J = {J!r}, |tanh(beta J)| = {tanh}")
     if n > 12:
         raise CapError(f"classical-chain oracle capped at n = 12 (got {n})")
     cov_tol = _tolerance(cfg, "covariance", 1e-10)

@@ -30,15 +30,12 @@ The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 
-Every term, :func:`global_term`'s included, places its spec's local
-matrices on a base the one way every H_S is built: H0 by
-:func:`~decorr.model.onsite_sum`, each v_x added by index map
-(:func:`~decorr.algebra._scatter_add`), in clongdouble.  The spec checked
-and symmetrized those matrices when it was built, so every H_M summed from
-them is exactly Hermitian and no term checks them again.  The exponentials
-of the H_M read their zero-pattern blocks' eigensystems from
-``spec.block_spectra`` (see :mod:`decorr.algebra`): each distinct block is
-solved once per spec, whatever the subset, base or beta.
+Every term sums its H_M as every H_S is summed, in clongdouble, from the
+local matrices its spec checked when it was built: H0 by
+:func:`~decorr.model.onsite_sum`, each v_x by
+:func:`~decorr.algebra._scatter_add`.  The exponentials read their blocks'
+eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), so
+each distinct block is solved once per spec, whatever the subset, base or beta.
 """
 
 from __future__ import annotations
@@ -84,11 +81,7 @@ ZERO_FLOOR = 1e-300
 
 
 def _rel(lhs, rhs) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|), subtracted in longdouble before rounding to float.
-
-    Rounding both sides to double first would hide a difference below the
-    double ulp of the larger side and report exactly zero.
-    """
+    """|lhs - rhs| / max(|lhs|, |rhs|) in longdouble, so sums equal in double still differ."""
     lhs, rhs = np.longdouble(lhs), np.longdouble(rhs)
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.longdouble(ZERO_FLOOR)))
 
@@ -142,10 +135,6 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
         return GlobalOperator(base, q, np.zeros((dim, dim), dtype=np.clongdouble))
 
     H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
-    v = {}
-    for x in I:
-        term = spec.interactions[x]
-        v[x] = term.matrix.astype(np.clongdouble), support_index_map(term.support, base, q)
     HM = np.empty_like(H0)
     total = np.zeros_like(H0)
     for m_size in range(len(I) + 1):
@@ -154,7 +143,8 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
         for M in itertools.combinations(I, m_size):
             np.copyto(HM, H0)
             for x in M:
-                _scatter_add(HM, *v[x])
+                term = spec.interactions[x]
+                _scatter_add(HM, term.matrix, support_index_map(term.support, base, q))
             add(total, _herm_exp(HM, -beta, spec.block_spectra), out=total)
     return GlobalOperator(base, q, total)
 
@@ -172,23 +162,18 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
 
     Both factors read their blocks from ``spec.block_spectra`` like every
     term, so the terms of one closure share their solves across I and beta,
-    and the memo keeps whole-lattice blocks as long as the spec.  The terms
-    hold no dense v_x and no whole-lattice temporary they can do without,
-    which more than pays for that: on the 10-site README ``decorr verify``
-    (1 BLAS thread) the memo-less path took 847 s at 570 MB peak RSS, this
-    one 378 s at 436 MB.
+    and the memo keeps whole-lattice blocks as long as the spec.
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
-    q = spec.q
-    a1 = support_index_map(rest, spec.sites, q)[0]
-    a2 = support_index_map(cl, spec.sites, q)[0]
+    a1 = support_index_map(rest, spec.sites, spec.q)[0]
+    a2 = support_index_map(cl, spec.sites, spec.q)[0]
     inner = yarotsky_term(I, cl, spec, beta).matrix
     product = _herm_exp(
-        onsite_sum(spec.onsite, rest, q, np.clongdouble), -beta, spec.block_spectra
+        onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta, spec.block_spectra
     )[np.ix_(a1, a1)]
     product *= inner[np.ix_(a2, a2)]
-    return GlobalOperator(spec.sites, q, product)
+    return GlobalOperator(spec.sites, spec.q, product)
 
 
 def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:

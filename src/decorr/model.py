@@ -118,15 +118,11 @@ class HamiltonianSpec:
     """A lattice, on-site terms, certified interactions, and their metadata.
 
     ``a`` is the certified form-bound constant (max over interaction
-    centers), ``h_sup``/``v_sup`` the largest operator norms among the
-    on-site and interaction terms.
-
-    Building a spec checks every on-site and interaction matrix for
-    hermiticity, once, and keeps its symmetrization (M + M^dagger) / 2,
-    read-only: every sum of them accumulated from zeros is then exactly
-    Hermitian, and nothing downstream checks them again.  It also stores
-    ``interior``, the sites whose radius-R ball lies in the lattice (the
-    centers a configuration may use).
+    centers).  Building a spec checks each on-site and interaction matrix for
+    hermiticity once and keeps its symmetrization, read-only, so every sum
+    of them accumulated from zeros is exactly Hermitian; it then computes
+    ``h_sup``/``v_sup``, the largest operator norms among them, and
+    ``interior``, the sites whose radius-R ball lies in the lattice.
 
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
@@ -144,13 +140,13 @@ class HamiltonianSpec:
     onsite: dict[Site, np.ndarray]
     interactions: dict[Site, InteractionTerm]
     a: float
-    h_sup: float
-    v_sup: float
     model: str = "custom"
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     nonpositive: bool | None = field(default=None, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    h_sup: float = field(init=False)
+    v_sup: float = field(init=False)
     interior: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,6 +155,8 @@ class HamiltonianSpec:
             x: InteractionTerm(t.center, t.support, _checked(t.matrix, f"interaction at {x}"))
             for x, t in self.interactions.items()
         }
+        self.h_sup = max((op_norm(h) for h in self.onsite.values()), default=0.0)
+        self.v_sup = max((op_norm(t.matrix) for t in self.interactions.values()), default=0.0)
         self.interior = interior(self.sites, self.geometry)
 
     @property
@@ -229,10 +227,8 @@ def make_spec(
 ) -> HamiltonianSpec:
     """Assemble and certify a spec: hermiticity, gap checks, form bounds, metadata.
 
-    The spec is built before anything is solved, so its hermiticity check
-    (:class:`HamiltonianSpec`) rejects a non-Hermitian term first; the gap
-    checks and form bounds then read its checked matrices, and the certified
-    constant is set on it last.
+    The spec is built first, so a non-Hermitian term is rejected before
+    anything is solved; the certified constant is set on it last.
     """
     if any(term.center != x for x, term in interactions.items()):
         raise ValueError("interaction dict key must equal the term center")
@@ -242,8 +238,6 @@ def make_spec(
         onsite=onsite,
         interactions=interactions,
         a=math.nan,
-        h_sup=float(max((op_norm(h) for h in onsite.values()), default=0.0)),
-        v_sup=float(max((op_norm(t.matrix) for t in interactions.values()), default=0.0)),
         model=model,
         params=dict(params or {}),
     )
@@ -257,10 +251,9 @@ def make_spec(
                 f"ground energy {chk.ground_energy:.2e}, gap {chk.gap:.3f}, "
                 f"degeneracy {chk.ground_degeneracy}"
             )
-    a = max(
-        (certify_form_bound(t, spec.onsite, geometry, q) for t in spec.interactions.values()),
-        default=0.0,
-    )
+    a = 0.0
+    for term in spec.interactions.values():
+        a = max(a, certify_form_bound(term, spec.onsite, geometry, q))
     if a >= 1:
         raise CertificationError(f"certified constant a = {a:.4f} is not below 1")
     spec.a = float(a)

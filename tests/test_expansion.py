@@ -86,9 +86,7 @@ def _rotated_onsite(spec, site):
     c, s = np.cos(0.4), np.sin(0.4)
     R = np.array([[c, -s], [s, c]])
     onsite = {**spec.onsite, site: R @ spec.onsite[site] @ R.T}
-    return model.HamiltonianSpec(
-        spec.geometry, spec.q, onsite, spec.interactions, spec.a, spec.h_sup, spec.v_sup
-    )
+    return model.HamiltonianSpec(spec.geometry, spec.q, onsite, spec.interactions, spec.a)
 
 
 @pytest.mark.parametrize("variant", ["chain6", "normalized-chain8", "rotated-onsite"])
@@ -114,9 +112,7 @@ def test_term_rejects_non_hermitian_local_matrix(chain6):
     bad = dict(chain6.onsite)
     bad[(3,)] = bad[(3,)] + np.array([[0, 1e-6], [0, 0]])
     with pytest.raises(ValueError, match=r"^on-site term at \(3,\): matrix is not Hermitian"):
-        model.HamiltonianSpec(
-            chain6.geometry, 2, bad, chain6.interactions, chain6.a, chain6.h_sup, chain6.v_sup
-        )
+        model.HamiltonianSpec(chain6.geometry, 2, bad, chain6.interactions, chain6.a)
 
 
 def test_global_term_matches_operator_product(chain5):
