@@ -103,7 +103,7 @@ class InteractionTerm:
     matrix: np.ndarray
 
 
-def _checked(M, what: str) -> np.ndarray:
+def _symmetrized(M, what: str) -> np.ndarray:
     """The symmetrization of a Hermitian M, read-only; ValueError naming ``what`` otherwise."""
     try:
         M = _require_hermitian(np.asarray(M))
@@ -150,9 +150,9 @@ class HamiltonianSpec:
     interior: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.onsite = {z: _checked(h, f"on-site term at {z}") for z, h in self.onsite.items()}
+        self.onsite = {z: _symmetrized(h, f"on-site term at {z}") for z, h in self.onsite.items()}
         self.interactions = {
-            x: InteractionTerm(t.center, t.support, _checked(t.matrix, f"interaction at {x}"))
+            x: InteractionTerm(t.center, t.support, _symmetrized(t.matrix, f"interaction at {x}"))
             for x, t in self.interactions.items()
         }
         self.h_sup = max((op_norm(h) for h in self.onsite.values()), default=0.0)
