@@ -84,7 +84,6 @@ from .model import (
     build_restricted,
     certify_form_bound,
     gap_check,
-    is_nonpositive,
     make_spec,
     normalize_nonpositive,
     spec_from_json,

@@ -29,17 +29,19 @@ results independent of the BLAS thread count for block sizes up to 126 (the
 largest block of the 10-site chain), where one dense solve of the whole
 1024x1024 matrix rounds differently at different thread counts.
 
-The alternating sums of :mod:`decorr.expansion` meet the same sector block
-again and again, across subsets, bases, beta and the whole-lattice terms of
-the resummation.  Every such term calls the private exponential
-:func:`_herm_exp` with the memo ``HamiltonianSpec.block_spectra`` (one per
-spec and living as long as it), keyed by the dtype, size and value bytes
-(no padding) of a clongdouble block and holding its eigenvalues and
-eigenvectors, so each distinct block is refined once per spec.  A refined
-solve treats every block of its stack on its own, so reading a block from
-the memo is bit-identical to solving it again.  The public :func:`herm_exp`,
-:func:`herm_blocks` and :func:`herm_eig` keep nothing across calls; within
-one call, equal clongdouble blocks are refined once.
+The public :func:`herm_exp`, :func:`herm_blocks` and :func:`herm_eig` check
+hermiticity, solve the symmetrization and keep nothing across calls.  A sum
+of a spec's local terms, checked when the spec was built, is exactly
+Hermitian and goes to the unchecked :func:`_herm_blocks` and
+:func:`_herm_exp`; :func:`_block_function` writes every f(H), exp(sH) or
+rho, as V f(w) V^H per block.  The alternating sums of
+:mod:`decorr.expansion` meet the same sector block again and again, across
+subsets, bases, beta and the resummation's reference exp(-beta H), so their
+:func:`_herm_exp` calls share the memo ``HamiltonianSpec.block_spectra``
+(one per spec), keyed by the dtype, size and value bytes (no padding) of a
+clongdouble block and holding its eigensystem: each distinct block is
+refined once per spec.  A refined solve treats every block of its stack on
+its own, so a memo hit is bit-identical to solving the block again.
 """
 
 from __future__ import annotations
@@ -457,7 +459,11 @@ def herm_blocks(M) -> BlockEigensystem:
     keeps the result independent of the BLAS thread count where one dense
     solve of the whole matrix is not.
     """
-    A = _require_hermitian(_matrix_of(M))
+    return _herm_blocks(_require_hermitian(_matrix_of(M)))
+
+
+def _herm_blocks(A: np.ndarray) -> BlockEigensystem:
+    """:func:`herm_blocks` of a matrix that equals its symmetrization, without the check."""
     blocks = tuple(_block_eighs(A))
     w = np.concatenate([bw.ravel() for _, bw, _ in blocks])
     first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in blocks])
@@ -496,8 +502,7 @@ def herm_exp(M, s) -> np.ndarray:
     coupling different blocks stay exactly zero in the output.
     """
     A = _matrix_of(M)
-    A = _require_hermitian(A.astype(_work_dtype(A.dtype), copy=False))
-    return _herm_exp(A, s)
+    return _herm_exp(_require_hermitian(A.astype(_work_dtype(A.dtype), copy=False)), s)
 
 
 def _herm_exp(A: np.ndarray, s, memo: dict | None = None) -> np.ndarray:
@@ -507,11 +512,19 @@ def _herm_exp(A: np.ndarray, s, memo: dict | None = None) -> np.ndarray:
     exactly Hermitian matrices accumulated from zeros does; then this is
     herm_exp(A, s) exactly.  ``memo`` is passed to :func:`_block_eighs`.
     """
-    out = np.zeros_like(A)
     s = np.clongdouble(s) if A.dtype == np.clongdouble else complex(s)
-    for rows, w, V in _block_eighs(A, memo):
-        expw = np.exp(s * w)[:, None, :]
-        out[rows[:, :, None], rows[:, None, :]] = (V * expw) @ _conj_t(V)
+    blocks = ((rows, np.exp(s * w), V) for rows, w, V in _block_eighs(A, memo))
+    return _block_function(A.shape[0], A.dtype, blocks)
+
+
+def _block_function(dim: int, dtype, blocks) -> np.ndarray:
+    """f(H) of dimension dim: V diag(fw) V^H on each block's rows and columns, zero elsewhere.
+
+    ``blocks`` yields ``(rows, fw, V)`` per block size: :func:`_block_eighs` with fw = f(w).
+    """
+    out = np.zeros((dim, dim), dtype=dtype)
+    for rows, fw, V in blocks:
+        out[rows[:, :, None], rows[:, None, :]] = (V * fw[:, None, :]) @ _conj_t(V)
     return out
 
 

@@ -314,7 +314,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
 
     cert = gibbs.bound_certificate(spec)
     lhs, rhs = expansion.subset_sum_identity_check(8, cert.p)
-    add("subset_sum_identity", f"F=8 p={cert.p:.6g}", abs(lhs - rhs) / max(rhs, 1e-300), 1e-12, abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0))
+    res = expansion._rel(lhs, rhs)
+    add("subset_sum_identity", f"F=8 p={cert.p:.6g}", res, 1e-12, res <= 1e-12)
 
     ok = all(c["pass"] for c in checks)
     _write_json(

@@ -51,7 +51,6 @@ from .algebra import (
     _check_dense,
     _herm_exp,
     _scatter_add,
-    herm_exp,
     op_norm,
     operator_product,
     support_index_map,
@@ -69,7 +68,6 @@ from .lattice import (
 from .model import (
     HamiltonianSpec,
     build_restricted,
-    is_nonpositive,
     onsite_sum,
     restricted_spectrum,
 )
@@ -181,11 +179,12 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
 
     The sum runs over all subsets of the lattice interior (configurations on
     centers without interactions contribute exact zeros but are included --
-    the resummation identity is about the full subset lattice).
+    the resummation identity is about the full subset lattice).  The
+    reference e^{-beta H} reads ``spec.block_spectra`` like every term.
     """
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
     _, _, H = build_restricted(spec, spec.sites, np.clongdouble)
-    ref = herm_exp(H.matrix, -beta)
+    ref = _herm_exp(H.matrix, -beta, spec.block_spectra)
     acc = np.zeros_like(ref)
     for I in configs:
         acc += global_term(I, spec, beta).matrix
@@ -549,7 +548,7 @@ def partition_ratio(S: Region, spec: HamiltonianSpec, beta: float) -> PartitionR
         raise ValueError("S must be R-connected")
     if not S.issubset(spec.sites):
         raise ValueError("S must lie inside the lattice")
-    if not is_nonpositive(spec):
+    if not spec.nonpositive:
         raise ValueError(
             "partition ratio bounds require nonpositive interactions; "
             "apply normalize_nonpositive first"

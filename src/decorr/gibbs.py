@@ -23,7 +23,8 @@ import numpy as np
 from .algebra import (
     BlockEigensystem,
     GlobalOperator,
-    embed,
+    _block_function,
+    _scatter_add,
     herm_blocks,
     operator_product,
     support_index_map,
@@ -71,20 +72,15 @@ def _state_from_blocks(
     """rho = e^{-beta H} / Z written block by block from H's block eigensystems.
 
     The Boltzmann weights are formed and normalized over the ascending
-    eigenvalues, then (V_b p_b) V_b^H fills each block's rows and columns;
-    entries coupling different blocks are exactly zero.
+    eigenvalues, then split by block for :func:`~decorr.algebra._block_function`.
     """
     w = eig.eigenvalues
     boltz = np.exp(-beta * (w - w[0]))
     p = np.empty_like(boltz)
     p[eig.order] = boltz / boltz.sum()
-    rho = np.zeros((eig.dim, eig.dim), dtype=eig.blocks[0][2].dtype)
-    start = 0
-    for rows, _, V in eig.blocks:
-        pb = p[start : start + rows.size].reshape(rows.shape)
-        Vh = V.conj().swapaxes(-1, -2)
-        rho[rows[:, :, None], rows[:, None, :]] = (V * pb[:, None, :]) @ Vh
-        start += rows.size
+    ends = np.cumsum([rows.size for rows, _, _ in eig.blocks])[:-1]
+    blocks = ((r, pb.reshape(r.shape), V) for (r, _, V), pb in zip(eig.blocks, np.split(p, ends)))
+    rho = _block_function(eig.dim, eig.blocks[0][2].dtype, blocks)
     logZ = float(partition_sum(w, beta)[1])
     return ThermalState(rho=GlobalOperator(region, q, rho), beta=beta, logZ=logZ)
 
@@ -231,10 +227,10 @@ def ising_hamiltonian(n: int, J: float) -> GlobalOperator:
     if n > 12:
         raise ValueError("classical-chain oracle capped at n = 12 spins")
     sites = Region((i,) for i in range(n))
-    zz = np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
+    bond = -J * np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
     H = np.zeros((2**n, 2**n), dtype=complex)
     for k in range(n - 1):
-        H -= J * embed(zz, Region([(k,), (k + 1,)]), sites, 2).matrix
+        _scatter_add(H, bond, support_index_map(Region([(k,), (k + 1,)]), sites, 2))
     return GlobalOperator(sites, 2, H)
 
 
@@ -260,8 +256,9 @@ def ising_exact_covariance(J: float, beta: float, i: int, j: int) -> float:
 
 
 def ising_exact_xi(J: float, beta: float) -> float:
-    """-1 / ln|tanh(beta J)|: |Cov| decays the same way for either sign of J."""
-    return -1.0 / math.log(abs(math.tanh(beta * J)))
+    """-1/ln|tanh(beta J)| = 1/(log1p(t) - log1p(-t)), t = e^{-2 beta |J|}; J of either sign."""
+    t = math.exp(-2.0 * beta * abs(J))
+    return 1.0 / (math.log1p(t) - math.log1p(-t))
 
 
 # ---------------------------------------------------------------------------

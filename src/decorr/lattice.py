@@ -8,6 +8,7 @@ form a connected cover.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,22 +156,14 @@ def set_distance(X: Region, Y: Region) -> int:
     return min(l1_distance(x, y) for x in X for y in Y)
 
 
-def _ball_offsets(D: int, r: int) -> list[Site]:
+@functools.cache
+def _ball_offsets(D: int, r: int) -> tuple[Site, ...]:
     # all integer vectors with l1 norm <= r, built once per (D, r)
-    key = (D, r)
-    cached = _ball_offsets._cache.get(key)
-    if cached is not None:
-        return cached
-    offs = [
+    return tuple(
         off
         for off in itertools.product(range(-r, r + 1), repeat=D)
         if sum(abs(c) for c in off) <= r
-    ]
-    _ball_offsets._cache[key] = offs
-    return offs
-
-
-_ball_offsets._cache = {}
+    )
 
 
 def ball(x, r: int, geometry: LatticeGeometry, clip: bool = True) -> Region:

@@ -28,6 +28,7 @@ from .algebra import (
     BlockEigensystem,
     GlobalOperator,
     _check_dense,
+    _herm_blocks,
     _require_hermitian,
     _scatter_add,
     embed,
@@ -120,15 +121,16 @@ class HamiltonianSpec:
     ``a`` is the certified form-bound constant (max over interaction
     centers).  Building a spec checks each on-site and interaction matrix for
     hermiticity once and keeps its symmetrization, read-only, so every sum
-    of them accumulated from zeros is exactly Hermitian; it then computes
-    ``h_sup``/``v_sup``, the largest operator norms among them, and
-    ``interior``, the sites whose radius-R ball lies in the lattice.
+    of them accumulated from zeros is exactly Hermitian and never checked
+    again; it then computes ``h_sup``/``v_sup``, the largest operator norms
+    among them, ``nonpositive`` (every interaction's top eigenvalue is at most
+    NONPOSITIVE_TOL * max(1, |lowest|)) and ``interior``, the sites whose
+    radius-R ball lies in the lattice.
 
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
-    :func:`restricted_spectrum` solves, ``nonpositive`` the verdict of
-    :func:`is_nonpositive` (None until decided), and ``block_spectra``, per
+    :func:`restricted_spectrum` solves, and ``block_spectra``, per
     (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
     (beta-independent; see :mod:`decorr.algebra`).  The memos live and die
@@ -143,10 +145,10 @@ class HamiltonianSpec:
     model: str = "custom"
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    nonpositive: bool | None = field(default=None, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     h_sup: float = field(init=False)
     v_sup: float = field(init=False)
+    nonpositive: bool = field(init=False)
     interior: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,6 +159,10 @@ class HamiltonianSpec:
         }
         self.h_sup = max((op_norm(h) for h in self.onsite.values()), default=0.0)
         self.v_sup = max((op_norm(t.matrix) for t in self.interactions.values()), default=0.0)
+        eigenvalues = (_herm_blocks(t.matrix).eigenvalues for t in self.interactions.values())
+        self.nonpositive = all(
+            float(w[-1]) <= NONPOSITIVE_TOL * max(1.0, abs(float(w[0]))) for w in eigenvalues
+        )
         self.interior = interior(self.sites, self.geometry)
 
     @property
@@ -432,11 +438,11 @@ def build_restricted(spec: HamiltonianSpec, S: Region, dtype=complex):
 def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
     """Block eigensystems of H_S in complex128, solved once per spec and region.
 
-    Later calls with the same region (at any beta) reuse the memo in
-    ``spec.spectra``.
+    H_S is summed from the spec's checked local matrices and solved unchecked.
+    Later calls with the same region (at any beta) reuse ``spec.spectra``.
     """
     if S not in spec.spectra:
-        spec.spectra[S] = herm_blocks(build_restricted(spec, S)[2])
+        spec.spectra[S] = _herm_blocks(build_restricted(spec, S)[2].matrix)
     return spec.spectra[S]
 
 
@@ -447,20 +453,6 @@ def interaction_centers(spec: HamiltonianSpec, S: Region) -> Region:
         for x in spec.interactions
         if ball(x, spec.geometry.R, spec.geometry).issubset(S)
     )
-
-
-def is_nonpositive(spec: HamiltonianSpec) -> bool:
-    """True iff every interaction term is negative semidefinite.
-
-    An eigenvalue up to NONPOSITIVE_TOL * max(1, |lowest|) counts as zero.
-    Decided once per spec; later calls read ``spec.nonpositive``.
-    """
-    if spec.nonpositive is None:
-        eigenvalues = (herm_blocks(t.matrix).eigenvalues for t in spec.interactions.values())
-        spec.nonpositive = all(
-            float(w[-1]) <= NONPOSITIVE_TOL * max(1.0, abs(float(w[0]))) for w in eigenvalues
-        )
-    return spec.nonpositive
 
 
 def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:

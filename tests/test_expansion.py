@@ -131,8 +131,8 @@ def test_global_term_matches_operator_product(chain5):
 
 
 def test_resummation_and_sweeps_share_block_solves(monkeypatch):
-    # global_term reads the spec memo like every term, so a second beta and
-    # the swap sweep solve only blocks they newly meet
+    # global_term and the reference exp(-beta H) read the spec memo like
+    # every term, so a second beta and the swap sweep solve nothing new
     spec = chain(6)
     solved = []
     refined = algebra._refined_eigh
@@ -140,15 +140,15 @@ def test_resummation_and_sweeps_share_block_solves(monkeypatch):
         algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
     )
     dc.verify_resummation(spec, 0.5)
-    # 196 distinct term blocks, plus the 8 of the reference exp(-beta H),
-    # which the public herm_exp solves on every call; without the memo the
-    # terms solved 736 blocks per beta
-    assert (len(solved), sum(solved)) == (53, 204)
+    # 196 distinct term blocks; the reference's 8 are those of the term of
+    # the whole interior, whose closure is the lattice.  Without the memo
+    # the terms solved 736 blocks per beta
+    assert (len(solved), sum(solved)) == (51, 196)
     assert len(spec.block_spectra) == 196
     dc.verify_resummation(spec, 2.0)
-    assert (len(solved), sum(solved)) == (55, 212)  # the reference only
+    assert (len(solved), sum(solved)) == (51, 196)
     dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-    assert (len(solved), sum(solved)) == (55, 212)  # every swap block was met
+    assert (len(solved), sum(solved)) == (51, 196)  # every swap block was met
     assert len(spec.block_spectra) == 196
 
 
@@ -172,10 +172,10 @@ def test_each_local_matrix_is_checked_once_per_spec(monkeypatch):
     for beta in (0.5, 2.0):
         dc.verify_swap_identity(spec, A, B, beta)
     dc.verify_resummation(spec, 0.5)
-    # the terms check nothing: the only checks left are the spectrum memo's,
-    # one per region, and that of the resummation's reference exp(-beta H)
+    # every matrix summed from them is exactly Hermitian and checked nowhere:
+    # not in the terms, the spectrum memo or the resummation's reference
     assert len(calls["model"]) == 10
-    assert len(calls["algebra"]) == len(spec.spectra) + 1
+    assert spec.spectra and calls["algebra"] == []
     alpha, base, off = algebra.support_index_map(Region([(2,)]), spec.sites, 2)
     assert not (alpha.flags.writeable or base.flags.writeable or off.flags.writeable)
 
@@ -600,24 +600,21 @@ def test_free_partition_reads_site_spectra(chain6, chain8):
 
 
 def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
-    # criterion 06's 82 calls decide the sign of the interaction terms once
+    # the sign of the interaction terms is decided when the spec is built;
+    # criterion 06's 82 calls solve none of them
+    solved = []
+    original = model._herm_blocks
+    monkeypatch.setattr(model, "_herm_blocks", lambda M: solved.append(M) or original(M))
     norm = dc.normalize_nonpositive(chain8)
     terms = [t.matrix for t in norm.interactions.values()]
-    solved = []
-    original = model.herm_blocks
-
-    def counting_blocks(M, *args, **kwargs):
-        if any(M is t for t in terms):
-            solved.append(M)
-        return original(M, *args, **kwargs)
-
-    monkeypatch.setattr(model, "herm_blocks", counting_blocks)
+    assert terms and all(any(M is t for M in solved) for t in terms)
+    assert norm.nonpositive is True
+    solved.clear()
     calls = [(S, b) for b in (1.0, 10.0) for S in connected_sets(norm)]
     memoized = [dc.partition_ratio(S, norm, b) for S, b in calls]
     monkeypatch.undo()
     assert len(calls) == 82
-    assert len(solved) == len(terms) > 0
-    assert norm.nonpositive is True
+    assert solved and not any(M is t for M in solved for t in terms)
     fresh = [dc.partition_ratio(S, dataclasses.replace(norm), b) for S, b in calls]
     assert memoized == fresh
 

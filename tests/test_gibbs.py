@@ -21,6 +21,7 @@ from decorr.gibbs import (
     observable_from_template,
 )
 from decorr.lattice import Region, counting_constant
+from decorr.model import PAULI_BY_NAME
 
 from conftest import chain, pauli_at
 
@@ -172,6 +173,26 @@ def test_gibbs_state_blockwise(chain6):
     assert np.abs(rho - dense).max() <= 1e-15
 
 
+@pytest.mark.parametrize("beta", [0.5, 5.0])
+def test_gibbs_state_keeps_the_bits_of_the_block_loop(chain6, beta):
+    # rho is written by the block assembly that exp(sH) uses; it must equal
+    # the per-block loop it replaced, including the sign of every zero
+    H = dc.build_restricted(chain6, chain6.sites)[2]
+    eig = algebra.herm_blocks(H)
+    w = eig.eigenvalues
+    boltz = np.exp(-beta * (w - w[0]))
+    p = np.empty_like(boltz)
+    p[eig.order] = boltz / boltz.sum()
+    ref = np.zeros((eig.dim, eig.dim), dtype=eig.blocks[0][2].dtype)
+    start = 0
+    for rows, _, V in eig.blocks:
+        pb = p[start : start + rows.size].reshape(rows.shape)
+        Vh = V.conj().swapaxes(-1, -2)
+        ref[rows[:, :, None], rows[:, None, :]] = (V * pb[:, None, :]) @ Vh
+        start += rows.size
+    assert dc.gibbs_state(H, beta).rho.matrix.tobytes() == ref.tobytes()
+
+
 def test_covariance_never_embeds_into_the_full_space(chain10, monkeypatch):
     # covariance multiplies A and B on their joint support; a regression
     # back to full-space embeds would show here as a 10-site target
@@ -184,7 +205,6 @@ def test_covariance_never_embeds_into_the_full_space(chain10, monkeypatch):
         return original(local, support, target, q)
 
     monkeypatch.setattr(algebra, "embed", counting_embed)
-    monkeypatch.setattr(gibbs, "embed", counting_embed)
     cov = dc.covariance(state, pauli_at(1, "X"), pauli_at(6, "X"))
     assert targets and max(targets) < len(chain10.sites)
     monkeypatch.undo()
@@ -297,6 +317,18 @@ def test_ising_hamiltonian_is_classical():
         dc.ising_hamiltonian(13, 1.0)
 
 
+@pytest.mark.parametrize("J", [0.7, -0.7])
+def test_ising_hamiltonian_keeps_the_bits_of_dense_embeds(J):
+    # each bond is scattered into H; the dense embed per bond gave the same bits
+    n = 6
+    sites = Region((i,) for i in range(n))
+    zz = np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n - 1):
+        ref -= J * embed(zz, Region([(k,), (k + 1,)]), sites, 2).matrix
+    assert dc.ising_hamiltonian(n, J).matrix.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("i,j", [(0, 1), (2, 5), (0, 7)])
 def test_ising_oracle_matches_closed_form(i, j):
     n, J, beta = 8, 1.0, 0.7
@@ -312,6 +344,9 @@ def test_ising_exact_xi():
     assert dc.ising_exact_xi(J, beta) == pytest.approx(
         -1.0 / np.log(np.tanh(beta * J)), rel=1e-14
     )
+    # near tanh = 1 the log1p form keeps its digits (50-digit mpmath value);
+    # -1/ln tanh(5) read 11013.232889833915, 2.5e-13 off
+    assert dc.ising_exact_xi(1.0, 5.0) == pytest.approx(11013.232889836703, rel=1e-15)
 
 
 def test_mbdos_free_chain(free6):

@@ -237,8 +237,8 @@ def test_normalize_nonpositive_preserves_hamiltonian(chain8):
     H_old = dc.build_restricted(chain8, chain8.sites)[2].matrix
     H_new = dc.build_restricted(norm, norm.sites)[2].matrix
     assert np.linalg.norm(H_new - H_old) <= 1e-12 * np.linalg.norm(H_old)
-    assert dc.is_nonpositive(norm)
-    assert not dc.is_nonpositive(chain8)
+    assert norm.nonpositive
+    assert not chain8.nonpositive
     for s in norm.sites:
         assert dc.gap_check(norm.onsite[s]).ok
 

@@ -1,18 +1,26 @@
 """What the benchmark harness in perfbench/ reads of decorr, by name.
 
 The harness wraps the functions listed in ``tracing.TRACED`` by
-``getattr`` and assembles an independent Hamiltonian from a spec's local
-terms (``checks._assemble``).  A rename or a reshaped spec field would
-break a benchmark run, not a test; these tests make it break here.
+``getattr``, assembles an independent Hamiltonian from a spec's local
+terms (``checks._assemble``), and its workloads and self-tests call decorr's
+public functions and read fields of their results.  A rename or a reshaped
+spec field would break a benchmark run, not a test; these tests make it
+break here.
 """
 
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decorr.lattice import Region
+import decorr as dc
+import decorr.cli
+from decorr import _kernels, expansion, gibbs
+from decorr.algebra import GlobalOperator
+from decorr.lattice import LatticeGeometry, Region, chain_geometry
 from decorr.model import build_restricted
 
 from conftest import chain
@@ -46,3 +54,56 @@ def test_spec_terms_keep_the_shape_the_harness_reads(harness):
         assert term.matrix.shape == (q ** len(term.support),) * 2
     H = build_restricted(spec, spec.sites)[2].matrix
     assert np.allclose(checks._assemble(spec), H, rtol=0, atol=1e-14)
+
+
+# every call form perfbench/workloads.py and perfbench/tests make, as
+# (function, positional argument count, keyword names)
+CALL_FORMS = [
+    (dc.xxz_spec, 1, ("lam", "seed", "J12", "J3", "R")),
+    (dc.verify_resummation, 2, ()),
+    (dc.verify_factorization, 6, ()),
+    (dc.verify_swap_identity, 4, ()),
+    (dc.verify_supercluster_resummation, 6, ()),
+    (dc.normalize_nonpositive, 1, ()),
+    (dc.partition_ratio, 3, ()),
+    (dc.count_connected_sets, 3, ()),
+    (dc.decay_sweep, 5, ("anchor", "strict")),
+    (dc.gibbs_state, 2, ()),
+    (dc.build_restricted, 2, ()),
+    (dc.covariance, 3, ()),
+    (decorr.cli.main, 1, ()),
+    (_kernels.build_universe, 3, ()),
+    (_kernels.brute_force_connected_count, 3, ()),
+    (GlobalOperator, 3, ()),
+    (LatticeGeometry, 3, ()),
+    (chain_geometry, 1, ()),
+]
+
+# result fields the workloads and self-tests read
+RESULT_FIELDS = {
+    expansion.FactorizationCheck: {"rel_residual"},
+    expansion.SwapCheck: {"rel_residual", "per_pair_max", "n_event_pairs"},
+    expansion.SuperclusterCheck: {
+        "rel_residual_weight", "rel_residual_observable", "n_class_pairs", "ratio",
+    },
+    expansion.PartitionRatio: {
+        "ratio", "bound_ok", "split_product_le_full", "free_le_power", "interacting_ge_one",
+    },
+    gibbs.DecayFit: {"points"},
+}
+
+
+@pytest.mark.parametrize(
+    "func,n_args,keywords", CALL_FORMS, ids=[f.__name__ for f, _, _ in CALL_FORMS]
+)
+def test_call_forms_the_harness_uses_still_bind(func, n_args, keywords):
+    inspect.signature(func).bind(*range(n_args), **dict.fromkeys(keywords))
+
+
+def test_result_fields_the_harness_reads(chain5):
+    for cls, names in RESULT_FIELDS.items():
+        assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    fit = dc.decay_sweep(
+        chain5, 5.0, [(0, "X")], [(0, "X")], [1, 2, 3], anchor=(1,), strict=False
+    )
+    assert [d for d, _ in fit.points] == [1, 2, 3]
