@@ -16,7 +16,6 @@ from .algebra import (
     herm_eig,
     herm_exp,
     op_norm,
-    trace,
 )
 from .gibbs import (
     BoundCertificate,

@@ -532,7 +532,3 @@ def op_norm(M) -> float:
     """Operator (largest singular value) norm."""
     A = np.asarray(_matrix_of(M), dtype=np.complex128)
     return float(np.linalg.norm(A, 2))
-
-
-def trace(M) -> complex:
-    return complex(np.trace(_matrix_of(M)))

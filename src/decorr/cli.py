@@ -75,6 +75,8 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
         n = _convert(_integer, block.pop("n"), "n")
         block["lattice"] = [[i] for i in range(n)]
         block.setdefault("D", 1)
+    if block.get("lattice") == []:
+        raise ConfigError("the model lattice has no sites")
     block.setdefault("model", "xxz")
     block.setdefault("q", 2)
     if "seed" in cfg and "seed" not in block:
@@ -102,8 +104,8 @@ def _betas(cfg: dict) -> list[float]:
     if not isinstance(betas, list) or not betas:
         raise ConfigError("config needs a nonempty 'betas' list")
     betas = [_convert(float, b, "beta") for b in betas]
-    if any(b <= 0 for b in betas):
-        raise ConfigError("betas must be positive")
+    if not all(math.isfinite(b) and b > 0 for b in betas):
+        raise ConfigError(f"betas must be finite and positive, got {betas!r}")
     return betas
 
 
@@ -147,8 +149,7 @@ def _tolerance(cfg: dict, key: str, default: float) -> float:
     return tol
 
 
-def _site_observable(spec: HamiltonianSpec, site, name: str) -> GlobalOperator:
-    site = (site,) if isinstance(site, int) else tuple(site)
+def _site_observable(spec: HamiltonianSpec, site: lattice.Site, name: str) -> GlobalOperator:
     return GlobalOperator(Region([site]), spec.q, PAULI_BY_NAME[name].copy())
 
 

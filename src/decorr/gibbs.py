@@ -24,6 +24,7 @@ from .algebra import (
     BlockEigensystem,
     GlobalOperator,
     _block_function,
+    _herm_blocks,
     _scatter_add,
     herm_blocks,
     operator_product,
@@ -240,9 +241,11 @@ def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
     For free boundaries the transfer-matrix answer is tanh(beta J)^|i-j|
     independently of n; this routine computes the same numbers through the
     generic Gibbs machinery, from one Gibbs state, so the two can be compared
-    as independent routes.
+    as independent routes.  H is exactly Hermitian by construction, so it is
+    solved unchecked.
     """
-    state = gibbs_state(ising_hamiltonian(n, J), beta)
+    H = ising_hamiltonian(n, J)
+    state = _state_from_blocks(_herm_blocks(H.matrix), H.region, H.q, beta)
     Z = [GlobalOperator(Region([(i,)]), 2, PAULI_BY_NAME["Z"]) for i in range(n)]
     return {
         (i, j): float(covariance(state, Z[i], Z[j]).real)

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 Site = tuple[int, ...]
@@ -24,74 +25,63 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _as_site(x) -> Site:
-    if isinstance(x, int):
-        return (x,)
-    return tuple(map(int, x))
-
-
 class Region(tuple):
     """Immutable set of lattice sites, stored in sorted (lexicographic) order.
 
     Behaves as a tuple of sites for iteration/indexing and supports the usual
-    set operations.  Canonical order matters: serialization, PRNG draws and
-    tensor-leg ordering all follow the sorted site list.
+    set operations between Regions.  Canonical order matters: serialization,
+    PRNG draws and tensor-leg ordering all follow the sorted site list.
+
+    Sites are normalized here, when a Region is built from outside input: an
+    int becomes a 1-tuple and numpy ints become Python ints.  Every site a
+    Region holds is a tuple of Python ints, so the rest of the lattice layer
+    takes sites in that form and compares them as they are.
     """
 
     def __new__(cls, sites: Iterable = ()):
-        norm = sorted({_as_site(s) for s in sites})
-        return super().__new__(cls, norm)
-
-    def __init__(self, sites: Iterable = ()):
-        self._set = frozenset(self)
+        distinct = frozenset(
+            (int(s),) if isinstance(s, Integral) else tuple(map(int, s)) for s in sites
+        )
+        region = super().__new__(cls, sorted(distinct))
+        region._set = distinct
+        return region
 
     @classmethod
     def _canonical(cls, sites: tuple[Site, ...]) -> "Region":
         """The Region of distinct int-tuple sites already in sorted order, as given.
 
-        The connected-set enumerator and the set operations between two
-        Regions build Regions this way.  The enumerator makes tens of
-        thousands of them from sorted int tuples, and going through
-        ``Region(...)`` (normalize each site, dedupe, sort) takes about as
-        long again as the rest of the enumeration.  The counting workload
-        (2-core host) runs in ~0.75 s this way and in ~1.3 s through
-        ``Region(...)``, even with its sites normalized by
+        The lattice layer builds every Region it derives from Regions this
+        way: balls, interiors, closures, components, the connected-set
+        enumerator and the set operations between two Regions.  The
+        enumerator makes tens of thousands of them from sorted int tuples,
+        and going through ``Region(...)`` (normalize each site, dedupe,
+        sort) takes about as long again as the rest of the enumeration.
+        The counting workload (2-core host) runs in ~0.75 s this way and in
+        ~1.3 s through ``Region(...)``, even with its sites normalized by
         ``tuple(map(int, x))``.
         """
         region = tuple.__new__(cls, sites)
         region._set = frozenset(sites)
         return region
 
-    # -- set algebra -------------------------------------------------------
-    # Between two Regions, both operands' sites are already canonical, so
-    # the result is built without normalizing them again.
+    # -- set algebra between Regions; both operands' sites are canonical ----
     def __contains__(self, site) -> bool:
-        return _as_site(site) in self._set
+        return site in self._set
 
-    def __or__(self, other) -> "Region":
-        if isinstance(other, Region):
-            return Region._canonical(tuple(sorted(self._set | other._set)))
-        return Region(itertools.chain(self, other))
+    def __or__(self, other: "Region") -> "Region":
+        return Region._canonical(tuple(sorted(self._set | other._set)))
 
-    def __and__(self, other) -> "Region":
-        if isinstance(other, Region):
-            return Region._canonical(tuple(s for s in self if s in other._set))
-        o = set(map(_as_site, other))
-        return Region(s for s in self if s in o)
+    def __and__(self, other: "Region") -> "Region":
+        return Region._canonical(tuple(s for s in self if s in other._set))
 
-    def __sub__(self, other) -> "Region":
-        if isinstance(other, Region):
-            return Region._canonical(tuple(s for s in self if s not in other._set))
-        o = set(map(_as_site, other))
-        return Region(s for s in self if s not in o)
+    def __sub__(self, other: "Region") -> "Region":
+        return Region._canonical(tuple(s for s in self if s not in other._set))
 
-    def issubset(self, other) -> bool:
-        o = other._set if isinstance(other, Region) else set(map(_as_site, other))
-        return self._set <= o
+    def issubset(self, other: "Region") -> bool:
+        return self._set <= other._set
 
-    def isdisjoint(self, other) -> bool:
-        o = other._set if isinstance(other, Region) else set(map(_as_site, other))
-        return self._set.isdisjoint(o)
+    def isdisjoint(self, other: "Region") -> bool:
+        return self._set.isdisjoint(other._set)
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> list[list[int]]:
@@ -120,12 +110,6 @@ class LatticeGeometry:
             if len(s) != self.D:
                 raise ValueError(f"site {s} has wrong dimension (expected {self.D})")
 
-    def __contains__(self, site) -> bool:
-        return site in self.sites
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
 
 def chain_geometry(n: int, R: int = 1) -> LatticeGeometry:
     """Open chain 0..n-1 in one dimension."""
@@ -142,8 +126,7 @@ def box_geometry(extent: Sequence[int], R: int = 1) -> LatticeGeometry:
 # metric and balls
 # ---------------------------------------------------------------------------
 
-def l1_distance(x, y) -> int:
-    x, y = _as_site(x), _as_site(y)
+def l1_distance(x: Site, y: Site) -> int:
     if len(x) != len(y):
         raise ValueError("sites of different dimension")
     return sum(abs(a - b) for a, b in zip(x, y))
@@ -166,34 +149,30 @@ def _ball_offsets(D: int, r: int) -> tuple[Site, ...]:
     )
 
 
-def ball(x, r: int, geometry: LatticeGeometry, clip: bool = True) -> Region:
+def ball(x: Site, r: int, geometry: LatticeGeometry, clip: bool = True) -> Region:
     """l1 ball of radius r around x: B_r(x) = {y : l1(x,y) <= r}.
 
     Clipped to the lattice by default; with clip=False the full ball in Z^D
     is returned (cardinality at most (2r+1)^D, with equality for the
     sup-metric box it sits in -- the unclipped ball is what cardinality
-    bounds are stated against).
+    bounds are stated against).  The offsets come in lexicographic order,
+    so the points x + offset do too.
     """
-    x = _as_site(x)
     pts = (tuple(a + b for a, b in zip(x, off)) for off in _ball_offsets(geometry.D, r))
     if clip:
-        return Region(p for p in pts if p in geometry.sites)
-    return Region(pts)
+        pts = (p for p in pts if p in geometry.sites._set)
+    return Region._canonical(tuple(pts))
 
 
 def interior(M: Region, geometry: LatticeGeometry) -> Region:
     """Sites of M whose radius-R ball lies entirely inside the lattice."""
     if not M.issubset(geometry.sites):
         raise ValueError("region is not contained in the lattice")
-    R = geometry.R
-    out = []
-    for x in M:
-        if all(
-            tuple(a + b for a, b in zip(x, off)) in geometry.sites
-            for off in _ball_offsets(geometry.D, R)
-        ):
-            out.append(x)
-    return Region(out)
+    inside = geometry.sites._set
+    offsets = _ball_offsets(geometry.D, geometry.R)
+    return Region._canonical(tuple(
+        x for x in M if all(tuple(a + b for a, b in zip(x, off)) in inside for off in offsets)
+    ))
 
 
 def closure(M: Region, geometry: LatticeGeometry) -> Region:
@@ -203,7 +182,7 @@ def closure(M: Region, geometry: LatticeGeometry) -> Region:
     acc: set[Site] = set()
     for x in M:
         acc.update(ball(x, geometry.R, geometry))
-    return Region(acc)
+    return Region._canonical(tuple(sorted(acc)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +216,7 @@ def connected_components(S: Region, R: int) -> tuple[Region, ...]:
             comp.update(hits)
             frontier.extend(hits)
         remaining -= comp
-        comps.append(Region(comp))
+        comps.append(Region._canonical(tuple(sorted(comp))))
     return tuple(sorted(comps, key=lambda c: c[0]))
 
 
@@ -252,8 +231,7 @@ class SuperclusterDecomposition:
 
     components: tuple[Region, ...]
 
-    def component_of(self, site) -> Region:
-        site = _as_site(site)
+    def component_of(self, site: Site) -> Region:
         for comp in self.components:
             if site in comp:
                 return comp
@@ -271,7 +249,7 @@ class SuperclusterDecomposition:
 
 
 def supercluster_decompose(parts: Sequence[Region], R: int) -> SuperclusterDecomposition:
-    union = Region(itertools.chain.from_iterable(parts))
+    union = Region._canonical(tuple(sorted(frozenset().union(*parts))))
     return SuperclusterDecomposition(components=connected_components(union, R))
 
 
@@ -298,7 +276,7 @@ def _greedy_order(sites: frozenset, v1: Site, R: int) -> tuple[Site, ...] | None
     return tuple(order)
 
 
-def canonical_site_order(S: Region, v1, R: int) -> tuple[Site, ...]:
+def canonical_site_order(S: Region, v1: Site, R: int) -> tuple[Site, ...]:
     """Greedy well-ordering of an R-connected set, anchored at v1.
 
     Repeatedly appends the lexicographically smallest not-yet-listed site of S
@@ -308,14 +286,13 @@ def canonical_site_order(S: Region, v1, R: int) -> tuple[Site, ...]:
     relies on every prefix of a canonical order being the canonical order of
     the prefix set.
     """
-    v1 = _as_site(v1)
-    order = _greedy_order(frozenset(S), v1, R)
+    order = _greedy_order(S._set, v1, R)
     if order is None:
         raise ValueError("set is not R-connected or does not contain the anchor")
     return order
 
 
-def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Region]:
+def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> list[Region]:
     """All R-connected k-site subsets of the lattice containing v1.
 
     Each set is produced exactly once, via depth-first growth of canonical
@@ -335,14 +312,13 @@ def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Regi
     are visited in sorted order, so the output order is that of the plain
     greedy-order filter.
     """
-    v1 = _as_site(v1)
     if v1 not in geometry.sites:
         raise ValueError("anchor site is not in the lattice")
     if k < 1:
         raise ValueError("k must be positive")
     R = geometry.R
     if k == 1:
-        return [Region([v1])]
+        return [Region._canonical((v1,))]
     neighbours: dict[Site, tuple[Site, ...]] = {}
 
     def nbrs(w: Site) -> tuple[Site, ...]:
@@ -375,7 +351,7 @@ def enumerate_connected_sets(v1, k: int, geometry: LatticeGeometry) -> list[Regi
     return out
 
 
-def count_connected_sets(v1, k: int, geometry: LatticeGeometry) -> int:
+def count_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> int:
     return len(enumerate_connected_sets(v1, k, geometry))
 
 

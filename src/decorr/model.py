@@ -186,8 +186,7 @@ def certify_form_bound(
     """
     x = interaction.center
     B = ball(x, geometry.R, geometry)
-    full_ball = ball(x, geometry.R, geometry, clip=False)
-    if len(B) != len(full_ball):
+    if x not in interior(B, geometry):
         raise CertificationError(
             f"interaction ball around {x} sticks out of the lattice", center=x
         )
@@ -299,8 +298,8 @@ def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
         else:
             x, y, re, im = entry
             val = complex(re, im)
-        x = (x,) if isinstance(x, int) else tuple(x)
-        y = (y,) if isinstance(y, int) else tuple(y)
+        x = (x,) if isinstance(x, int) else tuple(map(_integer, x))
+        y = (y,) if isinstance(y, int) else tuple(map(_integer, y))
         out[(x, y)] = complex(val)
     for (x, y), val in out.items():
         if x == y:
@@ -320,7 +319,7 @@ def xxz_spec(
     J3=0.0,
     R: int = 1,
 ) -> HamiltonianSpec:
-    """Random-field anisotropic spin model on a chain or explicit region.
+    """Random-field anisotropic spin model on an open n-site chain or a given geometry.
 
     On-site terms h_z = (1 + lam * omega_z) N_z with omega_z drawn uniformly
     from [0, 1), one draw per site in canonical order from a seeded PCG64
@@ -335,13 +334,9 @@ def xxz_spec(
     convention: the interaction sum runs over interior centers only).
     Couplings between sites farther than R apart raise CouplingRangeError.
     """
-    if isinstance(extent, LatticeGeometry):
-        geometry = extent
-    elif isinstance(extent, int):
-        geometry = chain_geometry(extent, R)
-    else:
-        geometry = LatticeGeometry(D=len(next(iter(extent))), R=R, sites=Region(extent))
+    geometry = extent if isinstance(extent, LatticeGeometry) else chain_geometry(extent, R)
     sites = geometry.sites
+    inner = interior(sites, geometry)
 
     rng = np.random.default_rng(seed)
     omega = rng.random(len(sites))
@@ -374,8 +369,7 @@ def xxz_spec(
     interactions: dict[Site, InteractionTerm] = {}
     for (x, y), mat in sorted(pair_terms.items()):
         center = x  # lexicographically smaller endpoint
-        full_ball = ball(center, geometry.R, geometry, clip=False)
-        if not full_ball.issubset(sites):
+        if center not in inner:
             continue  # boundary pair: no interior center owns it
         pair_region = Region([x, y])
         if center in interactions:
@@ -546,9 +540,9 @@ def spec_from_json(data: dict) -> HamiltonianSpec:
             R=geometry.R,
         )
     q = _integer(data["q"])
-    onsite = {tuple(z): _matrix_from_json(h) for z, h in data["onsite"]}
+    onsite = {tuple(map(_integer, z)): _matrix_from_json(h) for z, h in data["onsite"]}
     interactions = {}
     for x, support, m in data["interactions"]:
-        x = tuple(x)
+        x = tuple(map(_integer, x))
         interactions[x] = InteractionTerm(x, Region.from_json(support), _matrix_from_json(m))
     return make_spec(geometry, q, onsite, interactions, model="custom")

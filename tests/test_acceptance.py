@@ -153,18 +153,21 @@ def test_criterion_06_partition_ratio_bound(chain8):
             if r_connected_set(S, norm.geometry.R):
                 sets.append(S)
     assert len(sets) == 41
+    # the ratio bound and every link of the chain that proves it
+    links = ("bound_ok", "split_product_le_full", "free_le_power", "interacting_ge_one")
+    failed = {link: 0 for link in links}
     worst = 0.0
-    all_ok = True
     for beta in (1.0, 10.0):
         for S in sets:
             out = dc.partition_ratio(S, norm, beta)
-            all_ok &= out.bound_ok and out.split_product_le_full
+            for link in links:
+                failed[link] += not getattr(out, link)
             worst = max(worst, out.ratio / out.bound)
     report(
         "criterion-06 partition-ratio-bound",
-        all_ok,
-        f"{len(sets)} connected sets x 2 betas, all ratios within "
-        f"C^|S|, worst ratio/bound={worst:.3f}",
+        not any(failed.values()),
+        f"{len(sets)} connected sets x 2 betas, failures per link {failed}, "
+        f"worst ratio/bound={worst:.3f}",
     )
 
 

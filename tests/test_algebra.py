@@ -20,7 +20,6 @@ from decorr.algebra import (
     herm_exp,
     op_norm,
     operator_product,
-    trace,
 )
 from decorr.lattice import Region
 from decorr.model import build_restricted
@@ -121,7 +120,7 @@ def test_embed_matches_kron_reference(dtype, q, m, support):
 def test_embed_trace_scaling():
     tgt = Region([(0,), (1,), (2,)])
     A = random_hermitian(2, 5)
-    assert trace(embed(A, Region([(1,)]), tgt, 2).matrix) == pytest.approx(
+    assert np.trace(embed(A, Region([(1,)]), tgt, 2).matrix) == pytest.approx(
         np.trace(A) * 4, rel=1e-13
     )
 

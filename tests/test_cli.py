@@ -82,6 +82,19 @@ def test_verify_bad_betas(tmp_path):
 
 
 DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
+DECAY_RUN = {"model": CANONICAL_MODEL, "distances": [2, 3], "observables": DECAY_OBSERVABLES}
+
+# a custom 5-site chain: N on every site, v = -0.1 N N on sites 1, 2 ([re, im] entries)
+NUMBER_JSON = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+NN_JSON = [[[0, 0]] * 4 for _ in range(3)] + [[[0, 0]] * 3 + [[-0.1, 0]]]
+
+
+def custom_model(center):
+    return {
+        "model": "custom", "D": 1, "R": 1, "q": 2, "lattice": [[i] for i in range(5)],
+        "onsite": [[[i], NUMBER_JSON] for i in range(5)],
+        "interactions": [[center, [[1], [2]], NN_JSON]],
+    }
 
 
 @pytest.mark.parametrize(
@@ -144,6 +157,22 @@ DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
             "certify",
             {"model": {**CANONICAL_MODEL, "lattice": [[0], [1.5], [2], [3], [4], [5]]}},
         ),
+        # ... and so is one in a coupling's pair or an interaction's center
+        (
+            "certify",
+            {"model": {**CANONICAL_MODEL, "n": 5,
+                       "J12": [[[1.5], [2], 0.02, 0], [[2], [1.5], 0.02, 0]]}},
+        ),
+        ("certify", {"model": custom_model([1.5])}),
+        # a non-finite beta has no Gibbs state to check
+        ("verify", {"model": CANONICAL_MODEL, "betas": [math.inf]}),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [math.nan]}),
+        ("decay", {**DECAY_RUN, "betas": [math.inf]}),
+        ("decay", {**DECAY_RUN, "betas": [math.nan]}),
+        # a lattice with no sites has nothing to verify or certify
+        ("verify", {"model": {**CANONICAL_MODEL, "n": 0}, "betas": [1.0]}),
+        ("certify", {"model": {**CANONICAL_MODEL, "n": 0}}),
+        ("certify", {"model": {**CANONICAL_MODEL, "D": 1, "lattice": []}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -152,6 +181,9 @@ DECAY_OBSERVABLES = {"A": [[0, "X"]], "B": [[0, "X"]], "anchor": 1}
         "verify-R-fraction", "decay-distance-fraction", "verify-tol-inf", "verify-tol-nan",
         "verify-tol-negative", "ising-tol-inf", "ising-J-zero", "ising-n-1", "ising-n-2",
         "ising-tanh-one", "certify-site-fraction", "certify-site-fraction-inner",
+        "certify-coupling-fraction", "certify-center-fraction", "verify-beta-inf",
+        "verify-beta-nan", "decay-beta-inf", "decay-beta-nan", "verify-n-zero",
+        "certify-n-zero", "certify-lattice-empty",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
@@ -259,6 +291,13 @@ def test_certify_reports_constant(tmp_path):
     report = json.loads((out / "certify_report.json").read_text())
     assert report["certified"] is True
     assert report["a"] == pytest.approx(0.11124012648154569, rel=1e-10)
+
+
+def test_certify_custom_model(tmp_path):
+    # the well-formed twin of the fractional-center case certifies
+    rc, out = run(tmp_path, "certify", {"model": custom_model([1])})
+    assert rc == EXIT_OK
+    assert json.loads((out / "certify_report.json").read_text())["n_interactions"] == 1
 
 
 def test_certify_failure_exit_code(tmp_path):

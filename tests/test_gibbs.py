@@ -339,6 +339,32 @@ def test_ising_oracle_matches_closed_form(i, j):
     )
 
 
+@pytest.mark.parametrize("J", [1.0, -0.7])
+def test_ising_oracle_solves_its_hamiltonian_unchecked(J, monkeypatch):
+    # the oracle's H is exactly Hermitian; skipping the check keeps rho's bits
+    n, beta = 8, 0.5
+    checks, states = [], []
+    original_check, original_state = algebra._require_hermitian, gibbs._state_from_blocks
+    monkeypatch.setattr(
+        algebra, "_require_hermitian", lambda m: checks.append(m) or original_check(m)
+    )
+    monkeypatch.setattr(
+        gibbs, "_state_from_blocks", lambda *a: states.append(original_state(*a)) or states[-1]
+    )
+    cov = dc.ising_oracle(n, J, beta)
+    assert checks == [] and len(states) == 1
+    ref = dc.gibbs_state(dc.ising_hamiltonian(n, J), beta)
+    assert len(checks) == 1
+    assert states[0].rho.matrix.tobytes() == ref.rho.matrix.tobytes()
+    assert states[0].logZ == ref.logZ
+    Z = [GlobalOperator(Region([(i,)]), 2, PAULI_BY_NAME["Z"]) for i in range(n)]
+    assert cov == {
+        (i, j): float(dc.covariance(ref, Z[i], Z[j]).real)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
 def test_ising_exact_xi():
     beta, J = 0.5, 1.0
     assert dc.ising_exact_xi(J, beta) == pytest.approx(

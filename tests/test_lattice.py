@@ -1,7 +1,9 @@
 """Geometry layer: metric, balls, interior/closure, connectivity, counting."""
 
 import itertools
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,14 @@ def test_region_operations_match_construction(a, b):
         assert hash(got) == hash(want)
 
 
+def test_region_normalizes_int_and_numpy_sites():
+    r = Region([0, np.int64(2), (1,), (np.int32(2),)])
+    assert tuple(r) == ((0,), (1,), (2,))
+    assert all(type(c) is int for site in r for c in site)
+    assert all(type(c) is int for site in r._set for c in site)
+    assert json.loads(json.dumps(r.to_json())) == [[0], [1], [2]]
+
+
 def test_chain_and_box_geometry():
     g = chain_geometry(5, 1)
     assert g.D == 1 and g.R == 1
@@ -111,6 +121,25 @@ def test_ball_clipping():
     b2 = box_geometry((9, 9), 2)
     assert len(ball((4, 4), 1, b2)) == 5
     assert len(ball((4, 4), 2, b2)) == 13
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("corner", ["low", "high"])
+def test_ball_equals_region_of_l1_filter(D, r, clip, corner):
+    # ball() builds its Region as given; it must be the Region that
+    # normalizing the brute-force l1 filter gives, in order, set and hash
+    g = box_geometry((4,) * D, 1)
+    x = (0,) * D if corner == "low" else (3,) * D
+    box = itertools.product(*(range(c - r, c + r + 1) for c in x))
+    want = Region(
+        p for p in box if l1_distance(x, p) <= r and (not clip or p in g.sites)
+    )
+    got = ball(x, r, g, clip=clip)
+    assert type(got) is Region
+    assert tuple(got) == tuple(want) and got._set == want._set
+    assert hash(got) == hash(want)
 
 
 def test_interior_closure_hand_values():
