@@ -6,9 +6,10 @@ oracle that the canonical-growth enumerator in :mod:`decorr.lattice` is
 checked against.  The universe for D=2, R=2, k=4 already has ~300 sites and
 ~5e6 subsets, so the filter runs in numpy chunks: a Python loop fixes all
 but the last two chosen rows, and one chunk holds every pair of rows after
-them.  Each subset in a chunk gets its local adjacency as k-bit row masks,
-reachability from the anchor is closed by k-1 rounds of bit-smearing, and
-the subsets whose reach covers all k bits are counted.
+them.  Whether a subset is connected is one lookup: its C(k,2) adjacency
+bits index a table over all graphs on k labelled vertices
+(:func:`connected_graphs`), built once per count.  The table has 2^C(k,2)
+entries, 32768 at k = 6 and 2^28 at k = 8, so counts stop at ``MAX_K``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import itertools
 import math
 
 import numpy as np
+
+MAX_K = 6  # largest k whose connectivity table is built
 
 
 def reach_radius(R: int, k: int) -> int:
@@ -53,42 +56,81 @@ def adjacency(points: np.ndarray, R: int) -> np.ndarray:
     return (diff <= 2 * R).astype(np.uint8)
 
 
+def _pairs(k: int) -> list[tuple[int, int]]:
+    """The vertex pairs (p, q), p < q, of k vertices, by q and then p.
+
+    In this (colex) order the pairs among the first j vertices come before
+    every pair that involves a later vertex.
+    """
+    return [(p, q) for q in range(k) for p in range(q)]
+
+
+def connected_graphs(k: int) -> np.ndarray:
+    """Table of which graphs on k labelled vertices are connected.
+
+    One axis of length 2 per vertex pair of :func:`_pairs`, indexed by
+    whether that edge is present; an entry is True iff its graph is
+    connected.  All 2^C(k,2) edge patterns are decided at once: each vertex
+    gets its neighbours as a k-bit mask, and k-2 rounds of bit-smearing
+    close the set of vertices reached from vertex 0.
+    """
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be between 1 and {MAX_K}")
+    pairs = _pairs(k)
+    n = len(pairs)
+    pattern = np.arange(1 << n)
+    masks = [np.full(1 << n, 1 << p, dtype=np.uint8) for p in range(k)]
+    for i, (p, q) in enumerate(pairs):
+        # axis i of the (2,)*n table is bit n-1-i of the flat pattern
+        edge = ((pattern >> (n - 1 - i)) & 1).astype(np.uint8)
+        masks[p] |= edge << q
+        masks[q] |= edge << p
+    reach = masks[0]
+    for _ in range(k - 2):
+        new = reach
+        for p in range(1, k):
+            new = new | np.where(reach & (1 << p), masks[p], 0)
+        reach = new
+    return (reach == (1 << k) - 1).reshape((2,) * n)
+
+
 def count_connected_ksubsets(points: np.ndarray, R: int, k: int) -> int:
     """Exhaustive count of R-connected k-subsets of ``points`` containing row 0.
 
     Every (k-1)-combination of the remaining rows is tested for chain
     connectivity together with the anchor -- no pruning, no generation trick;
-    this is the slow, obviously-correct reference count.
+    this is the slow, obviously-correct reference count.  The edges among
+    the anchor and the rows the loop fixes pick a sub-table of
+    :func:`connected_graphs`; in a chunk, each tail row's edges to those
+    rows are packed into one index, and two tail rows add their own edge.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
         return 1
-    full = (1 << k) - 1
-    adj = adjacency(points, R).astype(np.min_scalar_type(full), copy=False)
+    adj = adjacency(points, R)
     m = adj.shape[0]
-    n_tail = min(k - 1, 2)
+    n_fixed = max(k - 2, 1)  # the anchor and the rows the loop fixes
+    n_tail = k - n_fixed
+    # In the colex pair order the edges among the fixed rows come first,
+    # then each tail row's edges to the fixed rows, then the tail rows' edge.
+    shape = (2,) * math.comb(n_fixed, 2) + (1 << n_fixed,) * n_tail + (2,) * (n_tail - 1)
+    table = connected_graphs(k).reshape(shape)
+    fixed_pairs = _pairs(n_fixed)
+    weight = 2 ** np.arange(n_fixed - 1, -1, -1, dtype=np.uint8)  # first fixed row highest
+    # The tails of all chunks: every pair of rows a < b (np.triu_indices lists
+    # them by ascending a), or every single row for k = 2.  The tails after
+    # the last fixed row are a suffix of that list.
+    tail = list(np.triu_indices(m, 1)) if n_tail == 2 else [np.arange(m)]
+    tail_edge = [adj[tail[0], tail[1]]] if n_tail == 2 else []
     total = 0
-    for head in itertools.combinations(range(1, m), k - 1 - n_tail):
-        lo = (head[-1] if head else 0) + 1
-        if n_tail == 2:
-            tail = [t + lo for t in np.triu_indices(m - lo, 1)]
-        else:
-            tail = [np.arange(lo, m)]
-        # one entry per bit: fixed rows as ints, the chunk's rows as arrays
-        rows = [0, *head, *tail]
-        masks = [adj.dtype.type(1 << p) for p in range(k)]
-        for p, q in itertools.combinations(range(k), 2):
-            bit = adj[rows[p], rows[q]]
-            masks[p] = masks[p] | (bit << q)
-            masks[q] = masks[q] | (bit << p)
-        reach = masks[0]
-        for _ in range(k - 2):
-            new = reach
-            for p in range(1, k):
-                new = new | np.where(reach & (1 << p), masks[p], 0)
-            reach = new
-        total += int(np.count_nonzero(reach == full))
+    for head in itertools.combinations(range(1, m), n_fixed - 1):
+        fixed = [0, *head]
+        start = np.searchsorted(tail[0], fixed[-1] + 1)
+        sub = table[tuple(adj[fixed[p], fixed[q]] for p, q in fixed_pairs)]
+        code = weight @ adj[fixed]
+        index = [code[t[start:]] for t in tail] + [e[start:] for e in tail_edge]
+        total += int(np.count_nonzero(sub[tuple(index)]))
     return total
 
 

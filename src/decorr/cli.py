@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import expansion, gibbs, lattice, model
-from ._kernels import brute_force_connected_count, build_universe, universe_size
+from ._kernels import MAX_K, brute_force_connected_count, build_universe, universe_size
 from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
 from .lattice import LatticeGeometry, Region, _integer, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
@@ -403,8 +403,8 @@ def run_count(cfg: dict, outdir: Path) -> int:
     k_max = _convert(_integer, cfg.get("k_max", 4), "k_max")
     if D < 1 or R < 1 or k_max < 1:
         raise ConfigError("D, R and k_max must be positive")
-    if D > 3 or k_max > 6:
-        raise CapError(f"counting capped at D <= 3, k <= 6 (got D={D}, k={k_max})")
+    if D > 3 or k_max > MAX_K:
+        raise CapError(f"counting capped at D <= 3, k <= {MAX_K} (got D={D}, k={k_max})")
     m = universe_size(D, R, k_max)
     work = m * m + math.comb(m - 1, k_max - 1)
     if work > MAX_COUNT_WORK:

@@ -242,7 +242,7 @@ def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.lo
     """
     z = np.longdouble(1.0)
     for site in region:
-        z *= _interacting_partition(Region([site]), spec, beta)
+        z *= _interacting_partition(Region._canonical((site,)), spec, beta)
     return z
 
 

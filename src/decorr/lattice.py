@@ -292,15 +292,21 @@ def canonical_site_order(S: Region, v1: Site, R: int) -> tuple[Site, ...]:
     return order
 
 
-def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> list[Region]:
-    """All R-connected k-site subsets of the lattice containing v1.
+def _canonical_prefixes(v1: Site, k: int, geometry: LatticeGeometry):
+    """Yield (prefix, candidates) for every canonical (k-1)-site prefix.
 
-    Each set is produced exactly once, via depth-first growth of canonical
-    generation sequences: a partial sequence (w_1 .. w_i) is extended by a
-    site c within 2R of some w_j, and the extension is kept iff the greedy
-    order of {w_1 .. w_i, c} (:func:`canonical_site_order`) is exactly the
-    extended sequence.  Prefixes of canonical sequences are canonical, so the
-    search needs no seen-set and never revisits a set.
+    The depth-first growth of canonical generation sequences that both
+    :func:`enumerate_connected_sets` and :func:`count_connected_sets` run.
+    Each canonical sequence (w_1 .. w_{k-1}) with w_1 = v1 is yielded once,
+    with the sorted sites c that extend it canonically to k sites; the
+    R-connected k-sets through v1 are the sets {w_1 .. w_{k-1}, c}, each
+    exactly once.  For k = 1 the one prefix is () with candidate v1.
+
+    A sequence (w_1 .. w_i) is extended by a site c within 2R of some w_j,
+    and the extension is kept iff the greedy order of {w_1 .. w_i, c}
+    (:func:`canonical_site_order`) is exactly the extended sequence.
+    Prefixes of canonical sequences are canonical, so the search needs no
+    seen-set and never revisits a set.
 
     The greedy-order test is decided incrementally.  Let j be c's first
     neighbour index, the smallest j with l1(c, w_j) <= 2R.  Then c extends
@@ -309,16 +315,17 @@ def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> lis
     before w_j is listed, and c brings no other site into candidacy.  At each
     later step t > j, c is a candidate next to w_t, the smallest candidate
     from S, and the greedy order lists w_t there iff c > w_t.  Candidates
-    are visited in sorted order, so the output order is that of the plain
-    greedy-order filter.
+    are visited in sorted order, so the sets come out in the order of the
+    plain greedy-order filter.
     """
     if v1 not in geometry.sites:
         raise ValueError("anchor site is not in the lattice")
     if k < 1:
         raise ValueError("k must be positive")
-    R = geometry.R
     if k == 1:
-        return [Region._canonical((v1,))]
+        yield (), [v1]
+        return
+    R = geometry.R
     neighbours: dict[Site, tuple[Site, ...]] = {}
 
     def nbrs(w: Site) -> tuple[Site, ...]:
@@ -327,8 +334,6 @@ def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> lis
             got = neighbours[w] = tuple(s for s in ball(w, 2 * R, geometry) if s != w)
         return got
 
-    out: list[Region] = []
-
     def grow(seq: tuple[Site, ...], first: dict[Site, int]):
         # first: candidate site -> index of its first neighbour in seq
         i = len(seq)
@@ -336,23 +341,42 @@ def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> lis
         later = [()] * i
         for t in range(i - 2, -1, -1):
             later[t] = max(later[t + 1], seq[t + 1])
-        for c in sorted(c for c, j in first.items() if c > later[j]):
-            if i + 1 == k:
-                out.append(Region._canonical(tuple(sorted(seq + (c,)))))
-                continue
+        candidates = sorted(c for c, j in first.items() if c > later[j])
+        if i + 1 == k:
+            yield seq, candidates
+            return
+        for c in candidates:
             nxt = dict(first)
             del nxt[c]
             for s in nbrs(c):
                 if s not in nxt and s not in seq:
                     nxt[s] = i
-            grow(seq + (c,), nxt)
+            yield from grow(seq + (c,), nxt)
 
-    grow((v1,), dict.fromkeys(nbrs(v1), 0))
-    return out
+    yield from grow((v1,), dict.fromkeys(nbrs(v1), 0))
+
+
+def enumerate_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> list[Region]:
+    """All R-connected k-site subsets of the lattice containing v1.
+
+    Each set is produced exactly once, by canonical growth from v1
+    (:func:`_canonical_prefixes`), in the order of that growth.
+    """
+    return [
+        Region._canonical(tuple(sorted(seq + (c,))))
+        for seq, candidates in _canonical_prefixes(v1, k, geometry)
+        for c in candidates
+    ]
 
 
 def count_connected_sets(v1: Site, k: int, geometry: LatticeGeometry) -> int:
-    return len(enumerate_connected_sets(v1, k, geometry))
+    """Number of R-connected k-site subsets of the lattice containing v1.
+
+    Equal to ``len(enumerate_connected_sets(v1, k, geometry))``, but the
+    sets are never built: the canonical growth stops at the (k-1)-site
+    prefixes and adds up how many sites extend each one.
+    """
+    return sum(len(candidates) for _, candidates in _canonical_prefixes(v1, k, geometry))
 
 
 def counting_constant(D: int, R: int) -> float:

@@ -404,7 +404,7 @@ def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
     dim = q ** len(region)
     H0 = np.zeros((dim, dim), dtype=dtype)
     for z in region:
-        site = Region([z])
+        site = Region._canonical((z,))
         _scatter_add(H0, onsite[z].astype(dtype), support_index_map(site, region, q))
     return H0
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from decorr._kernels import (
+    MAX_K,
     adjacency,
     brute_force_connected_count,
     build_universe,
+    connected_graphs,
     count_connected_ksubsets,
     reach_radius,
     universe_size,
@@ -60,7 +62,8 @@ def _count_reference(pts, R, k):
     """Third, maximally dumb implementation for cross-checking the kernels."""
     if k == 1:
         return 1
-    m = len(pts)
+    sites = [tuple(int(c) for c in p) for p in pts]
+    m = len(sites)
     total = 0
     for comb in itertools.combinations(range(1, m), k - 1):
         nodes = [0, *comb]
@@ -69,7 +72,7 @@ def _count_reference(pts, R, k):
         while frontier:
             u = frontier.pop()
             for v in nodes:
-                if v not in seen and np.abs(pts[u] - pts[v]).sum() <= 2 * R:
+                if v not in seen and sum(abs(a - b) for a, b in zip(sites[u], sites[v])) <= 2 * R:
                     seen.add(v)
                     frontier.append(v)
         if len(seen) == k:
@@ -97,4 +100,12 @@ def test_k_validation():
     pts = build_universe(1, 1, 2)
     with pytest.raises(ValueError):
         count_connected_ksubsets(pts, 1, 0)
+    with pytest.raises(ValueError):
+        count_connected_ksubsets(pts, 1, MAX_K + 1)
+
+
+def test_connected_graph_table_counts():
+    # connected labelled graphs on k vertices, OEIS A001187
+    counts = [int(np.count_nonzero(connected_graphs(k))) for k in range(1, MAX_K + 1)]
+    assert counts == [1, 1, 4, 38, 728, 26704]
 

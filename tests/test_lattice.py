@@ -273,6 +273,53 @@ def test_enumerate_all_contain_anchor_and_connected():
     assert count_connected_sets(v1, 3, g) == len(sets)
 
 
+@pytest.mark.parametrize(
+    "geometry,v1,k_max",
+    [
+        (chain_geometry(9, 1), (4,), 5),
+        (chain_geometry(9, 2), (0,), 4),
+        (box_geometry((4, 5), 1), (0, 0), 4),
+        (box_geometry((4, 5), 1), (0, 2), 4),
+        (box_geometry((4, 5), 2), (2, 2), 3),
+        (box_geometry((3, 3, 3), 1), (1, 1, 1), 4),
+    ],
+    ids=["chain-R1", "chain-R2-end", "box-corner", "box-edge", "box-interior-R2", "box-D3"],
+)
+def test_count_equals_enumeration(geometry, v1, k_max):
+    for k in range(1, k_max + 1):
+        sets = enumerate_connected_sets(v1, k, geometry)
+        assert count_connected_sets(v1, k, geometry) == len(sets)
+
+
+def test_count_builds_no_region_per_set(monkeypatch):
+    # both walks build the same neighbour balls; only the enumerator builds
+    # one Region per set on top of them
+    g = box_geometry((5, 5), 1)
+    canonical = Region.__dict__["_canonical"].__func__
+    calls = []
+
+    def counted(cls, sites):
+        calls.append(sites)
+        return canonical(cls, sites)
+
+    monkeypatch.setattr(Region, "_canonical", classmethod(counted))
+    n_sets = len(enumerate_connected_sets((2, 2), 4, g))
+    enumerated = len(calls)
+    calls.clear()
+    assert count_connected_sets((2, 2), 4, g) == n_sets
+    assert len(calls) == enumerated - n_sets
+    assert len(calls) <= len(g.sites) < n_sets
+
+
+@pytest.mark.parametrize("fn", [enumerate_connected_sets, count_connected_sets])
+def test_connected_set_argument_errors(fn):
+    g = chain_geometry(5, 1)
+    with pytest.raises(ValueError, match="anchor site is not in the lattice"):
+        fn((7,), 2, g)
+    with pytest.raises(ValueError, match="k must be positive"):
+        fn((2,), 0, g)
+
+
 def test_counting_bounds_order():
     # exact binomial-type bound is never above the simplified exponential one
     for D, R, k in itertools.product((1, 2), (1, 2), (1, 2, 3, 4)):
