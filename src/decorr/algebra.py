@@ -33,15 +33,19 @@ The public :func:`herm_exp`, :func:`herm_blocks` and :func:`herm_eig` check
 hermiticity, solve the symmetrization and keep nothing across calls.  A sum
 of a spec's local terms, checked when the spec was built, is exactly
 Hermitian and goes to the unchecked :func:`_herm_blocks` and
-:func:`_herm_exp`; :func:`_block_function` writes every f(H), exp(sH) or
-rho, as V f(w) V^H per block.  The alternating sums of
-:mod:`decorr.expansion` meet the same sector block again and again, across
-subsets, bases, beta and the resummation's reference exp(-beta H), so their
-:func:`_herm_exp` calls share the memo ``HamiltonianSpec.block_spectra``
-(one per spec), keyed by the dtype, size and value bytes (no padding) of a
-clongdouble block and holding its eigensystem: each distinct block is
-refined once per spec.  A refined solve treats every block of its stack on
-its own, so a memo hit is bit-identical to solving the block again.
+:func:`_herm_exp`; :func:`_block_products` forms V f(w) V^H per block,
+which :func:`_block_function` writes into every f(H), exp(sH) or rho.  The
+alternating sums of :mod:`decorr.expansion` meet the same sector block
+again and again, across subsets, bases, beta and the resummation's
+reference exp(-beta H), so their solves share the memo
+``HamiltonianSpec.block_spectra`` (one per spec), keyed by the dtype, size
+and value bytes (no padding) of a clongdouble block and holding its
+eigensystem: each distinct block is refined once per spec.  A refined
+solve treats every block of its stack on its own, so a memo hit is
+bit-identical to solving the block again.  They meet the same H_M again
+too, and :func:`_memo_block_systems` gives the split of one H_M in a form
+``HamiltonianSpec.term_blocks`` keeps per (M, base): the blocks' rows and
+references to their entries in ``block_spectra``, not copies.
 """
 
 from __future__ import annotations
@@ -379,6 +383,20 @@ def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(starts, starts[1:] + [order.size])]
 
 
+def _block_stacks(A: np.ndarray):
+    """The exact zero-pattern blocks of A, grouped by size.
+
+    Yields ``(rows, blocks)`` per block size m: the row indices of its k
+    blocks (k, m) and the blocks themselves (k, m, m).
+    """
+    by_size: dict[int, list[np.ndarray]] = {}
+    for idx in _zero_pattern_components(A):
+        by_size.setdefault(idx.size, []).append(idx)
+    for comps in by_size.values():
+        rows = np.array(comps)
+        yield rows, A[rows[:, :, None], rows[:, None, :]]
+
+
 def _block_eighs(A: np.ndarray, memo: dict | None = None):
     """Eigensystems of the exact zero-pattern blocks of a Hermitian matrix.
 
@@ -391,13 +409,8 @@ def _block_eighs(A: np.ndarray, memo: dict | None = None):
     the refined blocks across calls; without one, they last for this call.
     """
     extended = A.dtype in (np.longdouble, np.clongdouble)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for idx in _zero_pattern_components(A):
-        by_size.setdefault(idx.size, []).append(idx)
-    for m, comps in by_size.items():
-        rows = np.array(comps)
-        blocks = A[rows[:, :, None], rows[:, None, :]]
-        if m == 1:
+    for rows, blocks in _block_stacks(A):
+        if rows.shape[1] == 1:
             yield rows, blocks[:, 0].real, np.ones_like(blocks)
         elif not extended:
             yield (rows, *np.linalg.eigh(blocks))
@@ -405,18 +418,41 @@ def _block_eighs(A: np.ndarray, memo: dict | None = None):
             yield (rows, *_memo_refined_eigh(blocks, {} if memo is None else memo))
 
 
-def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
-    """:func:`_refined_eigh` of a stack, solving only blocks not in ``memo``.
+def _memo_block_systems(A: np.ndarray, memo: dict) -> tuple:
+    """:func:`_block_eighs` of a clongdouble A, holding the memo's own arrays.
+
+    One ``(rows, w, V)`` per block size, as :func:`_block_eighs` yields it,
+    except that for blocks above size one w and V are lists of the arrays
+    in ``memo`` (see :func:`_memo_systems`), not stacked copies of them:
+    kept across calls, they cost their row indices and references (a
+    stacked copy per H_M takes the peak memory of the 10-site README
+    ``decorr verify`` to 545 MB, against 410 MB with references).
+    ``np.asarray`` of the lists gives the stacks :func:`_block_eighs`
+    yields, bit for bit.
+    """
+    out = []
+    for rows, blocks in _block_stacks(A):
+        if rows.shape[1] == 1:
+            out.append((rows, blocks[:, 0].real, np.ones_like(blocks)))
+        else:
+            systems = _memo_systems(blocks, memo)
+            out.append((rows, [w for w, _ in systems], [V for _, V in systems]))
+    return tuple(out)
+
+
+def _memo_systems(blocks: np.ndarray, memo: dict) -> list[tuple]:
+    """The ``memo`` entry (w, V) of each block of a stack, solving only blocks not in it.
 
     ``memo`` maps (dtype, size, value bytes) of a block to its ascending
     eigenvalues and eigenvectors; the value bytes leave out the padding of
     each longdouble (see :func:`_value_bytes`).  The distinct blocks not yet
-    in it are solved as one stack and added.  A refined solve treats each
-    block of a stack on its own (the LAPACK start, the clongdouble products,
-    the stop test and the Jacobi fallback are all per block), so a block's
-    result does not depend on which stack solved it, and a memo hit is
-    bit-identical to a fresh solve.  Nothing in the memo depends on the exponent a caller
-    applies, so one solve serves every beta.
+    in it are solved as one stack by :func:`_refined_eigh` and added.  A
+    refined solve treats each block of a stack on its own (the LAPACK start,
+    the clongdouble products, the stop test and the Jacobi fallback are all
+    per block), so a block's result does not depend on which stack solved
+    it, and a memo hit is bit-identical to a fresh solve.  Nothing in the
+    memo depends on the exponent a caller applies, so one solve serves every
+    beta.
     """
     mask = _LONGDOUBLE_VALUE_BYTES
     values = blocks.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
@@ -428,7 +464,16 @@ def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
     if new:
         w, V = _refined_eigh(blocks[list(new.values())])
         memo.update(zip(new, zip(w, V)))
-    return np.array([memo[key][0] for key in keys]), np.array([memo[key][1] for key in keys])
+    return [memo[key] for key in keys]
+
+
+def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
+    """:func:`_refined_eigh` of a stack, solving only blocks not in ``memo``.
+
+    The stacked eigenvalues and eigenvectors of :func:`_memo_systems`.
+    """
+    systems = _memo_systems(blocks, memo)
+    return np.array([w for w, _ in systems]), np.array([V for _, V in systems])
 
 
 @dataclass(frozen=True)
@@ -523,9 +568,18 @@ def _block_function(dim: int, dtype, blocks) -> np.ndarray:
     ``blocks`` yields ``(rows, fw, V)`` per block size: :func:`_block_eighs` with fw = f(w).
     """
     out = np.zeros((dim, dim), dtype=dtype)
-    for rows, fw, V in blocks:
-        out[rows[:, :, None], rows[:, None, :]] = (V * fw[:, None, :]) @ _conj_t(V)
+    for at, product in _block_products(blocks):
+        out[at] = product
     return out
+
+
+def _block_products(blocks):
+    """(where, V diag(fw) V^H) per block size of ``blocks`` (as for :func:`_block_function`).
+
+    ``where`` indexes the blocks' rows and columns of the full matrix.
+    """
+    for rows, fw, V in blocks:
+        yield (rows[:, :, None], rows[:, None, :]), (V * fw[:, None, :]) @ _conj_t(V)
 
 
 def op_norm(M) -> float:

@@ -215,21 +215,35 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         add("resummation", f"beta={beta:g}", res, tol, res <= tol)
 
     rows = expansion.term_norm_scan(spec, betas[0], max_size=min(3, len(inter)))
-    worst = max((norm - bound for _, norm, bound in rows), default=-1.0)
-    add(
-        "term_norm_bound",
-        f"beta={betas[0]:g} sizes<=3 ({len(rows)} terms)",
-        max(worst, 0.0),
-        norm_slack,
-        worst <= norm_slack,
-    )
+    if rows:
+        worst = max(norm - bound for _, norm, bound in rows)
+        add(
+            "term_norm_bound",
+            f"beta={betas[0]:g} sizes<=3 ({len(rows)} terms)",
+            max(worst, 0.0),
+            norm_slack,
+            worst <= norm_slack,
+        )
+    else:
+        skipped.append(
+            {"name": "term_norm_bound", "reason": "no interacting configuration of size <= 3"}
+        )
 
     # structural checks need two well-separated probes; pick lattice extremes
     lo, hi = spec.sites[0], spec.sites[-1]
     X, Y = Region([lo]), Region([hi])
     A = _site_observable(spec, lo, "Z")
     B = _site_observable(spec, hi, "Z")
-    if inter and set_distance(X, Y) > 2 * geo.R:
+    if not inter:
+        unprobed = "lattice interior is empty"
+    elif set_distance(X, Y) <= 2 * geo.R:
+        unprobed = "probes at the lattice ends are within 2R"
+    else:
+        unprobed = None
+    if unprobed:
+        for name in ("factorization", "swap_identity"):
+            skipped.append({"name": name, "reason": unprobed})
+    else:
         I1, I2 = Region([inter[0]]), Region([inter[-1]])
         if set_distance(I1 | X, I2 | Y) > 2 * geo.R:
             for beta in betas:
@@ -264,10 +278,12 @@ def run_verify(cfg: dict, outdir: Path) -> int:
             skipped.append(
                 {"name": "swap_identity", "reason": "interior exceeds sweep cap"}
             )
-    else:
-        skipped.append({"name": "swap_identity", "reason": "lattice too small"})
 
-    if len(inter) >= 1:
+    if not inter:
+        skipped.append(
+            {"name": "supercluster_resummation", "reason": "lattice interior is empty"}
+        )
+    else:
         c = inter[len(inter) // 2]
         x_site = tuple(ci - geo.R if i == 0 else ci for i, ci in enumerate(c))
         y_site = tuple(ci + geo.R if i == 0 else ci for i, ci in enumerate(c))
@@ -292,6 +308,13 @@ def run_verify(cfg: dict, outdir: Path) -> int:
                         add(f"supercluster_resummation_{kind}", instance, res, tol, res <= tol)
             except ValueError as exc:
                 skipped.append({"name": "supercluster_resummation", "reason": str(exc)})
+        else:
+            skipped.append(
+                {
+                    "name": "supercluster_resummation",
+                    "reason": f"probe sites {x_site} and {y_site} are not both in the lattice",
+                }
+            )
 
     normalized = model.normalize_nonpositive(spec)
     ratio_rows = []
@@ -471,8 +494,16 @@ def run_ising(cfg: dict, outdir: Path) -> int:
             exact = gibbs.ising_exact_covariance(J, beta, i, j)
             max_dev = max(max_dev, abs(measured - exact))
             rows.append((beta, i, j, measured, exact))
-        # measured xi from the covariances against site 0
-        _, _, xi = gibbs.fit_decay([(d, abs(cov[0, d])) for d in range(1, n)])
+        # measured xi from the covariances against site 0; log 0 has no line through it
+        points = [(d, abs(cov[0, d])) for d in range(1, n)]
+        zero = [d for d, c in points if c == 0]
+        if zero:
+            raise ConfigError(
+                f"no decay to fit at beta={beta:g}: the measured Cov(Z_0, Z_d) is exactly 0 "
+                f"at d = {zero} (exact tanh(beta J)^{zero[0]} = "
+                f"{gibbs.ising_exact_covariance(J, beta, 0, zero[0]):.3e})"
+            )
+        _, _, xi = gibbs.fit_decay(points)
         xi_exact = gibbs.ising_exact_xi(J, beta)
         xi_err = abs(xi - xi_exact) / xi_exact
         row_ok = max_dev <= cov_tol and xi_err <= xi_tol

@@ -35,7 +35,12 @@ local matrices its spec checked when it was built: H0 by
 :func:`~decorr.model.onsite_sum`, each v_x by
 :func:`~decorr.algebra._scatter_add`.  The exponentials read their blocks'
 eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), so
-each distinct block is solved once per spec, whatever the subset, base or beta.
+each distinct block is solved once per spec, whatever the subset, base or
+beta.  Each H_M is summed and split once per spec, too: the first term to
+meet (M, base) keeps its blocks' rows and references to their eigensystems
+in ``spec.term_blocks``, and every later term, observable base, beta or
+check that meets it adds V e^{-beta w} V^H from there into its own block
+rows and columns, with no dense H_M, pattern scan or block hash.
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ import numpy as np
 
 from .algebra import (
     GlobalOperator,
+    _block_function,
+    _block_products,
     _check_dense,
     _herm_exp,
+    _memo_block_systems,
     _scatter_add,
     op_norm,
     operator_product,
@@ -117,8 +125,11 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     every interaction of I acts within the base region.  A center of I with
     no interaction carries v_x = 0, and the in/out halves of the alternating
     sum cancel exactly: the term is a structural zero, returned without
-    computing any exponentials.  The exponentials read their blocks'
-    eigensystems from ``spec.block_spectra``.
+    computing any exponentials.  Each summand e^{-beta H_M} is added (or
+    subtracted) block by block, from the blocks of H_M in
+    ``spec.term_blocks`` (:func:`_hm_systems`), and no dense summand is
+    formed: the entries outside the blocks are zero, and adding zero to a
+    sum accumulated from zeros changes no bit.
     """
     if len(I) > MAX_TERM_SIZE:
         raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
@@ -127,24 +138,51 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     if not closure(I, spec.geometry).issubset(base):
         raise ValueError("base region must contain the closure of I")
     _check_dense(len(base))
-    q = spec.q
-    dim = q ** len(base)
+    dim = spec.q ** len(base)
+    total = np.zeros((dim, dim), dtype=np.clongdouble)
     if any(x not in spec.interactions for x in I):
-        return GlobalOperator(base, q, np.zeros((dim, dim), dtype=np.clongdouble))
+        return GlobalOperator(base, spec.q, total)
 
-    H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
-    HM = np.empty_like(H0)
-    total = np.zeros_like(H0)
-    for m_size in range(len(I) + 1):
+    Ms = [M for k in range(len(I) + 1) for M in itertools.combinations(I, k)]
+    for M, systems in zip(Ms, _hm_systems(spec, Ms, base)):
         # subtracting is adding the summand times -1 bit for bit, without its copy
-        add = np.add if (len(I) - m_size) % 2 == 0 else np.subtract
-        for M in itertools.combinations(I, m_size):
+        add = np.add if (len(I) - len(M)) % 2 == 0 else np.subtract
+        for at, summand in _block_products(_exp_blocks(systems, beta)):
+            total[at] = add(total[at], summand)
+    return GlobalOperator(base, spec.q, total)
+
+
+def _hm_systems(spec: HamiltonianSpec, Ms: list, base: Region) -> list:
+    """The ``spec.term_blocks`` entry of H_M = H0_base + sum_{x in M} v_x for each M of Ms.
+
+    The H_M not yet in the memo are summed in clongdouble from one H0 (by
+    :func:`~decorr.model.onsite_sum`, each v_x added by
+    :func:`~decorr.algebra._scatter_add`) and split into their zero-pattern
+    blocks, in the order of Ms; the blocks' eigensystems are read from or
+    added to ``spec.block_spectra`` (see
+    :func:`~decorr.algebra._memo_block_systems`).  A spec and its local
+    matrices never change, so an entry is what summing and solving H_M
+    again would give, bit for bit.
+    """
+    missing = [M for M in Ms if (M, base) not in spec.term_blocks]
+    if missing:
+        q = spec.q
+        H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
+        HM = np.empty_like(H0)
+        for M in missing:
             np.copyto(HM, H0)
             for x in M:
                 term = spec.interactions[x]
                 _scatter_add(HM, term.matrix, support_index_map(term.support, base, q))
-            add(total, _herm_exp(HM, -beta, spec.block_spectra), out=total)
-    return GlobalOperator(base, q, total)
+            spec.term_blocks[M, base] = _memo_block_systems(HM, spec.block_spectra)
+    return [spec.term_blocks[M, base] for M in Ms]
+
+
+def _exp_blocks(systems: tuple, beta: float):
+    """(rows, e^{-beta w}, V) per block size of an entry of ``spec.term_blocks``."""
+    s = np.clongdouble(-beta)
+    for rows, w, V in systems:
+        yield rows, np.exp(s * np.asarray(w)), np.asarray(V)
 
 
 def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
@@ -158,18 +196,19 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     built here without its dim^3 matrix product, in place in the gathered
     outer factor.
 
-    Both factors read their blocks from ``spec.block_spectra`` like every
-    term, so the terms of one closure share their solves across I and beta,
-    and the memo keeps whole-lattice blocks as long as the spec.
+    The outer factor exp(-beta H0_rest) is the (empty M, rest) entry of
+    ``spec.term_blocks``, written by :func:`~decorr.algebra._block_function`,
+    so the terms of one closure share their solves across I and beta, and
+    the memo keeps whole-lattice blocks as long as the spec.
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
     a1 = support_index_map(rest, spec.sites, spec.q)[0]
     a2 = support_index_map(cl, spec.sites, spec.q)[0]
     inner = yarotsky_term(I, cl, spec, beta).matrix
-    product = _herm_exp(
-        onsite_sum(spec.onsite, rest, spec.q, np.clongdouble), -beta, spec.block_spectra
-    )[np.ix_(a1, a1)]
+    (systems,) = _hm_systems(spec, [()], rest)
+    outer = _block_function(spec.q ** len(rest), np.clongdouble, _exp_blocks(systems, beta))
+    product = outer[np.ix_(a1, a1)]
     product *= inner[np.ix_(a2, a2)]
     return GlobalOperator(spec.sites, spec.q, product)
 

@@ -133,8 +133,15 @@ class HamiltonianSpec:
     :func:`restricted_spectrum` solves, and ``block_spectra``, per
     (dtype, size, value bytes) of a clongdouble zero-pattern block of some
     H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
-    (beta-independent; see :mod:`decorr.algebra`).  The memos live and die
-    with the spec and take no part in its repr or equality.
+    (beta-independent; see :mod:`decorr.algebra`).  ``term_blocks`` maps
+    (M, base), M a tuple of centers in canonical order, to the blocks of
+    H_M = H0_base + sum_{x in M} v_x: per block size their rows and, for
+    blocks above size one, references to their entries in ``block_spectra``
+    (see :func:`~decorr.algebra._memo_block_systems`).  H_M depends on
+    (spec, M, base) alone, so an entry serves every term, base observable
+    and beta that meets that H_M again, without summing or splitting it.
+    The memos live and die with the spec and take no part in its repr or
+    equality.
     """
 
     geometry: LatticeGeometry
@@ -146,6 +153,7 @@ class HamiltonianSpec:
     params: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    term_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     h_sup: float = field(init=False)
     v_sup: float = field(init=False)
     nonpositive: bool = field(init=False)

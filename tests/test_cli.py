@@ -63,6 +63,43 @@ def test_verify_coupled_model(tmp_path, capsys):
     assert all(c["instance"].endswith("pairs=1 (vacuous)") for c in supercluster)
     # certificate p = 2 a q^{(2R+1)^D} for the frozen canonical constant
     assert report["certificate"]["p"] == pytest.approx(1.779842023704731, rel=1e-10)
+    assert report["skipped"] == []
+    assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES
+
+
+VERIFY_FAMILIES = {
+    "form_bound_certificate", "resummation", "term_norm_bound", "factorization",
+    "swap_identity", "supercluster_resummation", "partition_ratio_bound",
+    "subset_sum_identity",
+}
+
+
+def family(name):
+    return next(f for f in VERIFY_FAMILIES if name.startswith(f))
+
+
+@pytest.mark.parametrize(
+    "n, skipped",
+    [
+        # no interior: no term to bound, no probe pair and no supercluster
+        (2, [("term_norm_bound", "no interacting configuration of size <= 3"),
+             ("factorization", "lattice interior is empty"),
+             ("swap_identity", "lattice interior is empty"),
+             ("supercluster_resummation", "lattice interior is empty")]),
+        # one interior site: the end probes are 2R apart, too close to separate
+        (3, [("factorization", "probes at the lattice ends are within 2R"),
+             ("swap_identity", "probes at the lattice ends are within 2R")]),
+    ],
+)
+def test_verify_lists_every_check_it_does_not_run(tmp_path, n, skipped):
+    payload = {"model": {**CANONICAL_MODEL, "n": n}, "betas": [0.5]}
+    rc, out = run(tmp_path, "verify", payload)
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    assert [(s["name"], s["reason"]) for s in report["skipped"]] == skipped
+    ran = {family(c["name"]) for c in report["checks"]}
+    assert ran.isdisjoint(name for name, _ in skipped)
+    assert ran | {name for name, _ in skipped} == VERIFY_FAMILIES
 
 
 def test_verify_malformed_config(tmp_path):
@@ -148,6 +185,8 @@ def custom_model(center):
         ("ising", {"n": 1, "J": 1.0, "betas": [0.5]}),
         ("ising", {"n": 2, "J": 1.0, "betas": [0.5]}),
         ("ising", {"n": 6, "J": 20.0, "betas": [1.0]}),
+        # tanh(beta J) = 1e-100: every measured covariance is exactly 0
+        ("ising", {"n": 10, "J": 1e-100, "betas": [1.0]}),
         # a fractional site coordinate is refused, not truncated to a duplicate
         (
             "certify",
@@ -180,7 +219,7 @@ def custom_model(center):
         "count-kmax-fraction", "ising-n-fraction", "verify-n-fraction",
         "verify-R-fraction", "decay-distance-fraction", "verify-tol-inf", "verify-tol-nan",
         "verify-tol-negative", "ising-tol-inf", "ising-J-zero", "ising-n-1", "ising-n-2",
-        "ising-tanh-one", "certify-site-fraction", "certify-site-fraction-inner",
+        "ising-tanh-one", "ising-zero-covariance", "certify-site-fraction", "certify-site-fraction-inner",
         "certify-coupling-fraction", "certify-center-fraction", "verify-beta-inf",
         "verify-beta-nan", "decay-beta-inf", "decay-beta-nan", "verify-n-zero",
         "certify-n-zero", "certify-lattice-empty",
@@ -277,6 +316,12 @@ def test_ising_antiferromagnetic_run(tmp_path):
     assert row["pass"]
     assert row["xi_exact"] == 1.295442784141215
     assert row["xi"] == pytest.approx(1.2954427841412157, rel=1e-12)
+
+
+def test_ising_zero_covariance_is_named(tmp_path, capsys):
+    rc, _ = run(tmp_path, "ising", {"n": 10, "J": 1e-100, "betas": [1.0]})
+    assert rc == EXIT_CONFIG
+    assert "the measured Cov(Z_0, Z_d) is exactly 0 at d = [1," in capsys.readouterr().err
 
 
 def test_ising_cap(tmp_path):

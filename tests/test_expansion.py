@@ -102,9 +102,51 @@ def test_term_matches_public_herm_exp_sum(variant, chain6, chain8):
     for I in [Region([(1,)]), Region([(1,), (2,)]), Region([(1,), (2,), (4,)])]:
         base = closure(I, geo)
         for beta in (0.5, 2.0, 50.0):
-            T = dc.yarotsky_term(I, base, spec, beta)
-            assert np.array_equal(T.matrix, _reference_term(I, base, spec, beta))
+            ref = _reference_term(I, base, spec, beta)
+            # the first beta builds each H_M of I, later ones read spec.term_blocks;
+            # a second call at the same beta reads them too
+            for _ in range(2):
+                T = dc.yarotsky_term(I, base, spec, beta)
+                assert np.array_equal(T.matrix, ref)
+            assert all((M, base) in spec.term_blocks for k in range(len(I) + 1)
+                       for M in itertools.combinations(I, k))
     assert spec.block_spectra  # the memo was used
+
+
+def test_warm_swap_builds_no_matrix(monkeypatch):
+    # a second beta finds every H_M of the sweep in spec.term_blocks: no H_M
+    # is summed or split (so no block is hashed), and the check keeps its bits
+    spec = chain(6)
+    A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
+    dc.verify_swap_identity(spec, A, B, 2.0)
+    calls = []
+    for module, name in ((algebra, "_zero_pattern_components"),
+                         (expansion, "onsite_sum"), (model, "onsite_sum"),
+                         (expansion, "_scatter_add"), (model, "_scatter_add")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    warm = dc.verify_swap_identity(spec, A, B, 0.5)
+    assert calls == []
+    assert warm == dc.verify_swap_identity(chain(6), A, B, 0.5)
+
+
+def test_term_blocks_hold_the_block_memo_arrays():
+    # an entry keeps its blocks' rows and the memo's own eigensystems, no copies
+    spec = chain(6)
+    dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
+    memo = {id(a) for system in spec.block_spectra.values() for a in system}
+    held = set()
+    for (M, base), systems in spec.term_blocks.items():
+        assert sum(rows.size for rows, _, _ in systems) == 2 ** len(base)
+        for rows, w, V in systems:
+            if rows.shape[1] == 1:
+                continue  # a 1x1 block needs no solve and is not in the memo
+            assert len(w) == len(V) == len(rows)
+            assert all(id(a) in memo for a in (*w, *V))
+            held.update(map(id, (*w, *V)))
+    assert held == memo  # every solved block belongs to some H_M of the sweep
 
 
 def test_term_rejects_non_hermitian_local_matrix(chain6):
