@@ -32,20 +32,22 @@ largest block of the 10-site chain), where one dense solve of the whole
 The public :func:`herm_exp`, :func:`herm_blocks` and :func:`herm_eig` check
 hermiticity, solve the symmetrization and keep nothing across calls.  A sum
 of a spec's local terms, checked when the spec was built, is exactly
-Hermitian and goes to the unchecked :func:`_herm_blocks` and
-:func:`_herm_exp`; :func:`_block_products` forms V f(w) V^H per block,
-which :func:`_block_function` writes into every f(H), exp(sH) or rho.  The
+Hermitian and goes to the unchecked :func:`_herm_blocks`;
+:func:`_block_products` forms V f(w) V^H per block, which
+:func:`_block_function` writes into every f(H), exp(sH) or rho.  The
 alternating sums of :mod:`decorr.expansion` meet the same sector block
-again and again, across subsets, bases, beta and the resummation's
-reference exp(-beta H), so their solves share the memo
-``HamiltonianSpec.block_spectra`` (one per spec), keyed by the dtype, size
-and value bytes (no padding) of a clongdouble block and holding its
+again and again, across subsets, bases and beta, so their solves share the
+memo ``HamiltonianSpec.block_spectra`` (one per spec), keyed by the dtype,
+size and value bytes (no padding) of a clongdouble block and holding its
 eigensystem: each distinct block is refined once per spec.  A refined
 solve treats every block of its stack on its own, so a memo hit is
 bit-identical to solving the block again.  They meet the same H_M again
 too, and :func:`_memo_block_systems` gives the split of one H_M in a form
 ``HamiltonianSpec.term_blocks`` keeps per (M, base): the blocks' rows and
-references to their entries in ``block_spectra``, not copies.
+references to their entries in ``block_spectra``, not copies; every
+extended-precision e^{-beta H_M}, the resummation's reference included, is
+written from one.  tr(X A) for A on a subregion is one contraction,
+:func:`_local_trace`, with A never embedded.
 """
 
 from __future__ import annotations
@@ -185,6 +187,20 @@ def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
     if local.shape != (off.size, off.size):
         raise ValueError(f"local operator shape {local.shape} != q^|support|")
     out[np.arange(base.size)[:, None], base[:, None] + off] += local[alpha]
+
+
+def _local_trace(X: GlobalOperator, A: GlobalOperator):
+    """tr(X A) for A on a subregion of X's region, A not embedded; a scalar of X's dtype.
+
+    Row i of X meets the embedded A only in the columns base(i) + off(b) of
+    :func:`support_index_map`, so the trace is the sum of the terms
+    X[i, base(i) + off(b)] A[b, alpha(i)], dim q^|supp A| of them.  They are
+    added within each row in column order, then the row sums in row order.
+    """
+    alpha, base, off = support_index_map(A.region, X.region, X.q)
+    rows = np.arange(X.dim)[:, None]
+    terms = X.matrix[rows, base[:, None] + off] * A.matrix.T[alpha]
+    return np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1]
 
 
 def operator_product(*ops: GlobalOperator) -> GlobalOperator:
@@ -397,16 +413,15 @@ def _block_stacks(A: np.ndarray):
         yield rows, A[rows[:, :, None], rows[:, None, :]]
 
 
-def _block_eighs(A: np.ndarray, memo: dict | None = None):
+def _block_eighs(A: np.ndarray):
     """Eigensystems of the exact zero-pattern blocks of a Hermitian matrix.
 
     Blocks of equal size are solved as one stack.  Yields ``(rows, w, V)``
     per block size m: the row indices of its k blocks (k, m), their
     ascending eigenvalues (k, m) and eigenvector columns (k, m, m).  complex128
     stacks go to LAPACK (bit-identical to solving each block on its own),
-    clongdouble stacks to :func:`_memo_refined_eigh`, which refines each
-    distinct block once; blocks of size one need no solve.  A ``memo`` keeps
-    the refined blocks across calls; without one, they last for this call.
+    clongdouble stacks to :func:`_refined_eigh`; blocks of size one need no
+    solve.
     """
     extended = A.dtype in (np.longdouble, np.clongdouble)
     for rows, blocks in _block_stacks(A):
@@ -415,7 +430,7 @@ def _block_eighs(A: np.ndarray, memo: dict | None = None):
         elif not extended:
             yield (rows, *np.linalg.eigh(blocks))
         else:
-            yield (rows, *_memo_refined_eigh(blocks, {} if memo is None else memo))
+            yield (rows, *_refined_eigh(blocks))
 
 
 def _memo_block_systems(A: np.ndarray, memo: dict) -> tuple:
@@ -465,15 +480,6 @@ def _memo_systems(blocks: np.ndarray, memo: dict) -> list[tuple]:
         w, V = _refined_eigh(blocks[list(new.values())])
         memo.update(zip(new, zip(w, V)))
     return [memo[key] for key in keys]
-
-
-def _memo_refined_eigh(blocks: np.ndarray, memo: dict):
-    """:func:`_refined_eigh` of a stack, solving only blocks not in ``memo``.
-
-    The stacked eigenvalues and eigenvectors of :func:`_memo_systems`.
-    """
-    systems = _memo_systems(blocks, memo)
-    return np.array([w for w, _ in systems]), np.array([V for _, V in systems])
 
 
 @dataclass(frozen=True)
@@ -546,19 +552,10 @@ def herm_exp(M, s) -> np.ndarray:
     dtype-appropriate solver and written back with one assignment.  Entries
     coupling different blocks stay exactly zero in the output.
     """
-    A = _matrix_of(M)
-    return _herm_exp(_require_hermitian(A.astype(_work_dtype(A.dtype), copy=False)), s)
-
-
-def _herm_exp(A: np.ndarray, s, memo: dict | None = None) -> np.ndarray:
-    """:func:`herm_exp` of a Hermitian A of a work dtype, without the check.
-
-    A must equal its symmetrization bit for bit, as every fixed-order sum of
-    exactly Hermitian matrices accumulated from zeros does; then this is
-    herm_exp(A, s) exactly.  ``memo`` is passed to :func:`_block_eighs`.
-    """
+    M = _matrix_of(M)
+    A = _require_hermitian(M.astype(_work_dtype(M.dtype), copy=False))
     s = np.clongdouble(s) if A.dtype == np.clongdouble else complex(s)
-    blocks = ((rows, np.exp(s * w), V) for rows, w, V in _block_eighs(A, memo))
+    blocks = ((rows, np.exp(s * w), V) for rows, w, V in _block_eighs(A))
     return _block_function(A.shape[0], A.dtype, blocks)
 
 

@@ -356,6 +356,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
             f"{'PASS' if c['pass'] else 'FAIL'} {c['name']} [{c['instance']}] "
             f"residual={c['residual']:.3e} tol={c['tolerance']:.1e}"
         )
+    for s in skipped:
+        print(f"SKIP {s['name']}: {s['reason']}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -372,7 +374,9 @@ def run_decay(cfg: dict, outdir: Path) -> int:
         raise ConfigError("config needs an 'observables' object with A, B, anchor")
     A_t = _template(obs.get("A"), "A")
     B_t = _template(obs.get("B"), "B")
-    anchor = _site(obs.get("anchor", 0), "anchor")
+    if "anchor" not in obs:
+        raise ConfigError("observables need an 'anchor' site")
+    anchor = _site(obs["anchor"], "anchor")
     if len(spec.sites) > MAX_DENSE_SITES:
         raise CapError("lattice too large for a dense decay sweep")
 

@@ -25,7 +25,8 @@ relative even for weights of order 1e-50.
 
 A weight w(I; O) lives on the base closure(I) + supp O.  The sweeps (swap
 identity, supercluster classes, covariance from weights) build one term per
-(configuration, base) and read every trace from it, with O never embedded.
+(configuration, base) and read every trace from it by
+:func:`~decorr.algebra._local_trace`, with O never embedded.
 The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
@@ -40,7 +41,9 @@ beta.  Each H_M is summed and split once per spec, too: the first term to
 meet (M, base) keeps its blocks' rows and references to their eigensystems
 in ``spec.term_blocks``, and every later term, observable base, beta or
 check that meets it adds V e^{-beta w} V^H from there into its own block
-rows and columns, with no dense H_M, pattern scan or block hash.
+rows and columns, with no dense H_M, pattern scan or block hash.  The
+resummation's reference e^{-beta H} and the free factor of each global
+term are such entries too (:func:`_boltzmann`).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .algebra import (
     _block_function,
     _block_products,
     _check_dense,
-    _herm_exp,
+    _local_trace,
     _memo_block_systems,
     _scatter_add,
     op_norm,
@@ -75,7 +78,7 @@ from .lattice import (
 )
 from .model import (
     HamiltonianSpec,
-    build_restricted,
+    interaction_centers,
     onsite_sum,
     restricted_spectrum,
 )
@@ -185,6 +188,12 @@ def _exp_blocks(systems: tuple, beta: float):
         yield rows, np.exp(s * np.asarray(w)), np.asarray(V)
 
 
+def _boltzmann(spec: HamiltonianSpec, M: tuple, region: Region, beta: float) -> np.ndarray:
+    """e^{-beta H_M} on ``region``, written from its ``spec.term_blocks`` entry."""
+    (systems,) = _hm_systems(spec, [M], region)
+    return _block_function(spec.q ** len(region), np.clongdouble, _exp_blocks(systems, beta))
+
+
 def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
     """T_I on the whole lattice, in extended precision: free factor outside closure(I).
 
@@ -197,18 +206,16 @@ def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator
     outer factor.
 
     The outer factor exp(-beta H0_rest) is the (empty M, rest) entry of
-    ``spec.term_blocks``, written by :func:`~decorr.algebra._block_function`,
-    so the terms of one closure share their solves across I and beta, and
-    the memo keeps whole-lattice blocks as long as the spec.
+    ``spec.term_blocks`` (:func:`_boltzmann`), so the terms of one closure
+    share their solves across I and beta, and the memo keeps whole-lattice
+    blocks as long as the spec.
     """
     cl = closure(I, spec.geometry)
     rest = spec.sites - cl
     a1 = support_index_map(rest, spec.sites, spec.q)[0]
     a2 = support_index_map(cl, spec.sites, spec.q)[0]
     inner = yarotsky_term(I, cl, spec, beta).matrix
-    (systems,) = _hm_systems(spec, [()], rest)
-    outer = _block_function(spec.q ** len(rest), np.clongdouble, _exp_blocks(systems, beta))
-    product = outer[np.ix_(a1, a1)]
+    product = _boltzmann(spec, (), rest, beta)[np.ix_(a1, a1)]
     product *= inner[np.ix_(a2, a2)]
     return GlobalOperator(spec.sites, spec.q, product)
 
@@ -219,11 +226,13 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     The sum runs over all subsets of the lattice interior (configurations on
     centers without interactions contribute exact zeros but are included --
     the resummation identity is about the full subset lattice).  The
-    reference e^{-beta H} reads ``spec.block_spectra`` like every term.
+    reference e^{-beta H} is the ``spec.term_blocks`` entry of every
+    interaction center on the whole lattice (:func:`_boltzmann`), summed,
+    split and solved as every H_M is.
     """
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
-    _, _, H = build_restricted(spec, spec.sites, np.clongdouble)
-    ref = _herm_exp(H.matrix, -beta, spec.block_spectra)
+    centers = tuple(interaction_centers(spec, spec.sites))
+    ref = _boltzmann(spec, centers, spec.sites, beta)
     acc = np.zeros_like(ref)
     for I in configs:
         acc += global_term(I, spec, beta).matrix
@@ -285,23 +294,6 @@ def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.lo
     return z
 
 
-def _trace_product(O: GlobalOperator, T: GlobalOperator) -> np.clongdouble:
-    """tr(O T) for O on a subregion of T's region, in dim q^|supp O| operations.
-
-    Row i of embed(O) T meets only T[base(i) + off(b), i] (see
-    :func:`~decorr.algebra.support_index_map`).  Those terms are added per
-    row in ascending b from a clongdouble zero and the row sums reduced as
-    np.trace reduces a diagonal: the order in which the longdouble matmul of
-    tr(operator_product(O, T)) adds its nonzero terms, so the bits agree.
-    """
-    alpha, base, off = support_index_map(O.region, T.region, T.q)
-    rows = np.arange(T.dim)
-    acc = np.zeros(T.dim, dtype=np.clongdouble)
-    for b in range(off.size):
-        acc += O.matrix[alpha, b] * T.matrix[base + off[b], rows]
-    return acc.sum()
-
-
 def _weights(
     I: Region, observables: list, spec: HamiltonianSpec, beta: float
 ) -> list[np.longdouble]:
@@ -318,7 +310,7 @@ def _weights(
         z0 = _free_partition(base, spec, beta)
         for k, O in enumerate(observables):
             if bases[k] == base:
-                tr = np.trace(T.matrix) if O is None else _trace_product(O, T)
+                tr = np.trace(T.matrix) if O is None else _local_trace(T, O)
                 out[k] = tr.real / z0
     return out
 

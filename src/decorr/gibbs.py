@@ -25,6 +25,7 @@ from .algebra import (
     GlobalOperator,
     _block_function,
     _herm_blocks,
+    _local_trace,
     _scatter_add,
     herm_blocks,
     operator_product,
@@ -94,20 +95,13 @@ def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
 def expectation(state: ThermalState, A: GlobalOperator) -> complex:
     """tr(rho A), with A acting on a subregion of the state's region.
 
-    A is never embedded: row i of rho meets A only in the columns
-    base(i) + off(b) of :func:`support_index_map`, so the trace is the sum
-    of the terms rho[i, base(i) + off(b)] A[b, alpha(i)], O(dim q^|supp A|).
-    The terms are added within each row in column order and the row sums in
-    row order, the order in which einsum("ij,ji->") adds the nonzero terms
-    of tr(rho embed(A)).
+    A is never embedded: the trace is read from the entries of rho that A
+    meets, O(dim q^|supp A|), by :func:`~decorr.algebra._local_trace`, the
+    contraction the expansion's weights use too.
     """
     if not A.region.issubset(state.region):
         raise ValueError("observable support is not contained in the state's region")
-    rho = state.rho.matrix
-    alpha, base, off = support_index_map(A.region, state.region, state.rho.q)
-    rows = np.arange(rho.shape[0])[:, None]
-    terms = rho[rows, base[:, None] + off] * A.matrix.T[alpha]
-    return complex(np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1])
+    return complex(_local_trace(state.rho, A))
 
 
 def covariance(state: ThermalState, A: GlobalOperator, B: GlobalOperator) -> complex:

@@ -139,7 +139,9 @@ class HamiltonianSpec:
     blocks above size one, references to their entries in ``block_spectra``
     (see :func:`~decorr.algebra._memo_block_systems`).  H_M depends on
     (spec, M, base) alone, so an entry serves every term, base observable
-    and beta that meets that H_M again, without summing or splitting it.
+    and beta that meets that H_M again, without summing or splitting it;
+    with M every interaction center and base the lattice, it is the
+    resummation's reference H.
     The memos live and die with the spec and take no part in its repr or
     equality.
     """
@@ -417,19 +419,16 @@ def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
     return H0
 
 
-def build_restricted(spec: HamiltonianSpec, S: Region, dtype=complex):
-    """(H0_S, V_S, H_S) on S: all on-site terms in S, interactions with ball in S.
-
-    The terms are summed in ``dtype`` (clongdouble for extended-precision references).
-    """
+def build_restricted(spec: HamiltonianSpec, S: Region):
+    """(H0_S, V_S, H_S) on S in complex128: all on-site terms in S, interactions with ball in S."""
     if not S.issubset(spec.sites):
         raise ValueError("restriction region is not contained in the lattice")
     q = spec.q
-    H0 = onsite_sum(spec.onsite, S, q, dtype)
+    H0 = onsite_sum(spec.onsite, S, q, complex)
     V = np.zeros_like(H0)
     for x in interaction_centers(spec, S):
         term = spec.interactions[x]
-        _scatter_add(V, term.matrix.astype(dtype), support_index_map(term.support, S, q))
+        _scatter_add(V, term.matrix.astype(complex), support_index_map(term.support, S, q))
     return (
         GlobalOperator(S, q, H0),
         GlobalOperator(S, q, V),

@@ -365,12 +365,21 @@ def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
     )
     memo = {}
     for A in (M, N, M, N):
-        assert np.array_equal(algebra._herm_exp(A, -2.0, memo), herm_exp(A, -2.0))
-    # per round (memo path, then public path): the public path solves the
-    # distinct blocks of each call (M: 1, N: 2), the memo path only the blocks
-    # it has not seen (M: 1, then the new block of N, then none)
-    assert solved == [1, 1, 1, 2, 1, 2]
+        held = algebra._memo_block_systems(A, memo)
+        fresh = list(algebra._block_eighs(A))
+        assert len(held) == len(fresh)
+        for (rows, w, V), (fresh_rows, fresh_w, fresh_V) in zip(held, fresh):
+            assert np.array_equal(rows, fresh_rows)
+            assert np.array_equal(np.asarray(w), fresh_w)
+            assert np.array_equal(np.asarray(V), fresh_V)
+    # per round (memo, then a fresh solve): the fresh solve refines both 3x3
+    # blocks of each call, the memo only the blocks it has not seen (M: 1,
+    # then the new block of N, then none)
+    assert solved == [1, 2, 1, 2, 2, 2]
     assert len(memo) == 2
+    # the two copies of B in M hold one memo entry (the 3x3 blocks come first)
+    (_, w, V), _ = algebra._memo_block_systems(M, memo)
+    assert w[0] is w[1] and V[0] is V[1]
 
 
 def test_block_memo_ignores_longdouble_padding():
@@ -382,9 +391,9 @@ def test_block_memo_ignores_longdouble_padding():
     scribbled.view(np.uint8).reshape(-1, pad.size)[:, pad] = 0xA5
     assert np.array_equal(scribbled, B)
     memo = {}
-    w, V = algebra._memo_refined_eigh(np.array([B, scribbled]), memo)
+    first, second = algebra._memo_systems(np.array([B, scribbled]), memo)
     assert len(memo) == 1
-    assert np.array_equal(w[0], w[1]) and np.array_equal(V[0], V[1])
+    assert first is second
 
 
 def test_op_norm_values():

@@ -40,8 +40,12 @@ def test_verify_free_model(tmp_path, capsys):
     rc, out = run(tmp_path, "verify", payload)
     assert rc == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert all(l.startswith("PASS") for l in lines)
     report = json.loads((out / "verify_report.json").read_text())
+    # one PASS line per check, then one SKIP line per check not run
+    skips = [f"SKIP {s['name']}: {s['reason']}" for s in report["skipped"]]
+    assert len(lines) == len(report["checks"]) + len(skips)
+    assert all(l.startswith("PASS") for l in lines[: len(report["checks"])])
+    assert lines[len(report["checks"]):] == skips
     assert report["schema"] == SCHEMA_VERSION
     assert all(c["pass"] for c in report["checks"])
 
@@ -91,12 +95,16 @@ def family(name):
              ("swap_identity", "probes at the lattice ends are within 2R")]),
     ],
 )
-def test_verify_lists_every_check_it_does_not_run(tmp_path, n, skipped):
+def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, n, skipped):
     payload = {"model": {**CANONICAL_MODEL, "n": n}, "betas": [0.5]}
     rc, out = run(tmp_path, "verify", payload)
     assert rc == EXIT_OK
     report = json.loads((out / "verify_report.json").read_text())
     assert [(s["name"], s["reason"]) for s in report["skipped"]] == skipped
+    # stdout names each of them after the checks that ran
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(skipped):] == [f"SKIP {name}: {reason}" for name, reason in skipped]
+    assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-len(skipped)])
     ran = {family(c["name"]) for c in report["checks"]}
     assert ran.isdisjoint(name for name, _ in skipped)
     assert ran | {name for name, _ in skipped} == VERIFY_FAMILIES
@@ -212,6 +220,10 @@ def custom_model(center):
         ("verify", {"model": {**CANONICAL_MODEL, "n": 0}, "betas": [1.0]}),
         ("certify", {"model": {**CANONICAL_MODEL, "n": 0}}),
         ("certify", {"model": {**CANONICAL_MODEL, "D": 1, "lattice": []}}),
+        # no anchor: site 0 of an xxz chain meets no interaction, so every
+        # covariance would read exactly 0 and the sweep nothing
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {"A": [[0, "X"]], "B": [[0, "X"]]}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -222,7 +234,7 @@ def custom_model(center):
         "ising-tanh-one", "ising-zero-covariance", "certify-site-fraction", "certify-site-fraction-inner",
         "certify-coupling-fraction", "certify-center-fraction", "verify-beta-inf",
         "verify-beta-nan", "decay-beta-inf", "decay-beta-nan", "verify-n-zero",
-        "certify-n-zero", "certify-lattice-empty",
+        "certify-n-zero", "certify-lattice-empty", "decay-anchor-missing",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):

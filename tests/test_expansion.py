@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 import decorr as dc
 from decorr import algebra, expansion, model
 from decorr.algebra import GlobalOperator, embed, herm_exp, operator_product
-from decorr.expansion import MAX_TERM_SIZE, _trace_product, interior_configurations
+from decorr.expansion import MAX_TERM_SIZE, interior_configurations
 from decorr.lattice import Region, closure, interior, r_connected_set
 
 from conftest import chain, pauli_at
@@ -113,23 +113,31 @@ def test_term_matches_public_herm_exp_sum(variant, chain6, chain8):
     assert spec.block_spectra  # the memo was used
 
 
+WARM_CHECKS = (
+    lambda spec, beta: dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), beta),
+    # the reference e^{-beta H} is an entry of spec.term_blocks like every H_M
+    dc.verify_resummation,
+)
+
+
 def test_warm_swap_builds_no_matrix(monkeypatch):
-    # a second beta finds every H_M of the sweep in spec.term_blocks: no H_M
+    # a second beta finds every H_M of the check in spec.term_blocks: no H_M
     # is summed or split (so no block is hashed), and the check keeps its bits
-    spec = chain(6)
-    A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
-    dc.verify_swap_identity(spec, A, B, 2.0)
-    calls = []
-    for module, name in ((algebra, "_zero_pattern_components"),
-                         (expansion, "onsite_sum"), (model, "onsite_sum"),
-                         (expansion, "_scatter_add"), (model, "_scatter_add")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
-        )
-    warm = dc.verify_swap_identity(spec, A, B, 0.5)
-    assert calls == []
-    assert warm == dc.verify_swap_identity(chain(6), A, B, 0.5)
+    for check in WARM_CHECKS:
+        spec = chain(6)
+        check(spec, 2.0)
+        calls = []
+        for module, name in ((algebra, "_zero_pattern_components"),
+                             (expansion, "onsite_sum"), (model, "onsite_sum"),
+                             (expansion, "_scatter_add"), (model, "_scatter_add")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            )
+        warm = check(spec, 0.5)
+        monkeypatch.undo()
+        assert calls == []
+        assert warm == check(chain(6), 0.5)
 
 
 def test_term_blocks_hold_the_block_memo_arrays():
@@ -348,10 +356,23 @@ def test_observable_weights_sum_to_weighted_trace(chain6):
     assert total == pytest.approx(direct, rel=1e-12)
 
 
+def _trace_by_rows(T, O):
+    """tr(T O) as a plain loop: each row's terms in column order, then the rows in order."""
+    alpha, base, off = algebra.support_index_map(O.region, T.region, T.q)
+    total = np.clongdouble(0)
+    for i in range(T.dim):
+        row = np.clongdouble(0)
+        for b in range(off.size):
+            row += T.matrix[i, base[i] + off[b]] * O.matrix[b, alpha[i]]
+        total += row
+    return total
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_observable_trace_matches_dense_product(m):
     # tr(O T) read through the index map adds the nonzero terms of the dense
-    # product's diagonal in the same order, so the bits agree exactly
+    # product in the order expectation() adds them, bit for bit, and agrees
+    # with the dense product's trace to the longdouble rounding of the sum
     rng = np.random.default_rng(m)
     base = Region([(i,) for i in range(m)])
     dim = 2**m
@@ -360,13 +381,20 @@ def test_observable_trace_matches_dense_product(m):
     supports = [c for k in (1, 2) for c in itertools.combinations(range(m), k)]
     if m <= 4:
         supports.append(tuple(range(m)))  # O on the whole base, as for I = {}
+    eps = np.finfo(np.longdouble).eps
     for sup in supports:
         k = 2 ** len(sup)
         O = GlobalOperator(
             Region([(i,) for i in sup]), 2,
             rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
         )
-        assert _trace_product(O, T) == np.trace(operator_product(O, T).matrix), sup
+        got = algebra._local_trace(T, O)
+        assert got == _trace_by_rows(T, O), sup
+        dense = np.trace(operator_product(O, T).matrix)
+        magnitudes = operator_product(GlobalOperator(O.region, 2, np.abs(O.matrix)),
+                                      GlobalOperator(base, 2, np.abs(T.matrix)))
+        scale = np.trace(magnitudes.matrix)  # the sum of the terms' magnitudes
+        assert abs(got - dense) <= dim * k * eps * scale, sup
 
 
 def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
@@ -599,9 +627,9 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     solved = []
     original = model.build_restricted
 
-    def counting_build(spec, S, dtype=complex):
+    def counting_build(spec, S):
         solved.append(S)
-        return original(spec, S, dtype)
+        return original(spec, S)
 
     monkeypatch.setattr(model, "build_restricted", counting_build)
     betas = (1.0, 10.0)

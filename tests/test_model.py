@@ -215,11 +215,8 @@ def test_onsite_sum_matches_kronecker_sum(dtype):
 
 
 def test_build_restricted_keeps_dtype(chain6):
-    H0, V, H = dc.build_restricted(chain6, chain6.sites, np.clongdouble)
-    assert H0.matrix.dtype == V.matrix.dtype == H.matrix.dtype == np.clongdouble
-    H_double = dc.build_restricted(chain6, chain6.sites)[2].matrix
-    assert H_double.dtype == np.complex128
-    assert np.abs(H.matrix - H_double).max() <= 1e-15
+    H0, V, H = dc.build_restricted(chain6, chain6.sites)
+    assert H0.matrix.dtype == V.matrix.dtype == H.matrix.dtype == np.complex128
 
 
 def test_disjoint_pieces_split_additively(chain6):
