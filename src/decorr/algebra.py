@@ -36,18 +36,25 @@ Hermitian and goes to the unchecked :func:`_herm_blocks`;
 :func:`_block_products` forms V f(w) V^H per block, which
 :func:`_block_function` writes into every f(H), exp(sH) or rho.  The
 alternating sums of :mod:`decorr.expansion` meet the same sector block
-again and again, across subsets, bases and beta, so their solves share the
-memo ``HamiltonianSpec.block_spectra`` (one per spec), keyed by the dtype,
-size and value bytes (no padding) of a clongdouble block and holding its
-eigensystem: each distinct block is refined once per spec.  A refined
-solve treats every block of its stack on its own, so a memo hit is
-bit-identical to solving the block again.  They meet the same H_M again
-too, and :func:`_memo_block_systems` gives the split of one H_M in a form
-``HamiltonianSpec.term_blocks`` keeps per (M, base): the blocks' rows and
-references to their entries in ``block_spectra``, not copies; every
-extended-precision e^{-beta H_M}, the resummation's reference included, is
-written from one.  tr(X A) for A on a subregion is one contraction,
-:func:`_local_trace`, with A never embedded.
+again and again, across subsets, bases and beta, and blocks that differ
+only by a multiple of the identity (sectors that differ only in free
+sites) more often still.  A refined solve shifts each block by the mean of
+its diagonal (:func:`_shift_diagonal`), solves the shifted block
+(:func:`_refined_core`), adds the shift back and sorts; so the solves share
+the memo ``HamiltonianSpec.block_spectra`` (one per spec), keyed by the
+size and value bytes (no padding) of the shifted block and holding its
+core eigensystem: each distinct shifted block is refined once per spec.
+The core treats every block of its stack on its own, so a memo hit with
+the block's own shift and sort applied is bit-identical to solving the
+block again.  They meet the same H_M again too, and a memo fill
+(:func:`_memo_split` of each H_M, one :func:`_memo_solve` of all their new
+blocks, one core call per block size, then :func:`_memo_systems`) gives
+each H_M's split in the form ``HamiltonianSpec.term_blocks`` keeps per (M,
+base): the blocks' rows, their eigenvalues and references to the memo's
+eigenvector arrays, not copies; every extended-precision e^{-beta H_M},
+the resummation's reference included, is written from one.  tr(X A) for A
+on a subregion is one contraction, :func:`_local_trace`, with A never
+embedded.
 """
 
 from __future__ import annotations
@@ -322,28 +329,37 @@ def _ogita_aishima_step(A: np.ndarray, X: np.ndarray, norm_a: np.ndarray) -> np.
     return np.where(near, R / 2, (S + lam[:, None, :] * R) / np.where(near, 1, gap))
 
 
-def _refined_eigh(A: np.ndarray):
-    """Eigensystems of a stack of Hermitian blocks in extended precision.
+def _shift_diagonal(A: np.ndarray):
+    """(A - shift I, shift) for a stack of blocks, shift the mean of each block's diagonal.
 
-    Each block is first shifted by the mean of its diagonal, so products
+    Returned in clongdouble, as :func:`_refined_core` takes it.  Symmetry
+    sectors have nearly equal diagonals, so the shifted block's products
     round relative to the spread of its eigenvalues instead of their size
-    (symmetry sectors have nearly equal diagonals; the shift makes the
-    refined eigenvalues several times more accurate there).  One stacked
-    complex128 LAPACK solve gives the start; Ogita-Aishima steps refine it in
-    clongdouble until the correction max|E| of a block stops halving or falls
-    to a few units of longdouble epsilon.  (Stopping on the orthogonality
-    residual instead ends too early for blocks whose start mixes close
-    eigenvalues.)  A block whose X^H A X keeps an off-diagonal above
-    ``CLUSTER_TOL * EPS_EXT * ||A||``, or whose X stays further than
-    ``CLUSTER_TOL * EPS_EXT`` from orthonormal, has degenerate or clustered
-    eigenvalues the refinement cannot separate; it is solved again by
-    Jacobi.  The step cap is a safety net: quadratic convergence takes two or
-    three steps from a double-precision start.
+    (the refined eigenvalues come out several times more accurate there).
     """
     A = A.astype(np.clongdouble)
     diag = np.arange(A.shape[-1])
     shift = A[:, diag, diag].real.mean(axis=-1)
     A[:, diag, diag] -= shift[:, None]
+    return A, shift
+
+
+def _refined_core(A: np.ndarray):
+    """Extended-precision eigensystems (w, X) of a stack of shifted clongdouble blocks.
+
+    One stacked complex128 LAPACK solve gives the start; Ogita-Aishima steps
+    refine it in clongdouble until the correction max|E| of a block stops
+    halving or falls to a few units of longdouble epsilon.  (Stopping on the
+    orthogonality residual instead ends too early for blocks whose start
+    mixes close eigenvalues.)  A block whose X^H A X keeps an off-diagonal
+    above ``CLUSTER_TOL * EPS_EXT * ||A||``, or whose X stays further than
+    ``CLUSTER_TOL * EPS_EXT`` from orthonormal, has degenerate or clustered
+    eigenvalues the refinement cannot separate; it is solved again by
+    Jacobi.  The step cap is a safety net: quadratic convergence takes two or
+    three steps from a double-precision start.  The eigenvalues come in the
+    order the refinement leaves them, which need not be ascending.
+    """
+    diag = np.arange(A.shape[-1])
     w0, X = np.linalg.eigh(A.astype(np.complex128))
     X = X.astype(np.clongdouble)
     norm_a = np.abs(w0).max(axis=-1)
@@ -367,6 +383,21 @@ def _refined_eigh(A: np.ndarray):
     unresolved = (off > CLUSTER_TOL * EPS_EXT * norm_a) | (orth > CLUSTER_TOL * EPS_EXT)
     for i in np.nonzero(unresolved)[0]:
         w[i], X[i] = _jacobi_eigh(A[i])
+    return w, X
+
+
+def _refined_eigh(A: np.ndarray):
+    """Eigensystems of a stack of Hermitian blocks in extended precision.
+
+    :func:`_refined_core` of each block shifted by :func:`_shift_diagonal`;
+    the shift is added back and each block's eigenpairs are sorted by a
+    stable argsort.  Every step treats each block of the stack on its own,
+    and the core sees only the shifted block, so the block memo keeps core
+    systems per shifted block and applies this tail per block
+    (:func:`_memo_systems`).
+    """
+    A, shift = _shift_diagonal(A)
+    w, X = _refined_core(A)
     w += shift[:, None]
     order = np.argsort(w, axis=-1, kind="stable")
     return np.take_along_axis(w, order, -1), np.take_along_axis(X, order[:, None, :], -1)
@@ -433,53 +464,99 @@ def _block_eighs(A: np.ndarray):
             yield (rows, *_refined_eigh(blocks))
 
 
-def _memo_block_systems(A: np.ndarray, memo: dict) -> tuple:
-    """:func:`_block_eighs` of a clongdouble A, holding the memo's own arrays.
+def _memo_split(A: np.ndarray, memo: dict, pending: dict) -> tuple:
+    """Split a clongdouble A for a block memo fill; :func:`_memo_systems` reads the result.
 
-    One ``(rows, w, V)`` per block size, as :func:`_block_eighs` yields it,
-    except that for blocks above size one w and V are lists of the arrays
-    in ``memo`` (see :func:`_memo_systems`), not stacked copies of them:
-    kept across calls, they cost their row indices and references (a
-    stacked copy per H_M takes the peak memory of the 10-site README
-    ``decorr verify`` to 545 MB, against 410 MB with references).
-    ``np.asarray`` of the lists gives the stacks :func:`_block_eighs`
-    yields, bit for bit.
+    Per block size: its rows and, for blocks above size one, each block's
+    shift and where its core eigensystem will be.  ``memo`` maps (size,
+    value bytes) of a block shifted by :func:`_shift_diagonal` to the
+    :func:`_refined_core` system of that shifted block, sorted (see
+    :func:`_memo_solve`); the value bytes leave out the padding of each
+    longdouble (see :func:`_value_bytes`).  A block found there keeps the
+    memo's value; a block that is not gets a slot in ``pending``, one per
+    distinct shifted block, which holds the block until :func:`_memo_solve`
+    puts its system there.  Blocks that differ by a multiple of the
+    identity, as sectors do that differ only in free sites, mostly shift to
+    the same bytes and share one solve.
     """
+    mask = _LONGDOUBLE_VALUE_BYTES
     out = []
     for rows, blocks in _block_stacks(A):
         if rows.shape[1] == 1:
             out.append((rows, blocks[:, 0].real, np.ones_like(blocks)))
-        else:
-            systems = _memo_systems(blocks, memo)
-            out.append((rows, [w for w, _ in systems], [V for _, V in systems]))
+            continue
+        shifted, shift = _shift_diagonal(blocks)
+        values = shifted.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
+        held = []
+        for block, v in zip(shifted, values):
+            key = (rows.shape[1], v.tobytes())
+            system = memo.get(key)
+            if system is None:
+                system = pending.get(key)
+            if system is None:
+                system = pending[key] = [block.copy()]
+            held.append(system)
+        out.append((rows, shift, held))
     return tuple(out)
 
 
-def _memo_systems(blocks: np.ndarray, memo: dict) -> list[tuple]:
-    """The ``memo`` entry (w, V) of each block of a stack, solving only blocks not in it.
+def _memo_solve(memo: dict, pending: dict) -> None:
+    """Solve the blocks ``pending`` holds, one :func:`_refined_core` call per block size.
 
-    ``memo`` maps (dtype, size, value bytes) of a block to its ascending
-    eigenvalues and eigenvectors; the value bytes leave out the padding of
-    each longdouble (see :func:`_value_bytes`).  The distinct blocks not yet
-    in it are solved as one stack by :func:`_refined_eigh` and added.  A
-    refined solve treats each block of a stack on its own (the LAPACK start,
-    the clongdouble products, the stop test and the Jacobi fallback are all
-    per block), so a block's result does not depend on which stack solved
-    it, and a memo hit is bit-identical to a fresh solve.  Nothing in the
-    memo depends on the exponent a caller applies, so one solve serves every
-    beta.
+    Each system goes into ``memo`` and into its slot, as (w, X, rank): the
+    core's eigenpairs sorted by a stable argsort of w, and rank, the
+    positions the core gave them, kept only where that order was not
+    already ascending (ties after a shift are broken by it; see
+    :func:`_memo_systems`).  The core treats each block of a stack on its
+    own (the LAPACK start, the clongdouble products, the stop test and the
+    Jacobi fallback are all per block), so a system does not depend on
+    which blocks it was solved with; nor on the exponent a caller applies,
+    so one solve serves every beta.
     """
-    mask = _LONGDOUBLE_VALUE_BYTES
-    values = blocks.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
-    keys = [(blocks.dtype.str, blocks.shape[1], v.tobytes()) for v in values]
-    new: dict = {}
-    for k, key in enumerate(keys):
-        if key not in memo:
-            new.setdefault(key, k)
-    if new:
-        w, V = _refined_eigh(blocks[list(new.values())])
-        memo.update(zip(new, zip(w, V)))
-    return [memo[key] for key in keys]
+    by_size: dict[int, list] = {}
+    for key, slot in pending.items():
+        by_size.setdefault(key[0], []).append((key, slot))
+    for entries in by_size.values():
+        w, X = _refined_core(np.array([slot[0] for _, slot in entries]))
+        rank = np.argsort(w, axis=-1, kind="stable")
+        for (key, slot), wk, Xk, rk in zip(entries, w, X, rank):
+            if (rk[1:] > rk[:-1]).all():
+                system = (wk, Xk, None)
+            else:
+                system = (wk[rk], Xk[:, rk], rk)
+            memo[key] = slot[0] = system
+    pending.clear()
+
+
+def _memo_systems(split: tuple) -> tuple:
+    """:func:`_block_eighs` of a split A after its fill is solved: one (rows, w, V) per size.
+
+    Each block's w is its memo w plus its own shift and V the memo's own
+    eigenvector array, not a copy (stacked copies would hold the memo's
+    memory again per H_M).  This is :func:`_refined_eigh`'s tail, bit for
+    bit: adding the shift keeps the sorted w in order but may round two
+    eigenvalues to a tie, which its stable argsort breaks by the core's
+    order, so a block with a memo rank is sorted again by (w, rank), and
+    holds a permuted copy of V only if that moves a column.  ``np.asarray``
+    of the V list gives the stack :func:`_block_eighs` yields.
+    """
+    out = []
+    for part in split:
+        rows, shift, held = part
+        if rows.shape[1] == 1:  # split kept the system of its 1x1 blocks
+            out.append(part)
+            continue
+        systems = [s[0] if isinstance(s, list) else s for s in held]
+        w = np.array([wk for wk, _, _ in systems])
+        w += shift[:, None]
+        V = [Xk for _, Xk, _ in systems]
+        for k, (_, Xk, rank) in enumerate(systems):
+            if rank is not None:
+                order = np.lexsort((rank, w[k]))
+                if (order[1:] < order[:-1]).any():
+                    w[k], V[k] = w[k][order], Xk[:, order]
+        out.append((rows, w, V))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import expansion, gibbs, lattice, model
 from ._kernels import MAX_K, brute_force_connected_count, build_universe, universe_size
 from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
-from .lattice import LatticeGeometry, Region, _integer, r_connected_set, set_distance
+from .lattice import LatticeGeometry, Region, _integer, _real, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
 
 SCHEMA_VERSION = 1
@@ -103,7 +103,7 @@ def _betas(cfg: dict) -> list[float]:
     betas = cfg.get("betas")
     if not isinstance(betas, list) or not betas:
         raise ConfigError("config needs a nonempty 'betas' list")
-    betas = [_convert(float, b, "beta") for b in betas]
+    betas = [_convert(_real, b, "beta") for b in betas]
     if not all(math.isfinite(b) and b > 0 for b in betas):
         raise ConfigError(f"betas must be finite and positive, got {betas!r}")
     return betas
@@ -135,7 +135,9 @@ def _template(raw, name: str):
 
 def _site(value, what: str):
     """A site or offset: an int, or a list of ints as a tuple."""
-    return _convert(lambda v: v if isinstance(v, int) else tuple(map(_integer, v)), value, what)
+    return _convert(
+        lambda v: tuple(map(_integer, v)) if isinstance(v, list) else _integer(v), value, what
+    )
 
 
 def _tolerance(cfg: dict, key: str, default: float) -> float:
@@ -143,7 +145,7 @@ def _tolerance(cfg: dict, key: str, default: float) -> float:
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object")
-    tol = _convert(float, tolerances.get(key, default), f"tolerance {key}")
+    tol = _convert(_real, tolerances.get(key, default), f"tolerance {key}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tolerance {key} must be finite and nonnegative, got {tol!r}")
     return tol
@@ -477,7 +479,7 @@ def run_count(cfg: dict, outdir: Path) -> int:
 
 def run_ising(cfg: dict, outdir: Path) -> int:
     n = _convert(_integer, cfg.get("n", 10), "n")
-    J = _convert(float, cfg.get("J", 1.0), "J")
+    J = _convert(_real, cfg.get("J", 1.0), "J")
     betas = _betas(cfg)
     # a decay fit needs 3 spins and 0 < |tanh(beta J)| < 1 in double at every beta
     tanh = [abs(math.tanh(beta * J)) for beta in betas]

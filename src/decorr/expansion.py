@@ -35,15 +35,20 @@ Every term sums its H_M as every H_S is summed, in clongdouble, from the
 local matrices its spec checked when it was built: H0 by
 :func:`~decorr.model.onsite_sum`, each v_x by
 :func:`~decorr.algebra._scatter_add`.  The exponentials read their blocks'
-eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), so
-each distinct block is solved once per spec, whatever the subset, base or
-beta.  Each H_M is summed and split once per spec, too: the first term to
-meet (M, base) keeps its blocks' rows and references to their eigensystems
-in ``spec.term_blocks``, and every later term, observable base, beta or
-check that meets it adds V e^{-beta w} V^H from there into its own block
-rows and columns, with no dense H_M, pattern scan or block hash.  The
-resummation's reference e^{-beta H} and the free factor of each global
-term are such entries too (:func:`_boltzmann`).
+eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), keyed
+by the block shifted by its mean diagonal, so each distinct shifted block
+is solved once per spec, whatever the subset, base, beta or free sites.
+Each H_M is summed and split once per spec, too, in one fill per sweep
+(:func:`_fill`): each sweep (resummation, term norms, factorization, swap,
+supercluster classes, covariance) first passes every (M, base) it will
+meet, and the blocks none of them found in the memo are solved together,
+one stack per block size.  An entry of ``spec.term_blocks`` keeps the
+blocks' rows, eigenvalues and references to their eigenvectors, and every
+later term, observable base, beta or check that meets it adds V e^{-beta w}
+V^H from there into its own block rows and columns, with no dense H_M,
+pattern scan or block hash.  The resummation's reference e^{-beta H} and
+the free factor of each global term are such entries too
+(:func:`_boltzmann`).
 """
 
 from __future__ import annotations
@@ -60,7 +65,9 @@ from .algebra import (
     _block_products,
     _check_dense,
     _local_trace,
-    _memo_block_systems,
+    _memo_solve,
+    _memo_split,
+    _memo_systems,
     _scatter_add,
     op_norm,
     operator_product,
@@ -121,16 +128,27 @@ def interior_configurations(
 # terms
 # ---------------------------------------------------------------------------
 
+def _term_pairs(I: Region, base: Region, spec: HamiltonianSpec) -> list[tuple]:
+    """The (M, base) of every summand of T_I^{base}, M by increasing size; none if
+    a center of I has no interaction.
+
+    Such a center carries v_x = 0, so the in and out halves of the
+    alternating sum cancel exactly and the term is a structural zero.
+    """
+    if any(x not in spec.interactions for x in I):
+        return []
+    return [(M, base) for k in range(len(I) + 1) for M in itertools.combinations(I, k)]
+
+
 def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
     """The alternating-sum term T_I^{base} on the region ``base``, in clongdouble.
 
     Requires I inside the lattice interior and closure(I) inside base, so
     every interaction of I acts within the base region.  A center of I with
-    no interaction carries v_x = 0, and the in/out halves of the alternating
-    sum cancel exactly: the term is a structural zero, returned without
-    computing any exponentials.  Each summand e^{-beta H_M} is added (or
-    subtracted) block by block, from the blocks of H_M in
-    ``spec.term_blocks`` (:func:`_hm_systems`), and no dense summand is
+    no interaction makes the term a structural zero, returned without
+    computing any exponentials (:func:`_term_pairs`).  Each summand
+    e^{-beta H_M} is added (or subtracted) block by block, from the blocks
+    of H_M in ``spec.term_blocks`` (:func:`_fill`), and no dense summand is
     formed: the entries outside the blocks are zero, and adding zero to a
     sum accumulated from zeros changes no bit.
     """
@@ -143,11 +161,8 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     _check_dense(len(base))
     dim = spec.q ** len(base)
     total = np.zeros((dim, dim), dtype=np.clongdouble)
-    if any(x not in spec.interactions for x in I):
-        return GlobalOperator(base, spec.q, total)
-
-    Ms = [M for k in range(len(I) + 1) for M in itertools.combinations(I, k)]
-    for M, systems in zip(Ms, _hm_systems(spec, Ms, base)):
+    pairs = _term_pairs(I, base, spec)
+    for (M, _), systems in zip(pairs, _fill(spec, pairs)):
         # subtracting is adding the summand times -1 bit for bit, without its copy
         add = np.add if (len(I) - len(M)) % 2 == 0 else np.subtract
         for at, summand in _block_products(_exp_blocks(systems, beta)):
@@ -155,42 +170,54 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     return GlobalOperator(base, spec.q, total)
 
 
-def _hm_systems(spec: HamiltonianSpec, Ms: list, base: Region) -> list:
-    """The ``spec.term_blocks`` entry of H_M = H0_base + sum_{x in M} v_x for each M of Ms.
+def _fill(spec: HamiltonianSpec, pairs: list) -> list:
+    """The ``spec.term_blocks`` entry of H_M = H0_base + sum_{x in M} v_x for each (M, base).
 
-    The H_M not yet in the memo are summed in clongdouble from one H0 (by
-    :func:`~decorr.model.onsite_sum`, each v_x added by
-    :func:`~decorr.algebra._scatter_add`) and split into their zero-pattern
-    blocks, in the order of Ms; the blocks' eigensystems are read from or
-    added to ``spec.block_spectra`` (see
-    :func:`~decorr.algebra._memo_block_systems`).  A spec and its local
-    matrices never change, so an entry is what summing and solving H_M
-    again would give, bit for bit.
+    The H_M not yet in the memo are summed in clongdouble, one base at a
+    time from one H0 (by :func:`~decorr.model.onsite_sum`, each v_x added by
+    :func:`~decorr.algebra._scatter_add`), and split into their zero-pattern
+    blocks, one H_M at a time (:func:`~decorr.algebra._memo_split`); the
+    shifted blocks none of them found in ``spec.block_spectra`` are then
+    solved together, one core call per block size
+    (:func:`~decorr.algebra._memo_solve`), and every entry is read off
+    (:func:`~decorr.algebra._memo_systems`).  So a sweep that passes all of
+    its pairs at once makes one solve per block size.  A spec and its local
+    matrices never change, and each block is solved on its own, so an entry
+    is what summing and solving H_M again would give, bit for bit.
     """
-    missing = [M for M in Ms if (M, base) not in spec.term_blocks]
+    missing: dict[Region, dict] = {}  # the Ms of each base, in order, without repeats
+    for M, base in pairs:
+        if (M, base) not in spec.term_blocks:
+            missing.setdefault(base, {})[M] = None
     if missing:
         q = spec.q
-        H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
-        HM = np.empty_like(H0)
-        for M in missing:
-            np.copyto(HM, H0)
-            for x in M:
-                term = spec.interactions[x]
-                _scatter_add(HM, term.matrix, support_index_map(term.support, base, q))
-            spec.term_blocks[M, base] = _memo_block_systems(HM, spec.block_spectra)
-    return [spec.term_blocks[M, base] for M in Ms]
+        pending: dict = {}
+        splits = {}
+        for base, Ms in missing.items():
+            H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
+            HM = np.empty_like(H0)
+            for M in Ms:
+                np.copyto(HM, H0)
+                for x in M:
+                    term = spec.interactions[x]
+                    _scatter_add(HM, term.matrix, support_index_map(term.support, base, q))
+                splits[M, base] = _memo_split(HM, spec.block_spectra, pending)
+        _memo_solve(spec.block_spectra, pending)
+        for key, split in splits.items():
+            spec.term_blocks[key] = _memo_systems(split)
+    return [spec.term_blocks[pair] for pair in pairs]
 
 
 def _exp_blocks(systems: tuple, beta: float):
     """(rows, e^{-beta w}, V) per block size of an entry of ``spec.term_blocks``."""
     s = np.clongdouble(-beta)
     for rows, w, V in systems:
-        yield rows, np.exp(s * np.asarray(w)), np.asarray(V)
+        yield rows, np.exp(s * w), np.asarray(V)
 
 
 def _boltzmann(spec: HamiltonianSpec, M: tuple, region: Region, beta: float) -> np.ndarray:
     """e^{-beta H_M} on ``region``, written from its ``spec.term_blocks`` entry."""
-    (systems,) = _hm_systems(spec, [M], region)
+    (systems,) = _fill(spec, [(M, region)])
     return _block_function(spec.q ** len(region), np.clongdouble, _exp_blocks(systems, beta))
 
 
@@ -228,10 +255,16 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     the resummation identity is about the full subset lattice).  The
     reference e^{-beta H} is the ``spec.term_blocks`` entry of every
     interaction center on the whole lattice (:func:`_boltzmann`), summed,
-    split and solved as every H_M is.
+    split and solved as every H_M is: one :func:`_fill` takes it, every
+    closure term's H_M and every outer factor's H0 before any is used.
     """
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
     centers = tuple(interaction_centers(spec, spec.sites))
+    pairs = [(centers, spec.sites)]
+    for I in configs:
+        cl = closure(I, spec.geometry)
+        pairs += [((), spec.sites - cl), *_term_pairs(I, cl, spec)]
+    _fill(spec, pairs)
     ref = _boltzmann(spec, centers, spec.sites, beta)
     acc = np.zeros_like(ref)
     for I in configs:
@@ -247,16 +280,21 @@ def term_norm_scan(
 ) -> list[tuple[Region, float, float]]:
     """(I, ||T_I^{cl I}||, (2a)^|I|) for all interior configurations up to max_size.
 
-    The terms are built as every sweep builds them, reading their blocks
-    from ``spec.block_spectra``.
+    The terms are built as every sweep builds them, after one :func:`_fill`
+    of all their H_M.
     """
     geo = spec.geometry
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR, max_size)
-    rows = []
+    terms = []
     for I in configs[1:]:  # the empty configuration comes first
-        if any(x not in spec.interactions for x in I):
-            continue
-        T = yarotsky_term(I, closure(I, geo), spec, beta)
+        cl = closure(I, geo)
+        pairs = _term_pairs(I, cl, spec)
+        if pairs:  # a center without interaction makes a zero term
+            terms.append((I, cl, pairs))
+    _fill(spec, [pair for _, _, pairs in terms for pair in pairs])
+    rows = []
+    for I, cl, _ in terms:
+        T = yarotsky_term(I, cl, spec, beta)
         rows.append((I, op_norm(T.matrix), (2 * spec.a) ** len(I)))
     return rows
 
@@ -295,23 +333,37 @@ def _free_partition(region: Region, spec: HamiltonianSpec, beta: float) -> np.lo
 
 
 def _weights(
-    I: Region, observables: list, spec: HamiltonianSpec, beta: float
-) -> list[np.longdouble]:
-    """w(I; O) for each O in ``observables`` (None stands for w(I)).
+    items: list[tuple[Region, list]], spec: HamiltonianSpec, beta: float
+) -> list[list[np.longdouble]]:
+    """w(I; O) for each O of each (I, observables) of a sweep (None stands for w(I)).
 
-    One term and one Z0 per distinct base closure(I) + supp O; every trace
-    on a base is read from its term.
+    One term and one Z0 per distinct base closure(I) + supp O of each I;
+    every trace on a base is read from its term.  The H_M of all the terms
+    are filled first, in one :func:`_fill`; only one configuration's terms
+    are alive at a time.
     """
-    cl = closure(I, spec.geometry)
-    bases = [cl if O is None else cl | O.region for O in observables]
-    out = [None] * len(observables)
-    for base in dict.fromkeys(bases):
-        T = yarotsky_term(I, base, spec, beta)
-        z0 = _free_partition(base, spec, beta)
-        for k, O in enumerate(observables):
-            if bases[k] == base:
-                tr = np.trace(T.matrix) if O is None else _local_trace(T, O)
-                out[k] = tr.real / z0
+    geo = spec.geometry
+    item_bases = []
+    for I, observables in items:
+        cl = closure(I, geo)
+        item_bases.append([cl if O is None else cl | O.region for O in observables])
+    _fill(spec, [
+        pair
+        for (I, _), bases in zip(items, item_bases)
+        for base in dict.fromkeys(bases)
+        for pair in _term_pairs(I, base, spec)
+    ])
+    out = []
+    for (I, observables), bases in zip(items, item_bases):
+        ws = [None] * len(observables)
+        for base in dict.fromkeys(bases):
+            T = yarotsky_term(I, base, spec, beta)
+            z0 = _free_partition(base, spec, beta)
+            for k, O in enumerate(observables):
+                if bases[k] == base:
+                    tr = np.trace(T.matrix) if O is None else _local_trace(T, O)
+                    ws[k] = tr.real / z0
+        out.append(ws)
     return out
 
 
@@ -321,14 +373,14 @@ def weight(I: Region, spec: HamiltonianSpec, beta: float) -> float:
     Both trace and normalization live on the closure of I only; the rest of
     the lattice cancels exactly between numerator and denominator.
     """
-    return float(_weights(I, [None], spec, beta)[0])
+    return float(_weights([(I, [None])], spec, beta)[0][0])
 
 
 def observable_weight(
     I: Region, O: GlobalOperator, spec: HamiltonianSpec, beta: float
 ) -> float:
     """w(I; O) = tr(O T_I^{cl I + supp O}) / Z0_{cl I + supp O}."""
-    return float(_weights(I, [O], spec, beta)[0])
+    return float(_weights([(I, [O])], spec, beta)[0][0])
 
 
 def _require_disjoint(A: GlobalOperator, B: GlobalOperator):
@@ -361,8 +413,9 @@ def verify_factorization(
     part2 = I2 | O2.region
     if set_distance(part1, part2) <= 2 * spec.geometry.R:
         raise ValueError("the two halves are R-connected; factorization does not apply")
-    lhs = _weights(I1 | I2, [operator_product(O1, O2)], spec, beta)[0]
-    rhs = _weights(I1, [O1], spec, beta)[0] * _weights(I2, [O2], spec, beta)[0]
+    items = [(I1 | I2, [operator_product(O1, O2)]), (I1, [O1]), (I2, [O2])]
+    [lhs], [w1], [w2] = _weights(items, spec, beta)
+    rhs = w1 * w2
     return FactorizationCheck(lhs=float(lhs), rhs=float(rhs), rel_residual=_rel(lhs, rhs))
 
 
@@ -426,8 +479,8 @@ def verify_swap_identity(
     configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
     w, wa, wb, wab = {}, {}, {}, {}
-    for c in configs:
-        w[c], wa[c], wb[c], wab[c] = _weights(c, [None, A, B, AB], spec, beta)
+    for c, ws in zip(configs, _weights([(c, [None, A, B, AB]) for c in configs], spec, beta)):
+        w[c], wa[c], wb[c], wab[c] = ws
 
     lhs = np.longdouble(0.0)
     rhs = np.longdouble(0.0)
@@ -512,10 +565,12 @@ def verify_supercluster_resummation(
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     # each weight depends on one side's add-on only: one of each per add-on
+    items = [item for a in addons for item in ((I0 | a, [None, A]), (J0 | a, [AB, B]))]
+    ws = iter(_weights(items, spec, beta))
     wI, waI, wabJ, wbJ = {}, {}, {}, {}
     for a in addons:
-        wI[a], waI[a] = _weights(I0 | a, [None, A], spec, beta)
-        wabJ[a], wbJ[a] = _weights(J0 | a, [AB, B], spec, beta)
+        wI[a], waI[a] = next(ws)
+        wabJ[a], wbJ[a] = next(ws)
     lhs_w = np.longdouble(0.0)
     lhs_o = np.longdouble(0.0)
     n_pairs = 0
@@ -637,8 +692,8 @@ def covariance_from_expansion(
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     sums = [np.longdouble(0.0)] * 4
-    for c in configs:
-        sums = [s + w for s, w in zip(sums, _weights(c, [None, A, B, AB], spec, beta))]
+    for ws in _weights([(c, [None, A, B, AB]) for c in configs], spec, beta):
+        sums = [s + w for s, w in zip(sums, ws)]
     sum_w, sum_a, sum_b, sum_ab = sums
     z_full = _interacting_partition(spec.sites, spec, beta)
     z_free = _free_partition(spec.sites, spec, beta)

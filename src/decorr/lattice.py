@@ -12,16 +12,27 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 Site = tuple[int, ...]
 
 
+def _real(value) -> float:
+    """float(value) of a real number; a bool or a string, which float() also takes, is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+    """int(value) of a real number (see :func:`_real`), refusing a fractional part.
+
+    int() would truncate it.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        if not _real(value).is_integer():
+            raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 

@@ -42,6 +42,7 @@ from .lattice import (
     Region,
     Site,
     _integer,
+    _real,
     ball,
     chain_geometry,
     interior,
@@ -130,14 +131,15 @@ class HamiltonianSpec:
     A spec is not changed after :func:`make_spec` builds it (no function
     here assigns to its fields or to its term dicts), so ``spectra`` can
     memoize, per region S, the block eigensystems of H_S that
-    :func:`restricted_spectrum` solves, and ``block_spectra``, per
-    (dtype, size, value bytes) of a clongdouble zero-pattern block of some
-    H_M in an alternating-sum term, that block's eigenvalues and eigenvectors
-    (beta-independent; see :mod:`decorr.algebra`).  ``term_blocks`` maps
-    (M, base), M a tuple of centers in canonical order, to the blocks of
-    H_M = H0_base + sum_{x in M} v_x: per block size their rows and, for
-    blocks above size one, references to their entries in ``block_spectra``
-    (see :func:`~decorr.algebra._memo_block_systems`).  H_M depends on
+    :func:`restricted_spectrum` solves, and ``block_spectra``, per (size,
+    value bytes) of a clongdouble zero-pattern block of some H_M in an
+    alternating-sum term, shifted by its mean diagonal, that shifted block's
+    eigenvalues and eigenvectors (beta-independent; see
+    :mod:`decorr.algebra`).  ``term_blocks`` maps (M, base), M a tuple of
+    centers in canonical order, to the blocks of H_M = H0_base + sum_{x in
+    M} v_x: per block size their rows, eigenvalues and, for blocks above
+    size one, references to the eigenvectors in ``block_spectra`` (see
+    :func:`~decorr.algebra._memo_systems`).  H_M depends on
     (spec, M, base) alone, so an entry serves every term, base observable
     and beta that meets that H_M again, without summing or splitting it;
     with M every interaction center and base the lattice, it is the
@@ -292,6 +294,8 @@ def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
     if values is None:
         return {}
     if np.isscalar(values):
+        if isinstance(values, (bool, str)):  # complex() takes both
+            raise TypeError(f"coupling {values!r} is not a number")
         J = complex(values)
         if J == 0:
             return {}
@@ -307,9 +311,9 @@ def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
             (x, y), val = entry
         else:
             x, y, re, im = entry
-            val = complex(re, im)
-        x = (x,) if isinstance(x, int) else tuple(map(_integer, x))
-        y = (y,) if isinstance(y, int) else tuple(map(_integer, y))
+            val = complex(_real(re), _real(im))
+        x = (_integer(x),) if np.isscalar(x) else tuple(map(_integer, x))
+        y = (_integer(y),) if np.isscalar(y) else tuple(map(_integer, y))
         out[(x, y)] = complex(val)
     for (x, y), val in out.items():
         if x == y:
@@ -540,7 +544,7 @@ def spec_from_json(data: dict) -> HamiltonianSpec:
     if model == "xxz":
         return xxz_spec(
             geometry,
-            lam=float(data.get("lambda", 0.0)),
+            lam=_real(data.get("lambda", 0.0)),
             seed=_integer(data.get("seed", 0)),
             J12=data.get("J12", 0.0),
             J3=data.get("J3", 0.0),

@@ -8,6 +8,7 @@ and asserted as literals.
 import pytest
 
 import decorr as dc
+from decorr import algebra
 from decorr.algebra import GlobalOperator
 from decorr.lattice import Region
 from decorr.model import PAULI_BY_NAME
@@ -17,6 +18,16 @@ def chain(n, **overrides):
     params = dict(lam=0.3, seed=7, J12=0.02, J3=0.02, R=1)
     params.update(overrides)
     return dc.xxz_spec(n, **params)
+
+
+def count_core_solves(monkeypatch):
+    """The (stack size, block size) of every refined core solve from now on, in order."""
+    solved = []
+    core = algebra._refined_core
+    monkeypatch.setattr(
+        algebra, "_refined_core", lambda A: solved.append(A.shape[:2]) or core(A)
+    )
+    return solved
 
 
 def pauli_at(site, name, q=2):

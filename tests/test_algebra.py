@@ -24,7 +24,7 @@ from decorr.algebra import (
 from decorr.lattice import Region
 from decorr.model import build_restricted
 
-from conftest import chain
+from conftest import chain, count_core_solves
 
 rng = np.random.default_rng(42)
 
@@ -349,6 +349,14 @@ def test_zero_pattern_components_of_a_long_path():
     assert [g.tolist() for g in algebra._zero_pattern_components(A)] == [list(range(n))]
 
 
+def memo_fill(matrices, memo):
+    """One block memo fill of ``matrices``: split all, solve their new blocks, read them."""
+    pending = {}
+    splits = [algebra._memo_split(A, memo, pending) for A in matrices]
+    algebra._memo_solve(memo, pending)
+    return [algebra._memo_systems(split) for split in splits]
+
+
 def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
     # two copies of one block, a third block, and a 1x1 block that needs no solve
     M = np.zeros((7, 7), dtype=np.clongdouble)
@@ -358,42 +366,97 @@ def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
     M[6, 6] = 2
     N = M.copy()
     N[np.ix_([1, 3, 5], [1, 3, 5])] = random_hermitian(3, 83)
-    solved = []
-    refined = algebra._refined_eigh
-    monkeypatch.setattr(
-        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
-    )
+    solved = count_core_solves(monkeypatch)
     memo = {}
     for A in (M, N, M, N):
-        held = algebra._memo_block_systems(A, memo)
+        (held,) = memo_fill([A], memo)
         fresh = list(algebra._block_eighs(A))
         assert len(held) == len(fresh)
         for (rows, w, V), (fresh_rows, fresh_w, fresh_V) in zip(held, fresh):
             assert np.array_equal(rows, fresh_rows)
-            assert np.array_equal(np.asarray(w), fresh_w)
+            assert np.array_equal(w, fresh_w)
             assert np.array_equal(np.asarray(V), fresh_V)
     # per round (memo, then a fresh solve): the fresh solve refines both 3x3
     # blocks of each call, the memo only the blocks it has not seen (M: 1,
     # then the new block of N, then none)
-    assert solved == [1, 2, 1, 2, 2, 2]
+    assert [k for k, _ in solved] == [1, 2, 1, 2, 2, 2]
     assert len(memo) == 2
-    # the two copies of B in M hold one memo entry (the 3x3 blocks come first)
-    (_, w, V), _ = algebra._memo_block_systems(M, memo)
-    assert w[0] is w[1] and V[0] is V[1]
+    # the two copies of B in M hold the memo's one eigenvector array
+    (_, _, V), _ = memo_fill([M], memo)[0]
+    assert V[0] is V[1] is next(iter(memo.values()))[1]
+    # one fill of both matrices solves their two distinct blocks in one call
+    solved.clear()
+    memo_fill([M, N], {})
+    assert solved == [(2, 3)]
 
 
 def test_block_memo_ignores_longdouble_padding():
     # x87 extended precision leaves 6 of each 16 bytes as padding; equal
     # blocks with different padding are one memo entry
     B = random_hermitian(4, 85).astype(np.clongdouble)
-    scribbled = B.copy()
+    A = np.zeros((8, 8), dtype=np.clongdouble)
+    A[:4, :4] = A[4:, 4:] = B
     pad = ~algebra._LONGDOUBLE_VALUE_BYTES
-    scribbled.view(np.uint8).reshape(-1, pad.size)[:, pad] = 0xA5
-    assert np.array_equal(scribbled, B)
-    memo = {}
-    first, second = algebra._memo_systems(np.array([B, scribbled]), memo)
+    A.view(np.uint8).reshape(8, 8, 2, pad.size)[4:, 4:, :, pad] = 0xA5
+    assert np.array_equal(A[4:, 4:], B)
+    (_, blocks), = algebra._block_stacks(A)
+    assert blocks[0].tobytes() != blocks[1].tobytes()  # the padding reaches the split
+    memo, pending = {}, {}
+    split = algebra._memo_split(A, memo, pending)
+    assert len(pending) == 1
+    algebra._memo_solve(memo, pending)
+    (_, _, V), = algebra._memo_systems(split)
     assert len(memo) == 1
-    assert first is second
+    assert V[0] is V[1]
+
+
+def core_inversion_block():
+    """A zero-diagonal block whose core eigenvalues come out of ascending order.
+
+    The complete graphs and odd cycles have degenerate spectra; the
+    refinement leaves the members of a degenerate eigenvalue apart by an ulp
+    or so, in no particular order.  A zero diagonal makes the block shift by
+    exactly c when c I is added, for c with exact sums, so A and A + c I
+    share one memo entry.
+    """
+    complete = lambda n: np.ones((n, n)) - np.eye(n)  # noqa: E731
+    cycle = lambda n: np.roll(np.eye(n), 1, 0) + np.roll(np.eye(n), -1, 0)  # noqa: E731
+    for A in (complete(4), complete(5), complete(6), cycle(5), cycle(7)):
+        A = A.astype(np.clongdouble)
+        w, _ = algebra._refined_core(A[None])
+        if (np.diff(w[0]) < 0).any():
+            return A
+    raise AssertionError("no candidate block has core eigenvalues out of order")
+
+
+@pytest.mark.parametrize("c", [0.0, 1024.0], ids=["inverted", "tie"])
+def test_shift_keyed_memo_matches_refined_eigh(c):
+    # A and A + c I shift to the same bytes: one memo solve serves both, and
+    # each block gets exactly _refined_eigh's (w, V).  At c = 1024 the shift
+    # rounds the members of the degenerate eigenvalue, apart by an ulp of 1,
+    # to one value, and _refined_eigh's stable argsort keeps them in the
+    # core's order, not the memo's ascending one.
+    A = core_inversion_block()
+    n = len(A)
+    blocks = np.array([A, A + c * np.eye(n)])
+    H = np.zeros((2 * n, 2 * n), dtype=np.clongdouble)
+    H[:n, :n], H[n:, n:] = blocks
+    memo = {}
+    ((rows, w, V),) = memo_fill([H], memo)[0]
+    assert len(memo) == 1
+    ((_, memo_w, memo_X, rank),) = [(None, *system) for system in memo.values()]
+    assert rank is not None  # the core's order was not ascending
+    ref_w, ref_V = algebra._refined_eigh(blocks)
+    assert np.array_equal(rows, [range(n), range(n, 2 * n)])
+    assert np.array_equal(w, ref_w)
+    for k in range(2):
+        assert np.array_equal(V[k], ref_V[k])
+    assert V[0] is memo_X
+    if c:
+        assert len(np.unique(w[1])) < len(np.unique(memo_w))  # the shift made a tie
+        assert V[1] is not memo_X  # ... that the memo's order gets wrong
+    else:
+        assert V[1] is memo_X
 
 
 def test_op_norm_values():

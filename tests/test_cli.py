@@ -224,6 +224,27 @@ def custom_model(center):
         # covariance would read exactly 0 and the sweep nothing
         ("decay", {**DECAY_RUN, "betas": [1.0],
                    "observables": {"A": [[0, "X"]], "B": [[0, "X"]]}}),
+        # a config number is a JSON number: not a bool, not a numeric string
+        ("count", {"D": True, "R": "1", "k_max": 3.0}),
+        ("count", {"D": 1, "R": "1", "k_max": 2}),
+        ("ising", {"n": 6, "J": "1.0", "betas": [True]}),
+        ("ising", {"n": 6, "J": 1.0, "betas": [True]}),
+        ("verify", {"model": {**CANONICAL_MODEL, "lambda": "0.3"}, "betas": [1.0]}),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": "1"}}),
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {**DECAY_OBSERVABLES, "anchor": True}}),
+        ("certify", {"model": {**CANONICAL_MODEL, "J12": "0.02"}}),
+        ("certify", {"model": {**CANONICAL_MODEL, "J3": True}}),
+        (
+            "certify",
+            {"model": {**CANONICAL_MODEL, "n": 5,
+                       "J12": [[1, 2, True, 0], [2, 1, True, 0]]}},
+        ),
+        (
+            "certify",
+            {"model": {**CANONICAL_MODEL, "n": 5,
+                       "J12": [[True, 2, 0.02, 0], [2, True, 0.02, 0]]}},
+        ),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -235,6 +256,10 @@ def custom_model(center):
         "certify-coupling-fraction", "certify-center-fraction", "verify-beta-inf",
         "verify-beta-nan", "decay-beta-inf", "decay-beta-nan", "verify-n-zero",
         "certify-n-zero", "certify-lattice-empty", "decay-anchor-missing",
+        "count-bool-and-string", "count-R-string", "ising-J-string-beta-bool",
+        "ising-beta-bool", "verify-lambda-string", "verify-tol-string",
+        "decay-anchor-bool", "certify-J12-string", "certify-J3-bool",
+        "certify-coupling-value-bool", "certify-coupling-site-bool",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):

@@ -20,7 +20,7 @@ from decorr.algebra import GlobalOperator, embed, herm_exp, operator_product
 from decorr.expansion import MAX_TERM_SIZE, interior_configurations
 from decorr.lattice import Region, closure, interior, r_connected_set
 
-from conftest import chain, pauli_at
+from conftest import chain, count_core_solves, pauli_at
 
 
 def interior_sites(spec):
@@ -141,19 +141,29 @@ def test_warm_swap_builds_no_matrix(monkeypatch):
 
 
 def test_term_blocks_hold_the_block_memo_arrays():
-    # an entry keeps its blocks' rows and the memo's own eigensystems, no copies
+    # an entry is the block split and solve of its H_M, bit for bit, holding
+    # the rows, each block's own eigenvalues and the memo's eigenvectors
     spec = chain(6)
     dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-    memo = {id(a) for system in spec.block_spectra.values() for a in system}
+    memo = {id(X) for _, X, _ in spec.block_spectra.values()}
     held = set()
     for (M, base), systems in spec.term_blocks.items():
-        assert sum(rows.size for rows, _, _ in systems) == 2 ** len(base)
-        for rows, w, V in systems:
+        HM = model.onsite_sum(spec.onsite, base, spec.q, np.clongdouble)
+        for x in M:
+            term = spec.interactions[x]
+            HM += embed(term.matrix, term.support, base, spec.q).matrix
+        fresh = list(algebra._block_eighs(HM))
+        assert len(systems) == len(fresh)
+        for (rows, w, V), (fresh_rows, fresh_w, fresh_V) in zip(systems, fresh):
+            assert np.array_equal(rows, fresh_rows)
+            assert np.array_equal(w, fresh_w)
+            assert np.array_equal(np.asarray(V), fresh_V)
             if rows.shape[1] == 1:
                 continue  # a 1x1 block needs no solve and is not in the memo
-            assert len(w) == len(V) == len(rows)
-            assert all(id(a) in memo for a in (*w, *V))
-            held.update(map(id, (*w, *V)))
+            assert len(V) == len(rows)
+            # no shift of this sweep makes a tie, so no entry holds a copy
+            assert all(id(X) in memo for X in V)
+            held.update(map(id, V))
     assert held == memo  # every solved block belongs to some H_M of the sweep
 
 
@@ -184,22 +194,18 @@ def test_resummation_and_sweeps_share_block_solves(monkeypatch):
     # global_term and the reference exp(-beta H) read the spec memo like
     # every term, so a second beta and the swap sweep solve nothing new
     spec = chain(6)
-    solved = []
-    refined = algebra._refined_eigh
-    monkeypatch.setattr(
-        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
-    )
+    solved = count_core_solves(monkeypatch)
     dc.verify_resummation(spec, 0.5)
-    # 196 distinct term blocks; the reference's 8 are those of the term of
-    # the whole interior, whose closure is the lattice.  Without the memo
-    # the terms solved 736 blocks per beta
-    assert (len(solved), sum(solved)) == (51, 196)
-    assert len(spec.block_spectra) == 196
+    # 39 distinct shifted blocks, one core solve per block size; the
+    # reference's blocks are those of the term of the whole interior, whose
+    # closure is the lattice.  Without the memo the terms solved 736 blocks
+    # per beta
+    assert (len(solved), sum(k for k, _ in solved)) == (6, 39)
+    assert len(spec.block_spectra) == 39
     dc.verify_resummation(spec, 2.0)
-    assert (len(solved), sum(solved)) == (51, 196)
     dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-    assert (len(solved), sum(solved)) == (51, 196)  # every swap block was met
-    assert len(spec.block_spectra) == 196
+    assert len(solved) == 6  # every block of the second beta and the swap was met
+    assert len(spec.block_spectra) == 39
 
 
 def test_each_local_matrix_is_checked_once_per_spec(monkeypatch):
@@ -433,17 +439,14 @@ def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
 
 def test_swap_solves_each_distinct_block_once(monkeypatch):
     spec = chain(6)
-    solved = []
-    refined = algebra._refined_eigh
-    monkeypatch.setattr(
-        algebra, "_refined_eigh", lambda A: solved.append(len(A)) or refined(A)
-    )
+    solved = count_core_solves(monkeypatch)
     A, B = pauli_at(0, "Z"), pauli_at(5, "Z")
     cold = dc.verify_swap_identity(spec, A, B, 2.0)
-    # 60 stacked solves of 196 distinct blocks; solving the blocks of each
-    # H_M afresh, the same sweep makes 139 stacked solves of 1248 blocks
-    assert (len(solved), sum(solved)) == (60, 196)
-    assert len(spec.block_spectra) == 196
+    # 6 core solves, one per block size, of 39 distinct shifted blocks;
+    # solving the blocks of each H_M afresh, the same sweep makes 139
+    # stacked solves of 1248 blocks
+    assert (len(solved), sum(k for k, _ in solved)) == (6, 39)
+    assert len(spec.block_spectra) == 39
     solved.clear()
     dc.verify_swap_identity(spec, A, B, 0.5)
     assert solved == []  # the eigensystems do not depend on beta
@@ -452,6 +455,32 @@ def test_swap_solves_each_distinct_block_once(monkeypatch):
     fresh = dc.verify_swap_identity(chain(6), A, B, 2.0)
     assert cold == warm == fresh
     assert cold.per_pair_max == 6.957567300521535e-12
+
+
+COLD_SWEEPS = {
+    "swap": lambda spec: dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0),
+    "supercluster": lambda spec: dc.verify_supercluster_resummation(
+        Region([(2,)]), Region(), pauli_at(1, "Z"), pauli_at(3, "Z"), spec, 2.0
+    ),
+    "factorization": lambda spec: dc.verify_factorization(
+        Region([(1,)]), pauli_at(0, "Z"), Region([(4,)]), pauli_at(5, "Z"), spec, 2.0
+    ),
+    "term-norm-scan": lambda spec: dc.term_norm_scan(spec, 2.0),
+    "covariance": lambda spec: dc.covariance_from_expansion(
+        spec, pauli_at(1, "X"), pauli_at(2, "X"), 2.0
+    ),
+    "resummation": lambda spec: dc.verify_resummation(spec, 2.0),
+}
+
+
+@pytest.mark.parametrize("sweep", list(COLD_SWEEPS))
+def test_cold_sweep_makes_one_core_solve_per_block_size(sweep, monkeypatch):
+    # a sweep fills all of its H_M at once, so the new blocks of each size
+    # are solved in one stack
+    solved = count_core_solves(monkeypatch)
+    COLD_SWEEPS[sweep](chain(6))
+    sizes = [m for _, m in solved]
+    assert sizes and len(sizes) == len(set(sizes))
 
 
 SWAP_SCRIPT = """

@@ -12,6 +12,8 @@ import decorr as dc
 from decorr.lattice import (
     LatticeGeometry,
     Region,
+    _integer,
+    _real,
     ball,
     box_geometry,
     canonical_site_order,
@@ -67,6 +69,23 @@ def test_region_json_roundtrip():
     r = Region([(2, -1), (0, 3)])
     assert Region.from_json(r.to_json()) == r
     assert Region.from_json([]) == Region()
+
+
+def test_config_numbers_are_real_numbers():
+    # numpy numbers are numbers; a bool or a numeric string is not, though
+    # int() and float() take them
+    assert _integer(np.int64(3)) == _integer(3.0) == 3
+    assert type(_integer(np.int64(3))) is int
+    assert _real(np.float32(0.5)) == _real(1) - 0.5 == 0.5
+    for bad in (True, np.True_, "1", "1.0", None, [1]):
+        with pytest.raises(TypeError):
+            _integer(bad)
+        with pytest.raises(TypeError):
+            _real(bad)
+    with pytest.raises(ValueError, match="is not an integer"):
+        _integer(np.float32(1.5))
+    with pytest.raises(TypeError):
+        Region.from_json([[0], [True]])
 
 
 @given(sites_1d)

@@ -23,7 +23,7 @@ from decorr.algebra import GlobalOperator
 from decorr.lattice import LatticeGeometry, Region, chain_geometry
 from decorr.model import build_restricted
 
-from conftest import chain
+from conftest import chain, pauli_at
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -107,3 +107,21 @@ def test_result_fields_the_harness_reads(chain5):
         chain5, 5.0, [(0, "X")], [(0, "X")], [1, 2, 3], anchor=(1,), strict=False
     )
     assert [d for d, _ in fit.points] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("sweep", ["swap", "resummation"])
+def test_sweeps_call_yarotsky_term_through_the_module(sweep, monkeypatch):
+    # the harness counts terms by replacing expansion.yarotsky_term, so the
+    # sweeps must look it up there; a term's summands do not pass through
+    # herm_exp, so these calls are all the harness sees of the terms
+    calls = []
+    term = expansion.yarotsky_term
+    monkeypatch.setattr(
+        expansion, "yarotsky_term", lambda *a: calls.append(a[0]) or term(*a)
+    )
+    spec = chain(6)
+    if sweep == "swap":
+        dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
+    else:
+        dc.verify_resummation(spec, 2.0)
+    assert len(calls) > 0
