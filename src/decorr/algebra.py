@@ -9,6 +9,16 @@ Local operators are placed on a region through the cached index maps of
 :func:`support_index_map`: :func:`embed` scatters one into zeros and
 :func:`_scatter_add` adds one into a running sum.
 
+A sum of a spec's local terms is assembled one way, :func:`_sector_sums`,
+wherever it is solved: every restricted H_S, every H_M of the expansion
+and the Ising oracle's H.  It lists the entries the terms place from their
+nonzero local entries, sums them in the dense sum's order, finds the
+blocks from the summed entries that are not zero, and packs the blocks by
+size into a :class:`BlockOperator`, so no q^n x q^n matrix is written and
+memory scales with the blocks.  The blocks are those of the dense sum's
+split, bit for bit.  The dense sums (:func:`_dense_sum`) remain for the
+public builders and as references.
+
 Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
 extended-precision path, so clongdouble blocks are solved by LAPACK in
 double and then refined by Ogita-Aishima iterations, which need only matrix
@@ -20,7 +30,10 @@ the summand scale, which plain double arithmetic cannot resolve; see
 :mod:`decorr.expansion`.
 
 Eigen-solves and matrix exponentials split the matrix into its exact
-zero-pattern blocks first and solve the blocks of each size as one stack.
+zero-pattern blocks first (a dense matrix by its nonzero entries, a sector
+sum as it is assembled; one label propagation,
+:func:`_zero_pattern_components`, gives both the same components in the
+same order) and solve the blocks of each size as one stack.
 The split is decided by entries being exactly zero, so nothing is
 thresholded; it preserves sparsity-protected exact zeros in the output (a
 dense rotation-based solver would otherwise pollute them) and it is much
@@ -32,9 +45,10 @@ largest block of the 10-site chain), where one dense solve of the whole
 The public :func:`herm_exp`, :func:`herm_blocks` and :func:`herm_eig` check
 hermiticity, solve the symmetrization and keep nothing across calls.  A sum
 of a spec's local terms, checked when the spec was built, is exactly
-Hermitian and goes to the unchecked :func:`_herm_blocks`;
+Hermitian and is solved unchecked (:func:`_stack_eigensystem`);
 :func:`_block_products` forms V f(w) V^H per block, which
-:func:`_block_function` writes into every f(H), exp(sH) or rho.  The
+:func:`_block_function` writes into every dense f(H) or exp(sH) and a
+thermal state packs as its rho.  The
 alternating sums of :mod:`decorr.expansion` meet the same sector block
 again and again, across subsets, bases and beta, and blocks that differ
 only by a multiple of the identity (sectors that differ only in free
@@ -54,7 +68,7 @@ base): the blocks' rows, their eigenvalues and references to the memo's
 eigenvector arrays, not copies; every extended-precision e^{-beta H_M},
 the resummation's reference included, is written from one.  tr(X A) for A
 on a subregion is one contraction, :func:`_local_trace`, with A never
-embedded.
+embedded and X dense or held as blocks.
 """
 
 from __future__ import annotations
@@ -132,6 +146,10 @@ class GlobalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def entries(self, cols: np.ndarray) -> np.ndarray:
+        """The entries (i, cols[i, c]) of the matrix, one row of ``cols`` per row i."""
+        return self.matrix[np.arange(self.dim)[:, None], cols]
+
 
 def _matrix_of(op) -> np.ndarray:
     return op.matrix if isinstance(op, GlobalOperator) else np.asarray(op)
@@ -196,17 +214,27 @@ def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
     out[np.arange(base.size)[:, None], base[:, None] + off] += local[alpha]
 
 
-def _local_trace(X: GlobalOperator, A: GlobalOperator):
+def _dense_sum(terms, dim: int, dtype) -> np.ndarray:
+    """The sum of (local, index map) terms, each scattered into ``dtype`` zeros in order."""
+    out = np.zeros((dim, dim), dtype=dtype)
+    for local, index_map in terms:
+        _scatter_add(out, local, index_map)
+    return out
+
+
+def _local_trace(X, A: GlobalOperator):
     """tr(X A) for A on a subregion of X's region, A not embedded; a scalar of X's dtype.
 
     Row i of X meets the embedded A only in the columns base(i) + off(b) of
     :func:`support_index_map`, so the trace is the sum of the terms
     X[i, base(i) + off(b)] A[b, alpha(i)], dim q^|supp A| of them.  They are
     added within each row in column order, then the row sums in row order.
+    X is a :class:`GlobalOperator` or a :class:`BlockOperator`; either
+    gives those entries (``X.entries``), +0 outside a BlockOperator's blocks
+    as in its dense matrix, so both take the same bits to the same sum.
     """
     alpha, base, off = support_index_map(A.region, X.region, X.q)
-    rows = np.arange(X.dim)[:, None]
-    terms = X.matrix[rows, base[:, None] + off] * A.matrix.T[alpha]
+    terms = X.entries(base[:, None] + off) * A.matrix.T[alpha]
     return np.cumsum(np.cumsum(terms, axis=1)[:, -1])[-1]
 
 
@@ -403,20 +431,22 @@ def _refined_eigh(A: np.ndarray):
     return np.take_along_axis(w, order, -1), np.take_along_axis(X, order[:, None, :], -1)
 
 
-def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
-    """Index groups of the connected components of the exact nonzero pattern.
+def _zero_pattern_components(n: int, i: np.ndarray, j: np.ndarray):
+    """The connected components of range(n) under the edges (i[k], j[k]): (order, starts).
 
-    Label propagation over the nonzero entries, read in both directions so the
-    pattern need not be symmetric: every index starts as its own label; each
-    round it takes the smallest label among its neighbours and then its
-    label's label, until a round changes nothing.  Labels only ever name an
-    index of the same component and the smallest index of a component keeps
-    its own, so each component ends up labelled by its smallest index.
-    Memory is O(n + nnz).  Components come in order of their smallest index,
-    each index group ascending.
+    ``order`` lists the indices component by component, each component
+    ascending, the components in order of their smallest index;
+    ``starts`` holds where each component begins in it.  The edges of a
+    matrix's zero pattern are its nonzero entries.  Label propagation over
+    the edges, read in both directions so the pattern need not be
+    symmetric: every index starts as its own label; each round it takes the
+    smallest label among its neighbours and then its label's label, until a
+    round changes nothing.  Labels only ever name an index of the same
+    component and the smallest index of a component keeps its own, so each
+    component ends up labelled by its smallest index, whatever the order of
+    the edges.  Memory is O(n + edges).
     """
-    i, j = np.nonzero(A)
-    labels = np.arange(A.shape[0])
+    labels = np.arange(n)
     while True:
         new = labels.copy()
         np.minimum.at(new, i, labels[j])
@@ -426,48 +456,241 @@ def _zero_pattern_components(A: np.ndarray) -> list[np.ndarray]:
             break
         labels = new
     order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(order == labels[order]).tolist()  # each group's own label
-    return [order[a:b] for a, b in zip(starts, starts[1:] + [order.size])]
+    return order, np.flatnonzero(order == labels[order])  # each group's own label
+
+
+def _stack_runs(order: np.ndarray, starts: np.ndarray, dim: int):
+    """Components of the index runs [r dim, (r + 1) dim), stacked by size within each run.
+
+    ``order`` and ``starts`` are :func:`_zero_pattern_components` of a
+    graph no edge of which leaves its run, so each run's components come
+    one after another.  The stacks come run by run, within a run in the
+    order their size first appears, and the blocks of a stack in component
+    order.  Returns ``(stacks, nodes, sizes)``: one (run, rows) per stack,
+    rows (k, m) the indices of its k blocks of size m; and, over all
+    stacks in order, the blocks' indices ``nodes``, block after block, and
+    their ``sizes``.
+    """
+    stacks: dict[tuple[int, int], list[int]] = {}  # (run, size): where its blocks start
+    ends = starts[1:].tolist() + [order.size]
+    for first, a, b in zip(order[starts].tolist(), starts.tolist(), ends):
+        stacks.setdefault((first // dim, b - a), []).append(a)
+    at = np.array([a for found in stacks.values() for a in found], dtype=np.int64)
+    sizes = np.repeat([m for _, m in stacks], [len(found) for found in stacks.values()])
+    nodes = order[np.repeat(at - (np.cumsum(sizes) - sizes), sizes) + np.arange(order.size)]
+    out, i = [], 0
+    for (run, m), found in stacks.items():
+        out.append((run, nodes[i : i + len(found) * m].reshape(-1, m)))
+        i += len(found) * m
+    return out, nodes, sizes
+
+
+def _block_layout(n: int, nodes: np.ndarray, sizes: np.ndarray):
+    """(block, pos, start) of each of n indices, and the packed size, of blocks packed in order.
+
+    The blocks' indices are ``nodes``, block after block, and their sizes
+    ``sizes``; they are packed one after another in that order.  Index i
+    is at position pos[i] of block block[i], whose row pos[i] starts at
+    start[i] of the packed buffer.
+    """
+    first = np.cumsum(sizes) - sizes
+    area = sizes * sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(nodes.size) - first[block]
+    layout = np.empty((3, n), dtype=np.int64)
+    layout[:, nodes] = block, pos, (np.cumsum(area) - area)[block] + pos * sizes[block]
+    return layout, int(area.sum())
 
 
 def _block_stacks(A: np.ndarray):
-    """The exact zero-pattern blocks of A, grouped by size.
+    """The exact zero-pattern blocks of a dense A, grouped by size.
 
     Yields ``(rows, blocks)`` per block size m: the row indices of its k
-    blocks (k, m) and the blocks themselves (k, m, m).
+    blocks (k, m) and the blocks themselves (k, m, m); sizes in the order
+    their first block appears, blocks in component order.
     """
-    by_size: dict[int, list[np.ndarray]] = {}
-    for idx in _zero_pattern_components(A):
-        by_size.setdefault(idx.size, []).append(idx)
-    for comps in by_size.values():
-        rows = np.array(comps)
+    n = A.shape[0]
+    if not n:
+        return
+    stacks, _, _ = _stack_runs(*_zero_pattern_components(n, *np.nonzero(A)), n)
+    for _, rows in stacks:
         yield rows, A[rows[:, :, None], rows[:, None, :]]
 
 
-def _block_eighs(A: np.ndarray):
-    """Eigensystems of the exact zero-pattern blocks of a Hermitian matrix.
+@dataclass(frozen=True)
+class BlockOperator:
+    """A block-diagonal operator on a region, held as its blocks, packed by size.
 
-    Blocks of equal size are solved as one stack.  Yields ``(rows, w, V)``
-    per block size m: the row indices of its k blocks (k, m), their
-    ascending eigenvalues (k, m) and eigenvector columns (k, m, m).  complex128
-    stacks go to LAPACK (bit-identical to solving each block on its own),
-    clongdouble stacks to :func:`_refined_eigh`; blocks of size one need no
-    solve.
+    ``rows`` holds one (k, m) array per block size m, the rows of its k
+    blocks, as :func:`_block_stacks` gives them; ``packed`` holds the blocks
+    of every size, raveled one after another in that order.  Index i lies
+    in block ``block[i]`` at position ``pos[i]``, and row pos[i] of its
+    block starts at ``packed[start[i]]``: entry (i, j) is packed[start[i] +
+    pos[j]] if block[i] == block[j] and +0 otherwise.  Nothing of dimension
+    dim^2 is held.
     """
-    extended = A.dtype in (np.longdouble, np.clongdouble)
-    for rows, blocks in _block_stacks(A):
-        if rows.shape[1] == 1:
-            yield rows, blocks[:, 0].real, np.ones_like(blocks)
-        elif not extended:
+
+    region: Region
+    q: int
+    rows: tuple
+    packed: np.ndarray
+    block: np.ndarray
+    pos: np.ndarray
+    start: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.block.size
+
+    def stacks(self):
+        """``(rows, blocks)`` per block size, the blocks (k, m, m) views of ``packed``."""
+        at = 0
+        for rows in self.rows:
+            k, m = rows.shape
+            yield rows, self.packed[at : at + k * m * m].reshape(k, m, m)
+            at += k * m * m
+
+    def entries(self, cols: np.ndarray) -> np.ndarray:
+        """The entries (i, cols[i, c]), one row of ``cols`` per row i; +0 outside the blocks."""
+        i = np.arange(self.dim)[:, None]
+        inside = self.block[i] == self.block[cols]
+        out = np.zeros(cols.shape, dtype=self.packed.dtype)
+        out[inside] = self.packed[(self.start[i] + self.pos[cols])[inside]]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The dense matrix: zeros with each block written on its rows and columns."""
+        return _scatter_blocks(self.dim, self.packed.dtype, self.stacks())
+
+
+def _pack_blocks(region: Region, q: int, rows: tuple, dtype, stacks) -> BlockOperator:
+    """The :class:`BlockOperator` on the blocks ``rows`` holding the blocks ``stacks`` yields.
+
+    ``stacks`` yields ``(rows, blocks)`` per block size, in the order of
+    ``rows``; each stack is copied in as it comes, so only one is alive
+    beside the packed buffer.
+    """
+    nodes = np.concatenate([r.ravel() for r in rows])
+    sizes = np.repeat([r.shape[1] for r in rows], [r.shape[0] for r in rows])
+    layout, size = _block_layout(q ** len(region), nodes, sizes)
+    op = BlockOperator(region, q, rows, np.empty(size, dtype=dtype), *layout)
+    for (_, view), (_, blocks) in zip(op.stacks(), stacks):
+        view[...] = blocks
+    return op
+
+
+def _place(terms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The entries each local term places, term by term: (flat index, value) pairs.
+
+    ``terms`` holds (local, index map) pairs, the maps those of
+    :func:`support_index_map` on one region of dimension dim.  A term's
+    entries are those of its embedding that come from nonzero local
+    entries, row by row; entry (i, j) has flat index i * dim + j.
+    """
+    placed = []
+    for local, (alpha, base, off) in terms:
+        if local.shape != (off.size, off.size):
+            raise ValueError(f"local operator shape {local.shape} != q^|support|")
+        values = local[alpha]
+        i, b = np.nonzero(values)
+        placed.append((i * base.size + base[i] + off[b], values[i, b]))
+    return placed
+
+
+def _sector_sums(sums, region: Region, q: int, dtype) -> list[BlockOperator]:
+    """Sums of local terms on ``region``, each assembled block by block; no dense sum is formed.
+
+    Each sum is a sequence of groups of terms as :func:`_place` gives them,
+    and is the sum of its groups, left to right, each summed from zeros in
+    its order, as :func:`_dense_sum` of each group and ``+`` of the results
+    would give.  Each group is summed by one ordered ``np.add.at`` into one
+    slot per distinct entry, so an entry's values meet in the dense sum's
+    order (a fancy-index ``+=`` of a whole group would drop repeated
+    indices); the terms' zero entries are left out, and they only add
+    zeros, which change no sum accumulated from zeros (see
+    :func:`_scatter_add`).  The blocks are the components of the summed
+    entries that are not zero, not of the terms' patterns: two terms that
+    cancel an entry exactly split a block as the dense sum does.  So every
+    block, and the order of the blocks, is :func:`_block_stacks` of the
+    dense sum, bit for bit.
+
+    The sums are assembled as one block-diagonal sum, sum s on the indices
+    s * dim to s * dim + dim - 1, so one sort, one ``np.add.at`` per group
+    position and one label propagation serve them all; no entry of one sum
+    meets another's, and the components of each sum come as one run.
+    """
+    _check_dense(len(region))
+    dim = q ** len(region)
+    square = dim * dim
+    by_group: list[list] = []  # per group position, every sum's terms there, offset
+    for s, groups in enumerate(sums):
+        for k, group in enumerate(groups):
+            if k == len(by_group):
+                by_group.append([])
+            by_group[k] += [(flat + s * square, values) for flat, values in group]
+    terms = [term for group in by_group for term in group]
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [f for f, _ in terms])
+    values = np.concatenate([np.zeros(0, dtype=dtype)] + [v for _, v in terms])
+    keys, slot = np.unique(keys, return_inverse=True)
+    total = np.zeros(keys.size, dtype=dtype)
+    at = 0
+    for k, group in enumerate(by_group):
+        n = sum(f.size for f, _ in group)
+        part = total if k == 0 else np.zeros_like(total)
+        np.add.at(part, slot[at : at + n], values[at : at + n])
+        if k:
+            total = total + part  # +0 where this sum has no such group
+        at += n
+    nonzero = total != 0
+    keys, total = keys[nonzero], total[nonzero]
+    runs, i = np.divmod(keys, square)
+    i, j = runs * dim + i // dim, runs * dim + i % dim
+    stacks, nodes, sizes = _stack_runs(*_zero_pattern_components(len(sums) * dim, i, j), dim)
+    (block, pos, start), size = _block_layout(len(sums) * dim, nodes, sizes)
+    packed = np.zeros(size, dtype=dtype)
+    packed[start[i] + pos[j]] = total
+    rows: list[list] = [[] for _ in sums]
+    for run, r in stacks:
+        rows[run].append(r - run * dim)
+    ops, at = [], 0
+    for run, stack in enumerate(rows):
+        end = at + sum(r.size * r.shape[1] for r in stack)
+        run = slice(run * dim, run * dim + dim)
+        layout = block[run], pos[run], start[run] - at
+        ops.append(BlockOperator(region, q, tuple(stack), packed[at:end], *layout))
+        at = end
+    return ops
+
+
+def _stack_eighs(stacks):
+    """Eigensystems of stacks of Hermitian blocks, ``(rows, blocks)`` per block size.
+
+    Yields ``(rows, w, V)`` per block size m: the row indices of its k
+    blocks (k, m), their ascending eigenvalues (k, m) and eigenvector
+    columns (k, m, m).  complex128 stacks go to LAPACK (bit-identical to
+    solving each block on its own), clongdouble stacks to
+    :func:`_refined_eigh`; blocks of size one need no solve.
+    """
+    for rows, blocks in stacks:
+        if rows.shape[1] == 1:  # a copy: blocks may be a view of a whole packed sum
+            yield rows, blocks[:, 0].real.copy(), np.ones_like(blocks)
+        elif blocks.dtype not in (np.longdouble, np.clongdouble):
             yield (rows, *np.linalg.eigh(blocks))
         else:
             yield (rows, *_refined_eigh(blocks))
 
 
-def _memo_split(A: np.ndarray, memo: dict, pending: dict) -> tuple:
-    """Split a clongdouble A for a block memo fill; :func:`_memo_systems` reads the result.
+def _block_eighs(A: np.ndarray):
+    """:func:`_stack_eighs` of the exact zero-pattern blocks of a dense Hermitian A."""
+    return _stack_eighs(_block_stacks(A))
 
-    Per block size: its rows and, for blocks above size one, each block's
+
+def _memo_split(stacks, memo: dict, pending: dict) -> tuple:
+    """Key the clongdouble blocks of one H for a memo fill; :func:`_memo_systems` reads the result.
+
+    ``stacks`` yields ``(rows, blocks)`` per block size, as
+    :meth:`BlockOperator.stacks` and :func:`_block_stacks` do.  Per block
+    size the result holds its rows and, for blocks above size one, each block's
     shift and where its core eigensystem will be.  ``memo`` maps (size,
     value bytes) of a block shifted by :func:`_shift_diagonal` to the
     :func:`_refined_core` system of that shifted block, sorted (see
@@ -481,9 +704,9 @@ def _memo_split(A: np.ndarray, memo: dict, pending: dict) -> tuple:
     """
     mask = _LONGDOUBLE_VALUE_BYTES
     out = []
-    for rows, blocks in _block_stacks(A):
-        if rows.shape[1] == 1:
-            out.append((rows, blocks[:, 0].real, np.ones_like(blocks)))
+    for rows, blocks in stacks:
+        if rows.shape[1] == 1:  # a copy, as in _stack_eighs
+            out.append((rows, blocks[:, 0].real.copy(), np.ones_like(blocks)))
             continue
         shifted, shift = _shift_diagonal(blocks)
         values = shifted.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
@@ -592,12 +815,20 @@ def herm_blocks(M) -> BlockEigensystem:
 
 def _herm_blocks(A: np.ndarray) -> BlockEigensystem:
     """:func:`herm_blocks` of a matrix that equals its symmetrization, without the check."""
-    blocks = tuple(_block_eighs(A))
+    return _stack_eigensystem(A.shape[0], _block_stacks(A))
+
+
+def _stack_eigensystem(dim: int, stacks) -> BlockEigensystem:
+    """The :class:`BlockEigensystem` of the blocks ``stacks`` yields, solved unchecked.
+
+    ``stacks`` are those of :func:`_block_stacks` or :meth:`BlockOperator.stacks`.
+    """
+    blocks = tuple(_stack_eighs(stacks))
     w = np.concatenate([bw.ravel() for _, bw, _ in blocks])
     first = np.concatenate([np.repeat(r[:, 0], r.shape[1]) for r, _, _ in blocks])
     pos = np.concatenate([np.tile(np.arange(r.shape[1]), len(r)) for r, _, _ in blocks])
     order = np.lexsort((pos, first, w))
-    return BlockEigensystem(A.shape[0], blocks, order, w[order])
+    return BlockEigensystem(dim, blocks, order, w[order])
 
 
 def herm_eig(M) -> Eigensystem:
@@ -641,19 +872,21 @@ def _block_function(dim: int, dtype, blocks) -> np.ndarray:
 
     ``blocks`` yields ``(rows, fw, V)`` per block size: :func:`_block_eighs` with fw = f(w).
     """
-    out = np.zeros((dim, dim), dtype=dtype)
-    for at, product in _block_products(blocks):
-        out[at] = product
-    return out
+    return _scatter_blocks(dim, dtype, _block_products(blocks))
 
 
 def _block_products(blocks):
-    """(where, V diag(fw) V^H) per block size of ``blocks`` (as for :func:`_block_function`).
-
-    ``where`` indexes the blocks' rows and columns of the full matrix.
-    """
+    """(rows, V diag(fw) V^H) per block size of ``blocks`` (as for :func:`_block_function`)."""
     for rows, fw, V in blocks:
-        yield (rows[:, :, None], rows[:, None, :]), (V * fw[:, None, :]) @ _conj_t(V)
+        yield rows, (V * fw[:, None, :]) @ _conj_t(V)
+
+
+def _scatter_blocks(dim: int, dtype, stacks) -> np.ndarray:
+    """``dtype`` zeros of dimension dim, each of the ``(rows, blocks)`` on its rows and columns."""
+    out = np.zeros((dim, dim), dtype=dtype)
+    for rows, blocks in stacks:
+        out[rows[:, :, None], rows[:, None, :]] = blocks
+    return out
 
 
 def op_norm(M) -> float:

@@ -31,14 +31,14 @@ The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 
-Every term sums its H_M as every H_S is summed, in clongdouble, from the
-local matrices its spec checked when it was built: H0 by
-:func:`~decorr.model.onsite_sum`, each v_x by
-:func:`~decorr.algebra._scatter_add`.  The exponentials read their blocks'
+Every term assembles its H_M as every H_S is assembled, block by block
+(:func:`~decorr.algebra._sector_sums`), in clongdouble, from the local
+matrices its spec checked when it was built: H0's on-site terms in site
+order, then each v_x in turn.  The exponentials read their blocks'
 eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), keyed
 by the block shifted by its mean diagonal, so each distinct shifted block
 is solved once per spec, whatever the subset, base, beta or free sites.
-Each H_M is summed and split once per spec, too, in one fill per sweep
+Each H_M is assembled once per spec, too, in one fill per sweep
 (:func:`_fill`): each sweep (resummation, term norms, factorization, swap,
 supercluster classes, covariance) first passes every (M, base) it will
 meet, and the blocks none of them found in the memo are solved together,
@@ -68,7 +68,8 @@ from .algebra import (
     _memo_solve,
     _memo_split,
     _memo_systems,
-    _scatter_add,
+    _place,
+    _sector_sums,
     op_norm,
     operator_product,
     support_index_map,
@@ -85,8 +86,9 @@ from .lattice import (
 )
 from .model import (
     HamiltonianSpec,
+    _interaction_terms,
+    _onsite_terms,
     interaction_centers,
-    onsite_sum,
     restricted_spectrum,
 )
 
@@ -165,7 +167,8 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     for (M, _), systems in zip(pairs, _fill(spec, pairs)):
         # subtracting is adding the summand times -1 bit for bit, without its copy
         add = np.add if (len(I) - len(M)) % 2 == 0 else np.subtract
-        for at, summand in _block_products(_exp_blocks(systems, beta)):
+        for rows, summand in _block_products(_exp_blocks(systems, beta)):
+            at = rows[:, :, None], rows[:, None, :]
             total[at] = add(total[at], summand)
     return GlobalOperator(base, spec.q, total)
 
@@ -173,35 +176,35 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
 def _fill(spec: HamiltonianSpec, pairs: list) -> list:
     """The ``spec.term_blocks`` entry of H_M = H0_base + sum_{x in M} v_x for each (M, base).
 
-    The H_M not yet in the memo are summed in clongdouble, one base at a
-    time from one H0 (by :func:`~decorr.model.onsite_sum`, each v_x added by
-    :func:`~decorr.algebra._scatter_add`), and split into their zero-pattern
-    blocks, one H_M at a time (:func:`~decorr.algebra._memo_split`); the
-    shifted blocks none of them found in ``spec.block_spectra`` are then
-    solved together, one core call per block size
-    (:func:`~decorr.algebra._memo_solve`), and every entry is read off
-    (:func:`~decorr.algebra._memo_systems`).  So a sweep that passes all of
-    its pairs at once makes one solve per block size.  A spec and its local
-    matrices never change, and each block is solved on its own, so an entry
-    is what summing and solving H_M again would give, bit for bit.
+    The H_M not yet in the memo are assembled block by block in clongdouble,
+    those of one base in one :func:`~decorr.algebra._sector_sums` call from
+    terms placed once; each H_M is one sum of the base's on-site terms in
+    site order followed by each v_x in turn, as adding each v_x into H0
+    would give.  Their blocks are keyed one H_M at a time
+    (:func:`~decorr.algebra._memo_split`); the shifted blocks none of them
+    found in ``spec.block_spectra`` are then solved together, one core call
+    per block size (:func:`~decorr.algebra._memo_solve`), and every entry is
+    read off (:func:`~decorr.algebra._memo_systems`).  So a sweep that
+    passes all of its pairs at once makes one solve per block size.  A spec
+    and its local matrices never change, and each block is solved on its
+    own, so an entry is what summing and solving H_M again would give, bit
+    for bit.
     """
     missing: dict[Region, dict] = {}  # the Ms of each base, in order, without repeats
     for M, base in pairs:
         if (M, base) not in spec.term_blocks:
             missing.setdefault(base, {})[M] = None
     if missing:
-        q = spec.q
         pending: dict = {}
         splits = {}
         for base, Ms in missing.items():
-            H0 = onsite_sum(spec.onsite, base, q, np.clongdouble)
-            HM = np.empty_like(H0)
-            for M in Ms:
-                np.copyto(HM, H0)
-                for x in M:
-                    term = spec.interactions[x]
-                    _scatter_add(HM, term.matrix, support_index_map(term.support, base, q))
-                splits[M, base] = _memo_split(HM, spec.block_spectra, pending)
+            # each term of the base is placed once, for all of its H_M
+            onsite = _place(_onsite_terms(spec.onsite, base, spec.q))
+            centers = dict.fromkeys(x for M in Ms for x in M)
+            placed = dict(zip(centers, _place(_interaction_terms(spec, centers, base))))
+            sums = [[onsite + [placed[x] for x in M]] for M in Ms]
+            for M, HM in zip(Ms, _sector_sums(sums, base, spec.q, np.clongdouble)):
+                splits[M, base] = _memo_split(HM.stacks(), spec.block_spectra, pending)
         _memo_solve(spec.block_spectra, pending)
         for key, split in splits.items():
             spec.term_blocks[key] = _memo_systems(split)

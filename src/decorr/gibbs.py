@@ -2,11 +2,15 @@
 
 Everything here is exact diagonalization: rho = e^{-beta H} / Z with the
 spectrum shifted by the ground energy before exponentiating, so large beta
-never overflows.  H is solved block by block on its exact zero pattern
-(:func:`~decorr.algebra.herm_blocks`) and rho is written block by block;
-nothing of the full dimension is multiplied.  Expectations read tr(rho A)
-from the entries of rho that A meets, so observables are never embedded
-into the full space.  Partition functions are summed in longdouble and
+never overflows.  H is solved block by block on its exact zero pattern; a
+spec's H_S and the Ising oracle's H are assembled block by block from
+their local terms (:func:`~decorr.algebra._sector_sums`), and a thermal
+state keeps rho as its blocks, packed by size: nothing of the full
+dimension is written or multiplied, so memory scales with the blocks.
+Expectations read tr(rho A) from the entries of rho that A meets, gathered
+from the blocks, so observables are never embedded into the full space;
+``ThermalState.rho`` writes the dense rho only when asked.  Partition
+functions are summed in longdouble and
 returned with their logarithm (a max-shifted log-sum-exp) because ratios of
 Z's at beta = 50 underflow double precision long before the physics
 degenerates.
@@ -22,11 +26,15 @@ import numpy as np
 
 from .algebra import (
     BlockEigensystem,
+    BlockOperator,
     GlobalOperator,
-    _block_function,
-    _herm_blocks,
+    _block_products,
+    _dense_sum,
     _local_trace,
-    _scatter_add,
+    _pack_blocks,
+    _place,
+    _sector_sums,
+    _stack_eigensystem,
     herm_blocks,
     operator_product,
     support_index_map,
@@ -59,13 +67,24 @@ def partition_function(H, beta: float) -> tuple[np.longdouble, np.longdouble]:
 
 @dataclass(frozen=True)
 class ThermalState:
-    rho: GlobalOperator
+    """rho = e^{-beta H} / Z, held as its blocks, those of H's exact zero pattern.
+
+    ``blocks`` packs rho's blocks by size (see
+    :class:`~decorr.algebra.BlockOperator`); rho is zero between them.
+    """
+
+    blocks: BlockOperator
     beta: float
     logZ: float
 
     @property
     def region(self) -> Region:
-        return self.rho.region
+        return self.blocks.region
+
+    @property
+    def rho(self) -> GlobalOperator:
+        """rho written dense, on demand: zeros with each block on its rows and columns."""
+        return GlobalOperator(self.blocks.region, self.blocks.q, self.blocks.dense())
 
 
 def _state_from_blocks(
@@ -74,7 +93,9 @@ def _state_from_blocks(
     """rho = e^{-beta H} / Z written block by block from H's block eigensystems.
 
     The Boltzmann weights are formed and normalized over the ascending
-    eigenvalues, then split by block for :func:`~decorr.algebra._block_function`.
+    eigenvalues, then split by block; each block of rho is V diag(p) V^H
+    (:func:`~decorr.algebra._block_products`), packed, and nothing of the
+    full dimension is written.
     """
     w = eig.eigenvalues
     boltz = np.exp(-beta * (w - w[0]))
@@ -82,9 +103,10 @@ def _state_from_blocks(
     p[eig.order] = boltz / boltz.sum()
     ends = np.cumsum([rows.size for rows, _, _ in eig.blocks])[:-1]
     blocks = ((r, pb.reshape(r.shape), V) for (r, _, V), pb in zip(eig.blocks, np.split(p, ends)))
-    rho = _block_function(eig.dim, eig.blocks[0][2].dtype, blocks)
+    rows = tuple(r for r, _, _ in eig.blocks)
+    rho = _pack_blocks(region, q, rows, eig.blocks[0][2].dtype, _block_products(blocks))
     logZ = float(partition_sum(w, beta)[1])
-    return ThermalState(rho=GlobalOperator(region, q, rho), beta=beta, logZ=logZ)
+    return ThermalState(blocks=rho, beta=beta, logZ=logZ)
 
 
 def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
@@ -95,13 +117,14 @@ def gibbs_state(H: GlobalOperator, beta: float) -> ThermalState:
 def expectation(state: ThermalState, A: GlobalOperator) -> complex:
     """tr(rho A), with A acting on a subregion of the state's region.
 
-    A is never embedded: the trace is read from the entries of rho that A
-    meets, O(dim q^|supp A|), by :func:`~decorr.algebra._local_trace`, the
+    A is never embedded and rho is never written dense: the entries of rho
+    that A meets are gathered from its blocks (+0 between them), O(dim
+    q^|supp A|), and contracted by :func:`~decorr.algebra._local_trace`, the
     contraction the expansion's weights use too.
     """
     if not A.region.issubset(state.region):
         raise ValueError("observable support is not contained in the state's region")
-    return complex(_local_trace(state.rho, A))
+    return complex(_local_trace(state.blocks, A))
 
 
 def covariance(state: ThermalState, A: GlobalOperator, B: GlobalOperator) -> complex:
@@ -128,7 +151,8 @@ def observable_from_template(
     """Product of single-site operators at offsets relative to an anchor site.
 
     ``template`` is a list of (offset, name) pairs with names from
-    I, X, Y, Z, N; integer offsets act on the first coordinate axis.
+    I, X, Y, Z, N; integer offsets act on the first coordinate axis, and an
+    offset given as coordinates must have as many as the anchor.
     ``shift`` displaces the whole template along the first axis.
     """
     anchor = (anchor,) if isinstance(anchor, int) else tuple(anchor)
@@ -136,6 +160,11 @@ def observable_from_template(
     for off, name in template:
         if isinstance(off, int):
             off = (off,) + (0,) * (len(anchor) - 1)
+        if len(off) != len(anchor):
+            raise ValueError(
+                f"offset {tuple(off)} has {len(off)} coordinates; the anchor {anchor} has "
+                f"{len(anchor)}"
+            )
         site = tuple(a + o for a, o in zip(anchor, off))
         site = (site[0] + shift,) + site[1:]
         if site not in spec.sites:
@@ -217,16 +246,20 @@ def fit_decay(points) -> tuple[float, float, float]:
 # classical-chain oracle
 # ---------------------------------------------------------------------------
 
-def ising_hamiltonian(n: int, J: float) -> GlobalOperator:
-    """H = -J sum_k sigma3_k sigma3_{k+1} on an open chain of n spins."""
+def _ising_bonds(n: int, J: float) -> tuple[Region, list]:
+    """The open chain of n spins and its bonds -J sigma3_k sigma3_{k+1}, each with its index map."""
     if n > 12:
         raise ValueError("classical-chain oracle capped at n = 12 spins")
     sites = Region((i,) for i in range(n))
     bond = -J * np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for k in range(n - 1):
-        _scatter_add(H, bond, support_index_map(Region([(k,), (k + 1,)]), sites, 2))
-    return GlobalOperator(sites, 2, H)
+    maps = (support_index_map(Region([(k,), (k + 1,)]), sites, 2) for k in range(n - 1))
+    return sites, [(bond, index_map) for index_map in maps]
+
+
+def ising_hamiltonian(n: int, J: float) -> GlobalOperator:
+    """H = -J sum_k sigma3_k sigma3_{k+1} on an open chain of n spins."""
+    sites, bonds = _ising_bonds(n, J)
+    return GlobalOperator(sites, 2, _dense_sum(bonds, 2**n, complex))
 
 
 def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
@@ -235,11 +268,14 @@ def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
     For free boundaries the transfer-matrix answer is tanh(beta J)^|i-j|
     independently of n; this routine computes the same numbers through the
     generic Gibbs machinery, from one Gibbs state, so the two can be compared
-    as independent routes.  H is exactly Hermitian by construction, so it is
+    as independent routes.  H is assembled block by block from its bonds
+    (:func:`~decorr.algebra._sector_sums`; its blocks are those of
+    :func:`ising_hamiltonian`) and, exactly Hermitian by construction, is
     solved unchecked.
     """
-    H = ising_hamiltonian(n, J)
-    state = _state_from_blocks(_herm_blocks(H.matrix), H.region, H.q, beta)
+    sites, bonds = _ising_bonds(n, J)
+    (H,) = _sector_sums([[_place(bonds)]], sites, 2, complex)
+    state = _state_from_blocks(_stack_eigensystem(H.dim, H.stacks()), sites, 2, beta)
     Z = [GlobalOperator(Region([(i,)]), 2, PAULI_BY_NAME["Z"]) for i in range(n)]
     return {
         (i, j): float(covariance(state, Z[i], Z[j]).real)

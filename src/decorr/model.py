@@ -28,9 +28,12 @@ from .algebra import (
     BlockEigensystem,
     GlobalOperator,
     _check_dense,
+    _dense_sum,
     _herm_blocks,
+    _place,
     _require_hermitian,
-    _scatter_add,
+    _sector_sums,
+    _stack_eigensystem,
     embed,
     herm_blocks,
     herm_eig,
@@ -409,45 +412,66 @@ def xxz_spec(
 # restriction and normalization
 # ---------------------------------------------------------------------------
 
+def _onsite_terms(onsite: Mapping, region: Region, q: int) -> list:
+    """The on-site terms of ``region`` in site order, each with its index map on ``region``."""
+    return [(onsite[z], support_index_map(Region._canonical((z,)), region, q)) for z in region]
+
+
+def _interaction_terms(spec: HamiltonianSpec, centers, region: Region) -> list:
+    """The interactions of ``centers`` in their order, each with its index map on ``region``."""
+    terms = (spec.interactions[x] for x in centers)
+    return [(t.matrix, support_index_map(t.support, region, spec.q)) for t in terms]
+
+
 def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
     """H0 on ``region``: the on-site terms scattered into ``dtype`` zeros, in site order.
 
     Bit for bit the sum of their embeddings (see :func:`~decorr.algebra._scatter_add`).
     """
     _check_dense(len(region))
-    dim = q ** len(region)
-    H0 = np.zeros((dim, dim), dtype=dtype)
-    for z in region:
-        site = Region._canonical((z,))
-        _scatter_add(H0, onsite[z].astype(dtype), support_index_map(site, region, q))
-    return H0
+    return _dense_sum(_onsite_terms(onsite, region, q), q ** len(region), dtype)
+
+
+def _restricted_terms(spec: HamiltonianSpec, S: Region) -> tuple[list, list]:
+    """The local terms of H_S in summation order: (on-site terms, interactions with ball in S)."""
+    if not S.issubset(spec.sites):
+        raise ValueError("restriction region is not contained in the lattice")
+    _check_dense(len(S))
+    return (
+        _onsite_terms(spec.onsite, S, spec.q),
+        _interaction_terms(spec, interaction_centers(spec, S), S),
+    )
 
 
 def build_restricted(spec: HamiltonianSpec, S: Region):
-    """(H0_S, V_S, H_S) on S in complex128: all on-site terms in S, interactions with ball in S."""
-    if not S.issubset(spec.sites):
-        raise ValueError("restriction region is not contained in the lattice")
-    q = spec.q
-    H0 = onsite_sum(spec.onsite, S, q, complex)
-    V = np.zeros_like(H0)
-    for x in interaction_centers(spec, S):
-        term = spec.interactions[x]
-        _scatter_add(V, term.matrix.astype(complex), support_index_map(term.support, S, q))
+    """(H0_S, V_S, H_S) on S in complex128: all on-site terms in S, interactions with ball in S.
+
+    The dense sums of :func:`_restricted_terms`; :func:`restricted_spectrum`
+    assembles the same H_S block by block.
+    """
+    dim = spec.q ** len(S)
+    H0, V = (_dense_sum(terms, dim, complex) for terms in _restricted_terms(spec, S))
     return (
-        GlobalOperator(S, q, H0),
-        GlobalOperator(S, q, V),
-        GlobalOperator(S, q, H0 + V),
+        GlobalOperator(S, spec.q, H0),
+        GlobalOperator(S, spec.q, V),
+        GlobalOperator(S, spec.q, H0 + V),
     )
 
 
 def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
     """Block eigensystems of H_S in complex128, solved once per spec and region.
 
-    H_S is summed from the spec's checked local matrices and solved unchecked.
-    Later calls with the same region (at any beta) reuse ``spec.spectra``.
+    H_S = H0_S + V_S is assembled block by block from the spec's checked
+    local matrices (:func:`~decorr.algebra._sector_sums` of
+    :func:`_restricted_terms`), so no matrix of the full dimension is
+    formed; its blocks are those of :func:`build_restricted`'s H_S, bit for
+    bit, and are solved unchecked.  Later calls with the same region (at
+    any beta) reuse ``spec.spectra``.
     """
     if S not in spec.spectra:
-        spec.spectra[S] = _herm_blocks(build_restricted(spec, S)[2].matrix)
+        groups = [_place(terms) for terms in _restricted_terms(spec, S)]
+        (H,) = _sector_sums([groups], S, spec.q, complex)
+        spec.spectra[S] = _stack_eigensystem(H.dim, H.stacks())
     return spec.spectra[S]
 
 

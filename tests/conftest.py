@@ -5,10 +5,11 @@ identical everywhere so certified constants and weights can be frozen once
 and asserted as literals.
 """
 
+import numpy as np
 import pytest
 
 import decorr as dc
-from decorr import algebra
+from decorr import algebra, expansion, gibbs, model
 from decorr.algebra import GlobalOperator
 from decorr.lattice import Region
 from decorr.model import PAULI_BY_NAME
@@ -28,6 +29,31 @@ def count_core_solves(monkeypatch):
         algebra, "_refined_core", lambda A: solved.append(A.shape[:2]) or core(A)
     )
     return solved
+
+
+def zero_pattern_groups(n, i, j):
+    """The components of ``algebra._zero_pattern_components``, one index array each."""
+    order, starts = algebra._zero_pattern_components(n, i, j)
+    return np.split(order, starts[1:]) if n else []
+
+
+def count_sector_sums(monkeypatch):
+    """The region of every sum assembled by sectors (``algebra._sector_sums``) from now on.
+
+    The counter replaces the function in every module that imports it.
+    """
+    regions = []
+    original = algebra._sector_sums
+
+    def counting(sums, region, q, dtype):
+        sums = list(sums)
+        regions.extend([region] * len(sums))
+        return original(sums, region, q, dtype)
+
+    for module in (algebra, model, gibbs, expansion):
+        if getattr(module, "_sector_sums", None) is original:
+            monkeypatch.setattr(module, "_sector_sums", counting)
+    return regions
 
 
 def pauli_at(site, name, q=2):

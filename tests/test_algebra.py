@@ -24,7 +24,7 @@ from decorr.algebra import (
 from decorr.lattice import Region
 from decorr.model import build_restricted
 
-from conftest import chain, count_core_solves
+from conftest import chain, count_core_solves, zero_pattern_groups
 
 rng = np.random.default_rng(42)
 
@@ -267,7 +267,7 @@ def _per_block_eig(A):
     concatenated in the order of the blocks' first rows.
     """
     blocks = []
-    for idx in algebra._zero_pattern_components(A):
+    for idx in zero_pattern_groups(len(A), *np.nonzero(A)):
         if idx.size == 1:
             blocks.append((idx, A[idx, idx].real, np.ones((1, 1), dtype=A.dtype)))
         else:
@@ -336,7 +336,7 @@ def test_zero_pattern_components_match_bfs(n, density):
     if n > 3:
         A[n // 2] = 0
         A[:, n // 2] = 0
-    got = algebra._zero_pattern_components(A.astype(np.clongdouble))
+    got = zero_pattern_groups(n, *np.nonzero(A.astype(np.clongdouble)))
     assert [g.tolist() for g in got] == _bfs_components(A)
 
 
@@ -346,13 +346,13 @@ def test_zero_pattern_components_of_a_long_path():
     perm = np.random.default_rng(5).permutation(n)
     A = np.zeros((n, n))
     A[perm[:-1], perm[1:]] = 1.0
-    assert [g.tolist() for g in algebra._zero_pattern_components(A)] == [list(range(n))]
+    assert [g.tolist() for g in zero_pattern_groups(n, *np.nonzero(A))] == [list(range(n))]
 
 
 def memo_fill(matrices, memo):
     """One block memo fill of ``matrices``: split all, solve their new blocks, read them."""
     pending = {}
-    splits = [algebra._memo_split(A, memo, pending) for A in matrices]
+    splits = [algebra._memo_split(algebra._block_stacks(A), memo, pending) for A in matrices]
     algebra._memo_solve(memo, pending)
     return [algebra._memo_systems(split) for split in splits]
 
@@ -402,7 +402,7 @@ def test_block_memo_ignores_longdouble_padding():
     (_, blocks), = algebra._block_stacks(A)
     assert blocks[0].tobytes() != blocks[1].tobytes()  # the padding reaches the split
     memo, pending = {}, {}
-    split = algebra._memo_split(A, memo, pending)
+    split = algebra._memo_split(algebra._block_stacks(A), memo, pending)
     assert len(pending) == 1
     algebra._memo_solve(memo, pending)
     (_, _, V), = algebra._memo_systems(split)

@@ -245,6 +245,9 @@ def custom_model(center):
             {"model": {**CANONICAL_MODEL, "n": 5,
                        "J12": [[True, 2, 0.02, 0], [2, True, 0.02, 0]]}},
         ),
+        # an offset with more coordinates than the anchor has no site to act on
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {"A": [[[0, 3], "X"]], "B": [[[0, 7], "X"]], "anchor": 1}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -260,6 +263,7 @@ def custom_model(center):
         "ising-beta-bool", "verify-lambda-string", "verify-tol-string",
         "decay-anchor-bool", "certify-J12-string", "certify-J3-bool",
         "certify-coupling-value-bool", "certify-coupling-site-bool",
+        "decay-offset-too-long",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):

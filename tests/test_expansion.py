@@ -20,7 +20,7 @@ from decorr.algebra import GlobalOperator, embed, herm_exp, operator_product
 from decorr.expansion import MAX_TERM_SIZE, interior_configurations
 from decorr.lattice import Region, closure, interior, r_connected_set
 
-from conftest import chain, count_core_solves, pauli_at
+from conftest import chain, count_core_solves, count_sector_sums, pauli_at
 
 
 def interior_sites(spec):
@@ -127,16 +127,15 @@ def test_warm_swap_builds_no_matrix(monkeypatch):
         spec = chain(6)
         check(spec, 2.0)
         calls = []
-        for module, name in ((algebra, "_zero_pattern_components"),
-                             (expansion, "onsite_sum"), (model, "onsite_sum"),
-                             (expansion, "_scatter_add"), (model, "_scatter_add")):
-            original = getattr(module, name)
+        for name in ("_zero_pattern_components", "_scatter_add"):
+            original = getattr(algebra, name)
             monkeypatch.setattr(
-                module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+                algebra, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
             )
+        sums = count_sector_sums(monkeypatch)
         warm = check(spec, 0.5)
         monkeypatch.undo()
-        assert calls == []
+        assert calls == [] and sums == []
         assert warm == check(chain(6), 0.5)
 
 
@@ -653,14 +652,7 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     assert norm.spectra == {} and norm.spectra is not chain8.spectra
     before = set(chain8.spectra)
     sets = connected_sets(norm)
-    solved = []
-    original = model.build_restricted
-
-    def counting_build(spec, S):
-        solved.append(S)
-        return original(spec, S)
-
-    monkeypatch.setattr(model, "build_restricted", counting_build)
+    solved = count_sector_sums(monkeypatch)
     betas = (1.0, 10.0)
     memoized = [dc.partition_ratio(S, norm, b).ratio for b in betas for S in sets]
     monkeypatch.undo()
@@ -709,11 +701,13 @@ def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
     assert terms and all(any(M is t for M in solved) for t in terms)
     assert norm.nonpositive is True
     solved.clear()
+    assembled = count_sector_sums(monkeypatch)
     calls = [(S, b) for b in (1.0, 10.0) for S in connected_sets(norm)]
     memoized = [dc.partition_ratio(S, norm, b) for S, b in calls]
     monkeypatch.undo()
     assert len(calls) == 82
-    assert solved and not any(M is t for M in solved for t in terms)
+    # every region's H is assembled and solved by blocks, and no matrix is split densely
+    assert assembled and solved == []
     fresh = [dc.partition_ratio(S, dataclasses.replace(norm), b) for S, b in calls]
     assert memoized == fresh
 

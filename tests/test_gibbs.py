@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from decorr.gibbs import (
 from decorr.lattice import Region, counting_constant
 from decorr.model import PAULI_BY_NAME
 
-from conftest import chain, pauli_at
+from conftest import chain, count_sector_sums, pauli_at, zero_pattern_groups
 
 N2 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -160,7 +161,7 @@ def test_gibbs_state_blockwise(chain6):
     beta = 2.0
     rho = dc.gibbs_state(H, beta).rho.matrix
     block = np.empty(H.dim, dtype=int)
-    for k, idx in enumerate(algebra._zero_pattern_components(H.matrix)):
+    for k, idx in enumerate(zero_pattern_groups(H.dim, *np.nonzero(H.matrix))):
         block[idx] = k
     assert block.max() > 0
     cross = block[:, None] != block[None, :]
@@ -215,21 +216,46 @@ def test_covariance_never_embeds_into_the_full_space(chain10, monkeypatch):
     assert cov == ref
 
 
+def test_expectation_from_blocks_keeps_the_bits_of_dense_rho(chain6):
+    # the entries gathered from rho's blocks, +0 between them, are dense rho's
+    state = dc.gibbs_state(dc.build_restricted(chain6, chain6.sites)[2], 2.0)
+    rho = state.rho
+    for A in (pauli_at(0, "Z"), pauli_at(2, "X"),
+              operator_product(pauli_at(1, "X"), pauli_at(4, "Y")),
+              operator_product(pauli_at(0, "Y"), pauli_at(3, "X"), pauli_at(5, "N"))):
+        got = algebra._local_trace(state.blocks, A)
+        assert got.tobytes() == algebra._local_trace(rho, A).tobytes()
+
+
+GIBBS_RUNS = {
+    "decay": lambda: dc.decay_sweep(
+        chain(10), 5.0, [(0, "X")], [(0, "X")], [2, 3, 4, 5, 6, 7], anchor=(1,)
+    ),
+    "ising": lambda: dc.ising_oracle(10, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("run", GIBBS_RUNS)
+def test_gibbs_path_writes_no_full_dimension_matrix(run):
+    # a 10-site H, rho or embedded observable alone is a 1024^2 complex128 matrix
+    dense = 1024**2 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        GIBBS_RUNS[run]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense
+
+
 def test_decay_sweep_solves_the_full_spectrum_once(chain10, monkeypatch):
     spec = dataclasses.replace(chain10)  # same Hamiltonian, empty spectrum memo
-    solves = []
-    original = algebra._block_eighs
-
-    def counting_block_eighs(A):
-        solves.append(A.shape[0])
-        return original(A)
-
-    monkeypatch.setattr(algebra, "_block_eighs", counting_block_eighs)
+    solves = count_sector_sums(monkeypatch)
     fits = [
         dc.decay_sweep(spec, beta, [(0, "X")], [(0, "X")], [2, 3], anchor=(1,), strict=False)
         for beta in (5.0, 50.0)
     ]
-    assert solves.count(2 ** len(spec.sites)) == 1
+    assert solves.count(spec.sites) == 1
     assert fits[0].points != fits[1].points
 
 

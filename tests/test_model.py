@@ -1,9 +1,12 @@
 """Hamiltonian assembly, form-bound certification, normalization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import decorr as dc
+from decorr import algebra, expansion, model
 from decorr.lattice import Region, box_geometry, chain_geometry
 from decorr.model import (
     NUMBER,
@@ -14,9 +17,10 @@ from decorr.model import (
     certify_form_bound,
     interaction_centers,
     onsite_sum,
+    restricted_spectrum,
 )
 
-from conftest import chain
+from conftest import chain, zero_pattern_groups
 
 # certified relative form-bound constant of the canonical instance; the
 # maximizing ball sits in the seed-7 field prefix shared by every chain length
@@ -212,6 +216,104 @@ def test_onsite_sum_matches_kronecker_sum(dtype):
     got = onsite_sum(onsite, sites, 2, dtype)
     assert got.dtype == dtype
     assert np.array_equal(got, ref)
+
+
+def assert_sector_sum_is_the_dense_split(spec, S):
+    """The sector blocks of H_S are the dense H_S's split; scattered back they are H_S, bitwise."""
+    dense = dc.build_restricted(spec, S)[2].matrix
+    groups = [algebra._place(terms) for terms in model._restricted_terms(spec, S)]
+    (H,) = algebra._sector_sums([groups], S, spec.q, complex)
+    stacks = list(H.stacks())
+    ref = list(algebra._block_stacks(dense))
+    assert len(stacks) == len(ref)
+    for (rows, blocks), (ref_rows, ref_blocks) in zip(stacks, ref):
+        assert np.array_equal(rows, ref_rows)
+        assert blocks.tobytes() == ref_blocks.tobytes()
+    assert algebra._scatter_blocks(H.dim, H.packed.dtype, stacks).tobytes() == dense.tobytes()
+
+
+SECTOR_CASES = {
+    "chain5": lambda: [(chain(5), None)],
+    "chain6": lambda: [(chain(6), None)],
+    "chain8": lambda: [(chain(8), None)],
+    "chain10": lambda: [(chain(10), None)],
+    "chain8-normalized": lambda: [(dc.normalize_nonpositive(chain(8)), None)],
+    "chain6-subregions": lambda: [
+        (spec, Region(c))
+        for spec in [chain(6)]
+        for k in range(7)
+        for c in itertools.combinations(spec.sites, k)
+    ],
+    "empty": lambda: [(chain(5), Region())],
+}
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_sum_scatters_to_build_restricted(case):
+    for spec, S in SECTOR_CASES[case]():
+        assert_sector_sum_is_the_dense_split(spec, spec.sites if S is None else S)
+
+
+def cancelling_spec():
+    """A 4-site chain whose two interactions cancel the hop between sites 1 and 2 exactly.
+
+    v_1 = c (hop_01 + hop_12) on the ball {0, 1, 2}, v_2 = c (hop_23 - hop_12)
+    on {1, 2, 3}: every entry of hop_12 sums to c + (-c) = 0 in H, which
+    splits each particle-number sector the term patterns join.
+    """
+    geometry = chain_geometry(4, 1)
+    hop = np.kron(model.SIGMA_PLUS, model.SIGMA_MINUS)
+    hop = hop + hop.T
+    c = 0.02
+
+    def on_ball(center, pairs):
+        ball = Region([(center - 1,), (center,), (center + 1,)])
+        return sum(
+            sign * c * dc.embed(hop, Region([(a,), (a + 1,)]), ball, 2).matrix
+            for a, sign in pairs
+        ), ball
+
+    interactions = {}
+    for center, pairs in ((1, [(0, 1), (1, 1)]), (2, [(2, 1), (1, -1)])):
+        m, ball = on_ball(center, pairs)
+        interactions[(center,)] = InteractionTerm((center,), ball, m)
+    onsite = {z: NUMBER for z in geometry.sites}
+    return model.make_spec(geometry, 2, onsite, interactions)
+
+
+def test_exact_cancellation_splits_sectors_as_the_dense_sum():
+    spec = cancelling_spec()
+    S = spec.sites
+    dense = dc.build_restricted(spec, S)[2].matrix
+    dim = len(dense)
+    # the term patterns join what the summed H splits: not a vacuous case
+    patterns = sum(
+        np.abs(algebra.embed(np.abs(t.matrix), t.support, S, 2).matrix)
+        for t in spec.interactions.values()
+    ) + np.abs(dense)
+    joined = zero_pattern_groups(dim, *np.nonzero(patterns))
+    split = zero_pattern_groups(dim, *np.nonzero(dense))
+    assert len(split) > len(joined)
+    assert_sector_sum_is_the_dense_split(spec, S)
+    # the Gibbs path's spectrum is the dense split's, bit for bit
+    got, ref = restricted_spectrum(spec, S), algebra._herm_blocks(dense)
+    assert np.array_equal(got.order, ref.order)
+    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    for (rows, w, V), (ref_rows, ref_w, ref_V) in zip(got.blocks, ref.blocks, strict=True):
+        assert np.array_equal(rows, ref_rows)
+        assert w.tobytes() == ref_w.tobytes() and V.tobytes() == ref_V.tobytes()
+    # and so is the expansion's, in clongdouble
+    M = ((1,), (2,))
+    (systems,) = expansion._fill(spec, [(M, S)])
+    HM = onsite_sum(spec.onsite, S, 2, np.clongdouble)
+    for x in M:
+        term = spec.interactions[x]
+        algebra._scatter_add(HM, term.matrix, algebra.support_index_map(term.support, S, 2))
+    assert len(zero_pattern_groups(dim, *np.nonzero(HM))) == len(split)
+    fresh = list(algebra._block_eighs(HM))
+    for (rows, w, V), (ref_rows, ref_w, ref_V) in zip(systems, fresh, strict=True):
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(w, ref_w) and np.array_equal(np.asarray(V), ref_V)
 
 
 def test_build_restricted_keeps_dtype(chain6):
