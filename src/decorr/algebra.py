@@ -56,15 +56,15 @@ sites) more often still.  A refined solve shifts each block by the mean of
 its diagonal (:func:`_shift_diagonal`), solves the shifted block
 (:func:`_refined_core`), adds the shift back and sorts; so the solves share
 the memo ``HamiltonianSpec.block_spectra`` (one per spec), keyed by the
-size and value bytes (no padding) of the shifted block and holding its
-core eigensystem: each distinct shifted block is refined once per spec.
-The core treats every block of its stack on its own, so a memo hit with
-the block's own shift and sort applied is bit-identical to solving the
-block again.  They meet the same H_M again too, and a memo fill
-(:func:`_memo_split` of each H_M, one :func:`_memo_solve` of all their new
-blocks, one core call per block size, then :func:`_memo_systems`) gives
-each H_M's split in the form ``HamiltonianSpec.term_blocks`` keeps per (M,
-base): the blocks' rows, their eigenvalues and references to the memo's
+size and value bytes (no padding) of the shifted block and holding the
+core's eigensystem of it: each distinct shifted block is refined once per
+spec.  The core treats every block of its stack on its own, so a memo hit
+with the block's own shift and sort applied is bit-identical to solving
+the block again.  They meet the same H_M again too, and one memo fill
+call, :func:`_memo_eighs`, takes many H_M, solves the shifted blocks the
+memo lacks in one core call per block size and gives each H_M's split in
+the form ``HamiltonianSpec.term_blocks`` keeps per (M, base): the blocks'
+rows, their eigenvalues and, unless the sort moves a column, the memo's
 eigenvector arrays, not copies; every extended-precision e^{-beta H_M},
 the resummation's reference included, is written from one.  tr(X A) for A
 on a subregion is one contraction, :func:`_local_trace`, with A never
@@ -420,9 +420,9 @@ def _refined_eigh(A: np.ndarray):
     :func:`_refined_core` of each block shifted by :func:`_shift_diagonal`;
     the shift is added back and each block's eigenpairs are sorted by a
     stable argsort.  Every step treats each block of the stack on its own,
-    and the core sees only the shifted block, so the block memo keeps core
-    systems per shifted block and applies this tail per block
-    (:func:`_memo_systems`).
+    and the core sees only the shifted block, so the block memo keeps the
+    core's system per shifted block and applies this tail per block
+    (:func:`_memo_eighs`).
     """
     A, shift = _shift_diagonal(A)
     w, X = _refined_core(A)
@@ -685,101 +685,82 @@ def _block_eighs(A: np.ndarray):
     return _stack_eighs(_block_stacks(A))
 
 
-def _memo_split(stacks, memo: dict, pending: dict) -> tuple:
-    """Key the clongdouble blocks of one H for a memo fill; :func:`_memo_systems` reads the result.
+def _memo_eighs(splits, memo: dict) -> list[tuple]:
+    """:func:`_block_eighs` of each clongdouble H ``splits`` gives, solved through the block memo.
 
-    ``stacks`` yields ``(rows, blocks)`` per block size, as
-    :meth:`BlockOperator.stacks` and :func:`_block_stacks` do.  Per block
-    size the result holds its rows and, for blocks above size one, each block's
-    shift and where its core eigensystem will be.  ``memo`` maps (size,
-    value bytes) of a block shifted by :func:`_shift_diagonal` to the
-    :func:`_refined_core` system of that shifted block, sorted (see
-    :func:`_memo_solve`); the value bytes leave out the padding of each
-    longdouble (see :func:`_value_bytes`).  A block found there keeps the
-    memo's value; a block that is not gets a slot in ``pending``, one per
-    distinct shifted block, which holds the block until :func:`_memo_solve`
-    puts its system there.  Blocks that differ by a multiple of the
-    identity, as sectors do that differ only in free sites, mostly shift to
-    the same bytes and share one solve.
+    ``splits`` yields, per H, the ``(rows, blocks)`` per block size that
+    :meth:`BlockOperator.stacks` and :func:`_block_stacks` yield, and is
+    read one H at a time.  ``memo`` maps (size, value bytes) of a block
+    shifted by :func:`_shift_diagonal` to the :func:`_refined_core` system
+    (w, X) of that shifted block, as the core returns it; the value bytes
+    leave out the padding of each longdouble (see :func:`_value_bytes`).
+    Blocks that differ by a multiple of the identity, as sectors do that
+    differ only in free sites, mostly shift to the same bytes and share one
+    entry.  The distinct shifted blocks the memo lacks are solved after the
+    last H, one core call per block size; until then each block holds only
+    a place in a list of memo systems and new blocks, not its key.  The core
+    treats each block of its stack on its own (the LAPACK start, the
+    clongdouble products, the stop test and the Jacobi fallback are all per
+    block), so a system does not depend on which blocks it was solved with;
+    nor on the exponent a caller applies, so one solve serves every beta.
+
+    Each block then gets :func:`_refined_eigh`'s tail on its own: its shift
+    is added to the core's w and the pairs are sorted by a stable argsort.
+    V keeps the memo's own X, not a copy (stacked copies would hold the
+    memo's memory again per H), unless the sort moves a column.  So each
+    H's result is its :func:`_block_eighs`, bit for bit; ``np.asarray`` of
+    a V list gives the stack.
     """
     mask = _LONGDOUBLE_VALUE_BYTES
-    out = []
-    for rows, blocks in stacks:
-        if rows.shape[1] == 1:  # a copy, as in _stack_eighs
-            out.append((rows, blocks[:, 0].real.copy(), np.ones_like(blocks)))
-            continue
-        shifted, shift = _shift_diagonal(blocks)
-        values = shifted.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
-        held = []
-        for block, v in zip(shifted, values):
-            key = (rows.shape[1], v.tobytes())
-            system = memo.get(key)
-            if system is None:
-                system = pending.get(key)
-            if system is None:
-                system = pending[key] = [block.copy()]
-            held.append(system)
-        out.append((rows, shift, held))
-    return tuple(out)
-
-
-def _memo_solve(memo: dict, pending: dict) -> None:
-    """Solve the blocks ``pending`` holds, one :func:`_refined_core` call per block size.
-
-    Each system goes into ``memo`` and into its slot, as (w, X, rank): the
-    core's eigenpairs sorted by a stable argsort of w, and rank, the
-    positions the core gave them, kept only where that order was not
-    already ascending (ties after a shift are broken by it; see
-    :func:`_memo_systems`).  The core treats each block of a stack on its
-    own (the LAPACK start, the clongdouble products, the stop test and the
-    Jacobi fallback are all per block), so a system does not depend on
-    which blocks it was solved with; nor on the exponent a caller applies,
-    so one solve serves every beta.
-    """
+    found: list = []  # a memo system, or a new shifted block until it is solved
+    new: dict = {}  # the key of each new shifted block: its place in found
+    held = []
+    for stacks in splits:
+        parts = []
+        for rows, blocks in stacks:
+            if rows.shape[1] == 1:  # a copy, as in _stack_eighs
+                parts.append((rows, blocks[:, 0].real.copy(), np.ones_like(blocks)))
+                continue
+            shifted, shift = _shift_diagonal(blocks)
+            values = shifted.view(np.uint8).reshape(len(blocks), -1, mask.size)[:, :, mask]
+            at = np.empty(len(blocks), dtype=np.int64)
+            for k, (block, v) in enumerate(zip(shifted, values)):
+                key = (rows.shape[1], v.tobytes())
+                i = new.get(key)
+                if i is None:
+                    i = len(found)
+                    system = memo.get(key)
+                    if system is None:
+                        new[key], system = i, block.copy()
+                    found.append(system)
+                at[k] = i
+            parts.append((rows, shift, at))
+        held.append(parts)
     by_size: dict[int, list] = {}
-    for key, slot in pending.items():
-        by_size.setdefault(key[0], []).append((key, slot))
-    for entries in by_size.values():
-        w, X = _refined_core(np.array([slot[0] for _, slot in entries]))
-        rank = np.argsort(w, axis=-1, kind="stable")
-        for (key, slot), wk, Xk, rk in zip(entries, w, X, rank):
-            if (rk[1:] > rk[:-1]).all():
-                system = (wk, Xk, None)
-            else:
-                system = (wk[rk], Xk[:, rk], rk)
-            memo[key] = slot[0] = system
-    pending.clear()
-
-
-def _memo_systems(split: tuple) -> tuple:
-    """:func:`_block_eighs` of a split A after its fill is solved: one (rows, w, V) per size.
-
-    Each block's w is its memo w plus its own shift and V the memo's own
-    eigenvector array, not a copy (stacked copies would hold the memo's
-    memory again per H_M).  This is :func:`_refined_eigh`'s tail, bit for
-    bit: adding the shift keeps the sorted w in order but may round two
-    eigenvalues to a tie, which its stable argsort breaks by the core's
-    order, so a block with a memo rank is sorted again by (w, rank), and
-    holds a permuted copy of V only if that moves a column.  ``np.asarray``
-    of the V list gives the stack :func:`_block_eighs` yields.
-    """
+    for (m, _), i in new.items():
+        by_size.setdefault(m, []).append(i)
+    for at in by_size.values():
+        w, X = _refined_core(np.array([found[i] for i in at]))
+        for i, system in zip(at, zip(w, X)):
+            found[i] = system
+    memo.update((key, found[i]) for key, i in new.items())
     out = []
-    for part in split:
-        rows, shift, held = part
-        if rows.shape[1] == 1:  # split kept the system of its 1x1 blocks
-            out.append(part)
-            continue
-        systems = [s[0] if isinstance(s, list) else s for s in held]
-        w = np.array([wk for wk, _, _ in systems])
-        w += shift[:, None]
-        V = [Xk for _, Xk, _ in systems]
-        for k, (_, Xk, rank) in enumerate(systems):
-            if rank is not None:
-                order = np.lexsort((rank, w[k]))
-                if (order[1:] < order[:-1]).any():
-                    w[k], V[k] = w[k][order], Xk[:, order]
-        out.append((rows, w, V))
-    return tuple(out)
+    for parts in held:
+        systems = []
+        for part in parts:
+            rows, shift, at = part
+            if rows.shape[1] == 1:  # the part holds its 1x1 blocks' system
+                systems.append(part)
+                continue
+            w = np.array([found[i][0] for i in at])
+            w += shift[:, None]
+            order = np.argsort(w, axis=-1, kind="stable")
+            V = [found[i][1] for i in at]
+            for k in np.flatnonzero((order != np.arange(w.shape[1])).any(axis=1)):
+                w[k], V[k] = w[k][order[k]], V[k][:, order[k]]
+            systems.append((rows, w, V))
+        out.append(tuple(systems))
+    return out
 
 
 @dataclass(frozen=True)

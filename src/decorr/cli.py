@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import expansion, gibbs, lattice, model
 from ._kernels import MAX_K, brute_force_connected_count, build_universe, universe_size
-from .algebra import MAX_DENSE_SITES, DimensionError, GlobalOperator
+from .algebra import MAX_DENSE_SITES, DimensionError
 from .lattice import LatticeGeometry, Region, _integer, _real, r_connected_set, set_distance
 from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
 
@@ -151,10 +151,6 @@ def _tolerance(cfg: dict, key: str, default: float) -> float:
     return tol
 
 
-def _site_observable(spec: HamiltonianSpec, site: lattice.Site, name: str) -> GlobalOperator:
-    return GlobalOperator(Region([site]), spec.q, PAULI_BY_NAME[name].copy())
-
-
 def _write_json(path: Path, payload: dict):
     payload = dict(payload)
     payload["schema"] = SCHEMA_VERSION
@@ -216,7 +212,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         res = expansion.verify_resummation(spec, beta)
         add("resummation", f"beta={beta:g}", res, tol, res <= tol)
 
-    rows = expansion.term_norm_scan(spec, betas[0], max_size=min(3, len(inter)))
+    rows = expansion.term_norm_scan(spec, betas[0], max_size=3)
     if rows:
         worst = max(norm - bound for _, norm, bound in rows)
         add(
@@ -234,8 +230,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     # structural checks need two well-separated probes; pick lattice extremes
     lo, hi = spec.sites[0], spec.sites[-1]
     X, Y = Region([lo]), Region([hi])
-    A = _site_observable(spec, lo, "Z")
-    B = _site_observable(spec, hi, "Z")
+    A = gibbs.observable_from_template([(0, "Z")], lo, spec)
+    B = gibbs.observable_from_template([(0, "Z")], hi, spec)
     if not inter:
         unprobed = "lattice interior is empty"
     elif set_distance(X, Y) <= 2 * geo.R:
@@ -291,8 +287,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         y_site = tuple(ci + geo.R if i == 0 else ci for i, ci in enumerate(c))
         if x_site in spec.sites and y_site in spec.sites:
             I0, J0 = Region([c]), Region()
-            Ax = _site_observable(spec, x_site, "Z")
-            By = _site_observable(spec, y_site, "Z")
+            Ax = gibbs.observable_from_template([(0, "Z")], x_site, spec)
+            By = gibbs.observable_from_template([(0, "Z")], y_site, spec)
             try:
                 for beta in betas:
                     chk = expansion.verify_supercluster_resummation(
@@ -485,8 +481,8 @@ def run_ising(cfg: dict, outdir: Path) -> int:
     tanh = [abs(math.tanh(beta * J)) for beta in betas]
     if n < 3 or not all(0 < t < 1 for t in tanh):
         raise ConfigError(f"no decay to fit: n = {n}, J = {J!r}, |tanh(beta J)| = {tanh}")
-    if n > 12:
-        raise CapError(f"classical-chain oracle capped at n = 12 (got {n})")
+    if n > gibbs.MAX_ISING_SPINS:
+        raise CapError(f"classical-chain oracle capped at n = {gibbs.MAX_ISING_SPINS} (got {n})")
     cov_tol = _tolerance(cfg, "covariance", 1e-10)
     xi_tol = _tolerance(cfg, "xi_rel", 1e-6)
 

@@ -41,14 +41,14 @@ is solved once per spec, whatever the subset, base, beta or free sites.
 Each H_M is assembled once per spec, too, in one fill per sweep
 (:func:`_fill`): each sweep (resummation, term norms, factorization, swap,
 supercluster classes, covariance) first passes every (M, base) it will
-meet, and the blocks none of them found in the memo are solved together,
-one stack per block size.  An entry of ``spec.term_blocks`` keeps the
-blocks' rows, eigenvalues and references to their eigenvectors, and every
-later term, observable base, beta or check that meets it adds V e^{-beta w}
-V^H from there into its own block rows and columns, with no dense H_M,
-pattern scan or block hash.  The resummation's reference e^{-beta H} and
-the free factor of each global term are such entries too
-(:func:`_boltzmann`).
+meet, and one memo call (:func:`~decorr.algebra._memo_eighs`) solves the
+blocks none of them found in the memo together, one stack per block size.
+An entry of ``spec.term_blocks`` keeps the blocks' rows, eigenvalues and
+references to their eigenvectors, and every later term, observable base,
+beta or check that meets it adds V e^{-beta w} V^H from there into its own
+block rows and columns, with no dense H_M, pattern scan or block hash.  The
+resummation's reference e^{-beta H} and the free factor of each global term
+are such entries too (:func:`_boltzmann`).
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ from .algebra import (
     _block_products,
     _check_dense,
     _local_trace,
-    _memo_solve,
-    _memo_split,
-    _memo_systems,
+    _memo_eighs,
     _place,
     _sector_sums,
     op_norm,
@@ -180,34 +178,31 @@ def _fill(spec: HamiltonianSpec, pairs: list) -> list:
     those of one base in one :func:`~decorr.algebra._sector_sums` call from
     terms placed once; each H_M is one sum of the base's on-site terms in
     site order followed by each v_x in turn, as adding each v_x into H0
-    would give.  Their blocks are keyed one H_M at a time
-    (:func:`~decorr.algebra._memo_split`); the shifted blocks none of them
-    found in ``spec.block_spectra`` are then solved together, one core call
-    per block size (:func:`~decorr.algebra._memo_solve`), and every entry is
-    read off (:func:`~decorr.algebra._memo_systems`).  So a sweep that
-    passes all of its pairs at once makes one solve per block size.  A spec
-    and its local matrices never change, and each block is solved on its
-    own, so an entry is what summing and solving H_M again would give, bit
-    for bit.
+    would give.  They go through the block memo in one
+    :func:`~decorr.algebra._memo_eighs` call, which reads them one base at a
+    time and solves the shifted blocks ``spec.block_spectra`` lacks in one
+    core call per block size; so a sweep that passes all of its pairs at
+    once makes one solve per block size.  A spec and its local matrices
+    never change, and each block is solved on its own, so an entry is what
+    summing and solving H_M again would give, bit for bit.
     """
     missing: dict[Region, dict] = {}  # the Ms of each base, in order, without repeats
     for M, base in pairs:
         if (M, base) not in spec.term_blocks:
             missing.setdefault(base, {})[M] = None
-    if missing:
-        pending: dict = {}
-        splits = {}
+
+    def splits():
         for base, Ms in missing.items():
             # each term of the base is placed once, for all of its H_M
             onsite = _place(_onsite_terms(spec.onsite, base, spec.q))
             centers = dict.fromkeys(x for M in Ms for x in M)
             placed = dict(zip(centers, _place(_interaction_terms(spec, centers, base))))
             sums = [[onsite + [placed[x] for x in M]] for M in Ms]
-            for M, HM in zip(Ms, _sector_sums(sums, base, spec.q, np.clongdouble)):
-                splits[M, base] = _memo_split(HM.stacks(), spec.block_spectra, pending)
-        _memo_solve(spec.block_spectra, pending)
-        for key, split in splits.items():
-            spec.term_blocks[key] = _memo_systems(split)
+            for HM in _sector_sums(sums, base, spec.q, np.clongdouble):
+                yield HM.stacks()
+
+    keys = [(M, base) for base, Ms in missing.items() for M in Ms]
+    spec.term_blocks.update(zip(keys, _memo_eighs(splits(), spec.block_spectra)))
     return [spec.term_blocks[pair] for pair in pairs]
 
 

@@ -143,6 +143,7 @@ def covariance(state: ThermalState, A: GlobalOperator, B: GlobalOperator) -> com
 # ---------------------------------------------------------------------------
 
 FIT_FLOOR = 1e-13  # |cov| below this is treated as numerically zero
+MAX_ISING_SPINS = 12  # the classical-chain oracle's cap
 
 
 def observable_from_template(
@@ -192,12 +193,15 @@ def decay_sweep(
     A_template,
     B_template,
     distances,
-    anchor=None,
+    anchor,
     strict: bool = True,
 ) -> DecayFit:
     """Measure |Cov(A, B_d)| over a list of distances and fit ln|cov| ~ d.
 
-    B is the B_template displaced by d along the first axis.  Distances must
+    A and B are placed from the site ``anchor`` (see
+    :func:`observable_from_template`), B displaced by d along the first
+    axis; there is no default, since an anchor on a site that meets no
+    interaction would read every covariance as exactly 0.  Distances must
     be strictly increasing.  Points with |cov| <= FIT_FLOOR are recorded but
     excluded from the fit; if fewer than two remain the sweep has no usable
     decay signal -- strict mode raises DegenerateFitError, otherwise a
@@ -206,8 +210,6 @@ def decay_sweep(
     distances = list(distances)
     if any(d2 <= d1 for d1, d2 in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly increasing")
-    if anchor is None:
-        anchor = spec.sites[0]
     A = observable_from_template(A_template, anchor, spec)
     eig = restricted_spectrum(spec, spec.sites)  # solved once per spec, at any beta
     state = _state_from_blocks(eig, spec.sites, spec.q, beta)
@@ -248,8 +250,8 @@ def fit_decay(points) -> tuple[float, float, float]:
 
 def _ising_bonds(n: int, J: float) -> tuple[Region, list]:
     """The open chain of n spins and its bonds -J sigma3_k sigma3_{k+1}, each with its index map."""
-    if n > 12:
-        raise ValueError("classical-chain oracle capped at n = 12 spins")
+    if n > MAX_ISING_SPINS:
+        raise ValueError(f"classical-chain oracle capped at n = {MAX_ISING_SPINS} spins")
     sites = Region((i,) for i in range(n))
     bond = -J * np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
     maps = (support_index_map(Region([(k,), (k + 1,)]), sites, 2) for k in range(n - 1))

@@ -136,13 +136,14 @@ class HamiltonianSpec:
     memoize, per region S, the block eigensystems of H_S that
     :func:`restricted_spectrum` solves, and ``block_spectra``, per (size,
     value bytes) of a clongdouble zero-pattern block of some H_M in an
-    alternating-sum term, shifted by its mean diagonal, that shifted block's
-    eigenvalues and eigenvectors (beta-independent; see
-    :mod:`decorr.algebra`).  ``term_blocks`` maps (M, base), M a tuple of
-    centers in canonical order, to the blocks of H_M = H0_base + sum_{x in
-    M} v_x: per block size their rows, eigenvalues and, for blocks above
-    size one, references to the eigenvectors in ``block_spectra`` (see
-    :func:`~decorr.algebra._memo_systems`).  H_M depends on
+    alternating-sum term, shifted by its mean diagonal, the refined core's
+    (eigenvalues, eigenvectors) of that shifted block, in the core's order
+    (beta-independent; see :mod:`decorr.algebra`).  ``term_blocks`` maps
+    (M, base), M a tuple of centers in canonical order, to the blocks of
+    H_M = H0_base + sum_{x in M} v_x: per block size their rows, ascending
+    eigenvalues and, for blocks above size one, the eigenvectors in
+    ``block_spectra`` themselves, or sorted copies where sorting moves a
+    column (see :func:`~decorr.algebra._memo_eighs`).  H_M depends on
     (spec, M, base) alone, so an entry serves every term, base observable
     and beta that meets that H_M again, without summing or splitting it;
     with M every interaction center and base the lattice, it is the

@@ -350,11 +350,8 @@ def test_zero_pattern_components_of_a_long_path():
 
 
 def memo_fill(matrices, memo):
-    """One block memo fill of ``matrices``: split all, solve their new blocks, read them."""
-    pending = {}
-    splits = [algebra._memo_split(algebra._block_stacks(A), memo, pending) for A in matrices]
-    algebra._memo_solve(memo, pending)
-    return [algebra._memo_systems(split) for split in splits]
+    """One block memo fill of ``matrices``: their split, the new blocks solved, each read off."""
+    return algebra._memo_eighs((algebra._block_stacks(A) for A in matrices), memo)
 
 
 def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
@@ -390,7 +387,7 @@ def test_block_memo_is_bit_identical_and_solves_each_block_once(monkeypatch):
     assert solved == [(2, 3)]
 
 
-def test_block_memo_ignores_longdouble_padding():
+def test_block_memo_ignores_longdouble_padding(monkeypatch):
     # x87 extended precision leaves 6 of each 16 bytes as padding; equal
     # blocks with different padding are one memo entry
     B = random_hermitian(4, 85).astype(np.clongdouble)
@@ -401,11 +398,10 @@ def test_block_memo_ignores_longdouble_padding():
     assert np.array_equal(A[4:, 4:], B)
     (_, blocks), = algebra._block_stacks(A)
     assert blocks[0].tobytes() != blocks[1].tobytes()  # the padding reaches the split
-    memo, pending = {}, {}
-    split = algebra._memo_split(algebra._block_stacks(A), memo, pending)
-    assert len(pending) == 1
-    algebra._memo_solve(memo, pending)
-    (_, _, V), = algebra._memo_systems(split)
+    memo = {}
+    solved = count_core_solves(monkeypatch)
+    ((_, _, V),) = memo_fill([A], memo)[0]
+    assert solved == [(1, 4)]  # one new block to solve, not two
     assert len(memo) == 1
     assert V[0] is V[1]
 
@@ -444,19 +440,19 @@ def test_shift_keyed_memo_matches_refined_eigh(c):
     memo = {}
     ((rows, w, V),) = memo_fill([H], memo)[0]
     assert len(memo) == 1
-    ((_, memo_w, memo_X, rank),) = [(None, *system) for system in memo.values()]
-    assert rank is not None  # the core's order was not ascending
+    ((memo_w, memo_X),) = memo.values()  # the core's system, as it came
+    assert (np.diff(memo_w) < 0).any()  # the core's order was not ascending
     ref_w, ref_V = algebra._refined_eigh(blocks)
     assert np.array_equal(rows, [range(n), range(n, 2 * n)])
     assert np.array_equal(w, ref_w)
     for k in range(2):
         assert np.array_equal(V[k], ref_V[k])
-    assert V[0] is memo_X
+    assert V[0] is not memo_X  # sorting A's pairs moves a column: a copy
     if c:
         assert len(np.unique(w[1])) < len(np.unique(memo_w))  # the shift made a tie
-        assert V[1] is not memo_X  # ... that the memo's order gets wrong
+        assert V[1] is memo_X  # ... that keeps the core's order, and its X
     else:
-        assert V[1] is memo_X
+        assert V[1] is not memo_X
 
 
 def test_op_norm_values():

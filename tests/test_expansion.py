@@ -144,7 +144,7 @@ def test_term_blocks_hold_the_block_memo_arrays():
     # the rows, each block's own eigenvalues and the memo's eigenvectors
     spec = chain(6)
     dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-    memo = {id(X) for _, X, _ in spec.block_spectra.values()}
+    memo = {id(X) for _, X in spec.block_spectra.values()}
     held = set()
     for (M, base), systems in spec.term_blocks.items():
         HM = model.onsite_sum(spec.onsite, base, spec.q, np.clongdouble)
@@ -160,7 +160,7 @@ def test_term_blocks_hold_the_block_memo_arrays():
             if rows.shape[1] == 1:
                 continue  # a 1x1 block needs no solve and is not in the memo
             assert len(V) == len(rows)
-            # no shift of this sweep makes a tie, so no entry holds a copy
+            # no sort of this sweep moves a column, so no entry holds a copy
             assert all(id(X) in memo for X in V)
             held.update(map(id, V))
     assert held == memo  # every solved block belongs to some H_M of the sweep

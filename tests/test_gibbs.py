@@ -315,10 +315,10 @@ def test_decay_sweep_independent_of_blas_threads():
 
 def test_decay_sweep_strictness(free6):
     with pytest.raises(ValueError, match="strictly increasing"):
-        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [3, 2])
+        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [3, 2], anchor=(0,))
     with pytest.raises(DegenerateFitError):
-        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3])
-    fit = dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3], strict=False)
+        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3], anchor=(0,))
+    fit = dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3], anchor=(0,), strict=False)
     assert fit.outcome == "floor"
     assert np.isnan(fit.xi)
     assert fit.points_used == 0
