@@ -40,7 +40,6 @@ from .expansion import (
     SuperclusterCheck,
     SwapCheck,
     covariance_from_expansion,
-    global_term,
     observable_weight,
     partition_ratio,
     subset_sum_identity_check,

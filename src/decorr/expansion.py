@@ -47,8 +47,9 @@ An entry of ``spec.term_blocks`` keeps the blocks' rows, eigenvalues and
 references to their eigenvectors, and every later term, observable base,
 beta or check that meets it adds V e^{-beta w} V^H from there into its own
 block rows and columns, with no dense H_M, pattern scan or block hash.  The
-resummation's reference e^{-beta H} and the free factor of each global term
-are such entries too (:func:`_boltzmann`).
+resummation's reference e^{-beta H} and the free factor outside each
+closure, which every configuration of that closure shares, are such entries
+too (:func:`_boltzmann`).
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from .model import (
     restricted_spectrum,
 )
 
-MAX_TERM_SIZE = 20  # 2^|I| exponentials per term
 MAX_RESUM_INTERIOR = 12
 MAX_SWEEP_INTERIOR = 6  # 4^|interior| (I, J) pairs
 ZERO_FLOOR = 1e-300
@@ -152,8 +152,6 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
     formed: the entries outside the blocks are zero, and adding zero to a
     sum accumulated from zeros changes no bit.
     """
-    if len(I) > MAX_TERM_SIZE:
-        raise ValueError(f"|I| = {len(I)} exceeds the term cap {MAX_TERM_SIZE}")
     if not I.issubset(spec.interior):
         raise ValueError("configuration must lie in the lattice interior")
     if not closure(I, spec.geometry).issubset(base):
@@ -219,54 +217,44 @@ def _boltzmann(spec: HamiltonianSpec, M: tuple, region: Region, beta: float) -> 
     return _block_function(spec.q ** len(region), np.clongdouble, _exp_blocks(systems, beta))
 
 
-def global_term(I: Region, spec: HamiltonianSpec, beta: float) -> GlobalOperator:
-    """T_I on the whole lattice, in extended precision: free factor outside closure(I).
-
-    The factors act on the disjoint regions rest = L - closure(I) and
-    closure(I), so entry (i, j) of their product is the single product
-    outer[a1(i), a1(j)] inner[a2(i), a2(j)], with a1, a2 the digits of an
-    index on each region (:func:`~decorr.algebra.support_index_map`).  That
-    is the one nonzero term of each entry of operator_product(outer, inner),
-    built here without its dim^3 matrix product, in place in the gathered
-    outer factor.
-
-    The outer factor exp(-beta H0_rest) is the (empty M, rest) entry of
-    ``spec.term_blocks`` (:func:`_boltzmann`), so the terms of one closure
-    share their solves across I and beta, and the memo keeps whole-lattice
-    blocks as long as the spec.
-    """
-    cl = closure(I, spec.geometry)
-    rest = spec.sites - cl
-    a1 = support_index_map(rest, spec.sites, spec.q)[0]
-    a2 = support_index_map(cl, spec.sites, spec.q)[0]
-    inner = yarotsky_term(I, cl, spec, beta).matrix
-    product = _boltzmann(spec, (), rest, beta)[np.ix_(a1, a1)]
-    product *= inner[np.ix_(a2, a2)]
-    return GlobalOperator(spec.sites, spec.q, product)
-
-
 def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     """Relative Frobenius residual of sum_I T_I against e^{-beta H} (extended precision).
 
     The sum runs over all subsets of the lattice interior (configurations on
     centers without interactions contribute exact zeros but are included --
-    the resummation identity is about the full subset lattice).  The
-    reference e^{-beta H} is the ``spec.term_blocks`` entry of every
-    interaction center on the whole lattice (:func:`_boltzmann`), summed,
-    split and solved as every H_M is: one :func:`_fill` takes it, every
-    closure term's H_M and every outer factor's H0 before any is used.
+    the resummation identity is about the full subset lattice).  On the whole
+    lattice T_I is the free factor exp(-beta H0_rest), rest = L - closure(I),
+    times T_I^{cl I}: the terms of one closure are summed on it in
+    configuration order and meet their shared factor once.  Entry (i, j) of
+    that disjoint product is the single product outer[a1(i), a1(j)]
+    inner[a2(i), a2(j)], a1, a2 the digits of an index on each region
+    (:func:`~decorr.algebra.support_index_map`): operator_product(outer,
+    inner) without its dim^3 matrix product, in place in the gathered factor.
+    The factor and the reference e^{-beta H} are ``spec.term_blocks`` entries
+    (:func:`_boltzmann`); one :func:`_fill` takes them and every term's H_M.
     """
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
     centers = tuple(interaction_centers(spec, spec.sites))
     pairs = [(centers, spec.sites)]
+    closures: dict[Region, list[Region]] = {}  # the configurations of each closure, in order
     for I in configs:
         cl = closure(I, spec.geometry)
+        closures.setdefault(cl, []).append(I)
         pairs += [((), spec.sites - cl), *_term_pairs(I, cl, spec)]
     _fill(spec, pairs)
     ref = _boltzmann(spec, centers, spec.sites, beta)
     acc = np.zeros_like(ref)
-    for I in configs:
-        acc += global_term(I, spec, beta).matrix
+    for cl, Is in closures.items():
+        inner = yarotsky_term(Is[0], cl, spec, beta).matrix
+        for I in Is[1:]:  # only the sum and one term are alive at a time
+            inner += yarotsky_term(I, cl, spec, beta).matrix
+        rest = spec.sites - cl
+        a1 = support_index_map(rest, spec.sites, spec.q)[0]
+        a2 = support_index_map(cl, spec.sites, spec.q)[0]
+        product = _boltzmann(spec, (), rest, beta)[np.ix_(a1, a1)]
+        product *= inner[np.ix_(a2, a2)]
+        acc += product
+        del inner, product  # the next closure's terms meet no whole-lattice temporary
     acc -= ref  # the difference, without a whole-lattice temporary
     num = np.sqrt(np.abs(acc * acc.conj()).sum().real)
     den = np.sqrt(np.abs(ref * ref.conj()).sum().real)

@@ -16,9 +16,9 @@ from scipy.special import logsumexp
 
 import decorr as dc
 from decorr import algebra, expansion, model
-from decorr.algebra import GlobalOperator, embed, herm_exp, operator_product
-from decorr.expansion import MAX_TERM_SIZE, interior_configurations
-from decorr.lattice import Region, closure, interior, r_connected_set
+from decorr.algebra import DimensionError, GlobalOperator, embed, herm_exp, operator_product
+from decorr.expansion import interior_configurations
+from decorr.lattice import Region, box_geometry, closure, interior, r_connected_set
 
 from conftest import chain, count_core_solves, count_sector_sums, pauli_at
 
@@ -174,23 +174,52 @@ def test_term_rejects_non_hermitian_local_matrix(chain6):
         model.HamiltonianSpec(chain6.geometry, 2, bad, chain6.interactions, chain6.a)
 
 
-def test_global_term_matches_operator_product(chain5):
-    # each entry of the disjoint product has one nonzero term, so the index-map
-    # outer product equals the dense matrix product exactly
-    rest_of = lambda I: chain5.sites - closure(I, chain5.geometry)  # noqa: E731
-    for I in [Region(), Region([(1,)]), Region([(1,), (3,)]), Region([(1,), (2,), (3,)])]:
-        for beta in (0.5, 2.0):
-            inner = dc.yarotsky_term(I, closure(I, chain5.geometry), chain5, beta)
-            H0 = model.onsite_sum(chain5.onsite, rest_of(I), 2, np.clongdouble)
-            outer = GlobalOperator(rest_of(I), 2, herm_exp(H0, -beta))
-            ref = operator_product(outer, inner)
-            T = dc.global_term(I, chain5, beta)
-            assert T.region == ref.region
-            assert np.array_equal(T.matrix, ref.matrix)
+def test_resummation_matches_operator_products(chain5):
+    # the terms of one closure share the free factor outside it, and each entry
+    # of their disjoint product has one nonzero term, so the index-map product
+    # equals the dense matrix product exactly: rebuilt from public herm_exp
+    # factors and operator_product, the residual keeps every bit
+    spec, geo = chain5, chain5.geometry
+    closures = {}
+    for I in interior_configurations(spec.interior, expansion.MAX_RESUM_INTERIOR):
+        closures.setdefault(closure(I, geo), []).append(I)
+    H = model.onsite_sum(spec.onsite, spec.sites, 2, np.clongdouble)
+    for x in model.interaction_centers(spec, spec.sites):
+        H += embed(spec.interactions[x].matrix, spec.interactions[x].support, spec.sites, 2).matrix
+    for beta in (0.5, 2.0):
+        acc = 0
+        for cl, Is in closures.items():
+            inner = dc.yarotsky_term(Is[0], cl, spec, beta).matrix
+            for I in Is[1:]:
+                inner = inner + dc.yarotsky_term(I, cl, spec, beta).matrix
+            H0 = model.onsite_sum(spec.onsite, spec.sites - cl, 2, np.clongdouble)
+            outer = GlobalOperator(spec.sites - cl, 2, herm_exp(H0, -beta))
+            product = operator_product(outer, GlobalOperator(cl, 2, inner))
+            assert product.region == spec.sites
+            acc = acc + product.matrix
+        ref = herm_exp(H, -beta)
+        diff = acc - ref
+        residual = np.sqrt(np.abs(diff * diff.conj()).sum().real) / np.sqrt(
+            np.abs(ref * ref.conj()).sum().real
+        )
+        assert float(residual) == dc.verify_resummation(spec, beta)
+
+
+def test_resummation_gathers_one_free_factor_per_closure(monkeypatch):
+    # chain6's 16 interior configurations have 11 distinct closures: one free
+    # factor each, plus the reference e^{-beta H}
+    spec = chain(6)
+    calls = []
+    boltzmann = expansion._boltzmann
+    monkeypatch.setattr(
+        expansion, "_boltzmann", lambda *a: calls.append(a[1:3]) or boltzmann(*a)
+    )
+    dc.verify_resummation(spec, 0.5)
+    assert len(calls) == len(set(calls)) == 12
 
 
 def test_resummation_and_sweeps_share_block_solves(monkeypatch):
-    # global_term and the reference exp(-beta H) read the spec memo like
+    # the free factors and the reference exp(-beta H) read the spec memo like
     # every term, so a second beta and the swap sweep solve nothing new
     spec = chain(6)
     solved = count_core_solves(monkeypatch)
@@ -238,19 +267,21 @@ def test_each_local_matrix_is_checked_once_per_spec(monkeypatch):
 def test_term_validation(chain5):
     with pytest.raises(ValueError, match="interior"):
         dc.yarotsky_term(Region([(0,)]), chain5.sites, chain5, 1.0)
-    oversized = Region([(i,) for i in range(MAX_TERM_SIZE + 1)])
-    with pytest.raises(ValueError, match="term cap"):
-        dc.yarotsky_term(oversized, chain5.sites, chain5, 1.0)
-
-
-def test_global_term_region(chain5):
-    T = dc.global_term(Region([(2,)]), chain5, 1.0)
-    assert T.region == chain5.sites
+    # the dense cap refuses the 17-site base of a 15-site interior before any
+    # pair is listed or any matrix allocated
+    spec = chain(17)
+    with pytest.raises(DimensionError, match="17 sites"):
+        dc.yarotsky_term(spec.interior, spec.sites, spec, 1.0)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_resummation_identity(chain6, beta):
-    assert dc.verify_resummation(chain6, beta) <= 1e-12
+    # the 3x3 box's interior is the site (1, 1), so its closure and the rest
+    # are 2D regions
+    box = dc.xxz_spec(box_geometry((3, 3), 1), lam=0.3, seed=7, J12=0.02, J3=0.02)
+    assert box.interior == Region([(1, 1)])
+    for spec in (chain6, box):
+        assert dc.verify_resummation(spec, beta) <= 1e-12
 
 
 def test_resummation_free_spec(free6):
