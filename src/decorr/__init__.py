@@ -39,7 +39,6 @@ from .expansion import (
     PartitionRatio,
     SuperclusterCheck,
     SwapCheck,
-    covariance_from_expansion,
     observable_weight,
     partition_ratio,
     subset_sum_identity_check,

@@ -24,7 +24,7 @@ and the extended mantissa pushes the cancellation noise below 1e-13
 relative even for weights of order 1e-50.
 
 A weight w(I; O) lives on the base closure(I) + supp O.  The sweeps (swap
-identity, supercluster classes, covariance from weights) build one term per
+identity and covariance, supercluster classes) build one term per
 (configuration, base) and read every trace from it by
 :func:`~decorr.algebra._local_trace`, with O never embedded.
 The pair sweeps split each distinct union into superclusters once, since
@@ -40,7 +40,7 @@ by the block shifted by its mean diagonal, so each distinct shifted block
 is solved once per spec, whatever the subset, base, beta or free sites.
 Each H_M is assembled once per spec, too, in one fill per sweep
 (:func:`_fill`): each sweep (resummation, term norms, factorization, swap,
-supercluster classes, covariance) first passes every (M, base) it will
+supercluster classes) first passes every (M, base) it will
 meet, and one memo call (:func:`~decorr.algebra._memo_eighs`) solves the
 blocks none of them found in the memo together, one stack per block size.
 An entry of ``spec.term_blocks`` keeps the blocks' rows, eigenvalues and
@@ -93,6 +93,7 @@ from .model import (
 
 MAX_RESUM_INTERIOR = 12
 MAX_SWEEP_INTERIOR = 6  # 4^|interior| (I, J) pairs
+TERM_NORM_MAX_SIZE = 3  # the largest configuration term_norm_scan builds
 ZERO_FLOOR = 1e-300
 
 
@@ -261,16 +262,14 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     return float(num / max(den, ZERO_FLOOR))
 
 
-def term_norm_scan(
-    spec: HamiltonianSpec, beta: float, max_size: int = 3
-) -> list[tuple[Region, float, float]]:
-    """(I, ||T_I^{cl I}||, (2a)^|I|) for all interior configurations up to max_size.
+def term_norm_scan(spec: HamiltonianSpec, beta: float) -> list[tuple[Region, float, float]]:
+    """(I, ||T_I^{cl I}||, (2a)^|I|) for every interior configuration up to TERM_NORM_MAX_SIZE.
 
     The terms are built as every sweep builds them, after one :func:`_fill`
     of all their H_M.
     """
     geo = spec.geometry
-    configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR, max_size)
+    configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR, TERM_NORM_MAX_SIZE)
     terms = []
     for I in configs[1:]:  # the empty configuration comes first
         cl = closure(I, geo)
@@ -439,6 +438,7 @@ class SwapCheck:
     per_pair_max: float
     n_event_pairs: int
     n_configs: int
+    covariance: float
 
 
 def verify_swap_identity(
@@ -457,6 +457,17 @@ def verify_swap_identity(
     and term by term w(I) w(J; AB) = w(I'; A) w(J'; B) with (I', J') the
     swapped pair.  X = supp A, Y = supp B must be further than 2R apart
     (otherwise the event never holds and the check is vacuous).
+
+    The separated pairs cancel, so the same sweep also reports the covariance
+    from the pairs whose supercluster joins X and Y:
+
+        Cov(A, B) = (Z0/Z)^2 sum_{X, Y joined} [w(I) w(J; AB) - w(I; A) w(J; B)].
+
+    This sum never meets the separated pairs, which dominate the unrestricted
+    double sum and cancel in it, so it keeps its relative precision down to
+    covariances of order 1e-35.  An observable with a nonzero free mean (Z
+    on a free spin, say) makes each summand O(1) and the sum cancel to the
+    covariance; there the result is good to about 1e-18 absolute only.
     """
     geo = spec.geometry
     X, Y = A.region, B.region
@@ -470,6 +481,7 @@ def verify_swap_identity(
 
     lhs = np.longdouble(0.0)
     rhs = np.longdouble(0.0)
+    joined = np.longdouble(0.0)
     per_pair_max = 0.0
     n_pairs = 0
     splits = {}  # the event and S1 depend on U = I + J only: split each U once
@@ -479,6 +491,7 @@ def verify_swap_identity(
             if U not in splits:
                 splits[U] = supercluster_decompose([U, X, Y], geo.R)
             if not splits[U].in_different_components(X, Y):
+                joined += w[I] * wab[J] - wa[I] * wb[J]
                 continue
             n_pairs += 1
             lhs += w[I] * wab[J]
@@ -491,6 +504,8 @@ def verify_swap_identity(
             per_pair_max = max(
                 per_pair_max, _rel(w[I] * wab[J], wa[I2] * wb[J2])
             )
+    z_free = _free_partition(spec.sites, spec, beta)
+    scale = (z_free / _interacting_partition(spec.sites, spec, beta)) ** 2
     return SwapCheck(
         lhs=float(lhs),
         rhs=float(rhs),
@@ -498,6 +513,7 @@ def verify_swap_identity(
         per_pair_max=per_pair_max,
         n_event_pairs=n_pairs,
         n_configs=len(configs),
+        covariance=float(scale * joined),
     )
 
 
@@ -649,7 +665,7 @@ def partition_ratio(S: Region, spec: HamiltonianSpec, beta: float) -> PartitionR
 
 
 # ---------------------------------------------------------------------------
-# combinatorial identity and covariance reconstruction
+# combinatorial identity
 # ---------------------------------------------------------------------------
 
 def subset_sum_identity_check(F_size: int, p: float) -> tuple[float, float]:
@@ -663,25 +679,3 @@ def subset_sum_identity_check(F_size: int, p: float) -> tuple[float, float]:
     for mask in range(1 << F_size):
         lhs += np.longdouble(p) ** bin(mask).count("1")
     return float(lhs), float((1.0 + p) ** F_size)
-
-
-def covariance_from_expansion(
-    spec: HamiltonianSpec, A: GlobalOperator, B: GlobalOperator, beta: float
-) -> float:
-    """Reconstruct Cov(A, B) from configuration weights alone.
-
-    Cov = (Z0/Z)^2 * sum_{I,J} [w(I) w(J; AB) - w(I; A) w(J; B)]; the double
-    sum factorizes into products of single sums, which is how it is
-    evaluated.  Exact for any lattice small enough to enumerate.
-    """
-    configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
-    _require_disjoint(A, B)
-    AB = operator_product(A, B)
-    sums = [np.longdouble(0.0)] * 4
-    for ws in _weights([(c, [None, A, B, AB]) for c in configs], spec, beta):
-        sums = [s + w for s, w in zip(sums, ws)]
-    sum_w, sum_a, sum_b, sum_ab = sums
-    z_full = _interacting_partition(spec.sites, spec, beta)
-    z_free = _free_partition(spec.sites, spec, beta)
-    scale = (z_free / z_full) ** 2
-    return float(scale * (sum_w * sum_ab - sum_a * sum_b))

@@ -202,12 +202,15 @@ def decay_sweep(
     :func:`observable_from_template`), B displaced by d along the first
     axis; there is no default, since an anchor on a site that meets no
     interaction would read every covariance as exactly 0.  Distances must
-    be strictly increasing.  Points with |cov| <= FIT_FLOOR are recorded but
-    excluded from the fit; if fewer than two remain the sweep has no usable
-    decay signal -- strict mode raises DegenerateFitError, otherwise a
-    DecayFit with outcome "floor" and NaN fit parameters is returned.
+    be at least 1 (d = 0 would fit a variance) and strictly increasing.
+    Points with |cov| <= FIT_FLOOR are recorded but excluded from the fit;
+    if fewer than two remain the sweep has no usable decay signal -- strict
+    mode raises DegenerateFitError, otherwise a DecayFit with outcome
+    "floor" and NaN fit parameters is returned.
     """
     distances = list(distances)
+    if any(d < 1 for d in distances):
+        raise ValueError(f"distances must be at least 1, got {distances!r}")
     if any(d2 <= d1 for d1, d2 in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly increasing")
     A = observable_from_template(A_template, anchor, spec)

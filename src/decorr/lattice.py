@@ -268,25 +268,6 @@ def supercluster_decompose(parts: Sequence[Region], R: int) -> SuperclusterDecom
 # enumeration of connected sets and the counting bound
 # ---------------------------------------------------------------------------
 
-def _greedy_order(sites: frozenset, v1: Site, R: int) -> tuple[Site, ...] | None:
-    if v1 not in sites:
-        return None
-    order = [v1]
-    placed = {v1}
-    while len(placed) < len(sites):
-        candidates = [
-            s
-            for s in sites
-            if s not in placed and any(r_connected(s, w, R) for w in order)
-        ]
-        if not candidates:
-            return None  # not R-connected
-        nxt = min(candidates)
-        order.append(nxt)
-        placed.add(nxt)
-    return tuple(order)
-
-
 def canonical_site_order(S: Region, v1: Site, R: int) -> tuple[Site, ...]:
     """Greedy well-ordering of an R-connected set, anchored at v1.
 
@@ -297,10 +278,23 @@ def canonical_site_order(S: Region, v1: Site, R: int) -> tuple[Site, ...]:
     relies on every prefix of a canonical order being the canonical order of
     the prefix set.
     """
-    order = _greedy_order(S._set, v1, R)
-    if order is None:
-        raise ValueError("set is not R-connected or does not contain the anchor")
-    return order
+    error = "set is not R-connected or does not contain the anchor"
+    if v1 not in S:
+        raise ValueError(error)
+    order = [v1]
+    placed = {v1}
+    while len(placed) < len(S):
+        candidates = [
+            s
+            for s in S
+            if s not in placed and any(r_connected(s, w, R) for w in order)
+        ]
+        if not candidates:
+            raise ValueError(error)
+        nxt = min(candidates)
+        order.append(nxt)
+        placed.add(nxt)
+    return tuple(order)
 
 
 def _canonical_prefixes(v1: Site, k: int, geometry: LatticeGeometry):

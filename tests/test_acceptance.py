@@ -74,7 +74,7 @@ def test_criterion_02_term_norm_bound(chain5):
     worst_margin = -np.inf
     n_rows = 0
     for beta in BETAS_IDENTITY:
-        for I, norm, bound in dc.term_norm_scan(chain5, beta, max_size=3):
+        for I, norm, bound in dc.term_norm_scan(chain5, beta):
             worst_margin = max(worst_margin, norm - bound)
             n_rows += 1
     elapsed = time.monotonic() - t0

@@ -248,6 +248,10 @@ def custom_model(center):
         # an offset with more coordinates than the anchor has no site to act on
         ("decay", {**DECAY_RUN, "betas": [1.0],
                    "observables": {"A": [[[0, 3], "X"]], "B": [[[0, 7], "X"]], "anchor": 1}}),
+        # d = 0 fits a variance and d < 0 a mirrored correlation, not a decay
+        ("decay", {**DECAY_RUN, "betas": [1.0], "distances": [0, 2]}),
+        ("decay", {**DECAY_RUN, "betas": [1.0], "distances": [-3, -2],
+                   "observables": {**DECAY_OBSERVABLES, "anchor": 4}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -263,7 +267,7 @@ def custom_model(center):
         "ising-beta-bool", "verify-lambda-string", "verify-tol-string",
         "decay-anchor-bool", "certify-J12-string", "certify-J3-bool",
         "certify-coupling-value-bool", "certify-coupling-site-bool",
-        "decay-offset-too-long",
+        "decay-offset-too-long", "decay-distance-zero", "decay-distance-negative",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):

@@ -318,8 +318,6 @@ def test_sweep_cap():
     spec = chain(9)
     with pytest.raises(ValueError, match="128 configurations"):
         dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(8, "Z"), 1.0)
-    with pytest.raises(ValueError, match="128 configurations"):
-        dc.covariance_from_expansion(spec, pauli_at(0, "Z"), pauli_at(8, "Z"), 1.0)
 
 
 def test_resummation_cap():
@@ -330,7 +328,7 @@ def test_resummation_cap():
 
 def test_term_norm_scan():
     spec = chain(6)  # a fresh spec, so its block memo starts empty
-    rows = dc.term_norm_scan(spec, 0.5, max_size=3)
+    rows = dc.term_norm_scan(spec, 0.5)
     assert len(rows) == 14  # all nonempty interior subsets of size <= 3
     assert spec.block_spectra  # the terms are built as the sweeps build them
     for I, norm, bound in rows:
@@ -462,9 +460,6 @@ def test_weight_sweeps_build_each_term_once(chain6, chain10, monkeypatch):
     )
     assert len(built) == len(set(built)) == 12  # 4 add-ons x 4 weights, 12 bases
     assert len(split) == 4  # 16 class pairs, one split per union of add-ons
-    built.clear()
-    dc.covariance_from_expansion(chain6, pauli_at(1, "X"), pauli_at(2, "X"), 2.0)
-    assert len(built) == len(set(built)) == 24  # 64 weights, 24 bases
 
 
 def test_swap_solves_each_distinct_block_once(monkeypatch):
@@ -485,6 +480,10 @@ def test_swap_solves_each_distinct_block_once(monkeypatch):
     fresh = dc.verify_swap_identity(chain(6), A, B, 2.0)
     assert cold == warm == fresh
     assert cold.per_pair_max == 6.957567300521535e-12
+    # the leftmost site keeps no bond (its center ball clips), so its
+    # correlations vanish identically; the joining pairs resolve the exact
+    # zero far below what double-precision dense arithmetic can see
+    assert abs(cold.covariance) < 1e-15
 
 
 COLD_SWEEPS = {
@@ -496,9 +495,6 @@ COLD_SWEEPS = {
         Region([(1,)]), pauli_at(0, "Z"), Region([(4,)]), pauli_at(5, "Z"), spec, 2.0
     ),
     "term-norm-scan": lambda spec: dc.term_norm_scan(spec, 2.0),
-    "covariance": lambda spec: dc.covariance_from_expansion(
-        spec, pauli_at(1, "X"), pauli_at(2, "X"), 2.0
-    ),
     "resummation": lambda spec: dc.verify_resummation(spec, 2.0),
 }
 
@@ -518,7 +514,10 @@ import json
 from conftest import chain, pauli_at
 import decorr as dc
 chk = dc.verify_swap_identity(chain(6), pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-print(json.dumps({"per_pair_max": chk.per_pair_max, "lhs": chk.lhs, "rhs": chk.rhs}))
+print(json.dumps({
+    "per_pair_max": chk.per_pair_max, "lhs": chk.lhs, "rhs": chk.rhs,
+    "covariance": chk.covariance,
+}))
 """
 
 
@@ -772,30 +771,34 @@ def test_subset_sum_cap():
         dc.subset_sum_identity_check(21, 0.5)
 
 
-def test_covariance_from_expansion_matches_direct(chain6):
-    beta = 2.0
-    A = pauli_at(1, "X")
-    B = pauli_at(2, "X")
-    got = dc.covariance_from_expansion(chain6, A, B, beta)
-    state = dc.gibbs_state(dc.build_restricted(chain6, chain6.sites)[2], beta)
-    direct = float(np.real(dc.covariance(state, A, B)))
-    assert got == pytest.approx(direct, rel=1e-12)
-    assert got == pytest.approx(-0.011179694634296558, rel=1e-10)
-    # a longer-range pair: direct double arithmetic is noisier, loosen a bit
-    A4, B4 = pauli_at(1, "X"), pauli_at(4, "X")
-    got4 = dc.covariance_from_expansion(chain6, A4, B4, beta)
-    direct4 = float(np.real(dc.covariance(state, A4, B4)))
-    assert got4 == pytest.approx(direct4, rel=1e-9)
+def extended_rho_covariance(spec, A, B, beta):
+    """Cov(A, B) from e^{-beta H} in clongdouble by the public herm_exp.
+
+    It meets neither the spec's block memo nor the term fill.
+    """
+    H = dc.build_restricted(spec, spec.sites)[2].matrix.astype(np.clongdouble)
+    rho = GlobalOperator(spec.sites, spec.q, herm_exp(H, -beta))
+    z = np.trace(rho.matrix)
+    mean = lambda O: algebra._local_trace(rho, O) / z
+    return (mean(operator_product(A, B)) - mean(A) * mean(B)).real
 
 
-def test_covariance_from_expansion_decoupled_site(chain6):
-    # the leftmost site keeps no bond (its center ball clips), so its
-    # correlations vanish identically; the expansion resolves the exact zero
-    # far below what double-precision dense arithmetic can see
-    got = dc.covariance_from_expansion(chain6, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0)
-    assert abs(got) < 1e-15
-
-
-def test_covariance_from_expansion_requires_disjoint(chain6):
-    with pytest.raises(ValueError, match="disjoint"):
-        dc.covariance_from_expansion(chain6, pauli_at(1, "Z"), pauli_at(1, "X"), 1.0)
+@pytest.mark.parametrize(
+    "n, coupling, x, y, beta",
+    [
+        (6, 0.02, 1, 4, 0.5),
+        (6, 0.02, 1, 4, 2.0),
+        # inside the theorem's hypothesis (decay_base 0.591); dense double
+        # arithmetic reads -4.68e-18 at beta=2, 3.6 times the value
+        (8, 2e-4, 1, 6, 2.0),
+        (8, 2e-4, 1, 6, 50.0),
+    ],
+)
+def test_swap_covariance_matches_extended_rho(n, coupling, x, y, beta):
+    # X probes have zero free mean, so no summand is O(1) and the joining
+    # pairs keep full relative precision down to covariances of 1e-35
+    spec = chain(n, J12=coupling, J3=coupling)
+    A, B = pauli_at(x, "X"), pauli_at(y, "X")
+    got = dc.verify_swap_identity(spec, A, B, beta).covariance
+    ref = extended_rho_covariance(spec, A, B, beta)
+    assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -316,6 +316,9 @@ def test_decay_sweep_independent_of_blas_threads():
 def test_decay_sweep_strictness(free6):
     with pytest.raises(ValueError, match="strictly increasing"):
         dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [3, 2], anchor=(0,))
+    # d = 0 would fit the variance of A as a correlation
+    with pytest.raises(ValueError, match="at least 1"):
+        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [0, 2], anchor=(0,))
     with pytest.raises(DegenerateFitError):
         dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3], anchor=(0,))
     fit = dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], [2, 3], anchor=(0,), strict=False)
