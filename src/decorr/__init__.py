@@ -58,7 +58,6 @@ from .lattice import (
     SuperclusterDecomposition,
     ball,
     box_geometry,
-    canonical_site_order,
     chain_geometry,
     closure,
     count_connected_sets,

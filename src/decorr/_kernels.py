@@ -2,7 +2,7 @@
 
 The exhaustive subset-filter count (iterate every k-subset of a candidate
 universe, keep the R-connected ones through the anchor) is the independent
-oracle that the canonical-growth enumerator in :mod:`decorr.lattice` is
+oracle that the Redelmeier-growth enumerator in :mod:`decorr.lattice` is
 checked against.  The universe for D=2, R=2, k=4 already has ~300 sites and
 ~5e6 subsets, so the filter runs in numpy chunks: a Python loop fixes all
 but the last two chosen rows, and one chunk holds every pair of rows after

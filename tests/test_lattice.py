@@ -1,7 +1,9 @@
 """Geometry layer: metric, balls, interior/closure, connectivity, counting."""
 
+import gc
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from decorr.lattice import (
     _real,
     ball,
     box_geometry,
-    canonical_site_order,
     chain_geometry,
     closure,
     connected_components,
@@ -31,6 +32,8 @@ from decorr.lattice import (
     set_distance,
     supercluster_decompose,
 )
+
+WIDE_SQUARE = Region(itertools.product(range(-7, 8), repeat=2))
 
 sites_1d = st.lists(
     st.integers(-8, 8).map(lambda v: (v,)), min_size=1, max_size=8, unique=True
@@ -134,7 +137,9 @@ def test_chain_and_box_geometry():
 def test_ball_clipping():
     g = chain_geometry(5, 1)
     assert ball((0,), 1, g) == Region([(0,), (1,)])
-    assert ball((0,), 1, g, clip=False) == Region([(-1,), (0,), (1,)])
+    # a lattice that covers the ball clips nothing
+    wide = LatticeGeometry(1, 1, Region((i,) for i in range(-7, 8)))
+    assert ball((0,), 1, wide) == Region([(-1,), (0,), (1,)])
     assert ball((2,), 1, g) == Region([(1,), (2,), (3,)])
     # l1 ball sizes: 2r+1 in D=1, 2r^2+2r+1 in D=2
     b2 = box_geometry((9, 9), 2)
@@ -144,18 +149,18 @@ def test_ball_clipping():
 
 @pytest.mark.parametrize("D", [1, 2, 3])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
-@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("clipped", [True, False])
 @pytest.mark.parametrize("corner", ["low", "high"])
-def test_ball_equals_region_of_l1_filter(D, r, clip, corner):
+def test_ball_equals_region_of_l1_filter(D, r, clipped, corner):
     # ball() builds its Region as given; it must be the Region that
-    # normalizing the brute-force l1 filter gives, in order, set and hash
-    g = box_geometry((4,) * D, 1)
+    # normalizing the brute-force l1 filter gives, in order, set and hash.
+    # The 4^D box clips the ball at its corners; [-7, 7]^D clips nothing.
+    side = range(4) if clipped else range(-7, 8)
+    g = LatticeGeometry(D, 1, Region(itertools.product(side, repeat=D)))
     x = (0,) * D if corner == "low" else (3,) * D
     box = itertools.product(*(range(c - r, c + r + 1) for c in x))
-    want = Region(
-        p for p in box if l1_distance(x, p) <= r and (not clip or p in g.sites)
-    )
-    got = ball(x, r, g, clip=clip)
+    want = Region(p for p in box if l1_distance(x, p) <= r and p in g.sites)
+    got = ball(x, r, g)
     assert type(got) is Region
     assert tuple(got) == tuple(want) and got._set == want._set
     assert hash(got) == hash(want)
@@ -190,9 +195,10 @@ def test_interior_subset_closure(ids):
     st.integers(1, 2),
 )
 def test_r_connected_iff_balls_intersect(x, y, R):
-    g = LatticeGeometry(2, R, Region([x, y]))
-    bx = ball(x, R, g, clip=False)
-    by = ball(y, R, g, clip=False)
+    # [-7, 7]^2 covers both balls, so neither is clipped
+    g = LatticeGeometry(2, R, WIDE_SQUARE)
+    bx = ball(x, R, g)
+    by = ball(y, R, g)
     assert r_connected(x, y, R) == (not bx.isdisjoint(by))
     assert r_connected(x, y, R) == (l1_distance(x, y) <= 2 * R)
 
@@ -229,15 +235,6 @@ def test_supercluster_decompose_order_independent():
     assert c.components == a.components
 
 
-def test_canonical_site_order_greedy():
-    S = Region([(0,), (2,), (4,)])
-    assert canonical_site_order(S, (0,), 1) == ((0,), (2,), (4,))
-    # every prefix of the canonical order is itself canonically ordered
-    seq = canonical_site_order(Region([(0,), (1,), (2,), (3,)]), (0,), 1)
-    for m in range(1, len(seq)):
-        assert canonical_site_order(Region(seq[:m]), (0,), 1) == seq[:m]
-
-
 def _brute_connected_through(v1, k, geometry):
     """Independent oracle: filter all k-subsets of the lattice."""
     out = []
@@ -269,7 +266,7 @@ def test_enumerate_matches_subset_filter_on_clipped_box(extent, R, v1, k):
     assert len(sets) == len(set(sets))
     assert sorted(sets) == _brute_connected_through(v1, k, g)
     for S in sets:
-        assert canonical_site_order(S, v1, R)[0] == v1
+        assert v1 in S
         # the enumerator builds its Regions without re-normalizing the sites
         assert type(S) is Region and S == Region(S) and S._set == Region(S)._set
 
@@ -311,23 +308,65 @@ def test_count_equals_enumeration(geometry, v1, k_max):
 
 
 def test_count_builds_no_region_per_set(monkeypatch):
-    # both walks build the same neighbour balls; only the enumerator builds
-    # one Region per set on top of them
+    # the growth keeps its neighbour lists as plain site lists: the count
+    # builds no Region at all, and the enumerator one per set
     g = box_geometry((5, 5), 1)
     canonical = Region.__dict__["_canonical"].__func__
+    new = Region.__new__
     calls = []
 
-    def counted(cls, sites):
+    def counted_canonical(cls, sites):
         calls.append(sites)
         return canonical(cls, sites)
 
-    monkeypatch.setattr(Region, "_canonical", classmethod(counted))
+    def counted_new(cls, sites=()):
+        calls.append(sites)
+        return new(cls, sites)
+
+    monkeypatch.setattr(Region, "_canonical", classmethod(counted_canonical))
+    monkeypatch.setattr(Region, "__new__", staticmethod(counted_new))
     n_sets = len(enumerate_connected_sets((2, 2), 4, g))
-    enumerated = len(calls)
+    assert len(calls) == n_sets
     calls.clear()
     assert count_connected_sets((2, 2), 4, g) == n_sets
-    assert len(calls) == enumerated - n_sets
-    assert len(calls) <= len(g.sites) < n_sets
+    assert calls == []
+
+
+def test_connected_set_walks_leave_no_cyclic_garbage():
+    # the growth holds no self-referencing closure, so reference counting
+    # frees all it builds and the collector finds nothing left over
+    g = box_geometry((5, 5), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        count_connected_sets((2, 2), 4, g)
+        enumerate_connected_sets((2, 2), 3, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def _anchored_boxes(draw):
+    extent = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    g = box_geometry(extent, draw(st.sampled_from((1, 2))))
+    # the subset filter tries C(n-1, k-1) sets at ~30 us each, so k is
+    # drawn up to the largest k <= 4 that keeps this at most 3000: every
+    # k <= 4 on boxes of up to 27 sites, k <= 3 on the larger ones
+    n = len(g.sites)
+    k_max = max(k for k in range(1, 5) if math.comb(n - 1, k - 1) <= 3000)
+    return g, draw(st.sampled_from(g.sites)), draw(st.integers(1, k_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_anchored_boxes())
+def test_growth_matches_subset_filter_on_random_boxes(case):
+    # any anchor, corners and edges included, where the box clips the balls
+    g, v1, k = case
+    sets = enumerate_connected_sets(v1, k, g)
+    assert len(set(sets)) == len(sets)
+    assert sorted(sets) == _brute_connected_through(v1, k, g)
+    assert count_connected_sets(v1, k, g) == len(sets)
 
 
 @pytest.mark.parametrize("fn", [enumerate_connected_sets, count_connected_sets])
