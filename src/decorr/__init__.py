@@ -36,6 +36,7 @@ from .gibbs import (
 )
 from .expansion import (
     FactorizationCheck,
+    NotApplicable,
     PartitionRatio,
     SuperclusterCheck,
     SwapCheck,

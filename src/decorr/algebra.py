@@ -111,7 +111,12 @@ _LONGDOUBLE_VALUE_BYTES = _value_bytes(np.longdouble)
 
 
 class DimensionError(ValueError):
-    """A requested dense object exceeds the |region| <= MAX_DENSE_SITES cap."""
+    """A size cap would be exceeded.
+
+    The caps: a dense object on more than MAX_DENSE_SITES sites, a
+    configuration sweep over its 2^cap configurations, the classical-chain
+    oracle's spin count, and the command line's connected-set count.
+    """
 
 
 def _check_dense(n_sites: int):

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    DimensionError,
     GlobalOperator,
     _block_function,
     _block_products,
@@ -97,6 +98,10 @@ TERM_NORM_MAX_SIZE = 3  # the largest configuration term_norm_scan builds
 ZERO_FLOOR = 1e-300
 
 
+class NotApplicable(ValueError):
+    """An instance lies outside the hypothesis of the identity a check measures."""
+
+
 def _rel(lhs, rhs) -> float:
     """|lhs - rhs| / max(|lhs|, |rhs|) in longdouble, so sums equal in double still differ."""
     lhs, rhs = np.longdouble(lhs), np.longdouble(rhs)
@@ -111,12 +116,12 @@ def interior_configurations(
     Ordered by increasing size and, within a size, in itertools.combinations
     order, so sums over the configurations accumulate the same way on every
     call.  ``cap`` bounds the sweep at the 2^cap configurations of a
-    cap-site interior; a larger sweep raises ValueError.
+    cap-site interior; a larger sweep raises DimensionError.
     """
     top = len(centers) if max_size is None else min(max_size, len(centers))
     count = sum(math.comb(len(centers), k) for k in range(top + 1))
     if count > 2**cap:
-        raise ValueError(
+        raise DimensionError(
             f"{count} configurations of an interior of size {len(centers)} "
             f"exceed the cap 2^{cap}"
         )
@@ -392,12 +397,16 @@ def verify_factorization(
 
     Requires I1 + supp(O1) and I2 + supp(O2) to be mutually non-R-connected
     (distance > 2R), which makes the alternating sum split as a tensor
-    product and the normalized traces factor exactly.
+    product and the normalized traces factor exactly, and a nonempty
+    lattice interior: on an empty one both halves are empty and only free
+    traces are compared.  Outside either, it raises NotApplicable.
     """
+    if not spec.interior:
+        raise NotApplicable("lattice interior is empty")
     part1 = I1 | O1.region
     part2 = I2 | O2.region
     if set_distance(part1, part2) <= 2 * spec.geometry.R:
-        raise ValueError("the two halves are R-connected; factorization does not apply")
+        raise NotApplicable("the two halves are R-connected; factorization does not apply")
     items = [(I1 | I2, [operator_product(O1, O2)]), (I1, [O1]), (I2, [O2])]
     [lhs], [w1], [w2] = _weights(items, spec, beta)
     rhs = w1 * w2
@@ -456,7 +465,9 @@ def verify_swap_identity(
 
     and term by term w(I) w(J; AB) = w(I'; A) w(J'; B) with (I', J') the
     swapped pair.  X = supp A, Y = supp B must be further than 2R apart
-    (otherwise the event never holds and the check is vacuous).
+    (otherwise the event never holds), and the lattice interior must not
+    be empty (otherwise the only pair is two empty configurations); outside
+    either, the check would be vacuous and raises NotApplicable.
 
     The separated pairs cancel, so the same sweep also reports the covariance
     from the pairs whose supercluster joins X and Y:
@@ -471,8 +482,10 @@ def verify_swap_identity(
     """
     geo = spec.geometry
     X, Y = A.region, B.region
+    if not spec.interior:
+        raise NotApplicable("lattice interior is empty")
     if set_distance(X, Y) <= 2 * geo.R:
-        raise ValueError("supports of A and B must be further than 2R apart")
+        raise NotApplicable("supports of A and B must be further than 2R apart")
     configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
     w, wa, wb, wab = {}, {}, {}, {}
@@ -547,8 +560,9 @@ def verify_supercluster_resummation(
     (I0 + I', J0 + J') with I', J' ranging over configurations in the
     interior of the reduced lattice L' = L - closure(S0); interior separation
     keeps every added site non-R-connected to S0, so the class is exactly
-    the set of pairs with X- and Y-supercluster S0.  Two identities are
-    checked, one weighting J with the product AB, one splitting A and B:
+    the set of pairs with X- and Y-supercluster S0; an S0 or I0, J0 outside
+    these hypotheses raises NotApplicable.  Two identities are checked, one
+    weighting J with the product AB, one splitting A and B:
 
         sum w(I) w(J; AB) = w(I0) w(J0; AB) (Z_{L'} / Z0_{L'})^2
         sum w(I; A) w(J; B) = w(I0; A) w(J0; B) (Z_{L'} / Z0_{L'})^2
@@ -557,10 +571,10 @@ def verify_supercluster_resummation(
     X, Y = A.region, B.region
     S0 = I0 | J0 | X | Y
     if not r_connected_set(S0, geo.R):
-        raise ValueError("I0 + J0 + X + Y must be a single R-connected cluster")
+        raise NotApplicable("I0 + J0 + X + Y must be a single R-connected cluster")
     inter = spec.interior
     if not (I0.issubset(inter) and J0.issubset(inter)):
-        raise ValueError("I0 and J0 must lie in the lattice interior")
+        raise NotApplicable("I0 and J0 must lie in the lattice interior")
     lattice_rest = spec.sites - closure(S0, geo)
     geo_rest = LatticeGeometry(D=geo.D, R=geo.R, sites=lattice_rest)
     addons = interior_configurations(interior(lattice_rest, geo_rest), MAX_SWEEP_INTERIOR)

@@ -27,6 +27,7 @@ import numpy as np
 from .algebra import (
     BlockEigensystem,
     BlockOperator,
+    DimensionError,
     GlobalOperator,
     _block_products,
     _dense_sum,
@@ -254,7 +255,7 @@ def fit_decay(points) -> tuple[float, float, float]:
 def _ising_bonds(n: int, J: float) -> tuple[Region, list]:
     """The open chain of n spins and its bonds -J sigma3_k sigma3_{k+1}, each with its index map."""
     if n > MAX_ISING_SPINS:
-        raise ValueError(f"classical-chain oracle capped at n = {MAX_ISING_SPINS} spins")
+        raise DimensionError(f"classical-chain oracle capped at n = {MAX_ISING_SPINS} (got {n})")
     sites = Region((i,) for i in range(n))
     bond = -J * np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
     maps = (support_index_map(Region([(k,), (k + 1,)]), sites, 2) for k in range(n - 1))

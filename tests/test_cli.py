@@ -2,11 +2,10 @@
 
 import json
 import math
-import sys
 
 import pytest
 
-from decorr import cli
+from decorr import cli, expansion
 from decorr.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -61,14 +60,15 @@ def test_verify_coupled_model(tmp_path, capsys):
     assert "partition_ratio_bound" in names
     assert all(c["pass"] for c in report["checks"])
     # on n = 6 the reduced lattice of the supercluster check has an empty
-    # interior: one class pair, and the report says so
-    supercluster = [c for c in report["checks"] if c["name"].startswith("supercluster")]
-    assert len(supercluster) == 2
-    assert all(c["instance"].endswith("pairs=1 (vacuous)") for c in supercluster)
+    # interior: one class pair, a tautology, so the check is skipped
+    assert report["skipped"] == [
+        {"name": "supercluster_resummation", "reason": single_pair((3,))}
+    ]
     # certificate p = 2 a q^{(2R+1)^D} for the frozen canonical constant
     assert report["certificate"]["p"] == pytest.approx(1.779842023704731, rel=1e-10)
-    assert report["skipped"] == []
-    assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES
+    assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES - {
+        "supercluster_resummation"
+    }
 
 
 VERIFY_FAMILIES = {
@@ -82,6 +82,13 @@ def family(name):
     return next(f for f in VERIFY_FAMILIES if name.startswith(f))
 
 
+def single_pair(center):
+    return f"the class of S0 around {center} is a single pair, which makes its identity a tautology"
+
+
+HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply"
+
+
 @pytest.mark.parametrize(
     "n, skipped",
     [
@@ -91,11 +98,21 @@ def family(name):
              ("swap_identity", "lattice interior is empty"),
              ("supercluster_resummation", "lattice interior is empty")]),
         # one interior site: the end probes are 2R apart, too close to separate
-        (3, [("factorization", "probes at the lattice ends are within 2R"),
-             ("swap_identity", "probes at the lattice ends are within 2R")]),
+        (3, [("factorization", HALVES_CONNECTED),
+             ("swap_identity", "supports of A and B must be further than 2R apart"),
+             ("supercluster_resummation", single_pair((1,)))]),
+        # the end probes are apart, but the halves {0, 1} and {2, 3} are not
+        (4, [("factorization", HALVES_CONNECTED),
+             ("supercluster_resummation", single_pair((2,)))]),
+        # an interior of 4 is over the sweep cap of 2^2 configurations
+        (6, [("swap_identity", "16 configurations of an interior of size 4 exceed the cap 2^2"),
+             ("supercluster_resummation", single_pair((3,)))]),
     ],
 )
-def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, n, skipped):
+def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch, n, skipped):
+    # each reason is the refusal of the check itself; a sweep cap of 2^2
+    # refuses the interior of 4 at n = 6 and none of the smaller ones
+    monkeypatch.setattr(expansion, "MAX_SWEEP_INTERIOR", 2)
     payload = {"model": {**CANONICAL_MODEL, "n": n}, "betas": [0.5]}
     rc, out = run(tmp_path, "verify", payload)
     assert rc == EXIT_OK
@@ -108,6 +125,16 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, n, skipped):
     ran = {family(c["name"]) for c in report["checks"]}
     assert ran.isdisjoint(name for name, _ in skipped)
     assert ran | {name for name, _ in skipped} == VERIFY_FAMILIES
+
+
+def test_verify_fails_on_an_error_that_is_not_a_refusal(tmp_path, monkeypatch):
+    # only a refusal becomes a SKIP; any other ValueError stops the run
+    def broken(*args):
+        raise ValueError("broken inside the sweep")
+
+    monkeypatch.setattr(expansion, "verify_swap_identity", broken)
+    with pytest.raises(ValueError, match="broken inside the sweep"):
+        run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
 
 
 def test_verify_malformed_config(tmp_path):
@@ -317,6 +344,23 @@ def test_count_matches_reference(tmp_path):
         assert r["enumerated"] <= r["bound_exact"] <= r["bound_simplified"] + 1e-9
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        # 15 sites leave 13 interior centers, over the resummation's 2^12
+        ("verify", {"model": {**CANONICAL_MODEL, "n": 15}, "betas": [1.0]},
+         "8192 configurations of an interior of size 13 exceed the cap 2^12"),
+        ("decay", {**DECAY_RUN, "model": {**CANONICAL_MODEL, "n": 15}, "betas": [1.0]},
+         "dense operator on 15 sites exceeds the cap of 14"),
+    ],
+    ids=["verify-resummation", "decay-dense"],
+)
+def test_caps_exit_cap_with_the_library_message(tmp_path, capsys, command, payload, message):
+    rc, _ = run(tmp_path, command, payload)
+    assert rc == EXIT_CAP
+    assert capsys.readouterr().err == f"size cap: {message}\n"
+
+
 def test_count_cap(tmp_path):
     rc, _ = run(tmp_path, "count", {"D": 1, "R": 1, "k_max": 7})
     assert rc == EXIT_CAP
@@ -416,28 +460,11 @@ def test_certify_non_hermitian_interaction_is_config_error(tmp_path, capsys):
     assert not (out / "certify_report.json").exists()
 
 
-def test_threads_flag_accepted(tmp_path):
-    payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
-    cfg = write_cfg(tmp_path, "v.json", payload)
-    rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
-    assert rc == EXIT_OK
-
-
-def test_threads_flag_warns_when_nothing_is_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
-    payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
-    cfg = write_cfg(tmp_path, "v.json", payload)
-    rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"])
-    assert rc == EXIT_OK
-    err = capsys.readouterr().err
-    assert "--threads 2 pinned nothing" in err
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
-    payload = {"model": CANONICAL_MODEL, "betas": [1.0]}
-    cfg = write_cfg(tmp_path, "v.json", payload)
-    rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads])
-    assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: --threads must be at least 1, got {threads}\n"
+def test_threads_flag_is_refused(tmp_path, capsys):
+    # BLAS threads are pinned one way: by the environment, before starting
+    cfg = write_cfg(tmp_path, "v.json", {"model": CANONICAL_MODEL, "betas": [1.0]})
+    with pytest.raises(SystemExit) as refused:
+        main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -307,7 +307,7 @@ def test_interior_configurations_order_cap_and_max_size():
         Region(c) for c in expected[:4]
     ]
     assert interior_configurations(centers, 3, max_size=9) == [Region(c) for c in expected]
-    with pytest.raises(ValueError, match=r"^8 configurations of an interior of size 3 exceed the cap 2\^2$"):
+    with pytest.raises(DimensionError, match=r"^8 configurations of an interior of size 3 exceed the cap 2\^2$"):
         interior_configurations(centers, 2)
     # the cap counts what is swept: 1 + 3 configurations fit under 2^2
     assert len(interior_configurations(centers, 2, max_size=1)) == 4
@@ -316,14 +316,25 @@ def test_interior_configurations_order_cap_and_max_size():
 def test_sweep_cap():
     # chain9 has 7 interior centers, one over the 2^6 cap of the pair sweeps
     spec = chain(9)
-    with pytest.raises(ValueError, match="128 configurations"):
+    with pytest.raises(DimensionError, match="128 configurations"):
         dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(8, "Z"), 1.0)
 
 
 def test_resummation_cap():
     spec = chain(15)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(DimensionError, match="cap"):
         dc.verify_resummation(spec, 1.0)
+
+
+def test_checks_refuse_an_empty_interior():
+    # every configuration lies in the interior: on chain2 the checks would
+    # compare free traces only
+    spec = chain(2)
+    A, B = pauli_at(0, "Z"), pauli_at(1, "Z")
+    with pytest.raises(expansion.NotApplicable, match="^lattice interior is empty$"):
+        dc.verify_factorization(Region(), A, Region(), B, spec, 1.0)
+    with pytest.raises(expansion.NotApplicable, match="^lattice interior is empty$"):
+        dc.verify_swap_identity(spec, A, B, 1.0)
 
 
 def test_term_norm_scan():
@@ -548,7 +559,7 @@ def test_factorization_identity(chain9):
 
 
 def test_factorization_requires_separation(chain9):
-    with pytest.raises(ValueError):
+    with pytest.raises(expansion.NotApplicable, match="R-connected"):
         dc.verify_factorization(
             Region([(1,)]), pauli_at(0, "Z"), Region([(3,)]), pauli_at(4, "Z"),
             chain9, 0.5,
@@ -612,7 +623,7 @@ def test_residuals_are_subtracted_in_extended_precision(chain6):
 
 
 def test_swap_identity_requires_distance(chain6):
-    with pytest.raises(ValueError, match="2R"):
+    with pytest.raises(expansion.NotApplicable, match="2R"):
         dc.verify_swap_identity(chain6, pauli_at(0, "Z"), pauli_at(2, "Z"), 2.0)
 
 
@@ -640,7 +651,7 @@ def test_supercluster_resummation_nontrivial(chain10):
 
 
 def test_supercluster_requires_connected_seed(chain10):
-    with pytest.raises(ValueError, match="connected"):
+    with pytest.raises(expansion.NotApplicable, match="connected"):
         dc.verify_supercluster_resummation(
             Region([(1,)]), Region([(4,)]), pauli_at(0, "Z"), pauli_at(5, "Z"),
             chain10, 1.0,

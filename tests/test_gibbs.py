@@ -342,7 +342,8 @@ def test_ising_hamiltonian_is_classical():
     assert np.abs(off).max() == 0.0
     # ferromagnetic alignment: all-up configuration sits at -J (n-1)
     assert H.matrix[0, 0] == pytest.approx(-3.0)
-    with pytest.raises(ValueError):
+    # the oracle's spin cap is a size cap, as every cap is
+    with pytest.raises(dc.DimensionError, match=r"capped at n = 12 \(got 13\)"):
         dc.ising_hamiltonian(13, 1.0)
 
 

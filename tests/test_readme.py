@@ -4,6 +4,9 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from decorr import cli
 from decorr.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +31,16 @@ def test_readme_example_configs_run(tmp_path):
         out = tmp_path / f"out{k}"
         assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert (out / f"{command}_report.json").exists()
+
+
+def test_readme_command_line_flags_are_the_parsers(capsys):
+    # every --flag the command-line section names is an option, and the other way round
+    section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    options = set()
+    for argv in [["--help"]] + [[command, "--help"] for command in cli._RUNNERS]:
+        with pytest.raises(SystemExit):
+            main(argv)
+        options |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    options.discard("--help")
+    assert documented and documented == options
