@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .algebra import DimensionError
+
 MAX_K = 6  # largest k whose connectivity table is built
 
 
@@ -74,8 +76,10 @@ def connected_graphs(k: int) -> np.ndarray:
     gets its neighbours as a k-bit mask, and k-2 rounds of bit-smearing
     close the set of vertices reached from vertex 0.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be between 1 and {MAX_K}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > MAX_K:
+        raise DimensionError(f"a connectivity table for k = {k} exceeds the cap k <= {MAX_K}")
     pairs = _pairs(k)
     n = len(pairs)
     pattern = np.arange(1 << n)

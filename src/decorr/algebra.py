@@ -115,7 +115,8 @@ class DimensionError(ValueError):
 
     The caps: a dense object on more than MAX_DENSE_SITES sites, a
     configuration sweep over its 2^cap configurations, the classical-chain
-    oracle's spin count, and the command line's connected-set count.
+    oracle's spin count, the brute-force count's connectivity table, and
+    the command line's connected-set count.
     """
 
 

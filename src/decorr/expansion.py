@@ -271,7 +271,8 @@ def term_norm_scan(spec: HamiltonianSpec, beta: float) -> list[tuple[Region, flo
     """(I, ||T_I^{cl I}||, (2a)^|I|) for every interior configuration up to TERM_NORM_MAX_SIZE.
 
     The terms are built as every sweep builds them, after one :func:`_fill`
-    of all their H_M.
+    of all their H_M.  Zero terms are left out; with no other term the scan
+    would bound nothing and raises NotApplicable.
     """
     geo = spec.geometry
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR, TERM_NORM_MAX_SIZE)
@@ -281,6 +282,8 @@ def term_norm_scan(spec: HamiltonianSpec, beta: float) -> list[tuple[Region, flo
         pairs = _term_pairs(I, cl, spec)
         if pairs:  # a center without interaction makes a zero term
             terms.append((I, cl, pairs))
+    if not terms:
+        raise NotApplicable(f"no interacting configuration of size <= {TERM_NORM_MAX_SIZE}")
     _fill(spec, [pair for _, _, pairs in terms for pair in pairs])
     rows = []
     for I, cl, _ in terms:
@@ -560,9 +563,11 @@ def verify_supercluster_resummation(
     (I0 + I', J0 + J') with I', J' ranging over configurations in the
     interior of the reduced lattice L' = L - closure(S0); interior separation
     keeps every added site non-R-connected to S0, so the class is exactly
-    the set of pairs with X- and Y-supercluster S0; an S0 or I0, J0 outside
-    these hypotheses raises NotApplicable.  Two identities are checked, one
-    weighting J with the product AB, one splitting A and B:
+    the set of pairs with X- and Y-supercluster S0.  An S0 or I0, J0 outside
+    these hypotheses raises NotApplicable, and so does an L' with an empty
+    interior: the class is then the single pair (I0, J0), a tautology.
+    Two identities are checked, one weighting J with the product AB, one
+    splitting A and B:
 
         sum w(I) w(J; AB) = w(I0) w(J0; AB) (Z_{L'} / Z0_{L'})^2
         sum w(I; A) w(J; B) = w(I0; A) w(J0; B) (Z_{L'} / Z0_{L'})^2
@@ -577,7 +582,13 @@ def verify_supercluster_resummation(
         raise NotApplicable("I0 and J0 must lie in the lattice interior")
     lattice_rest = spec.sites - closure(S0, geo)
     geo_rest = LatticeGeometry(D=geo.D, R=geo.R, sites=lattice_rest)
-    addons = interior_configurations(interior(lattice_rest, geo_rest), MAX_SWEEP_INTERIOR)
+    centers = interior(lattice_rest, geo_rest)
+    if not centers:
+        raise NotApplicable(
+            f"the class of S0 = {list(S0)} is the single pair (I0, J0), since "
+            "L - closure(S0) has an empty interior; its identity is a tautology"
+        )
+    addons = interior_configurations(centers, MAX_SWEEP_INTERIOR)
     _require_disjoint(A, B)
     AB = operator_product(A, B)
     # each weight depends on one side's add-on only: one of each per add-on

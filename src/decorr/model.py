@@ -561,12 +561,25 @@ def spec_to_json(spec: HamiltonianSpec) -> dict:
     return out
 
 
+# the keys spec_to_json writes for each kind of model, and all spec_from_json reads
+_SPEC_KEYS = {
+    "xxz": ("D", "R", "q", "lattice", "model", "lambda", "seed", "J12", "J3"),
+    "custom": ("D", "R", "q", "lattice", "model", "onsite", "interactions"),
+}
+
+
 def spec_from_json(data: dict) -> HamiltonianSpec:
+    """The spec a spec_to_json block describes; a key it does not read is refused."""
+    model = data.get("model", "xxz")
+    unknown = sorted(set(data) - set(_SPEC_KEYS["xxz" if model == "xxz" else "custom"]))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))} for model {model!r}")
     geometry = LatticeGeometry(
         D=_integer(data["D"]), R=_integer(data["R"]), sites=Region.from_json(data["lattice"])
     )
-    model = data.get("model", "xxz")
     if model == "xxz":
+        if _integer(data.get("q", 2)) != 2:
+            raise ValueError(f"an xxz model has q = 2, got q = {data['q']!r}")
         return xxz_spec(
             geometry,
             lam=_real(data.get("lambda", 0.0)),

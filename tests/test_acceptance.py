@@ -123,25 +123,23 @@ def test_criterion_04_swap_identity(chain6):
 
 
 def test_criterion_05_supercluster_resummation(chain8, chain10):
-    # on chain8 the reduced lattice has an empty interior, so its class is the
-    # single pair (I0, J0); chain10 leaves room for 16 pairs
-    checks = {
-        name: dc.verify_supercluster_resummation(
-            Region([(3,)]), Region(), pauli_at(2, "Z"), pauli_at(4, "Z"), spec, 2.0
-        )
-        for name, spec in (("chain8", chain8), ("chain10", chain10))
-    }
-    ok = any(chk.n_class_pairs > 1 for chk in checks.values())
-    details = []
-    for name, chk in checks.items():
-        ok &= chk.rel_residual_weight <= 1e-10 and chk.rel_residual_observable <= 1e-10
-        vacuous = " (vacuous)" if chk.n_class_pairs == 1 else ""
-        details.append(
-            f"{name}: weight residual={chk.rel_residual_weight:.3e}, observable "
-            f"residual={chk.rel_residual_observable:.3e} (tol 1e-10), "
-            f"{chk.n_class_pairs} class pairs{vacuous}, ratio={chk.ratio:.6f}"
-        )
-    report("criterion-05 supercluster-resummation", ok, "; ".join(details))
+    # on chain8 the reduced lattice has an empty interior, so the class would
+    # be the single pair (I0, J0), a tautology the check refuses; chain10
+    # leaves room for 16 pairs
+    I0, A, B = Region([(3,)]), pauli_at(2, "Z"), pauli_at(4, "Z")
+    with pytest.raises(dc.NotApplicable, match="single pair") as refused:
+        dc.verify_supercluster_resummation(I0, Region(), A, B, chain8, 2.0)
+    chk = dc.verify_supercluster_resummation(I0, Region(), A, B, chain10, 2.0)
+    ok = chk.n_class_pairs > 1
+    ok &= chk.rel_residual_weight <= 1e-10 and chk.rel_residual_observable <= 1e-10
+    report(
+        "criterion-05 supercluster-resummation",
+        ok,
+        f"chain8: refused ({refused.value}); chain10: weight "
+        f"residual={chk.rel_residual_weight:.3e}, observable "
+        f"residual={chk.rel_residual_observable:.3e} (tol 1e-10), "
+        f"{chk.n_class_pairs} class pairs, ratio={chk.ratio:.6f}",
+    )
 
 
 def test_criterion_06_partition_ratio_bound(chain8):

@@ -16,6 +16,11 @@ from decorr.cli import (
 )
 
 CANONICAL_MODEL = {"n": 6, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.02, "J3": 0.02}
+# the same model with its sites listed instead of counted
+LATTICE_MODEL = {
+    "D": 1, "lattice": [[i] for i in range(6)],
+    "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.02, "J3": 0.02,
+}
 
 
 def write_cfg(tmp_path, name, payload):
@@ -61,9 +66,7 @@ def test_verify_coupled_model(tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
     # on n = 6 the reduced lattice of the supercluster check has an empty
     # interior: one class pair, a tautology, so the check is skipped
-    assert report["skipped"] == [
-        {"name": "supercluster_resummation", "reason": single_pair((3,))}
-    ]
+    assert report["skipped"] == [{"name": "supercluster_resummation", "reason": single_pair(3)}]
     # certificate p = 2 a q^{(2R+1)^D} for the frozen canonical constant
     assert report["certificate"]["p"] == pytest.approx(1.779842023704731, rel=1e-10)
     assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES - {
@@ -82,8 +85,12 @@ def family(name):
     return next(f for f in VERIFY_FAMILIES if name.startswith(f))
 
 
-def single_pair(center):
-    return f"the class of S0 around {center} is a single pair, which makes its identity a tautology"
+def single_pair(c):
+    # the class of S0 = {c - 1, c, c + 1}, probes included, on a chain
+    return (
+        f"the class of S0 = {[(c - 1,), (c,), (c + 1,)]} is the single pair (I0, J0), "
+        "since L - closure(S0) has an empty interior; its identity is a tautology"
+    )
 
 
 HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply"
@@ -100,13 +107,13 @@ HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply
         # one interior site: the end probes are 2R apart, too close to separate
         (3, [("factorization", HALVES_CONNECTED),
              ("swap_identity", "supports of A and B must be further than 2R apart"),
-             ("supercluster_resummation", single_pair((1,)))]),
+             ("supercluster_resummation", single_pair(1))]),
         # the end probes are apart, but the halves {0, 1} and {2, 3} are not
         (4, [("factorization", HALVES_CONNECTED),
-             ("supercluster_resummation", single_pair((2,)))]),
+             ("supercluster_resummation", single_pair(2))]),
         # an interior of 4 is over the sweep cap of 2^2 configurations
         (6, [("swap_identity", "16 configurations of an interior of size 4 exceed the cap 2^2"),
-             ("supercluster_resummation", single_pair((3,)))]),
+             ("supercluster_resummation", single_pair(3))]),
     ],
 )
 def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch, n, skipped):
@@ -208,8 +215,8 @@ def custom_model(center):
             {"model": CANONICAL_MODEL, "betas": [1.0], "distances": [2, 3.5],
              "observables": DECAY_OBSERVABLES},
         ),
-        # an infinite tolerance would pass every check, NaN would fail each
-        # without a reason; json.dumps writes them as Infinity and NaN
+        # each check's tolerance is fixed: a tolerances object is refused
+        # whatever it holds (json.dumps writes Infinity and NaN)
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": math.inf}}),
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"identity": math.nan}}),
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {"norm_slack": -1e-12}}),
@@ -223,14 +230,8 @@ def custom_model(center):
         # tanh(beta J) = 1e-100: every measured covariance is exactly 0
         ("ising", {"n": 10, "J": 1e-100, "betas": [1.0]}),
         # a fractional site coordinate is refused, not truncated to a duplicate
-        (
-            "certify",
-            {"model": {**CANONICAL_MODEL, "lattice": [[0], [1], [2], [3], [4], [4.5]]}},
-        ),
-        (
-            "certify",
-            {"model": {**CANONICAL_MODEL, "lattice": [[0], [1.5], [2], [3], [4], [5]]}},
-        ),
+        ("certify", {"model": {**LATTICE_MODEL, "lattice": [[0], [1], [2], [3], [4], [4.5]]}}),
+        ("certify", {"model": {**LATTICE_MODEL, "lattice": [[0], [1.5], [2], [3], [4], [5]]}}),
         # ... and so is one in a coupling's pair or an interaction's center
         (
             "certify",
@@ -246,7 +247,7 @@ def custom_model(center):
         # a lattice with no sites has nothing to verify or certify
         ("verify", {"model": {**CANONICAL_MODEL, "n": 0}, "betas": [1.0]}),
         ("certify", {"model": {**CANONICAL_MODEL, "n": 0}}),
-        ("certify", {"model": {**CANONICAL_MODEL, "D": 1, "lattice": []}}),
+        ("certify", {"model": {**LATTICE_MODEL, "lattice": []}}),
         # no anchor: site 0 of an xxz chain meets no interaction, so every
         # covariance would read exactly 0 and the sweep nothing
         ("decay", {**DECAY_RUN, "betas": [1.0],
@@ -279,6 +280,8 @@ def custom_model(center):
         ("decay", {**DECAY_RUN, "betas": [1.0], "distances": [0, 2]}),
         ("decay", {**DECAY_RUN, "betas": [1.0], "distances": [-3, -2],
                    "observables": {**DECAY_OBSERVABLES, "anchor": 4}}),
+        # an xxz model is a spin-1/2 chain
+        ("certify", {"model": {**CANONICAL_MODEL, "q": 3}}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -295,12 +298,49 @@ def custom_model(center):
         "decay-anchor-bool", "certify-J12-string", "certify-J3-bool",
         "certify-coupling-value-bool", "certify-coupling-site-bool",
         "decay-offset-too-long", "decay-distance-zero", "decay-distance-negative",
+        "certify-xxz-q",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
     rc, _ = run(tmp_path, command, payload)
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "beta": [2.0]}, "beta"),
+        ("decay", {**DECAY_RUN, "betas": [1.0], "distance": [4]}, "distance"),
+        ("count", {"D": 1, "R": 1, "kmax": 3}, "kmax"),
+        ("ising", {"n": 6, "J": 1.0, "betas": [0.5], "j": 2.0}, "j"),
+        # this run used to certify the lambda = 0 model and exit 0
+        (
+            "certify",
+            {"model": {"n": 4, "R": 1, "lamda": 0.3, "seed": 7, "J12": 0.02, "J3": 0.02},
+             "bogus": 1},
+            "bogus",
+        ),
+        # inside the model block, per kind of model, and inside observables
+        ("certify", {"model": {**CANONICAL_MODEL, "lamda": 0.3}}, "lamda"),
+        ("certify", {"model": {**custom_model([1]), "lambda": 0.3}}, "lambda"),
+        ("certify", {"model": {**LATTICE_MODEL, "n": 6}}, "n"),
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {**DECAY_OBSERVABLES, "anchr": 2}}, "anchr"),
+        # each check has one fixed tolerance, and model.seed is the one seed
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "tolerances": {}}, "tolerances"),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "seed": 7}, "seed"),
+    ],
+    ids=["verify", "decay", "count", "ising", "certify", "xxz-model", "custom-model",
+         "model-n-and-lattice", "observables", "tolerances", "top-level-seed"],
+)
+def test_unread_config_keys_exit_config(tmp_path, capsys, command, payload, key):
+    # a key that nothing reads would be silently ignored, its value never used
+    rc, out = run(tmp_path, command, payload)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"unknown key {key!r}" in err
+    assert not (out / f"{command}_report.json").exists()
 
 
 def test_decay_reports_and_is_deterministic(tmp_path):

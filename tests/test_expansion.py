@@ -337,6 +337,19 @@ def test_checks_refuse_an_empty_interior():
         dc.verify_swap_identity(spec, A, B, 1.0)
 
 
+@pytest.mark.parametrize(
+    "n, couplings",
+    [(2, {}), (5, {"lam": 0.0, "J12": 0.0, "J3": 0.0})],
+    ids=["no-interior", "free"],
+)
+def test_term_norm_scan_refuses_when_nothing_interacts(n, couplings):
+    # no configuration has a nonzero term: there is no bound to check
+    spec = chain(n, **couplings)
+    refusal = "^no interacting configuration of size <= 3$"
+    with pytest.raises(expansion.NotApplicable, match=refusal):
+        dc.term_norm_scan(spec, 1.0)
+
+
 def test_term_norm_scan():
     spec = chain(6)  # a fresh spec, so its block memo starts empty
     rows = dc.term_norm_scan(spec, 0.5)
@@ -497,16 +510,18 @@ def test_swap_solves_each_distinct_block_once(monkeypatch):
     assert abs(cold.covariance) < 1e-15
 
 
+# each sweep on a fresh spec; the supercluster class of I0 = {1} on chain8
+# has 16 pairs (a class on chain6 has one, which the check refuses)
 COLD_SWEEPS = {
-    "swap": lambda spec: dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0),
-    "supercluster": lambda spec: dc.verify_supercluster_resummation(
-        Region([(2,)]), Region(), pauli_at(1, "Z"), pauli_at(3, "Z"), spec, 2.0
+    "swap": lambda: dc.verify_swap_identity(chain(6), pauli_at(0, "Z"), pauli_at(5, "Z"), 2.0),
+    "supercluster": lambda: dc.verify_supercluster_resummation(
+        Region([(1,)]), Region(), pauli_at(0, "Z"), pauli_at(2, "Z"), chain(8), 2.0
     ),
-    "factorization": lambda spec: dc.verify_factorization(
-        Region([(1,)]), pauli_at(0, "Z"), Region([(4,)]), pauli_at(5, "Z"), spec, 2.0
+    "factorization": lambda: dc.verify_factorization(
+        Region([(1,)]), pauli_at(0, "Z"), Region([(4,)]), pauli_at(5, "Z"), chain(6), 2.0
     ),
-    "term-norm-scan": lambda spec: dc.term_norm_scan(spec, 2.0),
-    "resummation": lambda spec: dc.verify_resummation(spec, 2.0),
+    "term-norm-scan": lambda: dc.term_norm_scan(chain(6), 2.0),
+    "resummation": lambda: dc.verify_resummation(chain(6), 2.0),
 }
 
 
@@ -515,7 +530,7 @@ def test_cold_sweep_makes_one_core_solve_per_block_size(sweep, monkeypatch):
     # a sweep fills all of its H_M at once, so the new blocks of each size
     # are solved in one stack
     solved = count_core_solves(monkeypatch)
-    COLD_SWEEPS[sweep](chain(6))
+    COLD_SWEEPS[sweep]()
     sizes = [m for _, m in solved]
     assert sizes and len(sizes) == len(set(sizes))
 
@@ -627,15 +642,18 @@ def test_swap_identity_requires_distance(chain6):
         dc.verify_swap_identity(chain6, pauli_at(0, "Z"), pauli_at(2, "Z"), 2.0)
 
 
-def test_supercluster_resummation_minimal(chain8):
-    chk = dc.verify_supercluster_resummation(
-        Region([(3,)]), Region(), pauli_at(2, "Z"), pauli_at(4, "Z"), chain8, 2.0
-    )
-    # the residual lattice has no interior: a single class pair, free ratio
-    assert chk.n_class_pairs == 1
-    assert chk.ratio == 1.0
-    assert chk.rel_residual_weight <= 1e-12
-    assert chk.rel_residual_observable <= 1e-12
+def test_supercluster_resummation_minimal(chain8, monkeypatch):
+    # the reduced lattice has no interior, so the class is the single pair
+    # (I0, J0), whose identities hold by definition: refused before any term
+    def unbuilt(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(expansion, "yarotsky_term", unbuilt)
+    monkeypatch.setattr(expansion, "_fill", unbuilt)
+    with pytest.raises(expansion.NotApplicable, match=r"is the single pair \(I0, J0\)"):
+        dc.verify_supercluster_resummation(
+            Region([(3,)]), Region(), pauli_at(2, "Z"), pauli_at(4, "Z"), chain8, 2.0
+        )
 
 
 def test_supercluster_resummation_nontrivial(chain10):

@@ -15,6 +15,7 @@ from decorr._kernels import (
     reach_radius,
     universe_size,
 )
+from decorr.algebra import DimensionError
 
 # frozen counts of R-connected k-sets through the origin in Z^D
 FREE_COUNTS = {
@@ -102,6 +103,12 @@ def test_k_validation():
         count_connected_ksubsets(pts, 1, 0)
     with pytest.raises(ValueError):
         count_connected_ksubsets(pts, 1, MAX_K + 1)
+
+
+def test_k_over_the_table_cap_is_a_size_cap():
+    # like every other size cap, and still a ValueError
+    with pytest.raises(DimensionError, match="k <= 6"):
+        brute_force_connected_count(1, 1, 7)
 
 
 def test_connected_graph_table_counts():

@@ -11,6 +11,7 @@ break here.
 import dataclasses
 import importlib
 import inspect
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +126,21 @@ def test_sweeps_call_yarotsky_term_through_the_module(sweep, monkeypatch):
     else:
         dc.verify_resummation(spec, 2.0)
     assert len(calls) > 0
+
+
+def test_workload_configs_are_read_whole_and_pass(harness, monkeypatch, tmp_path):
+    # decorr refuses a config key that no command reads; every config the
+    # workloads write must pass that check and exit 0
+    workloads = importlib.import_module("workloads")
+    ran = []
+    main = decorr.cli.main
+
+    def recording(argv):
+        ran.append((argv[0], main(argv)))
+        return ran[-1][1]
+
+    monkeypatch.setattr(decorr.cli, "main", recording)
+    for name, (setup, run) in workloads.WORKLOADS.items():
+        run(setup(workloads.GATE_SEED), workloads.GATE_SEED, tmp_path / name,
+            lambda step: nullcontext())
+    assert ran == [("verify", 0), ("decay", 0), ("ising", 0), ("count", 0)]
