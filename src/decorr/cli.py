@@ -39,7 +39,7 @@ EXIT_CAP = 3
 
 # one fixed tolerance per check, so a PASS means the same on every config
 IDENTITY_TOL = 1e-10  # relative residual of an expansion identity
-NORM_SLACK = 1e-12  # how far a term norm may exceed its bound (2a)^|I|
+NORM_SLACK = 1e-12  # relative: ||T_I|| may reach (1 + NORM_SLACK) (2a)^|I|
 COVARIANCE_TOL = 1e-10  # Ising oracle covariance against the closed form
 XI_REL_TOL = 1e-6  # relative error of the fitted Ising correlation length
 
@@ -182,9 +182,10 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     refusals = (expansion.NotApplicable, DimensionError)
     try:
         rows = expansion.term_norm_scan(spec, betas[0])
-        worst = max(norm - bound for _, norm, bound in rows)
+        # a zero term meets any bound, a zero bound (a = 0) included
+        worst = max(norm / bound if norm else 0.0 for _, norm, bound in rows)
         instance = f"beta={betas[0]:g} sizes<={expansion.TERM_NORM_MAX_SIZE} ({len(rows)} terms)"
-        add("term_norm_bound", instance, max(worst, 0.0), NORM_SLACK)
+        add("term_norm_bound", instance, worst, 1 + NORM_SLACK)
     except refusals as exc:
         skipped.append({"name": "term_norm_bound", "reason": str(exc)})
 
@@ -489,13 +490,21 @@ def run_certify(cfg: dict, outdir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-# each command's runner and the top-level keys it reads; main reads output_dir
+# each command's runner, looked up by main when the command runs
 _RUNNERS = {
-    "verify": (run_verify, ("model", "betas")),
-    "decay": (run_decay, ("model", "betas", "distances", "observables")),
-    "count": (run_count, ("D", "R", "k_max")),
-    "ising": (run_ising, ("n", "J", "betas")),
-    "certify": (run_certify, ("model",)),
+    "verify": run_verify,
+    "decay": run_decay,
+    "count": run_count,
+    "ising": run_ising,
+    "certify": run_certify,
+}
+# the top-level keys each command reads; main reads output_dir
+_CONFIG_KEYS = {
+    "verify": ("model", "betas"),
+    "decay": ("model", "betas", "distances", "observables"),
+    "count": ("D", "R", "k_max"),
+    "ising": ("n", "J", "betas"),
+    "certify": ("model",),
 }
 
 
@@ -513,11 +522,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        runner, keys = _RUNNERS[args.command]
-        _refuse_unknown(cfg, (*keys, "output_dir"), f"a {args.command} config")
+        keys = (*_CONFIG_KEYS[args.command], "output_dir")
+        _refuse_unknown(cfg, keys, f"a {args.command} config")
         outdir = Path(args.out or cfg.get("output_dir") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
-        return runner(cfg, outdir)
+        return _RUNNERS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

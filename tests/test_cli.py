@@ -74,6 +74,32 @@ def test_verify_coupled_model(tmp_path, capsys):
     }
 
 
+def test_term_norm_bound_reports_the_worst_ratio(tmp_path):
+    # the residual is the worst ||T_I|| / (2a)^|I| of the scan, so it shows
+    # the margin under the bound, and the bound is 1 + NORM_SLACK
+    rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    [check] = [c for c in report["checks"] if c["name"] == "term_norm_bound"]
+    rows = expansion.term_norm_scan(cli._model_spec({"model": CANONICAL_MODEL}), 0.5)
+    assert check["residual"] == max(norm / bound for _, norm, bound in rows)
+    assert 0 < check["residual"] < 1
+    assert check["tolerance"] == 1 + cli.NORM_SLACK
+
+
+def test_zero_terms_meet_a_zero_term_norm_bound(tmp_path):
+    # zero interaction matrices: a = 0, every term is exactly 0 and so is
+    # its bound (2a)^|I|; the check passes with residual 0
+    zero = [[[0, 0]] * 4 for _ in range(4)]
+    payload = {"model": {**custom_model([1]), "interactions": [[[1], [[1], [2]], zero]]},
+               "betas": [0.5]}
+    rc, out = run(tmp_path, "verify", payload)
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    [check] = [c for c in report["checks"] if c["name"] == "term_norm_bound"]
+    assert check["residual"] == 0.0 and check["pass"]
+
+
 VERIFY_FAMILIES = {
     "form_bound_certificate", "resummation", "term_norm_bound", "factorization",
     "swap_identity", "supercluster_resummation", "partition_ratio_bound",

@@ -1,6 +1,7 @@
 """Brute-force counting kernel, cross-checked against a maximally dumb reference."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_adjacency_symmetric_reflexive():
     assert adj[i, j] == 0  # distance 3 > 2R
 
 
+@pytest.mark.parametrize("D, R, k", [(3, 1, 3), (1, 40, 3), (2, 2, 2)])
+def test_adjacency_matches_the_dense_l1_distance(D, R, k):
+    # summed one axis at a time in int8 (D = 3) or int16 (D = 1, diameter 320);
+    # a shift of every point leaves every distance as it is
+    pts = build_universe(D, R, k)
+    dense = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1) <= 2 * R
+    assert np.array_equal(adjacency(pts, R), dense)
+    assert np.array_equal(adjacency(pts + 10**6, R), dense)
+
+
 def _count_reference(pts, R, k):
     """Third, maximally dumb implementation for cross-checking the kernels."""
     if k == 1:
@@ -81,14 +92,46 @@ def _count_reference(pts, R, k):
     return total
 
 
-# k <= 3 is one chunk, k = 4 one chunk per first chosen row, k = 5 one per pair
+# k = 2 reads row 0, k = 3 counts row strips, and k = 4, 5, 6 fix 1, 2, 3
+# middle rows per block of first rows against last rows
 @pytest.mark.parametrize(
     "D,R,k",
-    [(1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3), (1, 1, 4), (1, 2, 4), (2, 1, 4), (1, 1, 5)],
+    [
+        (1, 1, 2), (2, 1, 2),
+        (1, 1, 3), (1, 2, 3), (2, 1, 3), (3, 1, 3),
+        (1, 1, 4), (1, 2, 4), (2, 1, 4), (1, 3, 4),
+        (1, 1, 5),
+        (1, 1, 6),
+    ],
 )
 def test_python_path_matches_reference(D, R, k):
     pts = build_universe(D, R, k)
     assert count_connected_ksubsets(pts, R, k) == _count_reference(pts, R, k)
+
+
+@pytest.mark.parametrize("D,R,k", [(2, 1, 3), (2, 1, 4), (1, 2, 5), (1, 1, 6)])
+def test_count_does_not_depend_on_the_row_order(D, R, k):
+    # which rows are first, middle and last in a block follows the row
+    # order; any order of the rows after the anchor gives the same count
+    pts = build_universe(D, R, k)
+    expected = count_connected_ksubsets(pts, R, k)
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        shuffled = np.concatenate([pts[:1], rng.permutation(pts[1:])])
+        assert count_connected_ksubsets(shuffled, R, k) == expected
+
+
+@pytest.mark.parametrize("D,R,k", [(3, 3, 2), (1, 40, 3)])
+def test_brute_force_peak_memory_is_at_most_two_int64_squares(D, R, k):
+    # no m×m×D int64 distance temporary, and no m×m index square at k = 3
+    m = universe_size(D, R, k)
+    tracemalloc.start()
+    try:
+        brute_force_connected_count(D, R, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * m * m
 
 
 def test_brute_force_frozen_values():
@@ -115,4 +158,3 @@ def test_connected_graph_table_counts():
     # connected labelled graphs on k vertices, OEIS A001187
     counts = [int(np.count_nonzero(connected_graphs(k))) for k in range(1, MAX_K + 1)]
     assert counts == [1, 1, 4, 38, 728, 26704]
-

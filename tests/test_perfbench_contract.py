@@ -144,3 +144,13 @@ def test_workload_configs_are_read_whole_and_pass(harness, monkeypatch, tmp_path
         run(setup(workloads.GATE_SEED), workloads.GATE_SEED, tmp_path / name,
             lambda step: nullcontext())
     assert ran == [("verify", 0), ("decay", 0), ("ising", 0), ("count", 0)]
+
+
+def test_cli_dispatch_table_holds_each_runner_itself():
+    # the harness traces a command by swapping its runner wherever a module
+    # or a module-level dict holds the function itself; main calls the
+    # runner through this table, so a value wrapped in a tuple would keep
+    # the command's self time at 0
+    assert set(decorr.cli._RUNNERS) == set(decorr.cli._CONFIG_KEYS)
+    for name in decorr.cli._RUNNERS:
+        assert decorr.cli._RUNNERS[name] is getattr(decorr.cli, f"run_{name}"), name
