@@ -267,7 +267,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     for c in checks:
         print(
             f"{'PASS' if c['pass'] else 'FAIL'} {c['name']} [{c['instance']}] "
-            f"residual={c['residual']:.3e} tol={c['tolerance']:.1e}"
+            f"residual={c['residual']:.3e} tol={c['tolerance']!r}"
         )
     for s in skipped:
         print(f"SKIP {s['name']}: {s['reason']}")

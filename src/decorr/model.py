@@ -285,6 +285,64 @@ def make_spec(
 # anisotropic nearest-neighbour spin chain / lattice builder
 # ---------------------------------------------------------------------------
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash; each call advances its hash constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two 32-bit pool words."""
+    r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return r ^ r >> 16
+
+
+def _uniform_draws(seed: int, n: int) -> list[float]:
+    """The first n doubles of numpy's ``default_rng(seed).random(n)``, bit for bit.
+
+    ``default_rng`` is a PCG64 generator (M. E. O'Neill, HMC-CS-2014-0905:
+    128-bit LCG, XSL-RR output) seeded through ``SeedSequence``; both are
+    written out here on Python ints, so a seed fixes its instance on any numpy
+    and a seeded spec does not import numpy.random.
+    """
+    words = [seed & _M32]  # little-endian 32-bit words of the seed
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    state32 = [hashmix(pool[i % 4]) for i in range(8)]
+    u = [state32[i] | state32[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = ((state >> 64) ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
 def _pair_key(x: Site, y: Site) -> tuple[Site, Site]:
     return (x, y) if x <= y else (y, x)
 
@@ -340,9 +398,12 @@ def xxz_spec(
     """Random-field anisotropic spin model on an open n-site chain or a given geometry.
 
     On-site terms h_z = (1 + lam * omega_z) N_z with omega_z drawn uniformly
-    from [0, 1), one draw per site in canonical order from a seeded PCG64
-    stream.  Interactions collect, for every unordered pair {x, y} inside
-    some radius-R ball,
+    from [0, 1), one draw per site in canonical order from the PCG64 stream
+    of a non-negative integer seed.  The stream is numpy's
+    ``default_rng(seed).random``, reproduced bit for bit on Python ints by
+    ``_uniform_draws`` (tests/test_model.py compares the two), so a seed
+    gives the same instance on any numpy.  Interactions collect, for every
+    unordered pair {x, y} inside some radius-R ball,
 
         (J12(x,y) + J12(y,x)) (sp_x sm_y + sm_x sp_y)
       + (J3(x,y) + J3(y,x)) N_x N_y,
@@ -356,11 +417,11 @@ def xxz_spec(
     sites = geometry.sites
     inner = interior(sites, geometry)
 
-    rng = np.random.default_rng(seed)
-    omega = rng.random(len(sites))
-    onsite = {
-        z: (1.0 + lam * float(omega[i])) * NUMBER for i, z in enumerate(sites)
-    }
+    seed = _integer(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    omega = _uniform_draws(seed, len(sites))
+    onsite = {z: (1.0 + lam * w) * NUMBER for z, w in zip(sites, omega)}
 
     j12 = _coupling_map(J12, sites, hermitian=True)
     j3 = _coupling_map(J3, sites, hermitian=False)

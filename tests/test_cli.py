@@ -74,7 +74,7 @@ def test_verify_coupled_model(tmp_path, capsys):
     }
 
 
-def test_term_norm_bound_reports_the_worst_ratio(tmp_path):
+def test_term_norm_bound_reports_the_worst_ratio(tmp_path, capsys):
     # the residual is the worst ||T_I|| / (2a)^|I| of the scan, so it shows
     # the margin under the bound, and the bound is 1 + NORM_SLACK
     rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
@@ -85,6 +85,16 @@ def test_term_norm_bound_reports_the_worst_ratio(tmp_path):
     assert check["residual"] == max(norm / bound for _, norm, bound in rows)
     assert 0 < check["residual"] < 1
     assert check["tolerance"] == 1 + cli.NORM_SLACK
+    # the printed tolerance is exact: 1 + 1e-12 does not read as the 1.0 of
+    # partition_ratio_bound
+    lines = capsys.readouterr().out.splitlines()
+    [line] = [l for l in lines if l.startswith("PASS term_norm_bound ")]
+    assert line == (
+        f"PASS term_norm_bound [{check['instance']}] "
+        f"residual={check['residual']:.3e} tol=1.000000000001"
+    )
+    [line] = [l for l in lines if " partition_ratio_bound " in l]
+    assert line.endswith(" tol=1.0")
 
 
 def test_zero_terms_meet_a_zero_term_norm_bound(tmp_path):

@@ -1,6 +1,7 @@
 """Hamiltonian assembly, form-bound certification, normalization."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -69,6 +70,36 @@ def test_seed_determinism():
         assert np.array_equal(a.onsite[s], b.onsite[s])
     c = chain(5, seed=8)
     assert any(not np.array_equal(a.onsite[s], c.onsite[s]) for s in a.sites)
+
+
+# seeds of one to five 32-bit words, at and past the word boundaries:
+# SeedSequence pads the first four words and folds in the rest
+LARGE_SEEDS = [2**32 - 1, 2**32, 2**40 + 12345, 2**64 + 7, 2**130 + 99, 10**30]
+
+
+@pytest.mark.parametrize("seeds", [range(200), LARGE_SEEDS], ids=["0-199", "large"])
+def test_uniform_draws_are_numpys_default_rng_stream(seeds):
+    # the in-repo PCG64 / SeedSequence draw against numpy's, bit for bit
+    for seed in seeds:
+        for n in range(1, algebra.MAX_DENSE_SITES + 1):
+            assert model._uniform_draws(seed, n) == np.random.default_rng(seed).random(n).tolist()
+
+
+@pytest.mark.parametrize("seed, error", [(None, TypeError), (True, TypeError), (-1, ValueError)])
+def test_seed_is_a_non_negative_integer(seed, error):
+    # None would draw OS entropy and True read as 1: neither spec's JSON reads back
+    with pytest.raises(error):
+        chain(5, seed=seed)
+
+
+def test_numpy_integer_seed_is_stored_as_an_int():
+    spec = chain(5, seed=np.int64(7))
+    assert type(spec.params["seed"]) is int
+    back = dc.spec_from_json(json.loads(json.dumps(dc.spec_to_json(spec))))
+    assert back.params == spec.params
+    for s in spec.sites:
+        assert np.array_equal(back.onsite[s], spec.onsite[s])
+        assert np.array_equal(back.onsite[s], chain(5, seed=7).onsite[s])
 
 
 def _pencil_setup():

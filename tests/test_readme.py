@@ -1,7 +1,10 @@
 """The README's python examples and example configs run as written."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,13 @@ from decorr import cli
 from decorr.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
+
+
+def readme_configs():
+    """(command, config text) of each README example config."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    return [("decay" if "observables" in json.loads(b) else "verify", b) for b in blocks]
 
 
 def test_readme_python_blocks_run(capsys):
@@ -22,10 +32,9 @@ def test_readme_python_blocks_run(capsys):
 
 def test_readme_example_configs_run(tmp_path):
     # the config with observables is a decay config, the other a verify config
-    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
-    commands = ["decay" if "observables" in json.loads(b) else "verify" for b in blocks]
-    assert sorted(commands) == ["decay", "verify"]  # the check is not vacuous
-    for k, (command, block) in enumerate(zip(commands, blocks)):
+    configs = readme_configs()
+    assert sorted(c for c, _ in configs) == ["decay", "verify"]  # the check is not vacuous
+    for k, (command, block) in enumerate(configs):
         config = tmp_path / f"{k}.json"
         config.write_text(block)
         out = tmp_path / f"out{k}"
@@ -44,3 +53,34 @@ def test_readme_command_line_flags_are_the_parsers(capsys):
         options |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     options.discard("--help")
     assert documented and documented == options
+
+
+# runs each README config in this interpreter and prints, as its last line,
+# the modules the runs imported beyond a bare `import numpy`
+_IMPORT_PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from decorr.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_readme_configs_do_not_import_numpy_random(tmp_path):
+    # a seeded spec draws its disorder in model.py; numpy.random and the
+    # OpenSSL it loads through secrets cost a fresh process 5 MB and 10-30 ms
+    argvs = []
+    for k, (command, block) in enumerate(readme_configs()):
+        config = tmp_path / f"{k}.json"
+        config.write_text(block)
+        argvs.append([command, "--config", str(config), "--out", str(tmp_path / f"out{k}")])
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    codes, imported = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert "decorr.model" in imported  # the probe sees what the runs import
+    assert {"numpy.random", "secrets", "_hashlib"}.isdisjoint(imported)
