@@ -278,6 +278,9 @@ class Eigensystem:
 
 
 def _require_hermitian(M: np.ndarray) -> np.ndarray:
+    # a NaN deviation compares false with the tolerance and would pass
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has a non-finite entry")
     dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(

@@ -16,6 +16,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -28,7 +29,7 @@ from . import expansion, gibbs, lattice, model
 from ._kernels import MAX_K, brute_force_connected_count, build_universe, universe_size
 from .algebra import DimensionError
 from .lattice import LatticeGeometry, Region, _integer, _real, r_connected_set
-from .model import CertificationError, HamiltonianSpec, PAULI_BY_NAME
+from .model import CertificationError, HamiltonianSpec
 
 SCHEMA_VERSION = 1
 
@@ -72,20 +73,11 @@ def _model_spec(cfg: dict) -> HamiltonianSpec:
     block = cfg.get("model")
     if not isinstance(block, dict):
         raise ConfigError("config needs a 'model' object")
-    block = dict(block)
-    if "n" in block and "lattice" not in block:
-        n = _convert(_integer, block.pop("n"), "n")
-        block["lattice"] = [[i] for i in range(n)]
-        block.setdefault("D", 1)
-    if block.get("lattice") == []:
-        raise ConfigError("the model lattice has no sites")
-    block.setdefault("model", "xxz")
-    block.setdefault("q", 2)
     try:
         return model.spec_from_json(block)
     except (CertificationError, DimensionError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model block: {exc}") from exc
 
 
@@ -105,34 +97,6 @@ def _betas(cfg: dict) -> list[float]:
     if not all(math.isfinite(b) and b > 0 for b in betas):
         raise ConfigError(f"betas must be finite and positive, got {betas!r}")
     return betas
-
-
-def _distances(cfg: dict) -> list[int]:
-    ds = cfg.get("distances")
-    if not isinstance(ds, list) or len(ds) < 1:
-        raise ConfigError("config needs a 'distances' list")
-    return [_convert(_integer, d, "distance") for d in ds]
-
-
-def _template(raw, name: str):
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"observable {name} must be a nonempty list of [offset, pauli]")
-    out = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"observable {name} needs [offset, pauli] pairs, got {entry!r}")
-        off, pauli = entry
-        if not isinstance(pauli, str) or pauli not in PAULI_BY_NAME:
-            raise ConfigError(f"unknown operator name {pauli!r} in observable {name}")
-        out.append((_site(off, f"offset in observable {name}"), pauli))
-    return out
-
-
-def _site(value, what: str):
-    """A site or offset: an int, or a list of ints as a tuple."""
-    return _convert(
-        lambda v: tuple(map(_integer, v)) if isinstance(v, list) else _integer(v), value, what
-    )
 
 
 def _refuse_unknown(block: dict, known, where: str):
@@ -174,61 +138,54 @@ def run_verify(cfg: dict, outdir: Path) -> int:
 
     add("form_bound_certificate", f"a={spec.a!r}", spec.a, 1.0, 0 <= spec.a < 1)
 
-    for beta in betas:
-        add("resummation", f"beta={beta:g}", expansion.verify_resummation(spec, beta))
-
     # a check refuses an instance outside its hypothesis or over a sweep cap;
     # the refusal's message is the check's SKIP reason
-    refusals = (expansion.NotApplicable, DimensionError)
-    try:
+    @contextlib.contextmanager
+    def family(name, refusals=(expansion.NotApplicable, DimensionError)):
+        try:
+            yield
+        except refusals as exc:
+            skipped.append({"name": name, "reason": str(exc)})
+
+    with family("resummation", expansion.NotApplicable):  # its cap exits 3, as every cap does
+        for beta in betas:
+            add("resummation", f"beta={beta:g}", expansion.verify_resummation(spec, beta))
+    with family("term_norm_bound"):
         rows = expansion.term_norm_scan(spec, betas[0])
         # a zero term meets any bound, a zero bound (a = 0) included
         worst = max(norm / bound if norm else 0.0 for _, norm, bound in rows)
         instance = f"beta={betas[0]:g} sizes<={expansion.TERM_NORM_MAX_SIZE} ({len(rows)} terms)"
         add("term_norm_bound", instance, worst, 1 + NORM_SLACK)
-    except refusals as exc:
-        skipped.append({"name": "term_norm_bound", "reason": str(exc)})
 
     # structural checks need two well-separated probes; pick lattice extremes
     lo, hi = spec.sites[0], spec.sites[-1]
     A = gibbs.observable_from_template([(0, "Z")], lo, spec)
     B = gibbs.observable_from_template([(0, "Z")], hi, spec)
     I1, I2 = Region(inter[:1]), Region(inter[-1:])
-    try:
+    with family("factorization"):
         for beta in betas:
             chk = expansion.verify_factorization(I1, A, I2, B, spec, beta)
             add("factorization", f"I1={list(I1)} I2={list(I2)} beta={beta:g}", chk.rel_residual)
-    except refusals as exc:
-        skipped.append({"name": "factorization", "reason": str(exc)})
-    try:
+    with family("swap_identity"):
         for beta in betas:
             chk = expansion.verify_swap_identity(spec, A, B, beta)
             add("swap_identity_sums", f"beta={beta:g} pairs={chk.n_event_pairs}", chk.rel_residual)
             add("swap_identity_per_pair", f"beta={beta:g}", chk.per_pair_max)
-    except refusals as exc:
-        skipped.append({"name": "swap_identity", "reason": str(exc)})
 
-    if not inter:  # no center to place the probes around
-        skipped.append(
-            {"name": "supercluster_resummation", "reason": "lattice interior is empty"}
-        )
-    else:
+    with family("supercluster_resummation"):
+        if not inter:  # no center to place the probes around
+            raise expansion.NotApplicable("lattice interior is empty")
         # probes R from c along the first axis, in c's R-ball and so in the lattice
         c = inter[len(inter) // 2]
-        x_site = tuple(ci - geo.R if i == 0 else ci for i, ci in enumerate(c))
-        y_site = tuple(ci + geo.R if i == 0 else ci for i, ci in enumerate(c))
-        Ax = gibbs.observable_from_template([(0, "Z")], x_site, spec)
-        By = gibbs.observable_from_template([(0, "Z")], y_site, spec)
-        try:
-            for beta in betas:
-                chk = expansion.verify_supercluster_resummation(
-                    Region([c]), Region(), Ax, By, spec, beta
-                )
-                instance = f"S0 around {c} beta={beta:g} pairs={chk.n_class_pairs}"
-                add("supercluster_resummation_weight", instance, chk.rel_residual_weight)
-                add("supercluster_resummation_observable", instance, chk.rel_residual_observable)
-        except refusals as exc:
-            skipped.append({"name": "supercluster_resummation", "reason": str(exc)})
+        Ax = gibbs.observable_from_template([(-geo.R, "Z")], c, spec)
+        By = gibbs.observable_from_template([(geo.R, "Z")], c, spec)
+        for beta in betas:
+            chk = expansion.verify_supercluster_resummation(
+                Region([c]), Region(), Ax, By, spec, beta
+            )
+            instance = f"S0 around {c} beta={beta:g} pairs={chk.n_class_pairs}"
+            add("supercluster_resummation_weight", instance, chk.rel_residual_weight)
+            add("supercluster_resummation_observable", instance, chk.rel_residual_observable)
 
     normalized = model.normalize_nonpositive(spec)
     ratio_rows = []
@@ -281,53 +238,38 @@ def run_verify(cfg: dict, outdir: Path) -> int:
 def run_decay(cfg: dict, outdir: Path) -> int:
     spec = _model_spec(cfg)
     betas = _betas(cfg)
-    distances = _distances(cfg)
     obs = cfg.get("observables")
     if not isinstance(obs, dict):
         raise ConfigError("config needs an 'observables' object with A, B, anchor")
     _refuse_unknown(obs, ("A", "B", "anchor"), "observables")
-    A_t = _template(obs.get("A"), "A")
-    B_t = _template(obs.get("B"), "B")
     if "anchor" not in obs:
         raise ConfigError("observables need an 'anchor' site")
-    anchor = _site(obs["anchor"], "anchor")
 
     fits = []
-    rows = []
     for beta in betas:
+        # the sweep reads the templates, the anchor and the distances
         try:
             fit = gibbs.decay_sweep(
-                spec, beta, A_t, B_t, distances, anchor=anchor, strict=False
+                spec, beta, obs.get("A"), obs.get("B"), cfg.get("distances"),
+                anchor=obs["anchor"], strict=False,
             )
         except DimensionError:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         fits.append(fit)
-        for d, c in fit.points:
-            rows.append((beta, d, c, math.log(c) if c > 0 else -math.inf))
 
     with open(outdir / "decay.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["beta", "distance", "abs_cov", "ln_abs_cov"])
-        for beta, d, c, lnc in rows:
-            writer.writerow([repr(float(beta)), d, repr(float(c)), repr(float(lnc))])
+        for f in fits:
+            for d, c in f.points:
+                lnc = math.log(c) if c > 0 else -math.inf
+                writer.writerow([repr(float(f.beta)), d, repr(float(c)), repr(lnc)])
 
-    payload = {
-        "command": "decay",
-        "fits": [
-            {
-                "beta": f.beta,
-                "xi": f.xi,
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "points_used": f.points_used,
-                "outcome": f.outcome,
-            }
-            for f in fits
-        ],
-    }
-    _write_json(outdir / "decay_report.json", payload)
+    fields = ("beta", "xi", "slope", "intercept", "points_used", "outcome")
+    fit_rows = [{k: getattr(f, k) for k in fields} for f in fits]
+    _write_json(outdir / "decay_report.json", {"command": "decay", "fits": fit_rows})
     for f in fits:
         xi = f"{f.xi:.6g}" if math.isfinite(f.xi) else "nan"
         print(f"beta={f.beta:g}: outcome={f.outcome} points_used={f.points_used} xi={xi}")
@@ -524,8 +466,14 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         keys = (*_CONFIG_KEYS[args.command], "output_dir")
         _refuse_unknown(cfg, keys, f"a {args.command} config")
-        outdir = Path(args.out or cfg.get("output_dir") or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
+        out = cfg.get("output_dir", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"output_dir must be a path string, got {out!r}")
+        outdir = Path(args.out or out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory: {exc}") from exc
         return _RUNNERS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

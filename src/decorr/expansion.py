@@ -238,7 +238,10 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     inner) without its dim^3 matrix product, in place in the gathered factor.
     The factor and the reference e^{-beta H} are ``spec.term_blocks`` entries
     (:func:`_boltzmann`); one :func:`_fill` takes them and every term's H_M.
+    On an empty interior, where the one term is the reference, it refuses.
     """
+    if not spec.interior:
+        raise NotApplicable("lattice interior is empty")
     configs = interior_configurations(spec.interior, MAX_RESUM_INTERIOR)
     centers = tuple(interaction_centers(spec, spec.sites))
     pairs = [(centers, spec.sites)]

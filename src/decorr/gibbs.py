@@ -40,7 +40,7 @@ from .algebra import (
     operator_product,
     support_index_map,
 )
-from .lattice import Region, counting_constant
+from .lattice import Region, _integer, _site, counting_constant
 from .model import PAULI_BY_NAME, HamiltonianSpec, restricted_spectrum
 
 
@@ -152,22 +152,31 @@ def observable_from_template(
 ) -> GlobalOperator:
     """Product of single-site operators at offsets relative to an anchor site.
 
-    ``template`` is a list of (offset, name) pairs with names from
-    I, X, Y, Z, N; integer offsets act on the first coordinate axis, and an
-    offset given as coordinates must have as many as the anchor.
-    ``shift`` displaces the whole template along the first axis.
+    ``template`` is a nonempty list of [offset, name] pairs (JSON lists or
+    tuples), names from I, X, Y, Z, N.  Anchors and offsets are integers or
+    lists of integers; an integer offset acts on the first axis, and one
+    given as coordinates must have as many as the anchor.  ``shift``
+    displaces the whole template along the first axis.
     """
-    anchor = (anchor,) if isinstance(anchor, int) else tuple(anchor)
+    anchor = _site(anchor, "anchor")
+    if not isinstance(template, (list, tuple)) or not template:
+        raise ValueError(f"a template is a nonempty list of [offset, name] pairs, got {template!r}")
     factors = []
-    for off, name in template:
-        if isinstance(off, int):
-            off = (off,) + (0,) * (len(anchor) - 1)
-        if len(off) != len(anchor):
+    for entry in template:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"a template needs [offset, name] pairs, got {entry!r}")
+        off, name = entry
+        if not isinstance(name, str) or name not in PAULI_BY_NAME:
+            raise ValueError(f"unknown operator name {name!r}, not one of {', '.join(PAULI_BY_NAME)}")
+        coords = _site(off, "offset")
+        if not isinstance(off, (list, tuple)):  # an integer offset acts on the first axis
+            coords += (0,) * (len(anchor) - 1)
+        if len(coords) != len(anchor):
             raise ValueError(
-                f"offset {tuple(off)} has {len(off)} coordinates; the anchor {anchor} has "
+                f"offset {coords} has {len(coords)} coordinates; the anchor {anchor} has "
                 f"{len(anchor)}"
             )
-        site = tuple(a + o for a, o in zip(anchor, off))
+        site = tuple(a + o for a, o in zip(anchor, coords))
         site = (site[0] + shift,) + site[1:]
         if site not in spec.sites:
             raise ValueError(f"observable site {site} is outside the lattice")
@@ -202,26 +211,30 @@ def decay_sweep(
     A and B are placed from the site ``anchor`` (see
     :func:`observable_from_template`), B displaced by d along the first
     axis; there is no default, since an anchor on a site that meets no
-    interaction would read every covariance as exactly 0.  Distances must
-    be at least 1 (d = 0 would fit a variance) and strictly increasing.
+    interaction would read every covariance as exactly 0.  Every A and B is
+    placed before anything is solved.  ``distances`` is a nonempty list
+    of integers, at least 1 (d = 0 would fit a variance) and strictly
+    increasing.
     Points with |cov| <= FIT_FLOOR are recorded but excluded from the fit;
     if fewer than two remain the sweep has no usable decay signal -- strict
     mode raises DegenerateFitError, otherwise a DecayFit with outcome
     "floor" and NaN fit parameters is returned.
     """
-    distances = list(distances)
+    if not isinstance(distances, (list, tuple)) or not distances:
+        raise ValueError(f"distances must be a nonempty list of integers, got {distances!r}")
+    try:
+        distances = [_integer(d) for d in distances]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad distance: {exc}") from exc
     if any(d < 1 for d in distances):
         raise ValueError(f"distances must be at least 1, got {distances!r}")
     if any(d2 <= d1 for d1, d2 in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly increasing")
     A = observable_from_template(A_template, anchor, spec)
+    Bs = [observable_from_template(B_template, anchor, spec, shift=d) for d in distances]
     eig = restricted_spectrum(spec, spec.sites)  # solved once per spec, at any beta
     state = _state_from_blocks(eig, spec.sites, spec.q, beta)
-
-    points = []
-    for d in distances:
-        B = observable_from_template(B_template, anchor, spec, shift=d)
-        points.append((d, abs(covariance(state, A, B))))
+    points = [(d, abs(covariance(state, A, B))) for d, B in zip(distances, Bs)]
 
     usable = [(d, c) for d, c in points if c > FIT_FLOOR]
     if len(usable) >= 2:

@@ -37,6 +37,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _site(value, what: str) -> Site:
+    """A site or offset from an integer or a list of integers (:func:`_integer`), as a tuple."""
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(map(_integer, value))
+        return (_integer(value),)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {what} {value!r}: {exc}") from exc
+
+
 class Region(tuple):
     """Immutable set of lattice sites, stored in sorted (lexicographic) order.
 
@@ -101,7 +111,13 @@ class Region(tuple):
 
     @classmethod
     def from_json(cls, data) -> "Region":
-        return cls(tuple(_integer(c) for c in s) for s in data)
+        """The Region of a list of sites, each a list of integers, refusing a site listed twice."""
+        sites = [tuple(_integer(c) for c in s) for s in data]
+        region = cls(sites)
+        if len(region) < len(sites):
+            twice = next(s for i, s in enumerate(sites) if s in sites[:i])
+            raise ValueError(f"site {list(twice)} is listed twice")
+        return region
 
     def __repr__(self) -> str:
         return f"Region({list(self)})"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import Mapping
 
 import numpy as np
@@ -46,6 +47,7 @@ from .lattice import (
     Site,
     _integer,
     _real,
+    _site,
     ball,
     chain_geometry,
     interior,
@@ -347,18 +349,19 @@ def _pair_key(x: Site, y: Site) -> tuple[Site, Site]:
     return (x, y) if x <= y else (y, x)
 
 
-def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
-    """Normalize scalar or per-pair coupling input to {ordered pair: value}.
+def _coupling_map(values, sites: Region, name: str, hermitian: bool) -> dict:
+    """Normalize scalar or per-pair coupling ``name`` to {ordered pair: value}.
 
     A scalar J means J on every ordered pair at l1 distance exactly 1
-    (nearest neighbours), zero elsewhere.
+    (nearest neighbours), zero elsewhere.  A value that is not finite is
+    refused by name before anything multiplies it.
     """
-    if values is None:
-        return {}
-    if np.isscalar(values):
-        if isinstance(values, (bool, str)):  # complex() takes both
-            raise TypeError(f"coupling {values!r} is not a number")
+    if not isinstance(values, (dict, list, tuple)):
+        if isinstance(values, bool) or not isinstance(values, Number):  # a bool is a Number
+            raise TypeError(f"coupling {name} = {values!r} is not a number")
         J = complex(values)
+        if not np.isfinite(J):
+            raise ValueError(f"coupling {name} = {values!r} is not finite")
         if J == 0:
             return {}
         out = {}
@@ -374,9 +377,10 @@ def _coupling_map(values, sites: Region, hermitian: bool) -> dict:
         else:
             x, y, re, im = entry
             val = complex(_real(re), _real(im))
-        x = (_integer(x),) if np.isscalar(x) else tuple(map(_integer, x))
-        y = (_integer(y),) if np.isscalar(y) else tuple(map(_integer, y))
+        x, y = _site(x, f"{name} site"), _site(y, f"{name} site")
         out[(x, y)] = complex(val)
+        if not np.isfinite(out[(x, y)]):
+            raise ValueError(f"coupling {name} on pair ({x}, {y}) is not finite: {val!r}")
     for (x, y), val in out.items():
         if x == y:
             raise ValueError(f"coupling on the diagonal pair ({x}, {x}) is not allowed")
@@ -420,11 +424,14 @@ def xxz_spec(
     seed = _integer(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    lam = _real(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda = {lam!r} is not finite")
+    j12 = _coupling_map(J12, sites, "J12", hermitian=True)
+    j3 = _coupling_map(J3, sites, "J3", hermitian=False)
+
     omega = _uniform_draws(seed, len(sites))
     onsite = {z: (1.0 + lam * w) * NUMBER for z, w in zip(sites, omega)}
-
-    j12 = _coupling_map(J12, sites, hermitian=True)
-    j3 = _coupling_map(J3, sites, hermitian=False)
 
     hop = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
     nn = np.kron(NUMBER, NUMBER)
@@ -604,15 +611,8 @@ def spec_to_json(spec: HamiltonianSpec) -> dict:
         "lattice": spec.sites.to_json(),
         "model": spec.model,
     }
-    if spec.model == "xxz":
-        out.update(
-            {
-                "lambda": spec.params.get("lambda", 0.0),
-                "seed": spec.params.get("seed", 0),
-                "J12": spec.params.get("J12", 0.0),
-                "J3": spec.params.get("J3", 0.0),
-            }
-        )
+    if spec.model == "xxz":  # xxz_spec keeps each of its parameters
+        out.update((key, spec.params[key]) for key in ("lambda", "seed", "J12", "J3"))
     else:
         out["onsite"] = [[list(z), _matrix_to_json(h)] for z, h in sorted(spec.onsite.items())]
         out["interactions"] = [
@@ -630,26 +630,41 @@ _SPEC_KEYS = {
 
 
 def spec_from_json(data: dict) -> HamiltonianSpec:
-    """The spec a spec_to_json block describes; a key it does not read is refused."""
+    """The spec a model block describes: spec_to_json's keys, with defaults.
+
+    ``n`` in place of ``D`` and ``lattice`` is the D = 1 chain of sites
+    0..n-1.  ``model`` defaults to "xxz" and ``q`` to 2, an xxz model's
+    ``lambda``, ``seed``, ``J12`` and ``J3`` to 0.  A key the kind of model
+    does not read is refused by name, and so are a missing key, a lattice
+    with no sites and a site listed twice.
+    """
+    data = dict(data)
+    if "n" in data and "lattice" not in data:
+        data.setdefault("D", 1)
+        data["lattice"] = [[i] for i in range(_integer(data.pop("n")))]
     model = data.get("model", "xxz")
     unknown = sorted(set(data) - set(_SPEC_KEYS["xxz" if model == "xxz" else "custom"]))
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))} for model {model!r}")
+    for key in ("R", "D", "lattice") + (() if model == "xxz" else ("onsite", "interactions")):
+        if key not in data:
+            raise ValueError(f"model block needs {key!r}")
     geometry = LatticeGeometry(
         D=_integer(data["D"]), R=_integer(data["R"]), sites=Region.from_json(data["lattice"])
     )
+    if not geometry.sites:
+        raise ValueError("the model lattice has no sites")
+    q = _integer(data.get("q", 2))
     if model == "xxz":
-        if _integer(data.get("q", 2)) != 2:
-            raise ValueError(f"an xxz model has q = 2, got q = {data['q']!r}")
+        if q != 2:
+            raise ValueError(f"an xxz model has q = 2, got q = {q}")
         return xxz_spec(
             geometry,
-            lam=_real(data.get("lambda", 0.0)),
-            seed=_integer(data.get("seed", 0)),
+            lam=data.get("lambda", 0.0),
+            seed=data.get("seed", 0),
             J12=data.get("J12", 0.0),
             J3=data.get("J3", 0.0),
-            R=geometry.R,
         )
-    q = _integer(data["q"])
     onsite = {tuple(map(_integer, z)): _matrix_from_json(h) for z, h in data["onsite"]}
     interactions = {}
     for x, support, m in data["interactions"]:

@@ -199,6 +199,20 @@ def test_herm_exp_identity_and_diagonal():
     assert np.allclose(out, np.diag([1.0, 0.5]), atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_non_finite_matrices_are_refused(bad, dtype):
+    # a NaN deviation from hermiticity compares false with the tolerance;
+    # [[1, nan], [0, 1]] is not Hermitian and came back as a NaN matrix
+    M = np.array([[1, bad], [0, 1]], dtype=dtype)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        herm_exp(M, -1.0)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        algebra.herm_blocks(M)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        herm_exp(np.diag([0.0, bad]).astype(dtype), -1.0)
+
+
 def test_herm_exp_semigroup():
     M = random_hermitian(6, 13)
     a = herm_exp(M, 0.3) @ herm_exp(M, 0.5)

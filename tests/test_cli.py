@@ -135,8 +135,10 @@ HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply
 @pytest.mark.parametrize(
     "n, skipped",
     [
-        # no interior: no term to bound, no probe pair and no supercluster
-        (2, [("term_norm_bound", "no interacting configuration of size <= 3"),
+        # no interior: the one resummation term is the reference itself, and
+        # there is no term to bound, no probe pair and no supercluster
+        (2, [("resummation", "lattice interior is empty"),
+             ("term_norm_bound", "no interacting configuration of size <= 3"),
              ("factorization", "lattice interior is empty"),
              ("swap_identity", "lattice interior is empty"),
              ("supercluster_resummation", "lattice interior is empty")]),
@@ -318,6 +320,29 @@ def custom_model(center):
                    "observables": {**DECAY_OBSERVABLES, "anchor": 4}}),
         # an xxz model is a spin-1/2 chain
         ("certify", {"model": {**CANONICAL_MODEL, "q": 3}}),
+        # decay_sweep reads the templates, the anchor and the distances
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {**DECAY_OBSERVABLES, "B": [[0, "Q"]]}}),
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {**DECAY_OBSERVABLES, "A": [[False, "X"]]}}),
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {**DECAY_OBSERVABLES, "anchor": [1.5]}}),
+        ("decay", {**DECAY_RUN, "betas": [1.0],
+                   "observables": {"A": [[0, "X"]], "anchor": 1}}),
+        ("decay", {**DECAY_RUN, "betas": [1.0], "distances": []}),
+        ("decay", {"model": CANONICAL_MODEL, "betas": [1.0],
+                   "observables": DECAY_OBSERVABLES}),
+        # the model block's reader names what it needs, and a site listed twice
+        # was merged into one
+        ("certify", {"model": {k: v for k, v in CANONICAL_MODEL.items() if k != "R"}}),
+        ("certify", {"model": {k: v for k, v in LATTICE_MODEL.items() if k != "D"}}),
+        ("certify", {"model": {k: v for k, v in LATTICE_MODEL.items() if k != "lattice"}}),
+        ("certify", {"model": {**LATTICE_MODEL, "lattice": [[0], [1], [2], [1], [3], [4]]}}),
+        # a null coupling was read as 0
+        ("certify", {"model": {**CANONICAL_MODEL, "J12": None}}),
+        # output_dir is a path string, checked even where --out overrides it
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "output_dir": 5}),
+        ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "output_dir": ["a"]}),
     ],
     ids=[
         "verify-beta", "decay-entry", "decay-pauli", "decay-distance", "decay-anchor",
@@ -334,13 +359,47 @@ def custom_model(center):
         "decay-anchor-bool", "certify-J12-string", "certify-J3-bool",
         "certify-coupling-value-bool", "certify-coupling-site-bool",
         "decay-offset-too-long", "decay-distance-zero", "decay-distance-negative",
-        "certify-xxz-q",
+        "certify-xxz-q", "decay-pauli-unknown", "decay-offset-bool", "decay-anchor-fraction",
+        "decay-B-missing", "decay-distances-empty", "decay-distances-missing", "certify-R-missing",
+        "certify-D-missing", "certify-lattice-missing", "certify-site-repeated", "certify-J12-null",
+        "verify-output-dir-int", "verify-output-dir-list",
     ],
 )
 def test_malformed_config_values_exit_config(tmp_path, capsys, command, payload):
     rc, _ = run(tmp_path, command, payload)
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_an_output_directory_that_cannot_be_made_exits_config(tmp_path, capsys):
+    # --out names the config file itself: no directory can be made there
+    rc, _ = run(tmp_path, "certify", {"model": CANONICAL_MODEL}, outname="certify.json")
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot make the output directory")
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        ({**CANONICAL_MODEL, "lambda": math.nan}, "lambda = nan"),
+        ({**CANONICAL_MODEL, "lambda": -math.inf}, "lambda = -inf"),
+        ({**CANONICAL_MODEL, "J12": math.inf}, "J12 = inf"),
+        ({**CANONICAL_MODEL, "n": 5, "J3": [[1, 2, math.nan, 0], [2, 1, math.nan, 0]]},
+         "J3 on pair ((1,), (2,))"),
+        ({**custom_model([1]), "onsite": [[[0], [[[0, 0], [math.nan, 0]], [[0, 0], [1, 0]]]]]
+                                         + [[[i], NUMBER_JSON] for i in range(1, 5)]},
+         "on-site term at (0,): matrix has a non-finite entry"),
+    ],
+    ids=["lambda-nan", "lambda-minus-inf", "J12-inf", "J3-pair-nan", "onsite-nan"],
+)
+def test_non_finite_model_numbers_exit_config_by_name(tmp_path, capsys, model, named):
+    # json writes NaN and Infinity; a NaN passed the hermiticity check and an
+    # inf coupling met 0 in a product, so the run ended in an SVD that did
+    # not converge or a RuntimeWarning
+    rc, _ = run(tmp_path, "certify", {"model": model})
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model block:") and named in err
 
 
 @pytest.mark.parametrize(

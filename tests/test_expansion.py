@@ -328,9 +328,12 @@ def test_resummation_cap():
 
 def test_checks_refuse_an_empty_interior():
     # every configuration lies in the interior: on chain2 the checks would
-    # compare free traces only
+    # compare free traces only, and the resummation's one term, I = {}, is
+    # the reference itself
     spec = chain(2)
     A, B = pauli_at(0, "Z"), pauli_at(1, "Z")
+    with pytest.raises(expansion.NotApplicable, match="^lattice interior is empty$"):
+        dc.verify_resummation(spec, 1.0)
     with pytest.raises(expansion.NotApplicable, match="^lattice interior is empty$"):
         dc.verify_factorization(Region(), A, Region(), B, spec, 1.0)
     with pytest.raises(expansion.NotApplicable, match="^lattice interior is empty$"):

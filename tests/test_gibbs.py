@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -269,6 +270,77 @@ def test_observable_from_template(chain6):
     assert O3.region == Region([(5,)])
     with pytest.raises(ValueError):
         observable_from_template([(0, "Z")], (5,), chain6, shift=3)
+
+
+def test_observable_from_template_reads_the_json_form(chain6):
+    # lists as JSON gives them: [offset, name] pairs, anchors and offsets as
+    # an integer or a list of integers
+    O = observable_from_template([[0, "Z"], [[1], "X"]], [2], chain6)
+    assert O.region == Region([(2,), (3,)])
+    ref = observable_from_template([(0, "Z"), (1, "X")], (2,), chain6)
+    assert np.array_equal(O.matrix, ref.matrix)
+
+
+@pytest.mark.parametrize(
+    "template, anchor, refusal",
+    [
+        ([[0, "Q"]], 2, "unknown operator name 'Q'"),
+        ([[0, ["X"]]], 2, "unknown operator name ['X']"),
+        ([], 2, "nonempty list of [offset, name] pairs"),
+        (None, 2, "nonempty list of [offset, name] pairs"),
+        ([5], 2, "[offset, name] pairs, got 5"),
+        ([[0, "Z", 1]], 2, "[offset, name] pairs, got [0, 'Z', 1]"),
+        ([[True, "Z"]], 2, "bad offset True"),
+        ([[0.5, "Z"]], 2, "bad offset 0.5"),
+        ([[[1.5], "Z"]], 2, "bad offset [1.5]"),
+        ([[0, "Z"]], True, "bad anchor True"),
+        ([[0, "Z"]], [2.5], "bad anchor [2.5]"),
+        ([[0, "Z"]], "2", "bad anchor '2'"),
+        ([[[0, 1], "Z"]], 2, "offset (0, 1) has 2 coordinates; the anchor (2,) has 1"),
+    ],
+    ids=["name", "name-list", "empty", "none", "entry", "entry-long", "offset-bool",
+         "offset-fraction", "offset-coordinate-fraction", "anchor-bool", "anchor-fraction",
+         "anchor-string", "offset-too-long"],
+)
+def test_observable_from_template_refuses_by_name(chain6, template, anchor, refusal):
+    # every refusal is a ValueError (an unknown name was a KeyError), and a
+    # bool or a fraction is not truncated to a coordinate
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        observable_from_template(template, anchor, chain6)
+
+
+@pytest.mark.parametrize(
+    "distances, refusal",
+    [
+        ([], "nonempty list of integers"),
+        (None, "nonempty list of integers"),
+        (3, "nonempty list of integers"),
+        ([2, 3.5], "bad distance: 3.5 is not an integer"),
+        ([2, "3"], "bad distance: '3' is not a number"),
+        ([True, 2], "bad distance: True is not a number"),
+        ([0, 2], "at least 1"),
+        ([3, 2], "strictly increasing"),
+    ],
+    ids=["empty", "none", "scalar", "fraction", "string", "bool", "zero", "decreasing"],
+)
+def test_decay_sweep_reads_its_distances(free6, monkeypatch, distances, refusal):
+    monkeypatch.setattr(gibbs, "restricted_spectrum", _no_solve)
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        dc.decay_sweep(free6, 1.0, [(0, "Z")], [(0, "Z")], distances, anchor=(0,))
+
+
+def _no_solve(*args):
+    raise AssertionError("the spectrum was built")
+
+
+@pytest.mark.parametrize(
+    "B_template", [[[0, "Q"]], [], [[2.5, "X"]], [[20, "X"]]],
+    ids=["name", "empty", "offset", "outside"],
+)
+def test_decay_sweep_places_every_observable_before_it_solves(chain6, monkeypatch, B_template):
+    monkeypatch.setattr(gibbs, "restricted_spectrum", _no_solve)
+    with pytest.raises(ValueError):
+        dc.decay_sweep(chain6, 1.0, [(0, "X")], B_template, [2, 3], anchor=(1,))
 
 
 def test_decay_sweep_frozen_fit(chain10):

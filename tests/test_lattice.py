@@ -72,6 +72,9 @@ def test_region_json_roundtrip():
     r = Region([(2, -1), (0, 3)])
     assert Region.from_json(r.to_json()) == r
     assert Region.from_json([]) == Region()
+    # a site listed twice is refused, not merged
+    with pytest.raises(ValueError, match=r"^site \[2, -1\] is listed twice$"):
+        Region.from_json([[2, -1], [0, 3], [2, -1]])
 
 
 def test_config_numbers_are_real_numbers():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_spec_rejects_large_coupling():
 def test_coupling_range_enforced():
     with pytest.raises(CouplingRangeError):
         chain(6, J12={(0, 2): 0.1, (2, 0): 0.1})
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"lam": np.nan}, "lambda = nan"),
+        ({"lam": np.inf}, "lambda = inf"),
+        ({"J12": np.inf}, "J12 = inf"),
+        ({"J3": complex(0.02, np.nan)}, "J3 = "),
+        ({"J12": {((1,), (2,)): np.inf, ((2,), (1,)): np.inf}}, "J12 on pair ((1,), (2,))"),
+        ({"J3": [[1, 2, np.nan, 0], [2, 1, np.nan, 0]]}, "J3 on pair ((1,), (2,))"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "J12-inf", "J3-complex-nan", "J12-pair-inf", "J3-pair-nan"],
+)
+def test_non_finite_parameters_are_refused_by_name(overrides, named):
+    # refused before any product: inf * 0 would warn, and a NaN term ended
+    # the certificate in an SVD that does not converge
+    with pytest.raises(ValueError, match=re.escape(named)):
+        chain(5, **overrides)
 
 
 def test_coupling_map_requires_symmetry():
@@ -404,6 +424,38 @@ def test_spec_json_roundtrip_xxz(chain5):
     assert back.sites == chain5.sites
     for s in chain5.sites:
         assert np.array_equal(back.onsite[s], chain5.onsite[s])
+
+
+def test_spec_from_json_reads_the_chain_shorthand_and_the_defaults():
+    # n is the D = 1 chain 0..n-1; model, q and the xxz parameters default
+    short = dc.spec_from_json({"n": 4, "R": 1, "seed": 7})
+    listed = dc.spec_from_json(
+        {"model": "xxz", "D": 1, "R": 1, "q": 2, "lattice": [[0], [1], [2], [3]], "seed": 7,
+         "lambda": 0.0, "J12": 0.0, "J3": 0.0}
+    )
+    assert dc.spec_to_json(short) == dc.spec_to_json(listed)
+    assert short.sites == chain_geometry(4).sites
+
+
+@pytest.mark.parametrize(
+    "block, refusal",
+    [
+        ({"n": 4}, "model block needs 'R'"),
+        ({"R": 1, "lattice": [[0], [1]]}, "model block needs 'D'"),
+        ({"D": 1, "R": 1}, "model block needs 'lattice'"),
+        ({"model": "custom", "n": 3, "R": 1, "onsite": []}, "model block needs 'interactions'"),
+        ({"n": 0, "R": 1}, "the model lattice has no sites"),
+        ({"D": 1, "R": 1, "lattice": []}, "the model lattice has no sites"),
+        # a site listed twice was merged into one
+        ({"D": 1, "R": 1, "lattice": [[0], [1], [0]]}, "site [0] is listed twice"),
+        ({"n": 3, "D": 1, "R": 1, "lattice": [[0], [1], [2]]}, "unknown key 'n'"),
+    ],
+    ids=["R", "D", "lattice", "interactions", "n-zero", "lattice-empty", "repeated-site",
+         "n-and-lattice"],
+)
+def test_spec_from_json_refuses_by_name(block, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        dc.spec_from_json(block)
 
 
 def test_make_spec_rejects_non_hermitian_interaction():

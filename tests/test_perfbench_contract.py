@@ -11,6 +11,10 @@ break here.
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -154,3 +158,27 @@ def test_cli_dispatch_table_holds_each_runner_itself():
     assert set(decorr.cli._RUNNERS) == set(decorr.cli._CONFIG_KEYS)
     for name in decorr.cli._RUNNERS:
         assert decorr.cli._RUNNERS[name] is getattr(decorr.cli, f"run_{name}"), name
+
+
+# runs in a fresh interpreter: other tests have imported every module by now
+_IMPORT_CLI = """
+import json, sys
+import decorr.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("decorr"))))
+"""
+
+
+def test_importing_the_cli_imports_every_traced_module(harness):
+    # passrun.py installs the tracer right after `import decorr.cli`, and
+    # Tracer.install reads sys.modules for each traced module: a submodule
+    # that the CLI imported lazily would fail every traced pass with KeyError
+    tracing, _ = harness
+    src = Path(decorr.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    imported = set(json.loads(run.stdout))
+    traced = {module for module, _ in tracing.TRACED.values() if module.startswith("decorr")}
+    assert traced and traced <= imported, traced - imported

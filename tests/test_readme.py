@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from decorr import cli
+import decorr as dc
+from decorr import cli, expansion
 from decorr.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,6 +41,28 @@ def test_readme_example_configs_run(tmp_path):
         out = tmp_path / f"out{k}"
         assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert (out / f"{command}_report.json").exists()
+
+
+class _Built(Exception):
+    pass
+
+
+def test_readme_model_blocks_read_alike_in_the_library_and_the_cli(tmp_path, monkeypatch):
+    # decorr.spec_from_json reads a config's model block as decorr verify
+    # does; the spec verify builds is caught at its first check
+    def caught(spec, beta):
+        raise _Built(spec)
+
+    monkeypatch.setattr(expansion, "verify_resummation", caught)
+    for k, (_, block) in enumerate(readme_configs()):
+        cfg = json.loads(block)
+        config = tmp_path / f"{k}.json"
+        config.write_text(json.dumps({"model": cfg["model"], "betas": cfg["betas"]}))
+        with pytest.raises(_Built) as built:
+            main(["verify", "--config", str(config), "--out", str(tmp_path / f"out{k}")])
+        library = dc.spec_to_json(dc.spec_from_json(cfg["model"]))
+        assert library == dc.spec_to_json(built.value.args[0])
+        assert dc.spec_from_json(library).a == built.value.args[0].a  # the round trip holds
 
 
 def test_readme_command_line_flags_are_the_parsers(capsys):
