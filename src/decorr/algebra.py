@@ -9,15 +9,15 @@ Local operators are placed on a region through the cached index maps of
 :func:`support_index_map`: :func:`embed` scatters one into zeros and
 :func:`_scatter_add` adds one into a running sum.
 
-A sum of a spec's local terms is assembled one way, :func:`_sector_sums`,
-wherever it is solved: every restricted H_S, every H_M of the expansion
-and the Ising oracle's H.  It lists the entries the terms place from their
-nonzero local entries, sums them in the dense sum's order, finds the
-blocks from the summed entries that are not zero, and packs the blocks by
-size into a :class:`BlockOperator`, so no q^n x q^n matrix is written and
-memory scales with the blocks.  The blocks are those of the dense sum's
-split, bit for bit.  The dense sums (:func:`_dense_sum`) remain for the
-public builders and as references.
+A sum of local terms is assembled one way, :func:`_sector_sums`, wherever
+it is solved: every H of a spec (:mod:`decorr.model` lists its terms) and
+the Ising oracle's H.  It lists the entries the terms place from their
+nonzero local entries, sums them in the dense sum's order, finds the blocks
+from the summed entries that are not zero, and packs the blocks by size
+into one buffer, so no q^n x q^n matrix is written and memory scales with
+the blocks.  The blocks are those of the dense sum's split, bit for bit.
+The dense sums (:func:`_dense_sum`) remain for the public builders and as
+references.
 
 Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
 extended-precision path, so clongdouble blocks are solved by LAPACK in
@@ -606,69 +606,49 @@ def _place(terms) -> list[tuple[np.ndarray, np.ndarray]]:
     return placed
 
 
-def _sector_sums(sums, region: Region, q: int, dtype) -> list[BlockOperator]:
+def _sector_sums(sums, region: Region, q: int, dtype) -> list[list]:
     """Sums of local terms on ``region``, each assembled block by block; no dense sum is formed.
 
-    Each sum is a sequence of groups of terms as :func:`_place` gives them,
-    and is the sum of its groups, left to right, each summed from zeros in
-    its order, as :func:`_dense_sum` of each group and ``+`` of the results
-    would give.  Each group is summed by one ordered ``np.add.at`` into one
-    slot per distinct entry, so an entry's values meet in the dense sum's
-    order (a fancy-index ``+=`` of a whole group would drop repeated
+    Each sum is one list of terms as :func:`_place` gives them, summed in
+    its order as :func:`_dense_sum` would sum them from zeros: one ordered
+    ``np.add.at`` into one slot per distinct entry, so an entry's values
+    meet in the dense sum's order (a fancy-index ``+=`` would drop repeated
     indices); the terms' zero entries are left out, and they only add
     zeros, which change no sum accumulated from zeros (see
     :func:`_scatter_add`).  The blocks are the components of the summed
     entries that are not zero, not of the terms' patterns: two terms that
-    cancel an entry exactly split a block as the dense sum does.  So every
-    block, and the order of the blocks, is :func:`_block_stacks` of the
-    dense sum, bit for bit.
+    cancel an entry exactly split a block as the dense sum does.  Each sum
+    comes as its ``(rows, blocks)`` per block size, views of one packed
+    buffer, as :func:`_block_stacks` of the dense sum gives them, bit for
+    bit.
 
     The sums are assembled as one block-diagonal sum, sum s on the indices
-    s * dim to s * dim + dim - 1, so one sort, one ``np.add.at`` per group
-    position and one label propagation serve them all; no entry of one sum
-    meets another's, and the components of each sum come as one run.
+    s * dim to s * dim + dim - 1, so one sort, one ``np.add.at`` and one
+    label propagation serve them all; no entry of one sum meets another's,
+    and the components of each sum come as one run.
     """
     _check_dense(len(region))
     dim = q ** len(region)
     square = dim * dim
-    by_group: list[list] = []  # per group position, every sum's terms there, offset
-    for s, groups in enumerate(sums):
-        for k, group in enumerate(groups):
-            if k == len(by_group):
-                by_group.append([])
-            by_group[k] += [(flat + s * square, values) for flat, values in group]
-    terms = [term for group in by_group for term in group]
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [f for f, _ in terms])
-    values = np.concatenate([np.zeros(0, dtype=dtype)] + [v for _, v in terms])
-    keys, slot = np.unique(keys, return_inverse=True)
+    keys = [flat + s * square for s, placed in enumerate(sums) for flat, _ in placed]
+    values = [v for placed in sums for _, v in placed]
+    keys, slot = np.unique(np.concatenate([np.zeros(0, np.int64), *keys]), return_inverse=True)
     total = np.zeros(keys.size, dtype=dtype)
-    at = 0
-    for k, group in enumerate(by_group):
-        n = sum(f.size for f, _ in group)
-        part = total if k == 0 else np.zeros_like(total)
-        np.add.at(part, slot[at : at + n], values[at : at + n])
-        if k:
-            total = total + part  # +0 where this sum has no such group
-        at += n
+    np.add.at(total, slot, np.concatenate([np.zeros(0, dtype), *values]))
     nonzero = total != 0
     keys, total = keys[nonzero], total[nonzero]
-    runs, i = np.divmod(keys, square)
-    i, j = runs * dim + i // dim, runs * dim + i % dim
+    i, j = keys // dim, keys // square * dim + keys % dim  # in the block-diagonal sum
     stacks, nodes, sizes = _stack_runs(*_zero_pattern_components(len(sums) * dim, i, j), dim)
-    (block, pos, start), size = _block_layout(len(sums) * dim, nodes, sizes)
+    (_, pos, start), size = _block_layout(len(sums) * dim, nodes, sizes)
     packed = np.zeros(size, dtype=dtype)
     packed[start[i] + pos[j]] = total
-    rows: list[list] = [[] for _ in sums]
-    for run, r in stacks:
-        rows[run].append(r - run * dim)
-    ops, at = [], 0
-    for run, stack in enumerate(rows):
-        end = at + sum(r.size * r.shape[1] for r in stack)
-        run = slice(run * dim, run * dim + dim)
-        layout = block[run], pos[run], start[run] - at
-        ops.append(BlockOperator(region, q, tuple(stack), packed[at:end], *layout))
-        at = end
-    return ops
+    out: list[list] = [[] for _ in sums]
+    at = 0
+    for run, rows in stacks:
+        k, m = rows.shape
+        out[run].append((rows - run * dim, packed[at : at + k * m * m].reshape(k, m, m)))
+        at += k * m * m
+    return out
 
 
 def _stack_eighs(stacks):
@@ -698,8 +678,8 @@ def _memo_eighs(splits, memo: dict) -> list[tuple]:
     """:func:`_block_eighs` of each clongdouble H ``splits`` gives, solved through the block memo.
 
     ``splits`` yields, per H, the ``(rows, blocks)`` per block size that
-    :meth:`BlockOperator.stacks` and :func:`_block_stacks` yield, and is
-    read one H at a time.  ``memo`` maps (size, value bytes) of a block
+    :func:`_sector_sums` gives each sum and :func:`_block_stacks` yields,
+    and is read one H at a time.  ``memo`` maps (size, value bytes) of a block
     shifted by :func:`_shift_diagonal` to the :func:`_refined_core` system
     (w, X) of that shifted block, as the core returns it; the value bytes
     leave out the padding of each longdouble (see :func:`_value_bytes`).
@@ -811,7 +791,7 @@ def _herm_blocks(A: np.ndarray) -> BlockEigensystem:
 def _stack_eigensystem(dim: int, stacks) -> BlockEigensystem:
     """The :class:`BlockEigensystem` of the blocks ``stacks`` yields, solved unchecked.
 
-    ``stacks`` are those of :func:`_block_stacks` or :meth:`BlockOperator.stacks`.
+    ``stacks`` are those of :func:`_block_stacks` or of a :func:`_sector_sums` sum.
     """
     blocks = tuple(_stack_eighs(stacks))
     w = np.concatenate([bw.ravel() for _, bw, _ in blocks])

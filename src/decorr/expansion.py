@@ -31,13 +31,12 @@ The pair sweeps split each distinct union into superclusters once, since
 the split of I + J + X + Y depends on I + J alone.  Z and Z0 both come from
 the per-spec spectrum memo (:func:`~decorr.model.restricted_spectrum`).
 
-Every term assembles its H_M as every H_S is assembled, block by block
-(:func:`~decorr.algebra._sector_sums`), in clongdouble, from the local
-matrices its spec checked when it was built: H0's on-site terms in site
-order, then each v_x in turn.  The exponentials read their blocks'
-eigensystems from ``spec.block_spectra`` (see :mod:`decorr.algebra`), keyed
-by the block shifted by its mean diagonal, so each distinct shifted block
-is solved once per spec, whatever the subset, base, beta or free sites.
+Every term's H_M is summed as every H_S is, by
+:func:`~decorr.model._local_sums`, in clongdouble.  The exponentials read
+their blocks' eigensystems from ``spec.block_spectra`` (see
+:mod:`decorr.algebra`), keyed by the block shifted by its mean diagonal,
+so each distinct shifted block is solved once per spec, whatever the
+subset, base, beta or free sites.
 Each H_M is assembled once per spec, too, in one fill per sweep
 (:func:`_fill`): each sweep (resummation, term norms, factorization, swap,
 supercluster classes) first passes every (M, base) it will
@@ -68,8 +67,6 @@ from .algebra import (
     _check_dense,
     _local_trace,
     _memo_eighs,
-    _place,
-    _sector_sums,
     op_norm,
     operator_product,
     support_index_map,
@@ -86,8 +83,7 @@ from .lattice import (
 )
 from .model import (
     HamiltonianSpec,
-    _interaction_terms,
-    _onsite_terms,
+    _local_sums,
     interaction_centers,
     restricted_spectrum,
 )
@@ -178,35 +174,26 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
 def _fill(spec: HamiltonianSpec, pairs: list) -> list:
     """The ``spec.term_blocks`` entry of H_M = H0_base + sum_{x in M} v_x for each (M, base).
 
-    The H_M not yet in the memo are assembled block by block in clongdouble,
-    those of one base in one :func:`~decorr.algebra._sector_sums` call from
-    terms placed once; each H_M is one sum of the base's on-site terms in
-    site order followed by each v_x in turn, as adding each v_x into H0
-    would give.  They go through the block memo in one
-    :func:`~decorr.algebra._memo_eighs` call, which reads them one base at a
-    time and solves the shifted blocks ``spec.block_spectra`` lacks in one
-    core call per block size; so a sweep that passes all of its pairs at
-    once makes one solve per block size.  A spec and its local matrices
-    never change, and each block is solved on its own, so an entry is what
-    summing and solving H_M again would give, bit for bit.
+    The H_M not yet in the memo are summed in clongdouble, one
+    :func:`~decorr.model._local_sums` call per base, and go through the
+    block memo in one :func:`~decorr.algebra._memo_eighs` call, which reads
+    them one base at a time and solves the shifted blocks
+    ``spec.block_spectra`` lacks in one core call per block size; so a
+    sweep that passes all of its pairs at once makes one solve per block
+    size.  A spec and its local matrices never change, and each block is
+    solved on its own, so an entry is what summing and solving H_M again
+    would give, bit for bit.
     """
     missing: dict[Region, dict] = {}  # the Ms of each base, in order, without repeats
     for M, base in pairs:
         if (M, base) not in spec.term_blocks:
             missing.setdefault(base, {})[M] = None
 
-    def splits():
-        for base, Ms in missing.items():
-            # each term of the base is placed once, for all of its H_M
-            onsite = _place(_onsite_terms(spec.onsite, base, spec.q))
-            centers = dict.fromkeys(x for M in Ms for x in M)
-            placed = dict(zip(centers, _place(_interaction_terms(spec, centers, base))))
-            sums = [[onsite + [placed[x] for x in M]] for M in Ms]
-            for HM in _sector_sums(sums, base, spec.q, np.clongdouble):
-                yield HM.stacks()
-
+    splits = (
+        H for base, Ms in missing.items() for H in _local_sums(spec, base, Ms, np.clongdouble)
+    )
     keys = [(M, base) for base, Ms in missing.items() for M in Ms]
-    spec.term_blocks.update(zip(keys, _memo_eighs(splits(), spec.block_spectra)))
+    spec.term_blocks.update(zip(keys, _memo_eighs(splits, spec.block_spectra)))
     return [spec.term_blocks[pair] for pair in pairs]
 
 
@@ -427,17 +414,26 @@ def swap_configurations(I: Region, J: Region, X: Region, Y: Region, R: int):
     """Exchange the I- and J-content of the supercluster holding X.
 
     Decomposes I + J + X + Y into R-connected components; with S1 the
-    component containing X (which must not contain Y), returns
+    component containing X (which must not contain Y; an X or Y that is not
+    R-connected raises NotApplicable), returns
 
         I' = (J & S1) + (I - S1),   J' = (I & S1) + (J - S1).
 
     The map is an involution on pairs satisfying the separation event, and
     it preserves the supercluster decomposition itself.
     """
+    _require_r_connected(R, X, Y)
     dec = supercluster_decompose([I, J, X, Y], R)
     if not dec.in_different_components(X, Y):
         raise ValueError("swap undefined: X and Y lie in the same supercluster")
     return _swap(I, J, dec.component_of(X[0]))
+
+
+def _require_r_connected(R: int, *supports: Region) -> None:
+    """Refuse a support that is not R-connected: the swap needs it in one supercluster."""
+    for support in supports:
+        if not r_connected_set(support, R):
+            raise NotApplicable(f"support {support!r} is not R-connected")
 
 
 def _swap(I: Region, J: Region, S1: Region) -> tuple[Region, Region]:
@@ -473,7 +469,8 @@ def verify_swap_identity(
     swapped pair.  X = supp A, Y = supp B must be further than 2R apart
     (otherwise the event never holds), and the lattice interior must not
     be empty (otherwise the only pair is two empty configurations); outside
-    either, the check would be vacuous and raises NotApplicable.
+    either, the check would be vacuous and raises NotApplicable.  So does a
+    support that is not R-connected, before any term is built.
 
     The separated pairs cancel, so the same sweep also reports the covariance
     from the pairs whose supercluster joins X and Y:
@@ -492,6 +489,7 @@ def verify_swap_identity(
         raise NotApplicable("lattice interior is empty")
     if set_distance(X, Y) <= 2 * geo.R:
         raise NotApplicable("supports of A and B must be further than 2R apart")
+    _require_r_connected(geo.R, X, Y)
     configs = interior_configurations(spec.interior, MAX_SWEEP_INTERIOR)
     AB = operator_product(A, B)
     w, wa, wb, wab = {}, {}, {}, {}

@@ -293,8 +293,8 @@ def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
     solved unchecked.
     """
     sites, bonds = _ising_bonds(n, J)
-    (H,) = _sector_sums([[_place(bonds)]], sites, 2, complex)
-    state = _state_from_blocks(_stack_eigensystem(H.dim, H.stacks()), sites, 2, beta)
+    (stacks,) = _sector_sums([_place(bonds)], sites, 2, complex)
+    state = _state_from_blocks(_stack_eigensystem(2**n, stacks), sites, 2, beta)
     Z = [GlobalOperator(Region([(i,)]), 2, PAULI_BY_NAME["Z"]) for i in range(n)]
     return {
         (i, j): float(covariance(state, Z[i], Z[j]).real)

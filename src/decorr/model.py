@@ -251,8 +251,10 @@ def make_spec(
     """Assemble and certify a spec: hermiticity, gap checks, form bounds, metadata.
 
     The spec is built first, so a non-Hermitian term is rejected before
-    anything is solved; the certified constant is set on it last.
+    anything is solved; the certified constant is set on it last.  ``model``
+    is a kind :func:`spec_from_json` reads.
     """
+    _known_model(model)
     if any(term.center != x for x, term in interactions.items()):
         raise ValueError("interaction dict key must equal the term center")
     spec = HamiltonianSpec(
@@ -397,7 +399,7 @@ def xxz_spec(
     seed: int = 0,
     J12=0.0,
     J3=0.0,
-    R: int = 1,
+    R: int | None = None,
 ) -> HamiltonianSpec:
     """Random-field anisotropic spin model on an open n-site chain or a given geometry.
 
@@ -416,8 +418,14 @@ def xxz_spec(
     whose center ball sticks out of the lattice are omitted (open-boundary
     convention: the interaction sum runs over interior centers only).
     Couplings between sites farther than R apart raise CouplingRangeError.
+    An integer extent is a chain of radius R (1 if None); a geometry brings
+    its own radius, and an R that differs from it is refused.
     """
-    geometry = extent if isinstance(extent, LatticeGeometry) else chain_geometry(extent, R)
+    if not isinstance(extent, LatticeGeometry):
+        extent = chain_geometry(extent, 1 if R is None else R)
+    elif R not in (None, extent.R):
+        raise ValueError(f"R = {R!r} differs from the geometry's R = {extent.R}")
+    geometry = extent
     sites = geometry.sites
     inner = interior(sites, geometry)
 
@@ -482,7 +490,13 @@ def xxz_spec(
 # ---------------------------------------------------------------------------
 
 def _onsite_terms(onsite: Mapping, region: Region, q: int) -> list:
-    """The on-site terms of ``region`` in site order, each with its index map on ``region``."""
+    """The on-site terms of ``region`` in site order, each with its index map on ``region``.
+
+    A region with a site outside the lattice, or above the dense cap, is refused first.
+    """
+    if any(z not in onsite for z in region):
+        raise ValueError("restriction region is not contained in the lattice")
+    _check_dense(len(region))
     return [(onsite[z], support_index_map(Region._canonical((z,)), region, q)) for z in region]
 
 
@@ -497,50 +511,50 @@ def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
 
     Bit for bit the sum of their embeddings (see :func:`~decorr.algebra._scatter_add`).
     """
-    _check_dense(len(region))
     return _dense_sum(_onsite_terms(onsite, region, q), q ** len(region), dtype)
 
 
-def _restricted_terms(spec: HamiltonianSpec, S: Region) -> tuple[list, list]:
-    """The local terms of H_S in summation order: (on-site terms, interactions with ball in S)."""
-    if not S.issubset(spec.sites):
-        raise ValueError("restriction region is not contained in the lattice")
-    _check_dense(len(S))
-    return (
-        _onsite_terms(spec.onsite, S, spec.q),
-        _interaction_terms(spec, interaction_centers(spec, S), S),
-    )
+def _local_sums(spec: HamiltonianSpec, base: Region, Ms, dtype) -> list[list]:
+    """H_M = H0_base + sum_{x in M} v_x on ``base`` for each M, assembled by sectors in ``dtype``.
+
+    Every H of a spec that is solved is such a sum, in one order: the
+    base's on-site terms in site order, then each v_x of M in turn.  Each
+    term is placed once for all the Ms, and each H_M comes as its
+    ``(rows, blocks)`` per block size (:func:`~decorr.algebra._sector_sums`).
+    """
+    onsite = _place(_onsite_terms(spec.onsite, base, spec.q))
+    centers = dict.fromkeys(x for M in Ms for x in M)
+    placed = dict(zip(centers, _place(_interaction_terms(spec, centers, base))))
+    return _sector_sums([onsite + [placed[x] for x in M] for M in Ms], base, spec.q, dtype)
 
 
 def build_restricted(spec: HamiltonianSpec, S: Region):
     """(H0_S, V_S, H_S) on S in complex128: all on-site terms in S, interactions with ball in S.
 
-    The dense sums of :func:`_restricted_terms`; :func:`restricted_spectrum`
-    assembles the same H_S block by block.
+    Dense sums from zeros of the on-site terms in site order, of the
+    interactions in center order, and of both lists one after the other:
+    H_S in the order :func:`restricted_spectrum` sums it block by block.
     """
-    dim = spec.q ** len(S)
-    H0, V = (_dense_sum(terms, dim, complex) for terms in _restricted_terms(spec, S))
-    return (
-        GlobalOperator(S, spec.q, H0),
-        GlobalOperator(S, spec.q, V),
-        GlobalOperator(S, spec.q, H0 + V),
+    onsite = _onsite_terms(spec.onsite, S, spec.q)
+    interactions = _interaction_terms(spec, interaction_centers(spec, S), S)
+    return tuple(
+        GlobalOperator(S, spec.q, _dense_sum(terms, spec.q ** len(S), complex))
+        for terms in (onsite, interactions, onsite + interactions)
     )
 
 
 def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
     """Block eigensystems of H_S in complex128, solved once per spec and region.
 
-    H_S = H0_S + V_S is assembled block by block from the spec's checked
-    local matrices (:func:`~decorr.algebra._sector_sums` of
-    :func:`_restricted_terms`), so no matrix of the full dimension is
-    formed; its blocks are those of :func:`build_restricted`'s H_S, bit for
-    bit, and are solved unchecked.  Later calls with the same region (at
-    any beta) reuse ``spec.spectra``.
+    H_S is :func:`_local_sums`'s H_M with M the interaction centers of S
+    (:func:`interaction_centers`): no matrix of the full dimension is
+    formed, its blocks are those of :func:`build_restricted`'s H_S, bit for
+    bit, and they are solved unchecked.  Later calls with the same region
+    (at any beta) reuse ``spec.spectra``.
     """
     if S not in spec.spectra:
-        groups = [_place(terms) for terms in _restricted_terms(spec, S)]
-        (H,) = _sector_sums([groups], S, spec.q, complex)
-        spec.spectra[S] = _stack_eigensystem(H.dim, H.stacks())
+        (stacks,) = _local_sums(spec, S, [interaction_centers(spec, S)], complex)
+        spec.spectra[S] = _stack_eigensystem(spec.q ** len(S), stacks)
     return spec.spectra[S]
 
 
@@ -629,21 +643,28 @@ _SPEC_KEYS = {
 }
 
 
+def _known_model(model) -> str:
+    """``model`` if it is a kind in ``_SPEC_KEYS``; a ValueError naming it otherwise."""
+    if not isinstance(model, str) or model not in _SPEC_KEYS:
+        raise ValueError(f"unknown model {model!r}; known: {', '.join(map(repr, _SPEC_KEYS))}")
+    return model
+
+
 def spec_from_json(data: dict) -> HamiltonianSpec:
     """The spec a model block describes: spec_to_json's keys, with defaults.
 
     ``n`` in place of ``D`` and ``lattice`` is the D = 1 chain of sites
     0..n-1.  ``model`` defaults to "xxz" and ``q`` to 2, an xxz model's
     ``lambda``, ``seed``, ``J12`` and ``J3`` to 0.  A key the kind of model
-    does not read is refused by name, and so are a missing key, a lattice
-    with no sites and a site listed twice.
+    does not read is refused by name, and so are an unknown kind of model,
+    a missing key, a lattice with no sites and a site listed twice.
     """
     data = dict(data)
     if "n" in data and "lattice" not in data:
         data.setdefault("D", 1)
         data["lattice"] = [[i] for i in range(_integer(data.pop("n")))]
-    model = data.get("model", "xxz")
-    unknown = sorted(set(data) - set(_SPEC_KEYS["xxz" if model == "xxz" else "custom"]))
+    model = _known_model(data.get("model", "xxz"))
+    unknown = sorted(set(data) - set(_SPEC_KEYS[model]))
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))} for model {model!r}")
     for key in ("R", "D", "lattice") + (() if model == "xxz" else ("onsite", "interactions")):

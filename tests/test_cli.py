@@ -403,6 +403,23 @@ def test_non_finite_model_numbers_exit_config_by_name(tmp_path, capsys, model, n
 
 
 @pytest.mark.parametrize(
+    "block",
+    [
+        {"model": "xzz", "n": 4, "R": 1, "lambda": 0.3},
+        {**custom_model([1]), "model": "xzz"},
+    ],
+    ids=["xxz-keys", "custom-keys"],
+)
+def test_an_unknown_model_kind_exits_config_by_name(tmp_path, capsys, block):
+    # the kind was refused for an xxz key it did not read, or built as custom
+    rc, out = run(tmp_path, "certify", {"model": block})
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model block: unknown model 'xzz'")
+    assert not (out / "certify_report.json").exists()
+
+
+@pytest.mark.parametrize(
     "command, payload, key",
     [
         ("verify", {"model": CANONICAL_MODEL, "betas": [1.0], "beta": [2.0]}, "beta"),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -643,6 +644,22 @@ def test_residuals_are_subtracted_in_extended_precision(chain6):
 def test_swap_identity_requires_distance(chain6):
     with pytest.raises(expansion.NotApplicable, match="2R"):
         dc.verify_swap_identity(chain6, pauli_at(0, "Z"), pauli_at(2, "Z"), 2.0)
+
+
+@pytest.mark.parametrize("far", ["A", "B"])
+def test_swap_refuses_a_support_that_is_not_r_connected(chain8, monkeypatch, far):
+    # {1, 4} lies in no single supercluster of its own: every weight was
+    # built, then the split raised a plain ValueError
+    calls = []
+    term = expansion.yarotsky_term
+    monkeypatch.setattr(expansion, "yarotsky_term", lambda *a: calls.append(a) or term(*a))
+    split = operator_product(pauli_at(1, "Z"), pauli_at(4, "Z"))
+    A, B = (split, pauli_at(7, "Z")) if far == "A" else (pauli_at(7, "Z"), split)
+    with pytest.raises(expansion.NotApplicable, match=re.escape("support Region([(1,), (4,)])")):
+        dc.verify_swap_identity(chain8, A, B, 2.0)
+    assert calls == []
+    with pytest.raises(expansion.NotApplicable, match="is not R-connected"):
+        dc.swap_configurations(Region(), Region(), A.region, B.region, 1)
 
 
 def test_supercluster_resummation_minimal(chain8, monkeypatch):

@@ -272,15 +272,13 @@ def test_onsite_sum_matches_kronecker_sum(dtype):
 def assert_sector_sum_is_the_dense_split(spec, S):
     """The sector blocks of H_S are the dense H_S's split; scattered back they are H_S, bitwise."""
     dense = dc.build_restricted(spec, S)[2].matrix
-    groups = [algebra._place(terms) for terms in model._restricted_terms(spec, S)]
-    (H,) = algebra._sector_sums([groups], S, spec.q, complex)
-    stacks = list(H.stacks())
+    (stacks,) = model._local_sums(spec, S, [model.interaction_centers(spec, S)], complex)
     ref = list(algebra._block_stacks(dense))
     assert len(stacks) == len(ref)
     for (rows, blocks), (ref_rows, ref_blocks) in zip(stacks, ref):
         assert np.array_equal(rows, ref_rows)
         assert blocks.tobytes() == ref_blocks.tobytes()
-    assert algebra._scatter_blocks(H.dim, H.packed.dtype, stacks).tobytes() == dense.tobytes()
+    assert algebra._scatter_blocks(len(dense), complex, stacks).tobytes() == dense.tobytes()
 
 
 SECTOR_CASES = {
@@ -449,13 +447,36 @@ def test_spec_from_json_reads_the_chain_shorthand_and_the_defaults():
         # a site listed twice was merged into one
         ({"D": 1, "R": 1, "lattice": [[0], [1], [0]]}, "site [0] is listed twice"),
         ({"n": 3, "D": 1, "R": 1, "lattice": [[0], [1], [2]]}, "unknown key 'n'"),
+        # a misspelt kind was read as a custom model, refused for its keys
+        ({"model": "xzz", "n": 4, "R": 1, "lambda": 0.3}, "unknown model 'xzz'"),
+        # ... or, with a custom model's keys, built as one
+        ({"model": "cstom", "D": 1, "R": 1, "lattice": [[0]], "onsite": [[[0], [[[0, 0], [0, 0]],
+          [[0, 0], [1, 0]]]]], "interactions": []}, "unknown model 'cstom'"),
+        ({"model": ["xxz"], "n": 4, "R": 1}, "unknown model ['xxz']"),
     ],
     ids=["R", "D", "lattice", "interactions", "n-zero", "lattice-empty", "repeated-site",
-         "n-and-lattice"],
+         "n-and-lattice", "kind-misspelt", "kind-misspelt-custom-keys", "kind-list"],
 )
 def test_spec_from_json_refuses_by_name(block, refusal):
     with pytest.raises(ValueError, match=re.escape(refusal)):
         dc.spec_from_json(block)
+
+
+def test_make_spec_refuses_a_kind_spec_from_json_cannot_read():
+    # spec_to_json wrote any kind back, and spec_from_json read it as custom
+    geo = chain_geometry(3, 1)
+    with pytest.raises(ValueError, match="unknown model 'banana'"):
+        dc.make_spec(geo, 2, {s: NUMBER for s in geo.sites}, {}, model="banana")
+
+
+def test_xxz_spec_refuses_an_R_its_geometry_does_not_have():
+    # the geometry's radius was used and R ignored without a word
+    geo = chain_geometry(5, 1)
+    with pytest.raises(ValueError, match=r"R = 2 differs from the geometry's R = 1"):
+        dc.xxz_spec(geo, lam=0.3, seed=7, J12=0.02, R=2)
+    assert dc.xxz_spec(geo, R=1).geometry == dc.xxz_spec(geo).geometry == geo
+    assert dc.xxz_spec(5).geometry == geo
+    assert dc.xxz_spec(5, R=2).geometry == chain_geometry(5, 2)
 
 
 def test_make_spec_rejects_non_hermitian_interaction():

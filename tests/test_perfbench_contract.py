@@ -61,6 +61,18 @@ def test_spec_terms_keep_the_shape_the_harness_reads(harness):
     assert np.allclose(checks._assemble(spec), H, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: chain(10), lambda: dc.normalize_nonpositive(chain(8))],
+    ids=["chain10", "chain8-normalized"],
+)
+def test_the_summation_order_is_the_harness_order_bit_for_bit(harness, make):
+    # the harness adds each term into one H, the on-site terms in site order
+    # and then each interaction; decorr sums every H it solves in that order
+    _, checks = harness
+    spec = make()
+    assert np.array_equal(build_restricted(spec, spec.sites)[2].matrix, checks._assemble(spec))
+
+
 # every call form perfbench/workloads.py and perfbench/tests make, as
 # (function, positional argument count, keyword names)
 CALL_FORMS = [

@@ -1,5 +1,6 @@
 """The README's python examples and example configs run as written."""
 
+import importlib
 import json
 import os
 import re
@@ -29,6 +30,18 @@ def test_readme_python_blocks_run(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out  # the sketch prints spec.a
+
+
+def test_readme_names_resolve():
+    # a module attribute the README cites must exist: a removed helper would
+    # leave its prose describing code that is gone
+    cited = r"`((?:algebra|model|gibbs|expansion|lattice)\.\w+)`"
+    names = set(re.findall(cited, README.read_text()))
+    names -= {"model.py", "model.seed"}  # a file and a config key, not attributes
+    assert len(names) > 10  # the check is not vacuous
+    for name in sorted(names):
+        module, attr = name.split(".")
+        assert hasattr(importlib.import_module(f"decorr.{module}"), attr), name
 
 
 def test_readme_example_configs_run(tmp_path):
