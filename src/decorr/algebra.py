@@ -6,8 +6,9 @@ the matrix index, so a basis state |d_0 d_1 ... d_{m-1}> has index
 sum_k d_k q^(m-1-k).
 
 Local operators are placed on a region through the cached index maps of
-:func:`support_index_map`: :func:`embed` scatters one into zeros and
-:func:`_scatter_add` adds one into a running sum.
+:func:`support_index_map`, which refuse what cannot be placed: :func:`embed`
+scatters one into zeros and :func:`_scatter_add` adds one into a running
+sum, each reading it through one shape check, :func:`_gather`.
 
 A sum of local terms is assembled one way, :func:`_sector_sums`, wherever
 it is solved: every H of a spec (:mod:`decorr.model` lists its terms) and
@@ -80,7 +81,7 @@ import numpy as np
 
 from .lattice import Region
 
-MAX_DENSE_SITES = 14  # hard cap; q^m matrices beyond this are not materialized
+MAX_DENSE_DIM = 2**14  # hard cap on q^m; larger matrices and index maps are not materialized
 
 HERMITICITY_TOL = 1e-10  # absolute, on max |M - M^dagger|
 
@@ -113,17 +114,19 @@ _LONGDOUBLE_VALUE_BYTES = _value_bytes(np.longdouble)
 class DimensionError(ValueError):
     """A size cap would be exceeded.
 
-    The caps: a dense object on more than MAX_DENSE_SITES sites, a
-    configuration sweep over its 2^cap configurations, the classical-chain
-    oracle's spin count, the brute-force count's connectivity table, and
-    the command line's connected-set count.
+    The caps: a dense object of dimension q^m above MAX_DENSE_DIM (14
+    sites at q = 2, 8 at q = 3, 7 at q = 4, 6 at q = 5), a configuration
+    sweep over its 2^cap configurations, the classical-chain oracle's spin
+    count, the brute-force count's connectivity table, and the command
+    line's connected-set count.
     """
 
 
-def _check_dense(n_sites: int):
-    if n_sites > MAX_DENSE_SITES:
+def _check_dense(q: int, n_sites: int):
+    if q**n_sites > MAX_DENSE_DIM:
         raise DimensionError(
-            f"dense operator on {n_sites} sites exceeds the cap of {MAX_DENSE_SITES}"
+            f"dense operator on {n_sites} sites of dimension {q}: {q**n_sites} "
+            f"exceeds the cap {MAX_DENSE_DIM}"
         )
 
 
@@ -169,8 +172,13 @@ def support_index_map(support: Region, target: Region, q: int):
     matrix has support digits alpha[i] (an index in the support's canonical
     order), and the target index with the same off-support digits as i and
     support digits b is base[i] + off[b].  off is increasing in b.  Each
-    map is made once per process and shared as read-only arrays.
+    map is made once per process and shared as read-only arrays.  A support
+    outside the target raises ValueError, and a target above the dense cap
+    DimensionError, before any array is made.
     """
+    if not support.issubset(target):
+        raise ValueError("support is not contained in the target region")
+    _check_dense(q, len(target))
     place = {site: q ** (len(target) - 1 - k) for k, site in enumerate(target)}
     weights = np.array([place[site] for site in support], dtype=np.int64)
     local_place = q ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
@@ -192,17 +200,20 @@ def embed(local: np.ndarray, support: Region, target: Region, q: int) -> GlobalO
     (see :func:`support_index_map`); the entries are copied, not multiplied,
     so the result equals local (x) identity with its legs permuted, exactly.
     """
-    if not support.issubset(target):
-        raise ValueError("support is not contained in the target region")
-    _check_dense(len(target))
-    s, m = len(support), len(target)
+    index_map = support_index_map(support, target, q)
     local = np.asarray(local)
-    if local.shape != (q**s, q**s):
-        raise ValueError(f"local operator shape {local.shape} != q^|support|")
-    alpha, base, off = support_index_map(support, target, q)
-    full = np.zeros((q**m, q**m), dtype=_work_dtype(local.dtype))
-    full[np.arange(q**m)[:, None], base[:, None] + off] = local[alpha]
+    _, base, off = index_map
+    full = np.zeros((base.size, base.size), dtype=_work_dtype(local.dtype))
+    full[np.arange(base.size)[:, None], base[:, None] + off] = _gather(local, index_map)
     return GlobalOperator(target, q, full)
+
+
+def _gather(local: np.ndarray, index_map) -> np.ndarray:
+    """local[alpha], row i of the embedding in columns base(i) + off; refuses a wrong shape."""
+    alpha, _, off = index_map
+    if local.shape != (off.size, off.size):
+        raise ValueError(f"local operator shape {local.shape} != q^|support|")
+    return local[alpha]
 
 
 def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
@@ -214,10 +225,8 @@ def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
     never holds -0 (x + y rounds an exact zero to +0, and +0 + -0 is +0),
     so on such a sum this is the dense addition bit for bit.
     """
-    alpha, base, off = index_map
-    if local.shape != (off.size, off.size):
-        raise ValueError(f"local operator shape {local.shape} != q^|support|")
-    out[np.arange(base.size)[:, None], base[:, None] + off] += local[alpha]
+    _, base, off = index_map
+    out[np.arange(base.size)[:, None], base[:, None] + off] += _gather(local, index_map)
 
 
 def _dense_sum(terms, dim: int, dtype) -> np.ndarray:
@@ -597,10 +606,9 @@ def _place(terms) -> list[tuple[np.ndarray, np.ndarray]]:
     entries, row by row; entry (i, j) has flat index i * dim + j.
     """
     placed = []
-    for local, (alpha, base, off) in terms:
-        if local.shape != (off.size, off.size):
-            raise ValueError(f"local operator shape {local.shape} != q^|support|")
-        values = local[alpha]
+    for local, index_map in terms:
+        _, base, off = index_map
+        values = _gather(local, index_map)
         i, b = np.nonzero(values)
         placed.append((i * base.size + base[i] + off[b], values[i, b]))
     return placed
@@ -627,7 +635,6 @@ def _sector_sums(sums, region: Region, q: int, dtype) -> list[list]:
     label propagation serve them all; no entry of one sum meets another's,
     and the components of each sum come as one run.
     """
-    _check_dense(len(region))
     dim = q ** len(region)
     square = dim * dim
     keys = [flat + s * square for s, placed in enumerate(sums) for flat, _ in placed]

@@ -25,9 +25,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import expansion, gibbs, lattice, model
 from ._kernels import MAX_K, brute_force_connected_count, build_universe, universe_size
-from .algebra import DimensionError
+from .algebra import DimensionError, GlobalOperator
 from .lattice import LatticeGeometry, Region, _integer, _real, r_connected_set
 from .model import CertificationError, HamiltonianSpec
 
@@ -116,6 +118,12 @@ def _write_json(path: Path, payload: dict):
 # verify
 # ---------------------------------------------------------------------------
 
+def _spin_probe(spec: HamiltonianSpec, site) -> GlobalOperator:
+    """2 S_z = diag(q-1, q-3, ..., 1-q) on one site: Pauli Z at q = 2, and defined on every q."""
+    z = np.diag(np.arange(spec.q - 1, -spec.q, -2)).astype(complex)
+    return GlobalOperator(Region([site]), spec.q, z)
+
+
 def run_verify(cfg: dict, outdir: Path) -> int:
     spec = _model_spec(cfg)
     betas = _betas(cfg)
@@ -158,9 +166,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         add("term_norm_bound", instance, worst, 1 + NORM_SLACK)
 
     # structural checks need two well-separated probes; pick lattice extremes
-    lo, hi = spec.sites[0], spec.sites[-1]
-    A = gibbs.observable_from_template([(0, "Z")], lo, spec)
-    B = gibbs.observable_from_template([(0, "Z")], hi, spec)
+    A, B = _spin_probe(spec, spec.sites[0]), _spin_probe(spec, spec.sites[-1])
     I1, I2 = Region(inter[:1]), Region(inter[-1:])
     with family("factorization"):
         for beta in betas:
@@ -177,8 +183,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
             raise expansion.NotApplicable("lattice interior is empty")
         # probes R from c along the first axis, in c's R-ball and so in the lattice
         c = inter[len(inter) // 2]
-        Ax = gibbs.observable_from_template([(-geo.R, "Z")], c, spec)
-        By = gibbs.observable_from_template([(geo.R, "Z")], c, spec)
+        Ax = _spin_probe(spec, (c[0] - geo.R, *c[1:]))
+        By = _spin_probe(spec, (c[0] + geo.R, *c[1:]))
         for beta in betas:
             chk = expansion.verify_supercluster_resummation(
                 Region([c]), Region(), Ax, By, spec, beta

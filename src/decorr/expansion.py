@@ -158,7 +158,7 @@ def yarotsky_term(I: Region, base: Region, spec: HamiltonianSpec, beta: float) -
         raise ValueError("configuration must lie in the lattice interior")
     if not closure(I, spec.geometry).issubset(base):
         raise ValueError("base region must contain the closure of I")
-    _check_dense(len(base))
+    _check_dense(spec.q, len(base))  # a structural zero makes no index map to refuse it
     dim = spec.q ** len(base)
     total = np.zeros((dim, dim), dtype=np.clongdouble)
     pairs = _term_pairs(I, base, spec)
@@ -392,12 +392,14 @@ def verify_factorization(
     (distance > 2R), which makes the alternating sum split as a tensor
     product and the normalized traces factor exactly, and a nonempty
     lattice interior: on an empty one both halves are empty and only free
-    traces are compared.  Outside either, it raises NotApplicable.
+    traces are compared.  Outside either, or with an empty half, it raises
+    NotApplicable.
     """
     if not spec.interior:
         raise NotApplicable("lattice interior is empty")
     part1 = I1 | O1.region
     part2 = I2 | O2.region
+    _require_nonempty(("the half I1 + supp O1", part1), ("the half I2 + supp O2", part2))
     if set_distance(part1, part2) <= 2 * spec.geometry.R:
         raise NotApplicable("the two halves are R-connected; factorization does not apply")
     items = [(I1 | I2, [operator_product(O1, O2)]), (I1, [O1]), (I2, [O2])]
@@ -427,6 +429,13 @@ def swap_configurations(I: Region, J: Region, X: Region, Y: Region, R: int):
     if not dec.in_different_components(X, Y):
         raise ValueError("swap undefined: X and Y lie in the same supercluster")
     return _swap(I, J, dec.component_of(X[0]))
+
+
+def _require_nonempty(*named: tuple[str, Region]) -> None:
+    """Refuse an empty support or half by name: no distance or supercluster holds it."""
+    for name, region in named:
+        if not region:
+            raise NotApplicable(f"{name} is empty")
 
 
 def _require_r_connected(R: int, *supports: Region) -> None:
@@ -469,8 +478,8 @@ def verify_swap_identity(
     swapped pair.  X = supp A, Y = supp B must be further than 2R apart
     (otherwise the event never holds), and the lattice interior must not
     be empty (otherwise the only pair is two empty configurations); outside
-    either, the check would be vacuous and raises NotApplicable.  So does a
-    support that is not R-connected, before any term is built.
+    either, the check would be vacuous and raises NotApplicable.  So does an
+    empty support or one that is not R-connected, before any term is built.
 
     The separated pairs cancel, so the same sweep also reports the covariance
     from the pairs whose supercluster joins X and Y:
@@ -487,6 +496,7 @@ def verify_swap_identity(
     X, Y = A.region, B.region
     if not spec.interior:
         raise NotApplicable("lattice interior is empty")
+    _require_nonempty(("supp A", X), ("supp B", Y))
     if set_distance(X, Y) <= 2 * geo.R:
         raise NotApplicable("supports of A and B must be further than 2R apart")
     _require_r_connected(geo.R, X, Y)
@@ -564,9 +574,10 @@ def verify_supercluster_resummation(
     (I0 + I', J0 + J') with I', J' ranging over configurations in the
     interior of the reduced lattice L' = L - closure(S0); interior separation
     keeps every added site non-R-connected to S0, so the class is exactly
-    the set of pairs with X- and Y-supercluster S0.  An S0 or I0, J0 outside
-    these hypotheses raises NotApplicable, and so does an L' with an empty
-    interior: the class is then the single pair (I0, J0), a tautology.
+    the set of pairs with X- and Y-supercluster S0.  An empty X or Y, and an
+    S0 or I0, J0 outside these hypotheses, raise NotApplicable before any
+    term is built, and so does an L' with an empty interior: the class is
+    then the single pair (I0, J0), a tautology.
     Two identities are checked, one weighting J with the product AB, one
     splitting A and B:
 
@@ -575,6 +586,7 @@ def verify_supercluster_resummation(
     """
     geo = spec.geometry
     X, Y = A.region, B.region
+    _require_nonempty(("supp A", X), ("supp B", Y))
     S0 = I0 | J0 | X | Y
     if not r_connected_set(S0, geo.R):
         raise NotApplicable("I0 + J0 + X + Y must be a single R-connected cluster")

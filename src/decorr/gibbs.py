@@ -153,10 +153,11 @@ def observable_from_template(
     """Product of single-site operators at offsets relative to an anchor site.
 
     ``template`` is a nonempty list of [offset, name] pairs (JSON lists or
-    tuples), names from I, X, Y, Z, N.  Anchors and offsets are integers or
-    lists of integers; an integer offset acts on the first axis, and one
-    given as coordinates must have as many as the anchor.  ``shift``
-    displaces the whole template along the first axis.
+    tuples), names from I, X, Y, Z, N, which act on q = 2 sites only.
+    Anchors and offsets are integers or lists of integers; an integer
+    offset acts on the first axis, and one given as coordinates must have
+    as many as the anchor.  ``shift`` displaces the whole template along
+    the first axis.
     """
     anchor = _site(anchor, "anchor")
     if not isinstance(template, (list, tuple)) or not template:
@@ -168,6 +169,8 @@ def observable_from_template(
         off, name = entry
         if not isinstance(name, str) or name not in PAULI_BY_NAME:
             raise ValueError(f"unknown operator name {name!r}, not one of {', '.join(PAULI_BY_NAME)}")
+        if spec.q != 2:
+            raise ValueError(f"operator {name!r} acts on q = 2 sites; the model has q = {spec.q}")
         coords = _site(off, "offset")
         if not isinstance(off, (list, tuple)):  # an integer offset acts on the first axis
             coords += (0,) * (len(anchor) - 1)

@@ -28,7 +28,6 @@ import numpy as np
 from .algebra import (
     BlockEigensystem,
     GlobalOperator,
-    _check_dense,
     _dense_sum,
     _herm_blocks,
     _place,
@@ -492,11 +491,11 @@ def xxz_spec(
 def _onsite_terms(onsite: Mapping, region: Region, q: int) -> list:
     """The on-site terms of ``region`` in site order, each with its index map on ``region``.
 
-    A region with a site outside the lattice, or above the dense cap, is refused first.
+    A region with a site outside the lattice is refused first; the index
+    maps refuse one above the dense cap before any is made.
     """
     if any(z not in onsite for z in region):
         raise ValueError("restriction region is not contained in the lattice")
-    _check_dense(len(region))
     return [(onsite[z], support_index_map(Region._canonical((z,)), region, q)) for z in region]
 
 

@@ -21,6 +21,25 @@ def chain(n, **overrides):
     return dc.xxz_spec(n, **params)
 
 
+def boson_model(n, q, hop=0.05):
+    """Model block of an n-site chain of q-level truncated bosons.
+
+    h_x = diag(0, 1, ..., q-1) on every site and v_x = -hop (b+_x b_{x+1} + h.c.)
+    on the interior centers, b the truncated annihilator; [re, im] entries.
+    """
+    b = np.diag(np.sqrt(np.arange(1.0, q)), 1)
+    v = -hop * (np.kron(b.T, b) + np.kron(b, b.T))
+
+    def entries(m):
+        return [[[float(e), 0.0] for e in row] for row in m]
+
+    return {
+        "model": "custom", "D": 1, "R": 1, "q": q, "lattice": [[i] for i in range(n)],
+        "onsite": [[[i], entries(np.diag(np.arange(q)))] for i in range(n)],
+        "interactions": [[[x], [[x], [x + 1]], entries(v)] for x in range(1, n - 1)],
+    }
+
+
 def count_core_solves(monkeypatch):
     """The (stack size, block size) of every refined core solve from now on, in order."""
     solved = []

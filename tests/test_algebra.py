@@ -12,7 +12,7 @@ import pytest
 
 from decorr import algebra
 from decorr.algebra import (
-    MAX_DENSE_SITES,
+    MAX_DENSE_DIM,
     DimensionError,
     GlobalOperator,
     embed,
@@ -133,9 +133,67 @@ def test_embed_preserves_extended_dtype():
 
 
 def test_embed_dimension_cap():
-    big = Region([(i,) for i in range(MAX_DENSE_SITES + 1)])
-    with pytest.raises(DimensionError):
+    # 15 qubits are the first q = 2 region above the cap
+    assert 2**14 <= MAX_DENSE_DIM < 2**15
+    big = Region([(i,) for i in range(15)])
+    with pytest.raises(DimensionError, match="on 15 sites of dimension 2: 32768 exceeds the cap"):
         embed(SZ, Region([(0,)]), big, 2)
+
+
+@pytest.mark.parametrize(
+    "q, n, refused",
+    [(2, 14, False), (2, 15, True), (3, 8, False), (3, 9, True),
+     (4, 7, False), (4, 8, True), (5, 6, False), (5, 7, True)],
+)
+def test_the_dense_cap_counts_the_dimension(q, n, refused):
+    # the map decides the cap in q^n, the unit memory is spent in: a 9-site
+    # q = 3 region (19683) passed a cap of 14 sites
+    target = Region([(i,) for i in range(n)])
+    if refused:
+        message = f"^dense operator on {n} sites of dimension {q}: {q**n} exceeds the cap 16384$"
+        with pytest.raises(DimensionError, match=message):
+            algebra.support_index_map(Region([(0,)]), target, q)
+    else:
+        alpha, base, off = algebra.support_index_map(Region([(0,)]), target, q)
+        assert base.size == q**n <= MAX_DENSE_DIM and off.size == q
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda support, target: algebra.support_index_map(support, target, 2),
+        lambda support, target: embed(SZ, support, target, 2),
+        lambda support, target: algebra._local_trace(
+            GlobalOperator(target, 2, np.eye(4, dtype=complex)), GlobalOperator(support, 2, SZ)
+        ),
+    ],
+    ids=["map", "embed", "local_trace"],
+)
+def test_a_support_outside_the_target_is_refused_by_the_map(place):
+    # the map owns containment: its own lookup raised a bare KeyError
+    with pytest.raises(ValueError, match="^support is not contained in the target region$"):
+        place(Region([(2,)]), two_sites())
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda local, index_map: embed(local, Region([(1,)]), two_sites(), 2),
+        lambda local, index_map: algebra._dense_sum([(local, index_map)], 4, complex),
+        lambda local, index_map: algebra._sector_sums(
+            [algebra._place([(local, index_map)])], two_sites(), 2, complex
+        ),
+    ],
+    ids=["embed", "dense_sum", "sector_sums"],
+)
+@pytest.mark.parametrize("size", [1, 3, 4])
+def test_every_placement_checks_the_local_shape(place, size):
+    # one gather reads a local matrix through its map, and refuses one that
+    # is not q^|support| square, whichever way it is placed
+    index_map = algebra.support_index_map(Region([(1,)]), two_sites(), 2)
+    message = rf"^local operator shape \({size}, {size}\) != q\^\|support\|$"
+    with pytest.raises(ValueError, match=message):
+        place(np.eye(size, dtype=complex), index_map)
 
 
 def test_operator_product_overlapping_supports():

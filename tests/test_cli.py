@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,8 @@ from decorr.cli import (
     SCHEMA_VERSION,
     main,
 )
+
+from conftest import boson_model
 
 CANONICAL_MODEL = {"n": 6, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.02, "J3": 0.02}
 # the same model with its sites listed instead of counted
@@ -170,6 +173,66 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch,
     ran = {family(c["name"]) for c in report["checks"]}
     assert ran.isdisjoint(name for name, _ in skipped)
     assert ran | {name for name, _ in skipped} == VERIFY_FAMILIES
+
+
+def test_verify_passes_the_supercluster_check_on_a_class_of_several_pairs(
+    tmp_path, capsys, monkeypatch
+):
+    # at n = 10 the reduced lattice L - closure(S0) keeps an interior, so the
+    # class around the middle site has more pairs than (I0, J0); the
+    # resummation, which costs most of an n = 10 run, is not this test's
+    monkeypatch.setattr(expansion, "verify_resummation", lambda spec, beta: 0.0)
+    payload = {"model": {**CANONICAL_MODEL, "n": 10}, "betas": [0.5]}
+    rc, out = run(tmp_path, "verify", payload)
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    # an interior of 8 is over the swap sweep's cap; the supercluster check runs
+    assert [s["name"] for s in report["skipped"]] == ["swap_identity"]
+    lines = capsys.readouterr().out.splitlines()
+    supercluster = [l for l in lines if "supercluster" in l]
+    assert [l.split(" [")[0] for l in supercluster] == [
+        "PASS supercluster_resummation_weight",
+        "PASS supercluster_resummation_observable",
+    ]
+    assert all("[S0 around (5,) beta=0.5 pairs=4]" in l for l in supercluster)
+
+
+def test_verify_runs_on_a_q3_chain(tmp_path):
+    # the probes are 2 S_z = diag(2, 0, -2), which a 3-level site carries: a
+    # Pauli Z probe ended the run in a traceback
+    rc, out = run(tmp_path, "verify", {"model": boson_model(6, 3), "betas": [0.5]})
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    assert all(c["pass"] for c in report["checks"])
+    assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES - {
+        "supercluster_resummation"
+    }
+    assert report["skipped"] == [{"name": "supercluster_resummation", "reason": single_pair(3)}]
+
+
+def test_verify_refuses_a_chain_above_the_dense_dimension(tmp_path, capsys):
+    # 9 sites at q = 3 are 19683 dimensions: refused before any allocation
+    payload = {"model": boson_model(9, 3), "betas": [0.5]}
+    tracemalloc.start()
+    try:
+        rc, _ = run(tmp_path, "verify", payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CAP
+    assert capsys.readouterr().err == (
+        "size cap: dense operator on 9 sites of dimension 3: 19683 exceeds the cap 16384\n"
+    )
+    assert peak < 2**20
+
+
+def test_decay_refuses_a_pauli_template_on_a_q3_chain_by_name(tmp_path, capsys):
+    payload = {**DECAY_RUN, "model": boson_model(6, 3), "betas": [1.0]}
+    rc, _ = run(tmp_path, "decay", payload)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: operator 'X' acts on q = 2 sites; the model has q = 3\n"
+    )
 
 
 def test_verify_fails_on_an_error_that_is_not_a_refusal(tmp_path, monkeypatch):
@@ -503,7 +566,7 @@ def test_count_matches_reference(tmp_path):
         ("verify", {"model": {**CANONICAL_MODEL, "n": 15}, "betas": [1.0]},
          "8192 configurations of an interior of size 13 exceed the cap 2^12"),
         ("decay", {**DECAY_RUN, "model": {**CANONICAL_MODEL, "n": 15}, "betas": [1.0]},
-         "dense operator on 15 sites exceeds the cap of 14"),
+         "dense operator on 15 sites of dimension 2: 32768 exceeds the cap 16384"),
     ],
     ids=["verify-resummation", "decay-dense"],
 )

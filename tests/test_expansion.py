@@ -21,7 +21,7 @@ from decorr.algebra import DimensionError, GlobalOperator, embed, herm_exp, oper
 from decorr.expansion import interior_configurations
 from decorr.lattice import Region, box_geometry, closure, interior, r_connected_set
 
-from conftest import chain, count_core_solves, count_sector_sums, pauli_at
+from conftest import boson_model, chain, count_core_solves, count_sector_sums, pauli_at
 
 
 def interior_sites(spec):
@@ -660,6 +660,51 @@ def test_swap_refuses_a_support_that_is_not_r_connected(chain8, monkeypatch, far
     assert calls == []
     with pytest.raises(expansion.NotApplicable, match="is not R-connected"):
         dc.swap_configurations(Region(), Region(), A.region, B.region, 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="w({4}; Z5) is exactly 0, and the swapped side w({1, 4}; Z5) reads 1.6e-21 of "
+    "rounding, so the pair's relative residual reads 1",
+)
+def test_swap_per_pair_on_a_boson_chain():
+    # a known defect of the per-pair ratio: an exact zero against rounding noise
+    spec = dc.spec_from_json(boson_model(6, 2))
+    chk = dc.verify_swap_identity(spec, pauli_at(0, "Z"), pauli_at(5, "Z"), 0.5)
+    assert chk.rel_residual < 1e-10
+    assert chk.per_pair_max < 1e-10
+
+
+SCALAR = GlobalOperator(Region(), 2, np.eye(1, dtype=complex))  # an observable on no site
+
+
+@pytest.mark.parametrize(
+    "check, refusal",
+    [
+        (lambda s, Z: dc.verify_factorization(Region(), SCALAR, Region([(5,)]), Z(6), s, 1.0),
+         "the half I1 + supp O1 is empty"),
+        (lambda s, Z: dc.verify_factorization(Region([(1,)]), Z(0), Region(), SCALAR, s, 1.0),
+         "the half I2 + supp O2 is empty"),
+        (lambda s, Z: dc.verify_swap_identity(s, SCALAR, Z(7), 1.0), "supp A is empty"),
+        (lambda s, Z: dc.verify_swap_identity(s, Z(0), SCALAR, 1.0), "supp B is empty"),
+        (lambda s, Z: dc.verify_supercluster_resummation(
+            Region([(1,)]), Region(), SCALAR, Z(2), s, 1.0), "supp A is empty"),
+        (lambda s, Z: dc.verify_supercluster_resummation(
+            Region(), Region([(1,)]), Z(2), SCALAR, s, 1.0), "supp B is empty"),
+    ],
+    ids=["factorization-1", "factorization-2", "swap-A", "swap-B", "supercluster-A",
+         "supercluster-B"],
+)
+def test_checks_refuse_an_empty_support_before_any_term(chain8, monkeypatch, check, refusal):
+    # no distance or supercluster holds an empty support: the supercluster
+    # check built every weight, then failed on X[0], and the others raised
+    # set_distance's plain ValueError
+    calls = []
+    term = expansion.yarotsky_term
+    monkeypatch.setattr(expansion, "yarotsky_term", lambda *a: calls.append(a) or term(*a))
+    with pytest.raises(expansion.NotApplicable, match=f"^{re.escape(refusal)}$"):
+        check(chain8, lambda x: pauli_at(x, "Z"))
+    assert calls == []
 
 
 def test_supercluster_resummation_minimal(chain8, monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from decorr.model import (
     restricted_spectrum,
 )
 
-from conftest import chain, zero_pattern_groups
+from conftest import boson_model, chain, zero_pattern_groups
 
 # certified relative form-bound constant of the canonical instance; the
 # maximizing ball sits in the seed-7 field prefix shared by every chain length
@@ -82,7 +83,7 @@ LARGE_SEEDS = [2**32 - 1, 2**32, 2**40 + 12345, 2**64 + 7, 2**130 + 99, 10**30]
 def test_uniform_draws_are_numpys_default_rng_stream(seeds):
     # the in-repo PCG64 / SeedSequence draw against numpy's, bit for bit
     for seed in seeds:
-        for n in range(1, algebra.MAX_DENSE_SITES + 1):
+        for n in range(1, 15):  # every chain length the dense cap admits at q = 2
             assert model._uniform_draws(seed, n) == np.random.default_rng(seed).random(n).tolist()
 
 
@@ -499,3 +500,35 @@ def test_spec_json_roundtrip_custom():
     back = dc.spec_from_json(dc.spec_to_json(spec))
     assert back.a == pytest.approx(spec.a, rel=1e-12)
     assert np.array_equal(back.interactions[(2,)].matrix, v)
+
+
+@pytest.fixture(scope="module")
+def bosons9():
+    """A 9-site chain of q = 3 bosons: dimension 3^9 = 19683, above the dense cap."""
+    return dc.spec_from_json(boson_model(9, 3))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda spec: algebra.support_index_map(Region([(0,)]), spec.sites, spec.q),
+        lambda spec: restricted_spectrum(spec, spec.sites),
+        lambda spec: model.build_restricted(spec, spec.sites),
+        lambda spec: expansion.yarotsky_term(spec.interior, spec.sites, spec, 1.0),
+    ],
+    ids=["support_index_map", "restricted_spectrum", "build_restricted", "yarotsky_term"],
+)
+def test_a_chain_above_the_dense_dimension_is_refused_before_any_allocation(bosons9, solve):
+    # nine sites pass a cap counted in sites; one 19683 x 19683 clongdouble
+    # matrix would take 12.4 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            algebra.DimensionError,
+            match="^dense operator on 9 sites of dimension 3: 19683 exceeds the cap 16384$",
+        ):
+            solve(bosons9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

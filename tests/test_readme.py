@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import decorr as dc
-from decorr import cli, expansion
+from decorr import algebra, cli, expansion
 from decorr.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,6 +42,20 @@ def test_readme_names_resolve():
     for name in sorted(names):
         module, attr = name.split(".")
         assert hasattr(importlib.import_module(f"decorr.{module}"), attr), name
+
+
+def test_readme_states_the_dense_cap():
+    # the cap is on the dimension q^n; the sites it admits per q follow from it
+    cap = (
+        r"capped at dimension q\^n ≤ 2\^(\d+) = (\d+),\s+`algebra.MAX_DENSE_DIM`:\s+"
+        r"(\d+) sites at q = 2, (\d+) at q = 3, (\d+) at q = 4, (\d+) at q = 5;"
+    )
+    found = re.search(cap, README.read_text())
+    assert found
+    exponent, dim, *sites = map(int, found.groups())
+    assert 2**exponent == dim == algebra.MAX_DENSE_DIM
+    for q, n in zip(range(2, 6), sites):
+        assert q**n <= dim < q ** (n + 1)
 
 
 def test_readme_example_configs_run(tmp_path):
