@@ -29,10 +29,7 @@ from .gibbs import (
     gibbs_state,
     ising_exact_covariance,
     ising_exact_xi,
-    ising_hamiltonian,
     ising_oracle,
-    mbdos_histogram,
-    partition_function,
 )
 from .expansion import (
     FactorizationCheck,

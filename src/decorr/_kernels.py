@@ -15,12 +15,12 @@ entries, 32768 at k = 6 and 2^28 at k = 8, so counts stop at ``MAX_K``.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .algebra import DimensionError
+from .lattice import _ball_offsets
 
 MAX_K = 6  # largest k whose connectivity table is built
 
@@ -43,14 +43,9 @@ def build_universe(D: int, R: int, k: int) -> np.ndarray:
     around the origin; row 0 is the origin itself, the rest sorted
     lexicographically.
     """
-    r = reach_radius(R, k)
-    pts = [
-        p
-        for p in itertools.product(range(-r, r + 1), repeat=D)
-        if sum(abs(c) for c in p) <= r and any(c != 0 for c in p)
-    ]
-    pts.sort()
-    return np.array([(0,) * D] + pts, dtype=np.int64)
+    origin = (0,) * D
+    ball = _ball_offsets(D, reach_radius(R, k))  # lexicographic, so sorted
+    return np.array([origin] + [p for p in ball if p != origin], dtype=np.int64)
 
 
 def adjacency(points: np.ndarray, R: int) -> np.ndarray:

@@ -281,10 +281,6 @@ class Eigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
 
 def _require_hermitian(M: np.ndarray) -> np.ndarray:
     # a NaN deviation compares false with the tolerance and would pass

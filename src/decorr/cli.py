@@ -165,8 +165,10 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         instance = f"beta={betas[0]:g} sizes<={expansion.TERM_NORM_MAX_SIZE} ({len(rows)} terms)"
         add("term_norm_bound", instance, worst, 1 + NORM_SLACK)
 
-    # structural checks need two well-separated probes; pick lattice extremes
-    A, B = _spin_probe(spec, spec.sites[0]), _spin_probe(spec, spec.sites[-1])
+    # structural checks need two well-separated probes, on sites that
+    # interactions couple: the interior's extremes, those of I1 and I2
+    ends = inter or spec.sites
+    A, B = _spin_probe(spec, ends[0]), _spin_probe(spec, ends[-1])
     I1, I2 = Region(inter[:1]), Region(inter[-1:])
     with family("factorization"):
         for beta in betas:

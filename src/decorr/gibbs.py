@@ -19,7 +19,6 @@ degenerates.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .algebra import (
     DimensionError,
     GlobalOperator,
     _block_products,
-    _dense_sum,
     _local_trace,
     _pack_blocks,
     _place,
@@ -54,16 +52,6 @@ def partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdou
     top = x.max()
     s = np.exp(x - top).sum()
     return np.exp(top) * s, top + np.log(s)
-
-
-def partition_function(H, beta: float) -> tuple[np.longdouble, np.longdouble]:
-    """(Z, log Z) for Z = tr e^{-beta H}, as longdouble.
-
-    The eigenvalues come from the block solves of :func:`herm_blocks`; they
-    are summed in longdouble after shifting the exponents by their maximum,
-    so log Z never overflows.
-    """
-    return partition_sum(herm_blocks(H).eigenvalues, beta)
 
 
 @dataclass(frozen=True)
@@ -278,12 +266,6 @@ def _ising_bonds(n: int, J: float) -> tuple[Region, list]:
     return sites, [(bond, index_map) for index_map in maps]
 
 
-def ising_hamiltonian(n: int, J: float) -> GlobalOperator:
-    """H = -J sum_k sigma3_k sigma3_{k+1} on an open chain of n spins."""
-    sites, bonds = _ising_bonds(n, J)
-    return GlobalOperator(sites, 2, _dense_sum(bonds, 2**n, complex))
-
-
 def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
     """Exact Cov(sigma3_i, sigma3_j) for every pair i < j of the open classical chain.
 
@@ -291,8 +273,8 @@ def ising_oracle(n: int, J: float, beta: float) -> dict[tuple[int, int], float]:
     independently of n; this routine computes the same numbers through the
     generic Gibbs machinery, from one Gibbs state, so the two can be compared
     as independent routes.  H is assembled block by block from its bonds
-    (:func:`~decorr.algebra._sector_sums`; its blocks are those of
-    :func:`ising_hamiltonian`) and, exactly Hermitian by construction, is
+    (:func:`~decorr.algebra._sector_sums`; its blocks are those of the
+    dense sum of the same bonds) and, exactly Hermitian by construction, is
     solved unchecked.
     """
     sites, bonds = _ising_bonds(n, J)
@@ -317,18 +299,8 @@ def ising_exact_xi(J: float, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectral histogram and the decay-bound certificate
+# the decay-bound certificate
 # ---------------------------------------------------------------------------
-
-def mbdos_histogram(H) -> list[tuple[float, int]]:
-    """Many-body density of states: eigenvalue counts in unit-width bins.
-
-    Each eigenvalue is assigned to the nearest integer; returned as a
-    sorted list of (bin center, count) with empty bins omitted.
-    """
-    counts = Counter(int(round(float(e))) for e in herm_blocks(H).eigenvalues)
-    return [(float(k), counts[k]) for k in sorted(counts)]
-
 
 @dataclass(frozen=True)
 class BoundCertificate:

@@ -58,7 +58,6 @@ SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA = (SIGMA0, SIGMA1, SIGMA2, SIGMA3)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_MINUS = SIGMA_PLUS.T.copy()
 NUMBER = np.diag([0.0, 1.0]).astype(complex)  # N = (1 - sigma3)/2

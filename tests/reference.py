@@ -1,0 +1,31 @@
+"""Dense references written from numpy alone, independent of decorr.
+
+The tests compare decorr's block-by-block routes with these: a Hamiltonian
+summed from ``np.kron`` products and level counts from
+``np.linalg.eigvalsh``.  Nothing here imports decorr, so a fault in the
+code under test cannot also be a fault of its reference.
+"""
+
+import numpy as np
+
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def ising_hamiltonian(n: int, J: float) -> np.ndarray:
+    """H = -J sum_k sigma3_k sigma3_{k+1} on an open chain of n spins, dense.
+
+    Each bond is the Kronecker product I_{2^k} (x) (-J Z Z) (x) I_{2^(n-k-2)},
+    the leg of site 0 most significant; the bonds are summed from zeros in
+    the order k = 0, 1, ..., n-2.
+    """
+    bond = -J * np.kron(PAULI_Z, PAULI_Z)
+    H = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n - 1):
+        H += np.kron(np.kron(np.eye(2**k), bond), np.eye(2 ** (n - k - 2)))
+    return H
+
+
+def level_counts(H: np.ndarray) -> list[int]:
+    """How many eigenvalues of the Hermitian H round to each integer, in ascending order."""
+    _, counts = np.unique(np.rint(np.linalg.eigvalsh(H)), return_counts=True)
+    return counts.tolist()

@@ -145,12 +145,14 @@ HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply
              ("factorization", "lattice interior is empty"),
              ("swap_identity", "lattice interior is empty"),
              ("supercluster_resummation", "lattice interior is empty")]),
-        # one interior site: the end probes are 2R apart, too close to separate
+        # one interior site: both probes sit on it, too close to separate
         (3, [("factorization", HALVES_CONNECTED),
              ("swap_identity", "supports of A and B must be further than 2R apart"),
              ("supercluster_resummation", single_pair(1))]),
-        # the end probes are apart, but the halves {0, 1} and {2, 3} are not
+        # the probes on the interior's ends 1 and 2 are within 2R, and the
+        # halves {0, 1} and {2, 3} are R-connected
         (4, [("factorization", HALVES_CONNECTED),
+             ("swap_identity", "supports of A and B must be further than 2R apart"),
              ("supercluster_resummation", single_pair(2))]),
         # an interior of 4 is over the sweep cap of 2^2 configurations
         (6, [("swap_identity", "16 configurations of an interior of size 4 exceed the cap 2^2"),
@@ -173,6 +175,34 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch,
     ran = {family(c["name"]) for c in report["checks"]}
     assert ran.isdisjoint(name for name, _ in skipped)
     assert ran | {name for name, _ in skipped} == VERIFY_FAMILIES
+
+
+def test_verify_probes_sites_that_interactions_couple(tmp_path, monkeypatch):
+    # a probe on a site no interaction touches carries no correlation: on a
+    # chain, site 0 meets no v_x, and the checks ran on observables that
+    # factor out of every weight
+    probed = []
+    factorization, swap = expansion.verify_factorization, expansion.verify_swap_identity
+
+    def record_factorization(I1, A, I2, B, spec, beta):
+        probed.append(("factorization", spec, A, B))
+        return factorization(I1, A, I2, B, spec, beta)
+
+    def record_swap(spec, A, B, beta):
+        probed.append(("swap_identity", spec, A, B))
+        return swap(spec, A, B, beta)
+
+    monkeypatch.setattr(expansion, "verify_factorization", record_factorization)
+    monkeypatch.setattr(expansion, "verify_swap_identity", record_swap)
+    monkeypatch.setattr(expansion, "verify_resummation", lambda spec, beta: 0.0)
+    rc, _ = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
+    assert rc == EXIT_OK
+    assert [name for name, *_ in probed] == ["factorization", "swap_identity"]
+    for name, spec, A, B in probed:
+        supports = [t.support for t in spec.interactions.values()]
+        assert [list(A.region), list(B.region)] == [[(1,)], [(4,)]], name
+        for probe in (A, B):
+            assert any(probe.region.issubset(S) for S in supports), (name, probe.region)
 
 
 def test_verify_passes_the_supercluster_check_on_a_class_of_several_pairs(
@@ -647,6 +677,39 @@ def test_certify_custom_model(tmp_path):
     rc, out = run(tmp_path, "certify", {"model": custom_model([1])})
     assert rc == EXIT_OK
     assert json.loads((out / "certify_report.json").read_text())["n_interactions"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, code, err",
+    [
+        ("verify", [CANONICAL_MODEL], EXIT_CONFIG, "config error: config must be a JSON object"),
+        (
+            "verify",
+            {"model": CANONICAL_MODEL, "betas": []},
+            EXIT_CONFIG,
+            "config error: config needs a nonempty 'betas' list",
+        ),
+        ("count", {"D": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
+        ("count", {"R": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
+        ("count", {"k_max": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
+        # only `decorr certify` reports a failed certification itself; every
+        # other command reaches main's handler, which exits 1 with its reason
+        (
+            "verify",
+            {"model": {**custom_model([0]), "interactions": [[[0], [[0], [1]], NN_JSON]]},
+             "betas": [0.5]},
+            EXIT_CHECK_FAILED,
+            "certification failure: interaction ball around (0,) sticks out of the lattice",
+        ),
+    ],
+    ids=["config-not-an-object", "empty-betas", "count-D-0", "count-R-0", "count-k_max-0",
+         "verify-uncertifiable-model"],
+)
+def test_each_command_refusal_names_what_it_refuses(tmp_path, capsys, command, payload, code, err):
+    rc, out = run(tmp_path, command, payload)
+    assert rc == code
+    assert capsys.readouterr().err == err + "\n"
+    assert not list(out.glob("*"))  # no report is written
 
 
 def test_certify_failure_exit_code(tmp_path):

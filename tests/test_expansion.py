@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import decorr as dc
-from decorr import algebra, expansion, model
+from decorr import algebra, expansion, gibbs, model
 from decorr.algebra import DimensionError, GlobalOperator, embed, herm_exp, operator_product
 from decorr.expansion import interior_configurations
 from decorr.lattice import Region, box_geometry, closure, interior, r_connected_set
@@ -791,11 +791,16 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
 
 
 def test_free_partition_reads_site_spectra(chain6, chain8):
+    def levels(h):
+        # a 2x2 Hermitian h's eigenvalues in closed form, in longdouble
+        a, d = (np.longdouble(x.real) for x in np.diag(h))
+        half = np.hypot((a - d) / 2, np.hypot(np.longdouble(h[0, 1].real), h[0, 1].imag))
+        return np.array([(a + d) / 2 - half, (a + d) / 2 + half])
+
     def per_site(spec, beta):
         z = np.longdouble(1.0)
         for site in spec.sites:
-            h = spec.onsite[site].astype(np.clongdouble)
-            z *= dc.partition_function(h, beta)[0]
+            z *= gibbs.partition_sum(levels(spec.onsite[site]), beta)[0]
         return z
 
     for spec in (chain6, dc.normalize_nonpositive(chain8)):
@@ -896,3 +901,39 @@ def test_swap_covariance_matches_extended_rho(n, coupling, x, y, beta):
     got = dc.verify_swap_identity(spec, A, B, beta).covariance
     ref = extended_rho_covariance(spec, A, B, beta)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (
+            lambda spec: dc.yarotsky_term(Region([(2,)]), Region([(2,)]), spec, 0.5),
+            ValueError,
+            "^base region must contain the closure of I$",
+        ),
+        (
+            lambda spec: dc.verify_supercluster_resummation(
+                Region([(5,)]), Region(), pauli_at(5, "Z"), pauli_at(5, "Z"), spec, 0.5
+            ),
+            ValueError,
+            "^product observable requires disjoint supports$",
+        ),
+        (
+            lambda spec: dc.verify_supercluster_resummation(
+                Region([(0,)]), Region(), pauli_at(1, "Z"), pauli_at(2, "Z"), spec, 0.5
+            ),
+            dc.NotApplicable,
+            "^I0 and J0 must lie in the lattice interior$",
+        ),
+        (
+            lambda spec: dc.partition_ratio(Region([(10,)]), spec, 0.5),
+            ValueError,
+            "^S must lie inside the lattice$",
+        ),
+    ],
+    ids=["base-without-the-closure", "overlapping-probes", "I0-outside-the-interior",
+         "S-outside-the-lattice"],
+)
+def test_each_expansion_refusal_names_what_it_refuses(chain10, check, error, message):
+    with pytest.raises(error, match=message):
+        check(chain10)

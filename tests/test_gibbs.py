@@ -25,6 +25,7 @@ from decorr.gibbs import (
 from decorr.lattice import Region, counting_constant
 from decorr.model import PAULI_BY_NAME
 
+import reference
 from conftest import chain, count_sector_sums, pauli_at, zero_pattern_groups
 
 N2 = np.diag([0.0, 1.0]).astype(complex)
@@ -36,26 +37,31 @@ def one_site_op(mat):
 
 def test_partition_function_single_site():
     beta = 1.7
-    Z, logZ = dc.partition_function(one_site_op(N2), beta)
+    Z, logZ = gibbs.partition_sum(np.linalg.eigvalsh(N2), beta)
     assert Z == pytest.approx(1 + np.exp(-beta), rel=1e-14)
     assert logZ == pytest.approx(np.log(1 + np.exp(-beta)), rel=1e-14)
 
 
 def test_partition_function_accepts_matrix():
-    Z, _ = dc.partition_function(N2, 2.0)
-    assert Z == pytest.approx(1 + np.exp(-2.0), rel=1e-14)
+    # a dense H's spectrum in any order: the max shift needs no sorting
+    spec = chain(3)
+    w = np.linalg.eigvalsh(dc.build_restricted(spec, spec.sites)[2].matrix)
+    Z, logZ = gibbs.partition_sum(w[::-1], 2.0)
+    assert Z == pytest.approx(np.exp(-2.0 * w).sum(), rel=1e-14)
+    assert logZ == pytest.approx(np.log(np.exp(-2.0 * w).sum()), rel=1e-14)
 
 
 def test_partition_function_empty_region_is_one(chain5):
-    Z, logZ = dc.partition_function(dc.build_restricted(chain5, Region())[2], 3.0)
+    H = dc.build_restricted(chain5, Region())[2].matrix
+    Z, logZ = gibbs.partition_sum(np.linalg.eigvalsh(H), 3.0)
     assert Z == 1 and logZ == 0
 
 
 def test_partition_function_large_beta_log_is_finite():
     # Z = e^{50000} overflows even longdouble, log Z does not
-    H = np.diag([-1000.0, 0.0]).astype(complex)
+    w = np.linalg.eigvalsh(np.diag([-1000.0, 0.0]))
     with np.errstate(over="ignore"):
-        _, logZ = dc.partition_function(H, 50.0)
+        _, logZ = gibbs.partition_sum(w, 50.0)
     assert logZ == pytest.approx(50000.0, rel=1e-15)
 
 
@@ -409,26 +415,29 @@ def test_fit_decay_recovers_exponential():
 
 
 def test_ising_hamiltonian_is_classical():
-    H = dc.ising_hamiltonian(4, 1.0)
-    off = H.matrix - np.diag(np.diag(H.matrix))
+    H = reference.ising_hamiltonian(4, 1.0)
+    off = H - np.diag(np.diag(H))
     assert np.abs(off).max() == 0.0
     # ferromagnetic alignment: all-up configuration sits at -J (n-1)
-    assert H.matrix[0, 0] == pytest.approx(-3.0)
+    assert H[0, 0] == pytest.approx(-3.0)
     # the oracle's spin cap is a size cap, as every cap is
     with pytest.raises(dc.DimensionError, match=r"capped at n = 12 \(got 13\)"):
-        dc.ising_hamiltonian(13, 1.0)
+        dc.ising_oracle(13, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("J", [0.7, -0.7])
 def test_ising_hamiltonian_keeps_the_bits_of_dense_embeds(J):
-    # each bond is scattered into H; the dense embed per bond gave the same bits
+    # the oracle's bonds scattered into zeros, the dense embed per bond and
+    # the Kronecker reference all give the same bits
     n = 6
-    sites = Region((i,) for i in range(n))
+    sites, bonds = gibbs._ising_bonds(n, J)
     zz = np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
-    ref = np.zeros((2**n, 2**n), dtype=complex)
+    embeds = np.zeros((2**n, 2**n), dtype=complex)
     for k in range(n - 1):
-        ref -= J * embed(zz, Region([(k,), (k + 1,)]), sites, 2).matrix
-    assert dc.ising_hamiltonian(n, J).matrix.tobytes() == ref.tobytes()
+        embeds -= J * embed(zz, Region([(k,), (k + 1,)]), sites, 2).matrix
+    ref = reference.ising_hamiltonian(n, J)
+    assert algebra._dense_sum(bonds, 2**n, complex).tobytes() == ref.tobytes()
+    assert embeds.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("i,j", [(0, 1), (2, 5), (0, 7)])
@@ -455,7 +464,8 @@ def test_ising_oracle_solves_its_hamiltonian_unchecked(J, monkeypatch):
     )
     cov = dc.ising_oracle(n, J, beta)
     assert checks == [] and len(states) == 1
-    ref = dc.gibbs_state(dc.ising_hamiltonian(n, J), beta)
+    sites = Region((i,) for i in range(n))
+    ref = dc.gibbs_state(GlobalOperator(sites, 2, reference.ising_hamiltonian(n, J)), beta)
     assert len(checks) == 1
     assert states[0].rho.matrix.tobytes() == ref.rho.matrix.tobytes()
     assert states[0].logZ == ref.logZ
@@ -467,6 +477,22 @@ def test_ising_oracle_solves_its_hamiltonian_unchecked(J, monkeypatch):
     }
 
 
+def test_the_references_import_no_decorr():
+    # a reference that reached into decorr would share the faults it checks;
+    # decorr is importable in the child, so an import of it would show
+    script = (
+        "import sys, reference; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'decorr'))"
+    )
+    paths = [str(Path(dc.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_ising_exact_xi():
     beta, J = 0.5, 1.0
     assert dc.ising_exact_xi(J, beta) == pytest.approx(
@@ -475,17 +501,6 @@ def test_ising_exact_xi():
     # near tanh = 1 the log1p form keeps its digits (50-digit mpmath value);
     # -1/ln tanh(5) read 11013.232889833915, 2.5e-13 off
     assert dc.ising_exact_xi(1.0, 5.0) == pytest.approx(11013.232889836703, rel=1e-15)
-
-
-def test_mbdos_free_chain(free6):
-    H = dc.build_restricted(free6, free6.sites)[2]
-    hist = dc.mbdos_histogram(H)
-    assert hist == [(0.0, 1), (1.0, 6), (2.0, 15), (3.0, 20), (4.0, 15), (5.0, 6), (6.0, 1)]
-
-
-def test_mbdos_validation():
-    hist = dc.mbdos_histogram(np.zeros((4, 4)))
-    assert hist == [(0.0, 4)]
 
 
 def test_spectral_bracketing(chain6):

@@ -158,3 +158,9 @@ def test_connected_graph_table_counts():
     # connected labelled graphs on k vertices, OEIS A001187
     counts = [int(np.count_nonzero(connected_graphs(k))) for k in range(1, MAX_K + 1)]
     assert counts == [1, 1, 4, 38, 728, 26704]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_connectivity_table_needs_a_vertex(k):
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        connected_graphs(k)

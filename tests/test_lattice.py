@@ -395,3 +395,20 @@ def test_counting_bound_dominates_free_lattice_count():
 
     for D, R, k in itertools.product((1, 2), (1,), (1, 2, 3)):
         assert brute_force_connected_count(D, R, k) <= counting_bound(k, D, R)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LatticeGeometry(D=0, R=1, sites=Region()), "^dimension and radius must be positive$"),
+        (lambda: LatticeGeometry(D=1, R=0, sites=Region([(0,)])),
+         "^dimension and radius must be positive$"),
+        (lambda: LatticeGeometry(D=2, R=1, sites=Region([(0, 0), (1,)])),
+         r"^site \(1,\) has wrong dimension \(expected 2\)$"),
+        (lambda: counting_bound(0, 1, 1), "^k must be positive$"),
+    ],
+    ids=["D-0", "R-0", "site-of-another-dimension", "counting-bound-k-0"],
+)
+def test_each_lattice_refusal_names_what_it_refuses(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -532,3 +532,84 @@ def test_a_chain_above_the_dense_dimension_is_refused_before_any_allocation(boso
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _fields(n):
+    return {(i,): NUMBER for i in range(n)}
+
+
+NN_PAIR = -0.1 * np.kron(NUMBER, NUMBER)
+
+
+def _pair(center, *support):
+    return {center: InteractionTerm(center, Region(support), NN_PAIR)}
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: model.make_spec(chain_geometry(4), 2, _fields(4), _pair((0,), (0,), (1,))),
+            CertificationError,
+            r"^interaction ball around \(0,\) sticks out of the lattice$",
+        ),
+        (
+            lambda: model.make_spec(chain_geometry(4), 2, _fields(4), _pair((1,), (1,), (3,))),
+            CertificationError,
+            r"^interaction at \(1,\) is supported outside its radius-R ball$",
+        ),
+        (
+            lambda: model.make_spec(
+                chain_geometry(4), 2, _fields(4), {(2,): _pair((1,), (1,), (2,))[(1,)]}
+            ),
+            ValueError,
+            "^interaction dict key must equal the term center$",
+        ),
+        (
+            lambda: model.make_spec(chain_geometry(4), 2, _fields(3), {}),
+            ValueError,
+            r"^missing on-site term at \(3,\)$",
+        ),
+        (
+            lambda: model.make_spec(
+                chain_geometry(4), 2, {**_fields(4), (2,): np.diag([1.0, 2.0])}, {}
+            ),
+            ValueError,
+            r"^on-site term at \(2,\) violates the gap condition: ground energy 1\.00e\+00",
+        ),
+        (
+            lambda: dc.xxz_spec(4, J12={((1,), (1,)): 0.02}),
+            ValueError,
+            r"^coupling on the diagonal pair \(\(1,\), \(1,\)\) is not allowed$",
+        ),
+        (
+            lambda: dc.xxz_spec(4, J3=0.02j),
+            ValueError,
+            "^assembled pair coefficients must be real$",
+        ),
+        (
+            lambda: model.build_restricted(chain(4), Region([(2,), (7,)])),
+            ValueError,
+            "^restriction region is not contained in the lattice$",
+        ),
+        (
+            lambda: restricted_spectrum(chain(4), Region([(2,), (7,)])),
+            ValueError,
+            "^restriction region is not contained in the lattice$",
+        ),
+    ],
+    ids=[
+        "ball-outside-the-lattice",
+        "support-outside-the-ball",
+        "key-not-the-center",
+        "missing-onsite-term",
+        "gap-condition",
+        "diagonal-pair",
+        "complex-pair-coefficient",
+        "restriction-outside-the-lattice-dense",
+        "restriction-outside-the-lattice-blocks",
+    ],
+)
+def test_each_model_refusal_names_what_it_refuses(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
