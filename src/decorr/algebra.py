@@ -7,18 +7,17 @@ sum_k d_k q^(m-1-k).
 
 Local operators are placed on a region through the cached index maps of
 :func:`support_index_map`, which refuse what cannot be placed: :func:`embed`
-scatters one into zeros and :func:`_scatter_add` adds one into a running
-sum, each reading it through one shape check, :func:`_gather`.
+scatters one into zeros and :func:`_place` lists the entries one places,
+each reading it through one shape check, :func:`_gather`.
 
-A sum of local terms is assembled one way, :func:`_sector_sums`, wherever
-it is solved: every H of a spec (:mod:`decorr.model` lists its terms) and
-the Ising oracle's H.  It lists the entries the terms place from their
-nonzero local entries, sums them in the dense sum's order, finds the blocks
+A sum of local terms is assembled one way, :func:`_sector_sums`: every H
+of a spec (:mod:`decorr.model` lists its terms, and its dense
+``build_restricted`` writes the blocks into zeros) and the Ising oracle's
+H.  It lists the entries the terms place from their nonzero local entries,
+sums them in term order as a dense sum from zeros would, finds the blocks
 from the summed entries that are not zero, and packs the blocks by size
 into one buffer, so no q^n x q^n matrix is written and memory scales with
 the blocks.  The blocks are those of the dense sum's split, bit for bit.
-The dense sums (:func:`_dense_sum`) remain for the public builders and as
-references.
 
 Eigen-solves dispatch on dtype.  complex128 goes to LAPACK.  LAPACK has no
 extended-precision path, so clongdouble blocks are solved by LAPACK in
@@ -214,27 +213,6 @@ def _gather(local: np.ndarray, index_map) -> np.ndarray:
     if local.shape != (off.size, off.size):
         raise ValueError(f"local operator shape {local.shape} != q^|support|")
     return local[alpha]
-
-
-def _scatter_add(out: np.ndarray, local: np.ndarray, index_map) -> None:
-    """out += embed(local).matrix, adding only the entries the embedding fills.
-
-    ``index_map`` is :func:`support_index_map` of local's support in out's
-    region.  The embedding is zero elsewhere, and adding zero leaves an
-    entry as it is unless the entry is -0.  A sum accumulated from zeros
-    never holds -0 (x + y rounds an exact zero to +0, and +0 + -0 is +0),
-    so on such a sum this is the dense addition bit for bit.
-    """
-    _, base, off = index_map
-    out[np.arange(base.size)[:, None], base[:, None] + off] += _gather(local, index_map)
-
-
-def _dense_sum(terms, dim: int, dtype) -> np.ndarray:
-    """The sum of (local, index map) terms, each scattered into ``dtype`` zeros in order."""
-    out = np.zeros((dim, dim), dtype=dtype)
-    for local, index_map in terms:
-        _scatter_add(out, local, index_map)
-    return out
 
 
 def _local_trace(X, A: GlobalOperator):
@@ -614,17 +592,17 @@ def _sector_sums(sums, region: Region, q: int, dtype) -> list[list]:
     """Sums of local terms on ``region``, each assembled block by block; no dense sum is formed.
 
     Each sum is one list of terms as :func:`_place` gives them, summed in
-    its order as :func:`_dense_sum` would sum them from zeros: one ordered
-    ``np.add.at`` into one slot per distinct entry, so an entry's values
-    meet in the dense sum's order (a fancy-index ``+=`` would drop repeated
-    indices); the terms' zero entries are left out, and they only add
-    zeros, which change no sum accumulated from zeros (see
-    :func:`_scatter_add`).  The blocks are the components of the summed
-    entries that are not zero, not of the terms' patterns: two terms that
-    cancel an entry exactly split a block as the dense sum does.  Each sum
-    comes as its ``(rows, blocks)`` per block size, views of one packed
-    buffer, as :func:`_block_stacks` of the dense sum gives them, bit for
-    bit.
+    its order as the sum of their embeddings from zeros would be: one
+    ordered ``np.add.at`` into one slot per distinct entry, so an entry's
+    values meet in term order (a fancy-index ``+=`` would drop repeated
+    indices).  The terms' zero entries are left out: a zero changes no
+    entry of a sum accumulated from zeros, which never holds -0 (x + y
+    rounds an exact zero to +0).  The blocks are the components of the
+    summed entries that are not zero, not of the terms' patterns: two
+    terms that cancel an entry exactly split a block as the dense sum
+    does.  Each sum comes as its ``(rows, blocks)`` per block size, views
+    of one packed buffer, as :func:`_block_stacks` of the dense sum gives
+    them, bit for bit.
 
     The sums are assembled as one block-diagonal sum, sum s on the indices
     s * dim to s * dim + dim - 1, so one sort, one ``np.add.at`` and one

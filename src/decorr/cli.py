@@ -218,6 +218,8 @@ def run_verify(cfg: dict, outdir: Path) -> int:
     cert = gibbs.bound_certificate(spec)
     lhs, rhs = expansion.subset_sum_identity_check(8, cert.p)
     add("subset_sum_identity", f"F=8 p={cert.p:.6g}", expansion._rel(lhs, rhs), 1e-12)
+    # the partition ratios above are bounded on the normalized spec
+    cert_normalized = gibbs.bound_certificate(normalized)
 
     ok = all(c["pass"] for c in checks)
     _write_json(
@@ -227,6 +229,7 @@ def run_verify(cfg: dict, outdir: Path) -> int:
             "checks": checks,
             "skipped": skipped,
             "certificate": dataclasses.asdict(cert),
+            "certificate_normalized": {"a": normalized.a, **dataclasses.asdict(cert_normalized)},
         },
     )
     for c in checks:
@@ -236,6 +239,10 @@ def run_verify(cfg: dict, outdir: Path) -> int:
         )
     for s in skipped:
         print(f"SKIP {s['name']}: {s['reason']}")
+    print(
+        f"certificate_normalized: a={normalized.a:.12g} p={cert_normalized.p:.6g} "
+        f"decay_base={cert_normalized.decay_base:.6g} active={cert_normalized.active}"
+    )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -28,10 +28,10 @@ import numpy as np
 from .algebra import (
     BlockEigensystem,
     GlobalOperator,
-    _dense_sum,
     _herm_blocks,
     _place,
     _require_hermitian,
+    _scatter_blocks,
     _sector_sums,
     _stack_eigensystem,
     embed,
@@ -505,11 +505,15 @@ def _interaction_terms(spec: HamiltonianSpec, centers, region: Region) -> list:
 
 
 def onsite_sum(onsite: Mapping, region: Region, q: int, dtype) -> np.ndarray:
-    """H0 on ``region``: the on-site terms scattered into ``dtype`` zeros, in site order.
+    """H0 = sum_z h_z (x) 1 on ``region``: the embeddings added into ``dtype`` zeros in site order.
 
-    Bit for bit the sum of their embeddings (see :func:`~decorr.algebra._scatter_add`).
+    The region is refused as :func:`_onsite_terms` refuses it, before any matrix is made.
     """
-    return _dense_sum(_onsite_terms(onsite, region, q), q ** len(region), dtype)
+    terms = _onsite_terms(onsite, region, q)
+    H0 = np.zeros((q ** len(region),) * 2, dtype=dtype)
+    for z, (h, _) in zip(region, terms):
+        H0 += embed(h, Region._canonical((z,)), region, q).matrix
+    return H0
 
 
 def _local_sums(spec: HamiltonianSpec, base: Region, Ms, dtype) -> list[list]:
@@ -529,16 +533,16 @@ def _local_sums(spec: HamiltonianSpec, base: Region, Ms, dtype) -> list[list]:
 def build_restricted(spec: HamiltonianSpec, S: Region):
     """(H0_S, V_S, H_S) on S in complex128: all on-site terms in S, interactions with ball in S.
 
-    Dense sums from zeros of the on-site terms in site order, of the
-    interactions in center order, and of both lists one after the other:
-    H_S in the order :func:`restricted_spectrum` sums it block by block.
+    The on-site terms in site order, the interactions in center order and
+    both lists one after the other, each summed by sectors
+    (:func:`~decorr.algebra._sector_sums`) and its blocks written into
+    zeros: H_S is the blocks :func:`restricted_spectrum` solves.
     """
-    onsite = _onsite_terms(spec.onsite, S, spec.q)
-    interactions = _interaction_terms(spec, interaction_centers(spec, S), S)
-    return tuple(
-        GlobalOperator(S, spec.q, _dense_sum(terms, spec.q ** len(S), complex))
-        for terms in (onsite, interactions, onsite + interactions)
-    )
+    onsite = _place(_onsite_terms(spec.onsite, S, spec.q))
+    interactions = _place(_interaction_terms(spec, interaction_centers(spec, S), S))
+    sums = _sector_sums([onsite, interactions, onsite + interactions], S, spec.q, complex)
+    dim = spec.q ** len(S)
+    return tuple(GlobalOperator(S, spec.q, _scatter_blocks(dim, complex, s)) for s in sums)
 
 
 def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
@@ -546,8 +550,8 @@ def restricted_spectrum(spec: HamiltonianSpec, S: Region) -> BlockEigensystem:
 
     H_S is :func:`_local_sums`'s H_M with M the interaction centers of S
     (:func:`interaction_centers`): no matrix of the full dimension is
-    formed, its blocks are those of :func:`build_restricted`'s H_S, bit for
-    bit, and they are solved unchecked.  Later calls with the same region
+    formed, and its blocks, those :func:`build_restricted` writes into its
+    dense H_S, are solved unchecked.  Later calls with the same region
     (at any beta) reuse ``spec.spectra``.
     """
     if S not in spec.spectra:

@@ -1,6 +1,6 @@
 """Dense references written from numpy alone, independent of decorr.
 
-The tests compare decorr's block-by-block routes with these: a Hamiltonian
+The tests compare decorr's block-by-block routes with these: Hamiltonians
 summed from ``np.kron`` products and level counts from
 ``np.linalg.eigvalsh``.  Nothing here imports decorr, so a fault in the
 code under test cannot also be a fault of its reference.
@@ -22,6 +22,23 @@ def ising_hamiltonian(n: int, J: float) -> np.ndarray:
     H = np.zeros((2**n, 2**n), dtype=complex)
     for k in range(n - 1):
         H += np.kron(np.kron(np.eye(2**k), bond), np.eye(2 ** (n - k - 2)))
+    return H
+
+
+def local_sum(terms, n: int, q: int, dtype=complex) -> np.ndarray:
+    """The sum of local terms on n q-level sites, dense, summed from ``dtype`` zeros in list order.
+
+    ``terms`` holds (legs, matrix) pairs: the matrix acts on the tensor legs
+    ``legs`` (leg 0 most significant), its own k-th leg on legs[k].  Each
+    term is matrix (x) I_{q^(n-k)} by ``np.kron``, its 2n tensor legs then
+    transposed so that leg j of the product lands on legs[j] and the legs
+    of the identity on the other positions in order.
+    """
+    H = np.zeros((q**n, q**n), dtype=dtype)
+    for legs, m in terms:
+        order = np.argsort(list(legs) + [p for p in range(n) if p not in legs])
+        full = np.kron(m, np.eye(q ** (n - len(legs)))).reshape((q,) * 2 * n)
+        H += full.transpose(*order, *(n + order)).reshape(q**n, q**n)
     return H
 
 

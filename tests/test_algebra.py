@@ -22,7 +22,7 @@ from decorr.algebra import (
     operator_product,
 )
 from decorr.lattice import Region
-from decorr.model import build_restricted
+from decorr.model import build_restricted, onsite_sum
 
 from conftest import chain, count_core_solves, zero_pattern_groups
 
@@ -179,7 +179,7 @@ def test_a_support_outside_the_target_is_refused_by_the_map(place):
     "place",
     [
         lambda local, index_map: embed(local, Region([(1,)]), two_sites(), 2),
-        lambda local, index_map: algebra._dense_sum([(local, index_map)], 4, complex),
+        lambda local, index_map: onsite_sum({(0,): SZ, (1,): local}, two_sites(), 2, complex),
         lambda local, index_map: algebra._sector_sums(
             [algebra._place([(local, index_map)])], two_sites(), 2, complex
         ),

@@ -48,7 +48,10 @@ def test_verify_free_model(tmp_path, capsys):
     assert rc == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     report = json.loads((out / "verify_report.json").read_text())
-    # one PASS line per check, then one SKIP line per check not run
+    # one PASS line per check, then one SKIP line per check not run, then
+    # the certificate of the normalized spec
+    *lines, last = lines
+    assert last.startswith("certificate_normalized: a=")
     skips = [f"SKIP {s['name']}: {s['reason']}" for s in report["skipped"]]
     assert len(lines) == len(report["checks"]) + len(skips)
     assert all(l.startswith("PASS") for l in lines[: len(report["checks"])])
@@ -75,6 +78,25 @@ def test_verify_coupled_model(tmp_path, capsys):
     assert {family(c["name"]) for c in report["checks"]} == VERIFY_FAMILIES - {
         "supercluster_resummation"
     }
+
+
+def test_verify_certifies_the_spec_whose_ratios_it_bounds(tmp_path, capsys):
+    # the partition ratios are bounded on the normalized spec, so the report
+    # carries that spec's certificate and constant beside the raw spec's
+    rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5, 2.0]})
+    assert rc == EXIT_OK
+    report = json.loads((out / "verify_report.json").read_text())
+    raw, normalized = report["certificate"], report["certificate_normalized"]
+    assert raw["p"] / 2**4 == pytest.approx(0.11124012648154569, rel=1e-12)  # p = 2a q^3
+    assert raw["decay_base"] == pytest.approx(161.39025232707115, rel=1e-10)
+    assert raw["active"] is False
+    assert normalized["a"] == pytest.approx(0.2036645909999083, rel=1e-10)
+    assert normalized["p"] == pytest.approx(3.258633455998533, rel=1e-10)
+    assert normalized["decay_base"] == pytest.approx(452.669779393872, rel=1e-10)
+    assert normalized["prefactor_exponent"] == pytest.approx(-0.4255067789374274, rel=1e-10)
+    assert normalized["active"] is False
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "certificate_normalized: a=0.203664591 p=3.25863 decay_base=452.67 active=False"
 
 
 def test_term_norm_bound_reports_the_worst_ratio(tmp_path, capsys):
@@ -168,8 +190,10 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch,
     assert rc == EXIT_OK
     report = json.loads((out / "verify_report.json").read_text())
     assert [(s["name"], s["reason"]) for s in report["skipped"]] == skipped
-    # stdout names each of them after the checks that ran
-    lines = capsys.readouterr().out.splitlines()
+    # stdout names each of them after the checks that ran, before the
+    # normalized spec's certificate
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last.startswith("certificate_normalized: a=")
     assert lines[-len(skipped):] == [f"SKIP {name}: {reason}" for name, reason in skipped]
     assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-len(skipped)])
     ran = {family(c["name"]) for c in report["checks"]}

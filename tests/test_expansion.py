@@ -122,17 +122,19 @@ WARM_CHECKS = (
 
 
 def test_warm_swap_builds_no_matrix(monkeypatch):
-    # a second beta finds every H_M of the check in spec.term_blocks: no H_M
-    # is summed or split (so no block is hashed), and the check keeps its bits
+    # a second beta finds every H_M of the check in spec.term_blocks: no term
+    # is placed, no H_M is summed or split (so no block is hashed), and the
+    # check keeps its bits
     for check in WARM_CHECKS:
         spec = chain(6)
         check(spec, 2.0)
         calls = []
-        for name in ("_zero_pattern_components", "_scatter_add"):
+        for name in ("_zero_pattern_components", "_place"):
             original = getattr(algebra, name)
-            monkeypatch.setattr(
-                algebra, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
-            )
+            spy = lambda *a, f=original, n=name: calls.append(n) or f(*a)  # noqa: E731
+            for module in (algebra, model, gibbs, expansion):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
         sums = count_sector_sums(monkeypatch)
         warm = check(spec, 0.5)
         monkeypatch.undo()

@@ -427,8 +427,8 @@ def test_ising_hamiltonian_is_classical():
 
 @pytest.mark.parametrize("J", [0.7, -0.7])
 def test_ising_hamiltonian_keeps_the_bits_of_dense_embeds(J):
-    # the oracle's bonds scattered into zeros, the dense embed per bond and
-    # the Kronecker reference all give the same bits
+    # the oracle's bonds summed by sectors and written into zeros, the dense
+    # embed per bond and the Kronecker reference all give the same bits
     n = 6
     sites, bonds = gibbs._ising_bonds(n, J)
     zz = np.kron(PAULI_BY_NAME["Z"], PAULI_BY_NAME["Z"])
@@ -436,7 +436,8 @@ def test_ising_hamiltonian_keeps_the_bits_of_dense_embeds(J):
     for k in range(n - 1):
         embeds -= J * embed(zz, Region([(k,), (k + 1,)]), sites, 2).matrix
     ref = reference.ising_hamiltonian(n, J)
-    assert algebra._dense_sum(bonds, 2**n, complex).tobytes() == ref.tobytes()
+    (stacks,) = algebra._sector_sums([algebra._place(bonds)], sites, 2, complex)
+    assert algebra._scatter_blocks(2**n, complex, stacks).tobytes() == ref.tobytes()
     assert embeds.tobytes() == ref.tobytes()
 
 

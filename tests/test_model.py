@@ -23,6 +23,7 @@ from decorr.model import (
     restricted_spectrum,
 )
 
+import reference
 from conftest import boson_model, chain, zero_pattern_groups
 
 # certified relative form-bound constant of the canonical instance; the
@@ -270,10 +271,39 @@ def test_onsite_sum_matches_kronecker_sum(dtype):
     assert np.array_equal(got, ref)
 
 
+def reference_terms(spec, S, centers):
+    """The on-site terms of S in site order and the interactions of ``centers`` in their order.
+
+    Each is a (legs, matrix) pair of ``reference.local_sum``: the positions
+    of its support's sites in the canonical order of S.
+    """
+    leg = {z: k for k, z in enumerate(S)}
+    onsite = [([leg[z]], spec.onsite[z]) for z in S]
+    terms = (spec.interactions[x] for x in centers)
+    return onsite, [([leg[z] for z in t.support], t.matrix) for t in terms]
+
+
+def reference_restricted(spec, S):
+    """(H0_S, V_S, H_S) summed from ``np.kron`` products (``reference.local_sum``)."""
+    onsite, interactions = reference_terms(spec, S, interaction_centers(spec, S))
+    return tuple(
+        reference.local_sum(terms, len(S), spec.q)
+        for terms in (onsite, interactions, onsite + interactions)
+    )
+
+
 def assert_sector_sum_is_the_dense_split(spec, S):
-    """The sector blocks of H_S are the dense H_S's split; scattered back they are H_S, bitwise."""
-    dense = dc.build_restricted(spec, S)[2].matrix
-    (stacks,) = model._local_sums(spec, S, [model.interaction_centers(spec, S)], complex)
+    """The sector blocks of H_S are the dense H_S's split; scattered back they are H_S, bitwise.
+
+    The dense H_S is the ``np.kron`` reference; ``build_restricted`` writes
+    its bits and those of the reference H0_S and V_S.
+    """
+    refs = reference_restricted(spec, S)
+    for op, ref in zip(dc.build_restricted(spec, S), refs, strict=True):
+        assert op.region == S and op.q == spec.q
+        assert op.matrix.tobytes() == ref.tobytes()
+    dense = refs[2]
+    (stacks,) = model._local_sums(spec, S, [interaction_centers(spec, S)], complex)
     ref = list(algebra._block_stacks(dense))
     assert len(stacks) == len(ref)
     for (rows, blocks), (ref_rows, ref_blocks) in zip(stacks, ref):
@@ -281,6 +311,8 @@ def assert_sector_sum_is_the_dense_split(spec, S):
         assert blocks.tobytes() == ref_blocks.tobytes()
     assert algebra._scatter_blocks(len(dense), complex, stacks).tobytes() == dense.tobytes()
 
+
+SUBREGION = Region([(1,), (2,), (3,), (4,)])  # holds the interaction balls of 2 and 3
 
 SECTOR_CASES = {
     "chain5": lambda: [(chain(5), None)],
@@ -295,6 +327,13 @@ SECTOR_CASES = {
         for c in itertools.combinations(spec.sites, k)
     ],
     "empty": lambda: [(chain(5), Region())],
+    # truncated bosons: q-level on-site terms and non-diagonal hops
+    "bosons-q3": lambda: [
+        (spec, S) for spec in [dc.spec_from_json(boson_model(6, 3))] for S in (None, SUBREGION)
+    ],
+    "bosons-q4": lambda: [
+        (spec, S) for spec in [dc.spec_from_json(boson_model(5, 4))] for S in (None, SUBREGION)
+    ],
 }
 
 
@@ -334,7 +373,7 @@ def cancelling_spec():
 def test_exact_cancellation_splits_sectors_as_the_dense_sum():
     spec = cancelling_spec()
     S = spec.sites
-    dense = dc.build_restricted(spec, S)[2].matrix
+    dense = reference_restricted(spec, S)[2]
     dim = len(dense)
     # the term patterns join what the summed H splits: not a vacuous case
     patterns = sum(
@@ -355,10 +394,7 @@ def test_exact_cancellation_splits_sectors_as_the_dense_sum():
     # and so is the expansion's, in clongdouble
     M = ((1,), (2,))
     (systems,) = expansion._fill(spec, [(M, S)])
-    HM = onsite_sum(spec.onsite, S, 2, np.clongdouble)
-    for x in M:
-        term = spec.interactions[x]
-        algebra._scatter_add(HM, term.matrix, algebra.support_index_map(term.support, S, 2))
+    HM = reference.local_sum(sum(reference_terms(spec, S, M), []), len(S), 2, np.clongdouble)
     assert len(zero_pattern_groups(dim, *np.nonzero(HM))) == len(split)
     fresh = list(algebra._block_eighs(HM))
     for (rows, w, V), (ref_rows, ref_w, ref_V) in zip(systems, fresh, strict=True):

@@ -25,7 +25,7 @@ import decorr as dc
 import decorr.cli
 from decorr import _kernels, expansion, gibbs
 from decorr.algebra import GlobalOperator
-from decorr.lattice import LatticeGeometry, Region, chain_geometry
+from decorr.lattice import LatticeGeometry, Region, box_geometry, chain_geometry
 from decorr.model import build_restricted
 
 from conftest import chain, pauli_at
@@ -61,9 +61,19 @@ def test_spec_terms_keep_the_shape_the_harness_reads(harness):
     assert np.allclose(checks._assemble(spec), H, rtol=0, atol=1e-14)
 
 
+def box34():
+    return dc.xxz_spec(box_geometry((3, 4), 1), lam=0.3, seed=7, J12=0.02, J3=0.02)
+
+
 @pytest.mark.parametrize(
-    "make", [lambda: chain(10), lambda: dc.normalize_nonpositive(chain(8))],
-    ids=["chain10", "chain8-normalized"],
+    "make",
+    [
+        lambda: chain(10),
+        lambda: dc.normalize_nonpositive(chain(8)),
+        box34,
+        lambda: dc.normalize_nonpositive(box34()),
+    ],
+    ids=["chain10", "chain8-normalized", "box3x4", "box3x4-normalized"],
 )
 def test_the_summation_order_is_the_harness_order_bit_for_bit(harness, make):
     # the harness adds each term into one H, the on-site terms in site order
