@@ -39,7 +39,6 @@ from .expansion import (
     SwapCheck,
     observable_weight,
     partition_ratio,
-    subset_sum_identity_check,
     swap_configurations,
     term_norm_scan,
     verify_factorization,

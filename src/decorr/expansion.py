@@ -225,7 +225,11 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
     inner) without its dim^3 matrix product, in place in the gathered factor.
     The factor and the reference e^{-beta H} are ``spec.term_blocks`` entries
     (:func:`_boltzmann`); one :func:`_fill` takes them and every term's H_M.
-    On an empty interior, where the one term is the reference, it refuses.
+    It refuses an instance on which the sum meets the reference by
+    construction: an empty interior, where the one term is the reference,
+    and a lattice on which every nonempty configuration closes to the whole
+    lattice (the 3-site chain at R = 1), where no free factor enters and
+    the terms telescope into the reference's own memo entries.
     """
     if not spec.interior:
         raise NotApplicable("lattice interior is empty")
@@ -237,6 +241,11 @@ def verify_resummation(spec: HamiltonianSpec, beta: float) -> float:
         cl = closure(I, spec.geometry)
         closures.setdefault(cl, []).append(I)
         pairs += [((), spec.sites - cl), *_term_pairs(I, cl, spec)]
+    if all(cl == spec.sites for cl in closures if cl):
+        raise NotApplicable(
+            "every nonempty configuration closes to the whole lattice: no free factor "
+            "enters, and the terms sum to the reference's own entries whatever they hold"
+        )
     _fill(spec, pairs)
     ref = _boltzmann(spec, centers, spec.sites, beta)
     acc = np.zeros_like(ref)
@@ -700,20 +709,3 @@ def partition_ratio(S: Region, spec: HamiltonianSpec, beta: float) -> PartitionR
         interacting_ge_one=float(z_cl) >= 1 - slack,
         cl_size=len(cl),
     )
-
-
-# ---------------------------------------------------------------------------
-# combinatorial identity
-# ---------------------------------------------------------------------------
-
-def subset_sum_identity_check(F_size: int, p: float) -> tuple[float, float]:
-    """Explicit sum_{E subset F} p^|E| against the closed form (1+p)^|F|.
-
-    The left side really iterates all 2^F_size subsets (capped at 20).
-    """
-    if F_size < 0 or F_size > 20:
-        raise ValueError("F_size must be between 0 and 20")
-    lhs = np.longdouble(0.0)
-    for mask in range(1 << F_size):
-        lhs += np.longdouble(p) ** bin(mask).count("1")
-    return float(lhs), float((1.0 + p) ** F_size)

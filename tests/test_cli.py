@@ -49,9 +49,10 @@ def test_verify_free_model(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     report = json.loads((out / "verify_report.json").read_text())
     # one PASS line per check, then one SKIP line per check not run, then
-    # the certificate of the normalized spec
-    *lines, last = lines
-    assert last.startswith("certificate_normalized: a=")
+    # the certificates of the spec and of its normalized spec
+    *lines, raw, normalized = lines
+    assert raw.startswith("certificate: a=")
+    assert normalized.startswith("certificate_normalized: a=")
     skips = [f"SKIP {s['name']}: {s['reason']}" for s in report["skipped"]]
     assert len(lines) == len(report["checks"]) + len(skips)
     assert all(l.startswith("PASS") for l in lines[: len(report["checks"])])
@@ -87,7 +88,8 @@ def test_verify_certifies_the_spec_whose_ratios_it_bounds(tmp_path, capsys):
     assert rc == EXIT_OK
     report = json.loads((out / "verify_report.json").read_text())
     raw, normalized = report["certificate"], report["certificate_normalized"]
-    assert raw["p"] / 2**4 == pytest.approx(0.11124012648154569, rel=1e-12)  # p = 2a q^3
+    assert raw["a"] == 0.11124012648154569
+    assert raw["p"] / 2**4 == pytest.approx(raw["a"], rel=1e-12)  # p = 2a q^3
     assert raw["decay_base"] == pytest.approx(161.39025232707115, rel=1e-10)
     assert raw["active"] is False
     assert normalized["a"] == pytest.approx(0.2036645909999083, rel=1e-10)
@@ -95,8 +97,10 @@ def test_verify_certifies_the_spec_whose_ratios_it_bounds(tmp_path, capsys):
     assert normalized["decay_base"] == pytest.approx(452.669779393872, rel=1e-10)
     assert normalized["prefactor_exponent"] == pytest.approx(-0.4255067789374274, rel=1e-10)
     assert normalized["active"] is False
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last == "certificate_normalized: a=0.203664591 p=3.25863 decay_base=452.67 active=False"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "certificate: a=0.111240126482 p=1.77984 decay_base=161.39 active=False",
+        "certificate_normalized: a=0.203664591 p=3.25863 decay_base=452.67 active=False",
+    ]
 
 
 def test_term_norm_bound_reports_the_worst_ratio(tmp_path, capsys):
@@ -136,9 +140,8 @@ def test_zero_terms_meet_a_zero_term_norm_bound(tmp_path):
 
 
 VERIFY_FAMILIES = {
-    "form_bound_certificate", "resummation", "term_norm_bound", "factorization",
-    "swap_identity", "supercluster_resummation", "partition_ratio_bound",
-    "subset_sum_identity",
+    "resummation", "term_norm_bound", "factorization", "swap_identity",
+    "supercluster_resummation", "partition_ratio_bound",
 }
 
 
@@ -155,6 +158,10 @@ def single_pair(c):
 
 
 HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply"
+CLOSES_TO_THE_LATTICE = (
+    "every nonempty configuration closes to the whole lattice: no free factor enters, "
+    "and the terms sum to the reference's own entries whatever they hold"
+)
 
 
 @pytest.mark.parametrize(
@@ -167,8 +174,11 @@ HALVES_CONNECTED = "the two halves are R-connected; factorization does not apply
              ("factorization", "lattice interior is empty"),
              ("swap_identity", "lattice interior is empty"),
              ("supercluster_resummation", "lattice interior is empty")]),
-        # one interior site: both probes sit on it, too close to separate
-        (3, [("factorization", HALVES_CONNECTED),
+        # one interior site, whose closure is the lattice: the resummation
+        # meets its reference by construction, and both probes sit on it,
+        # too close to separate
+        (3, [("resummation", CLOSES_TO_THE_LATTICE),
+             ("factorization", HALVES_CONNECTED),
              ("swap_identity", "supports of A and B must be further than 2R apart"),
              ("supercluster_resummation", single_pair(1))]),
         # the probes on the interior's ends 1 and 2 are within 2R, and the
@@ -191,9 +201,10 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch,
     report = json.loads((out / "verify_report.json").read_text())
     assert [(s["name"], s["reason"]) for s in report["skipped"]] == skipped
     # stdout names each of them after the checks that ran, before the
-    # normalized spec's certificate
-    *lines, last = capsys.readouterr().out.splitlines()
-    assert last.startswith("certificate_normalized: a=")
+    # two certificates
+    *lines, raw, normalized = capsys.readouterr().out.splitlines()
+    assert raw.startswith("certificate: a=")
+    assert normalized.startswith("certificate_normalized: a=")
     assert lines[-len(skipped):] == [f"SKIP {name}: {reason}" for name, reason in skipped]
     assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-len(skipped)])
     ran = {family(c["name"]) for c in report["checks"]}
@@ -703,6 +714,47 @@ def test_certify_custom_model(tmp_path):
     assert json.loads((out / "certify_report.json").read_text())["n_interactions"] == 1
 
 
+def strict_json(path):
+    """The report at path, refusing NaN and Infinity, which RFC 8259 JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_certify_reports_the_certificates_verify_reports(tmp_path, capsys):
+    # the proof needs the normalized spec inside its hypothesis, so certify
+    # reports and prints its certificate beside the configured spec's, as
+    # verify does
+    rc, out = run(tmp_path, "certify", {"model": CANONICAL_MODEL})
+    assert rc == EXIT_OK
+    certified = strict_json(out / "certify_report.json")
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS certification",
+        "certificate: a=0.111240126482 p=1.77984 decay_base=161.39 active=False",
+        "certificate_normalized: a=0.203664591 p=3.25863 decay_base=452.67 active=False",
+    ]
+    rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
+    assert rc == EXIT_OK
+    verified = strict_json(out / "verify_report.json")
+    for key in ("certificate", "certificate_normalized"):
+        assert certified[key] == verified[key], key
+    assert certified["certificate"]["a"] == certified["a"]
+
+
+def test_a_free_model_writes_a_null_prefactor_exponent(tmp_path):
+    # a = 0 gives p = 0 and a prefactor exponent ln(1/2 + 1/(2p)) = inf, which
+    # strict JSON writes as null
+    zero = [[[0, 0]] * 4 for _ in range(4)]
+    rc, out = run(tmp_path, "certify",
+                  {"model": {**custom_model([1]), "interactions": [[[1], [[1], [2]], zero]]}})
+    assert rc == EXIT_OK
+    report = strict_json(out / "certify_report.json")
+    for key in ("certificate", "certificate_normalized"):
+        assert report[key]["p"] == 0.0 and report[key]["prefactor_exponent"] is None
+
+
 @pytest.mark.parametrize(
     "command, payload, code, err",
     [
@@ -742,6 +794,18 @@ def test_certify_failure_exit_code(tmp_path):
     assert rc == EXIT_CHECK_FAILED
     report = json.loads((out / "certify_report.json").read_text())
     assert report["certified"] is False
+
+
+def test_certify_fails_a_model_whose_normalized_spec_has_no_form_bound(tmp_path, capsys):
+    # a = 0.68 certifies the configured spec, but its normalized spec, on which
+    # the partition ratios are bounded, reads a = 1.02: outside the hypothesis
+    payload = {"model": {"n": 4, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.13, "J3": 0.02}}
+    rc, out = run(tmp_path, "certify", payload)
+    assert rc == EXIT_CHECK_FAILED
+    report = json.loads((out / "certify_report.json").read_text())
+    assert report["certified"] is False
+    assert report["error"] == "normalized spec: certified constant a = 1.0222 is not below 1"
+    assert capsys.readouterr().out == f"FAIL certification: {report['error']}\n"
 
 
 def test_certify_non_hermitian_interaction_is_config_error(tmp_path, capsys):

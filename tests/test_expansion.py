@@ -343,6 +343,28 @@ def test_checks_refuse_an_empty_interior():
         dc.verify_swap_identity(spec, A, B, 1.0)
 
 
+@pytest.mark.parametrize("n, R", [(3, 1), (5, 2)])
+def test_resummation_refuses_a_lattice_that_every_configuration_closes_to(n, R):
+    # no free factor enters: the terms telescope into the reference's own
+    # memo entries, so the residual would read 0 even with every exponential
+    # doubled
+    spec = dc.xxz_spec(n, lam=0.3, seed=7, J12=0.02, J3=0.02, R=R)
+    assert all(closure(Region([x]), spec.geometry) == spec.sites for x in spec.interior)
+    with pytest.raises(expansion.NotApplicable, match="^every nonempty configuration closes"):
+        dc.verify_resummation(spec, 1.0)
+
+
+def test_resummation_sees_a_wrong_exponential_where_a_free_factor_enters(monkeypatch):
+    # on chain4 the closure of each single center leaves a free site, so
+    # doubled exponentials no longer cancel and the residual shows it
+    spec = chain(4)
+    assert dc.verify_resummation(spec, 1.0) <= 1e-18
+    monkeypatch.setattr(expansion, "_exp_blocks", lambda systems, beta: (
+        (rows, 2 * np.exp(np.clongdouble(-beta) * w), np.asarray(V)) for rows, w, V in systems
+    ))
+    assert dc.verify_resummation(spec, 1.0) > 1e-3
+
+
 @pytest.mark.parametrize(
     "n, couplings",
     [(2, {}), (5, {"lam": 0.0, "J12": 0.0, "J3": 0.0})],
@@ -849,27 +871,6 @@ def test_partition_ratio_preconditions(chain8):
     norm = dc.normalize_nonpositive(chain8)
     with pytest.raises(ValueError, match="connected"):
         dc.partition_ratio(Region([(1,), (4,)]), norm, 1.0)
-
-
-def test_subset_sum_identity_hand_values():
-    lhs, rhs = dc.subset_sum_identity_check(0, 0.7)
-    assert lhs == rhs == 1.0
-    lhs, rhs = dc.subset_sum_identity_check(3, 0.5)
-    assert lhs == pytest.approx(3.375, rel=1e-14)
-    assert rhs == pytest.approx(3.375, rel=1e-14)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 12), st.floats(0.0, 2.0, allow_nan=False))
-def test_subset_sum_identity_property(F, p):
-    lhs, rhs = dc.subset_sum_identity_check(F, p)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert rhs == pytest.approx((1 + p) ** F, rel=1e-12)
-
-
-def test_subset_sum_cap():
-    with pytest.raises(ValueError):
-        dc.subset_sum_identity_check(21, 0.5)
 
 
 def extended_rho_covariance(spec, A, B, beta):

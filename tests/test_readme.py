@@ -58,6 +58,10 @@ def test_readme_states_the_dense_cap():
         assert q**n <= dim < q ** (n + 1)
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def test_readme_example_configs_run(tmp_path):
     # the config with observables is a decay config, the other a verify config
     configs = readme_configs()
@@ -67,7 +71,9 @@ def test_readme_example_configs_run(tmp_path):
         config.write_text(block)
         out = tmp_path / f"out{k}"
         assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
-        assert (out / f"{command}_report.json").exists()
+        # strict JSON: a value that is not finite, such as the xi of a decay
+        # fit with no point over the floor, is written as null, not NaN
+        json.loads((out / f"{command}_report.json").read_text(), parse_constant=_refuse_constant)
 
 
 class _Built(Exception):
