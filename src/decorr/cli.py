@@ -5,7 +5,7 @@ into an output directory (--out, falling back to the config's output_dir,
 then the working directory), and communicates through its exit code:
 
     0  all requested checks passed
-    1  a check failed (identity residual over tolerance, bound violated, ...)
+    1  a check or the certification failed (residual over tolerance, a >= 1, ...)
     2  config malformed, inconsistent, or holding a key the command does not read
     3  a size cap would be exceeded
 
@@ -13,7 +13,8 @@ Reports are strict JSON with sorted keys and no timestamps, so identical
 configs produce byte-identical outputs; a value that is not finite is null.
 Each ``run_<command>`` computes and writes nothing: it returns its report,
 its CSV tables, its stdout lines and whether every check passed, and
-``main`` writes, prints and picks the exit code.
+``main`` writes, prints and picks the exit code; a runner's certification
+refusal becomes that command's report, ``certified: false``, exit 1.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def _spin_probe(spec: HamiltonianSpec, site) -> GlobalOperator:
 
 def run_verify(cfg: dict) -> Result:
     spec = _model_spec(cfg)
+    normalized = model.normalize_nonpositive(spec)  # certified before any check runs
     betas = _betas(cfg)
     geo = spec.geometry
     inter = spec.interior
@@ -237,7 +239,6 @@ def run_verify(cfg: dict) -> Result:
             add("supercluster_resummation_weight", instance, chk.rel_residual_weight)
             add("supercluster_resummation_observable", instance, chk.rel_residual_observable)
 
-    normalized = model.normalize_nonpositive(spec)
     ratio_rows = []
     for k in (1, 2):
         for S in map(Region, itertools.combinations(spec.sites, k)):
@@ -418,17 +419,9 @@ def run_ising(cfg: dict) -> Result:
 # ---------------------------------------------------------------------------
 
 def run_certify(cfg: dict) -> Result:
+    spec = _model_spec(cfg)
     # the proof needs the normalized spec certified too: its ratios are the bounded ones
-    spec = None
-    try:
-        spec = _model_spec(cfg)
-        normalized = model.normalize_nonpositive(spec)
-    except CertificationError as exc:
-        error = str(exc) if spec is None else f"normalized spec: {exc}"
-        center = list(exc.center) if exc.center is not None else None
-        report = {"certified": False, "error": error, "center": center}
-        return Result(report, {}, [f"FAIL certification: {error}"], False)
-    certificates, lines = _certificates(spec, normalized)
+    certificates, lines = _certificates(spec, model.normalize_nonpositive(spec))
     report = {
         "certified": True,
         "a": spec.a,
@@ -493,9 +486,10 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except CertificationError as exc:  # only a runner raises it, so outdir is made
+        center = None if exc.center is None else list(exc.center)
+        report = {"certified": False, "error": str(exc), "center": center}
+        result = Result(report, {}, [f"FAIL certification: {exc}"], False)
     _write(outdir, args.command, result)
     return EXIT_OK if result.ok else EXIT_CHECK_FAILED
 

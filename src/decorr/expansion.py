@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    EPS_EXT,
     DimensionError,
     GlobalOperator,
     _block_function,
@@ -182,8 +183,12 @@ def _fill(spec: HamiltonianSpec, pairs: list) -> list:
     sweep that passes all of its pairs at once makes one solve per block
     size.  A spec and its local matrices never change, and each block is
     solved on its own, so an entry is what summing and solving H_M again
-    would give, bit for bit.
+    would give, bit for bit.  A ``longdouble`` with fewer mantissa bits
+    than x87's 64 cannot resolve the weights, so no term is built on it.
     """
+    if EPS_EXT > 2.0**-63:
+        bits = 1 - round(math.log2(EPS_EXT))
+        raise NotApplicable(f"longdouble has a {bits}-bit mantissa; the terms need 64")
     missing: dict[Region, dict] = {}  # the Ms of each base, in order, without repeats
     for M, base in pairs:
         if (M, base) not in spec.term_blocks:

@@ -581,6 +581,7 @@ def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:
     correction keeps the identity exact).  Gap and zero ground energy of the
     on-site terms survive since 1 + atilde * m_z >= 1, and the recertified
     constant obeys a_new <= 2 atilde (2R+1)^D / (1 + atilde).
+    Its CertificationError, center kept, is prefixed ``normalized spec:``.
     """
     if not spec.interactions:
         return spec
@@ -604,7 +605,10 @@ def normalize_nonpositive(spec: HamiltonianSpec) -> HamiltonianSpec:
 
     params = dict(spec.params)
     params["normalized_from_a"] = spec.a
-    return make_spec(geometry, q, onsite, interactions, model="custom", params=params)
+    try:
+        return make_spec(geometry, q, onsite, interactions, model="custom", params=params)
+    except CertificationError as exc:
+        raise CertificationError(f"normalized spec: {exc}", center=exc.center) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from decorr import cli, expansion
+from decorr import cli, expansion, gibbs
 from decorr.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -260,6 +261,27 @@ def test_verify_passes_the_supercluster_check_on_a_class_of_several_pairs(
         "PASS supercluster_resummation_observable",
     ]
     assert all("[S0 around (5,) beta=0.5 pairs=4]" in l for l in supercluster)
+
+
+def test_verify_skips_the_expansion_on_a_longdouble_without_64_mantissa_bits(
+    tmp_path, capsys, monkeypatch
+):
+    # a longdouble that is float64 (eps 2^-52) would fail the expansion
+    # checks at about 2e-10; each family is skipped by name instead
+    monkeypatch.setattr(expansion, "EPS_EXT", np.finfo(np.float64).eps)
+    rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
+    assert rc == EXIT_OK
+    report = strict_json(out / "verify_report.json")
+    assert [c["name"] for c in report["checks"]] == ["partition_ratio_bound"]
+    reason = "longdouble has a 53-bit mantissa; the terms need 64"
+    assert report["skipped"] == [
+        {"name": "resummation", "reason": reason},
+        {"name": "term_norm_bound", "reason": reason},
+        {"name": "factorization", "reason": reason},
+        {"name": "swap_identity", "reason": reason},
+        {"name": "supercluster_resummation", "reason": single_pair(3)},  # refused before a term
+    ]
+    assert f"SKIP resummation: {reason}" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_runs_on_a_q3_chain(tmp_path):
@@ -755,37 +777,104 @@ def test_a_free_model_writes_a_null_prefactor_exponent(tmp_path):
         assert report[key]["p"] == 0.0 and report[key]["prefactor_exponent"] is None
 
 
+BALL_OUTSIDE_MODEL = {**custom_model([0]), "interactions": [[[0], [[0], [1]], NN_JSON]]}
+
+
 @pytest.mark.parametrize(
-    "command, payload, code, err",
+    "command, payload, code, line, report",
     [
-        ("verify", [CANONICAL_MODEL], EXIT_CONFIG, "config error: config must be a JSON object"),
+        ("verify", [CANONICAL_MODEL], EXIT_CONFIG, "config error: config must be a JSON object",
+         None),
         (
             "verify",
             {"model": CANONICAL_MODEL, "betas": []},
             EXIT_CONFIG,
             "config error: config needs a nonempty 'betas' list",
+            None,
         ),
-        ("count", {"D": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
-        ("count", {"R": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
-        ("count", {"k_max": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive"),
-        # only `decorr certify` reports a failed certification itself; every
-        # other command reaches main's handler, which exits 1 with its reason
+        ("count", {"D": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive", None),
+        ("count", {"R": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive", None),
+        ("count", {"k_max": 0}, EXIT_CONFIG, "config error: D, R and k_max must be positive",
+         None),
+        # a failed certification is the command's report, written by main,
+        # with the interaction center to blame
         (
             "verify",
-            {"model": {**custom_model([0]), "interactions": [[[0], [[0], [1]], NN_JSON]]},
-             "betas": [0.5]},
+            {"model": BALL_OUTSIDE_MODEL, "betas": [0.5]},
             EXIT_CHECK_FAILED,
-            "certification failure: interaction ball around (0,) sticks out of the lattice",
+            "FAIL certification: interaction ball around (0,) sticks out of the lattice",
+            {"certified": False, "center": [0], "command": "verify", "schema": SCHEMA_VERSION,
+             "error": "interaction ball around (0,) sticks out of the lattice"},
         ),
     ],
     ids=["config-not-an-object", "empty-betas", "count-D-0", "count-R-0", "count-k_max-0",
          "verify-uncertifiable-model"],
 )
-def test_each_command_refusal_names_what_it_refuses(tmp_path, capsys, command, payload, code, err):
+def test_each_command_refusal_names_what_it_refuses(
+    tmp_path, capsys, command, payload, code, line, report
+):
     rc, out = run(tmp_path, command, payload)
     assert rc == code
-    assert capsys.readouterr().err == err + "\n"
-    assert not list(out.glob("*"))  # no report is written
+    captured = capsys.readouterr()
+    if report is None:  # a refused config: the reason on stderr, and no report
+        assert (captured.out, captured.err) == ("", line + "\n")
+        assert not list(out.glob("*"))
+    else:
+        assert (captured.out, captured.err) == (line + "\n", "")
+        assert [p.name for p in out.glob("*")] == [f"{command}_report.json"]
+        assert strict_json(out / f"{command}_report.json") == report
+
+
+# (model block, refusal, center) of models outside the theorem's hypothesis
+UNCERTIFIABLE = {
+    "normalized-a-1.02": (
+        {"n": 4, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.13, "J3": 0.02},
+        "normalized spec: certified constant a = 1.0222 is not below 1",
+        None,
+    ),
+    "raw-a-2.62": (
+        {"n": 4, "R": 1, "lambda": 0.3, "seed": 7, "J12": 0.5, "J3": 0.02},
+        "certified constant a = 2.6151 is not below 1",
+        None,
+    ),
+    "ball-outside": (
+        BALL_OUTSIDE_MODEL, "interaction ball around (0,) sticks out of the lattice", [0],
+    ),
+}
+CHECKS = {
+    expansion: ("verify_resummation", "term_norm_scan", "verify_factorization",
+                "verify_swap_identity", "verify_supercluster_resummation", "partition_ratio"),
+    gibbs: ("decay_sweep",),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("verify", case) for case in UNCERTIFIABLE]
+    + [("certify", case) for case in UNCERTIFIABLE]
+    # decay measures the configured spec, which the normalized case certifies
+    + [("decay", "raw-a-2.62"), ("decay", "ball-outside")],
+)
+def test_a_certification_failure_is_the_commands_report(
+    tmp_path, capsys, monkeypatch, command, case
+):
+    # verify certifies the normalized spec before its checks; a model outside
+    # the hypothesis costs no check and still gets its report
+    for module, names in CHECKS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("a check ran"))
+    block, error, center = UNCERTIFIABLE[case]
+    payload = {"verify": {"model": block, "betas": [0.5]},
+               "decay": {**DECAY_RUN, "model": block, "betas": [0.5]},
+               "certify": {"model": block}}[command]
+    rc, out = run(tmp_path, command, payload)
+    assert rc == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == f"FAIL certification: {error}\n"
+    assert [p.name for p in out.glob("*")] == [f"{command}_report.json"]
+    assert strict_json(out / f"{command}_report.json") == {
+        "certified": False, "error": error, "center": center,
+        "command": command, "schema": SCHEMA_VERSION,
+    }
 
 
 def test_certify_failure_exit_code(tmp_path):

@@ -436,6 +436,26 @@ def test_normalize_constant_bound(chain8):
     assert norm.a == pytest.approx(0.20718772093491739, rel=1e-10)
 
 
+def test_normalized_spec_refusal_is_worded_by_the_model(monkeypatch):
+    # the seed-7 n = 4 chain at J12 = 0.13 certifies (a = 0.68), its
+    # normalized spec does not; every caller reads the same prefixed refusal
+    spec = chain(4, J12=0.13)
+    assert spec.a == pytest.approx(0.68, abs=0.01)
+    with pytest.raises(CertificationError) as refused:
+        dc.normalize_nonpositive(spec)
+    assert str(refused.value) == "normalized spec: certified constant a = 1.0222 is not below 1"
+    assert refused.value.center is None
+
+    def refuse(*args, **kwargs):
+        raise CertificationError("interaction at (2,) does not vanish", center=(2,))
+
+    monkeypatch.setattr(model, "make_spec", refuse)  # a refusal that names a center keeps it
+    with pytest.raises(CertificationError) as refused:
+        dc.normalize_nonpositive(spec)
+    assert str(refused.value) == "normalized spec: interaction at (2,) does not vanish"
+    assert refused.value.center == (2,)
+
+
 def test_normalize_free_spec_is_noop():
     free = chain(4, lam=0.0, J12=0.0, J3=0.0, seed=0)
     norm = dc.normalize_nonpositive(free)
