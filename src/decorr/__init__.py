@@ -70,7 +70,6 @@ from .lattice import (
 )
 from .model import (
     CertificationError,
-    CouplingRangeError,
     GapCheck,
     HamiltonianSpec,
     InteractionTerm,

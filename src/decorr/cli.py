@@ -5,7 +5,8 @@ into an output directory (--out, falling back to the config's output_dir,
 then the working directory), and communicates through its exit code:
 
     0  all requested checks passed
-    1  a check or the certification failed (residual over tolerance, a >= 1, ...)
+    1  a check or the certification failed (residual over tolerance, a >= 1,
+       no expansion identity checked, ...)
     2  config malformed, inconsistent, or holding a key the command does not read
     3  a size cap would be exceeded
 
@@ -239,6 +240,7 @@ def run_verify(cfg: dict) -> Result:
             add("supercluster_resummation_weight", instance, chk.rel_residual_weight)
             add("supercluster_resummation_observable", instance, chk.rel_residual_observable)
 
+    identities_checked = bool(checks)  # some expansion family ran
     ratio_rows = []
     for k in (1, 2):
         for S in map(Region, itertools.combinations(spec.sites, k)):
@@ -265,8 +267,11 @@ def run_verify(cfg: dict) -> Result:
         for c in checks
     ]
     lines += [f"SKIP {s['name']}: {s['reason']}" for s in skipped]
+    if not identities_checked:  # the partition ratios alone check no expansion
+        lines.append("FAIL no expansion identity was checked: every family was skipped")
     report = {"checks": checks, "skipped": skipped, **certificates}
-    return Result(report, {}, lines + cert_lines, all(c["pass"] for c in checks))
+    ok = identities_checked and all(c["pass"] for c in checks)
+    return Result(report, {}, lines + cert_lines, ok)
 
 
 # ---------------------------------------------------------------------------

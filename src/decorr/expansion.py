@@ -430,19 +430,20 @@ def swap_configurations(I: Region, J: Region, X: Region, Y: Region, R: int):
     """Exchange the I- and J-content of the supercluster holding X.
 
     Decomposes I + J + X + Y into R-connected components; with S1 the
-    component containing X (which must not contain Y; an X or Y that is not
-    R-connected raises NotApplicable), returns
+    component containing X (which must not contain Y; an X or Y that is
+    empty or not R-connected raises NotApplicable), returns
 
         I' = (J & S1) + (I - S1),   J' = (I & S1) + (J - S1).
 
     The map is an involution on pairs satisfying the separation event, and
     it preserves the supercluster decomposition itself.
     """
+    _require_nonempty(("X", X), ("Y", Y))
     _require_r_connected(R, X, Y)
-    dec = supercluster_decompose([I, J, X, Y], R)
-    if not dec.in_different_components(X, Y):
+    S1 = supercluster_decompose([I, J, X, Y], R).component_of(X[0])
+    if Y[0] in S1:
         raise ValueError("swap undefined: X and Y lie in the same supercluster")
-    return _swap(I, J, dec.component_of(X[0]))
+    return _swap(I, J, S1)
 
 
 def _require_nonempty(*named: tuple[str, Region]) -> None:
@@ -531,13 +532,13 @@ def verify_swap_identity(
             U = I | J
             if U not in splits:
                 splits[U] = supercluster_decompose([U, X, Y], geo.R)
-            if not splits[U].in_different_components(X, Y):
+            S1 = splits[U].component_of(X[0])
+            if Y[0] in S1:
                 joined += w[I] * wab[J] - wa[I] * wb[J]
                 continue
             n_pairs += 1
             lhs += w[I] * wab[J]
             rhs += wa[I] * wb[J]
-            S1 = splits[U].component_of(X[0])
             I2, J2 = _swap(I, J, S1)
             # the swap keeps the union, hence the split and S1
             if I2 | J2 != U or _swap(I2, J2, S1) != (I, J):

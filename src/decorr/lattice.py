@@ -262,16 +262,6 @@ class SuperclusterDecomposition:
                 return comp
         raise KeyError(f"site {site} is in no component")
 
-    def component_index(self, region: Region) -> int:
-        """Index of the single component containing ``region`` entirely."""
-        idx = {i for i, comp in enumerate(self.components) for s in region if s in comp}
-        if len(idx) != 1:
-            raise ValueError("region does not sit inside a single component")
-        return idx.pop()
-
-    def in_different_components(self, X: Region, Y: Region) -> bool:
-        return self.component_index(X) != self.component_index(Y)
-
 
 def supercluster_decompose(parts: Sequence[Region], R: int) -> SuperclusterDecomposition:
     union = Region._canonical(tuple(sorted(frozenset().union(*parts))))

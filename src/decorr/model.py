@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Number
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +46,6 @@ from .lattice import (
     Site,
     _integer,
     _real,
-    _site,
     ball,
     chain_geometry,
     interior,
@@ -75,10 +74,6 @@ class CertificationError(ValueError):
     def __init__(self, message: str, center: Site | None = None):
         super().__init__(message)
         self.center = center
-
-
-class CouplingRangeError(ValueError):
-    """A two-site coupling reaches farther than the declared radius R."""
 
 
 @dataclass(frozen=True)
@@ -345,50 +340,13 @@ def _uniform_draws(seed: int, n: int) -> list[float]:
     return out
 
 
-def _pair_key(x: Site, y: Site) -> tuple[Site, Site]:
-    return (x, y) if x <= y else (y, x)
-
-
-def _coupling_map(values, sites: Region, name: str, hermitian: bool) -> dict:
-    """Normalize scalar or per-pair coupling ``name`` to {ordered pair: value}.
-
-    A scalar J means J on every ordered pair at l1 distance exactly 1
-    (nearest neighbours), zero elsewhere.  A value that is not finite is
-    refused by name before anything multiplies it.
-    """
-    if not isinstance(values, (dict, list, tuple)):
-        if isinstance(values, bool) or not isinstance(values, Number):  # a bool is a Number
-            raise TypeError(f"coupling {name} = {values!r} is not a number")
-        J = complex(values)
-        if not np.isfinite(J):
-            raise ValueError(f"coupling {name} = {values!r} is not finite")
-        if J == 0:
-            return {}
-        out = {}
-        for x in sites:
-            for y in sites:
-                if l1_distance(x, y) == 1:
-                    out[(x, y)] = J
-        return out
-    out = {}
-    for entry in values.items() if isinstance(values, dict) else values:
-        if isinstance(values, dict):
-            (x, y), val = entry
-        else:
-            x, y, re, im = entry
-            val = complex(_real(re), _real(im))
-        x, y = _site(x, f"{name} site"), _site(y, f"{name} site")
-        out[(x, y)] = complex(val)
-        if not np.isfinite(out[(x, y)]):
-            raise ValueError(f"coupling {name} on pair ({x}, {y}) is not finite: {val!r}")
-    for (x, y), val in out.items():
-        if x == y:
-            raise ValueError(f"coupling on the diagonal pair ({x}, {x}) is not allowed")
-        partner = out.get((y, x), 0.0)
-        expected = np.conj(val) if hermitian else val
-        if abs(partner - expected) > 1e-12 * max(1.0, abs(val)):
-            raise ValueError(f"coupling map is not symmetric on pair ({x}, {y})")
-    return out
+def _coupling(value, name: str) -> float:
+    """A coupling as a float: a finite real number, refused by name otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Real):  # a bool is a Real
+        raise TypeError(f"coupling {name} = {value!r} is not a real number")
+    if not math.isfinite(value):
+        raise ValueError(f"coupling {name} = {value!r} is not finite")
+    return float(value)
 
 
 def xxz_spec(
@@ -406,16 +364,16 @@ def xxz_spec(
     of a non-negative integer seed.  The stream is numpy's
     ``default_rng(seed).random``, reproduced bit for bit on Python ints by
     ``_uniform_draws`` (tests/test_model.py compares the two), so a seed
-    gives the same instance on any numpy.  Interactions collect, for every
-    unordered pair {x, y} inside some radius-R ball,
+    gives the same instance on any numpy.  Every nearest-neighbour bond
+    {x, y}, x < y in canonical order, carries
 
-        (J12(x,y) + J12(y,x)) (sp_x sm_y + sm_x sp_y)
-      + (J3(x,y) + J3(y,x)) N_x N_y,
+        2 J12 (sp_x sm_y + sm_x sp_y) + 2 J3 N_x N_y,
 
-    assigned to the lexicographically smaller endpoint as center.  Pairs
-    whose center ball sticks out of the lattice are omitted (open-boundary
-    convention: the interaction sum runs over interior centers only).
-    Couplings between sites farther than R apart raise CouplingRangeError.
+    assigned to x as center; the bonds of one center are summed on their
+    union.  Bonds whose center ball sticks out of the lattice are omitted
+    (open-boundary convention: the interaction sum runs over interior
+    centers only).  J12 and J3 are finite real numbers; any other
+    interaction is a custom model (:func:`make_spec`).
     An integer extent is a chain of radius R (1 if None); a geometry brings
     its own radius, and an R that differs from it is refused.
     """
@@ -433,53 +391,28 @@ def xxz_spec(
     lam = _real(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda = {lam!r} is not finite")
-    j12 = _coupling_map(J12, sites, "J12", hermitian=True)
-    j3 = _coupling_map(J3, sites, "J3", hermitian=False)
+    j12, j3 = _coupling(J12, "J12"), _coupling(J3, "J3")
 
     omega = _uniform_draws(seed, len(sites))
     onsite = {z: (1.0 + lam * w) * NUMBER for z, w in zip(sites, omega)}
 
     hop = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
-    nn = np.kron(NUMBER, NUMBER)
-    pair_terms: dict[tuple[Site, Site], np.ndarray] = {}
-    for (x, y) in set(j12) | set(j3):
-        key = _pair_key(x, y)
-        if key in pair_terms:
-            continue
-        d = l1_distance(*key)
-        if d > geometry.R:
-            raise CouplingRangeError(
-                f"pair {key} at distance {d} exceeds the interaction radius {geometry.R}"
-            )
-        c12 = j12.get(key, 0.0) + j12.get(key[::-1], 0.0)
-        c3 = j3.get(key, 0.0) + j3.get(key[::-1], 0.0)
-        if abs(c12.imag) > 1e-14 or abs(complex(c3).imag) > 1e-14:
-            raise ValueError("assembled pair coefficients must be real")
-        # legs of the 4x4 blocks follow canonical order, i.e. key[0] first
-        pair_terms[key] = c12.real * hop + complex(c3).real * nn
-
+    bond = 2 * j12 * hop + 2 * j3 * np.kron(NUMBER, NUMBER)  # legs in canonical order, x first
+    bonds = [(x, y) for x in inner for y in sites if x < y and l1_distance(x, y) == 1]
     interactions: dict[Site, InteractionTerm] = {}
-    for (x, y), mat in sorted(pair_terms.items()):
-        center = x  # lexicographically smaller endpoint
-        if center not in inner:
-            continue  # boundary pair: no interior center owns it
-        pair_region = Region([x, y])
-        if center in interactions:
-            old = interactions[center]
-            support = old.support | pair_region
+    for x, y in bonds if j12 or j3 else ():  # no coupling, no interaction terms
+        pair = Region([x, y])
+        if x in interactions:
+            old = interactions[x]
+            support = old.support | pair
             m = embed(old.matrix, old.support, support, 2).matrix + embed(
-                mat, pair_region, support, 2
+                bond, pair, support, 2
             ).matrix
-            interactions[center] = InteractionTerm(center, support, m)
+            interactions[x] = InteractionTerm(x, support, m)
         else:
-            interactions[center] = InteractionTerm(center, pair_region, mat)
+            interactions[x] = InteractionTerm(x, pair, bond)
 
-    params = {
-        "lambda": lam,
-        "seed": seed,
-        "J12": J12 if np.isscalar(J12) else sorted((x, y, v.real, v.imag) for (x, y), v in j12.items()),
-        "J3": J3 if np.isscalar(J3) else sorted((x, y, v.real, v.imag) for (x, y), v in j3.items()),
-    }
+    params = {"lambda": lam, "seed": seed, "J12": J12, "J3": J3}
     return make_spec(geometry, 2, onsite, interactions, model="xxz", params=params)
 
 

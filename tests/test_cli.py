@@ -146,6 +146,9 @@ VERIFY_FAMILIES = {
 }
 
 
+NOTHING_EXPANDED = "FAIL no expansion identity was checked: every family was skipped"
+
+
 def family(name):
     return next(f for f in VERIFY_FAMILIES if name.startswith(f))
 
@@ -169,7 +172,8 @@ CLOSES_TO_THE_LATTICE = (
     "n, skipped",
     [
         # no interior: the one resummation term is the reference itself, and
-        # there is no term to bound, no probe pair and no supercluster
+        # there is no term to bound, no probe pair and no supercluster; with
+        # no expansion identity checked, the run fails
         (2, [("resummation", "lattice interior is empty"),
              ("term_norm_bound", "no interacting configuration of size <= 3"),
              ("factorization", "lattice interior is empty"),
@@ -198,12 +202,15 @@ def test_verify_lists_every_check_it_does_not_run(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(expansion, "MAX_SWEEP_INTERIOR", 2)
     payload = {"model": {**CANONICAL_MODEL, "n": n}, "betas": [0.5]}
     rc, out = run(tmp_path, "verify", payload)
-    assert rc == EXIT_OK
+    expanded = len(skipped) < len(VERIFY_FAMILIES) - 1  # partition ratios always run
+    assert rc == (EXIT_OK if expanded else EXIT_CHECK_FAILED)
     report = json.loads((out / "verify_report.json").read_text())
     assert [(s["name"], s["reason"]) for s in report["skipped"]] == skipped
     # stdout names each of them after the checks that ran, before the
     # two certificates
     *lines, raw, normalized = capsys.readouterr().out.splitlines()
+    if not expanded:
+        assert lines.pop() == NOTHING_EXPANDED
     assert raw.startswith("certificate: a=")
     assert normalized.startswith("certificate_normalized: a=")
     assert lines[-len(skipped):] == [f"SKIP {name}: {reason}" for name, reason in skipped]
@@ -267,10 +274,11 @@ def test_verify_skips_the_expansion_on_a_longdouble_without_64_mantissa_bits(
     tmp_path, capsys, monkeypatch
 ):
     # a longdouble that is float64 (eps 2^-52) would fail the expansion
-    # checks at about 2e-10; each family is skipped by name instead
+    # checks at about 2e-10; each family is skipped by name instead, and
+    # with no expansion identity checked the run fails
     monkeypatch.setattr(expansion, "EPS_EXT", np.finfo(np.float64).eps)
     rc, out = run(tmp_path, "verify", {"model": CANONICAL_MODEL, "betas": [0.5]})
-    assert rc == EXIT_OK
+    assert rc == EXIT_CHECK_FAILED
     report = strict_json(out / "verify_report.json")
     assert [c["name"] for c in report["checks"]] == ["partition_ratio_bound"]
     reason = "longdouble has a 53-bit mantissa; the terms need 64"
@@ -281,7 +289,9 @@ def test_verify_skips_the_expansion_on_a_longdouble_without_64_mantissa_bits(
         {"name": "swap_identity", "reason": reason},
         {"name": "supercluster_resummation", "reason": single_pair(3)},  # refused before a term
     ]
-    assert f"SKIP resummation: {reason}" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"SKIP resummation: {reason}" in lines
+    assert lines[-3] == NOTHING_EXPANDED  # after the SKIP lines, before the certificates
 
 
 def test_verify_runs_on_a_q3_chain(tmp_path):
@@ -420,12 +430,14 @@ def custom_model(center):
         # a fractional site coordinate is refused, not truncated to a duplicate
         ("certify", {"model": {**LATTICE_MODEL, "lattice": [[0], [1], [2], [3], [4], [4.5]]}}),
         ("certify", {"model": {**LATTICE_MODEL, "lattice": [[0], [1.5], [2], [3], [4], [5]]}}),
-        # ... and so is one in a coupling's pair or an interaction's center
+        # a coupling is one real number: a per-pair list is refused as not a
+        # real number, whatever its pairs hold
         (
             "certify",
             {"model": {**CANONICAL_MODEL, "n": 5,
                        "J12": [[[1.5], [2], 0.02, 0], [[2], [1.5], 0.02, 0]]}},
         ),
+        # ... and a fractional interaction center is refused, not truncated
         ("certify", {"model": custom_model([1.5])}),
         # a non-finite beta has no Gibbs state to check
         ("verify", {"model": CANONICAL_MODEL, "betas": [math.inf]}),
@@ -451,6 +463,7 @@ def custom_model(center):
                    "observables": {**DECAY_OBSERVABLES, "anchor": True}}),
         ("certify", {"model": {**CANONICAL_MODEL, "J12": "0.02"}}),
         ("certify", {"model": {**CANONICAL_MODEL, "J3": True}}),
+        # a per-pair list is not a real number, a bool in it or not
         (
             "certify",
             {"model": {**CANONICAL_MODEL, "n": 5,
@@ -534,13 +547,11 @@ def test_an_output_directory_that_cannot_be_made_exits_config(tmp_path, capsys):
         ({**CANONICAL_MODEL, "lambda": math.nan}, "lambda = nan"),
         ({**CANONICAL_MODEL, "lambda": -math.inf}, "lambda = -inf"),
         ({**CANONICAL_MODEL, "J12": math.inf}, "J12 = inf"),
-        ({**CANONICAL_MODEL, "n": 5, "J3": [[1, 2, math.nan, 0], [2, 1, math.nan, 0]]},
-         "J3 on pair ((1,), (2,))"),
         ({**custom_model([1]), "onsite": [[[0], [[[0, 0], [math.nan, 0]], [[0, 0], [1, 0]]]]]
                                          + [[[i], NUMBER_JSON] for i in range(1, 5)]},
          "on-site term at (0,): matrix has a non-finite entry"),
     ],
-    ids=["lambda-nan", "lambda-minus-inf", "J12-inf", "J3-pair-nan", "onsite-nan"],
+    ids=["lambda-nan", "lambda-minus-inf", "J12-inf", "onsite-nan"],
 )
 def test_non_finite_model_numbers_exit_config_by_name(tmp_path, capsys, model, named):
     # json writes NaN and Infinity; a NaN passed the hermiticity check and an

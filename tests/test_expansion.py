@@ -627,6 +627,12 @@ def test_swap_rejects_shared_component():
         )
 
 
+def test_swap_refuses_an_empty_support():
+    # X[0] names X's supercluster: an empty X has none
+    with pytest.raises(expansion.NotApplicable, match="^X is empty$"):
+        dc.swap_configurations(Region([(1,)]), Region(), Region(), Region([(3,)]), 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_swap_is_involution(data):
@@ -636,7 +642,7 @@ def test_swap_is_involution(data):
     I = Region(data.draw(st.sets(st.sampled_from(sites[1:11]))))
     J = Region(data.draw(st.sets(st.sampled_from(sites[1:11]))))
     dec = dc.supercluster_decompose([I, J, X, Y], 1)
-    if not dec.in_different_components(X, Y):
+    if Y[0] in dec.component_of(X[0]):
         return  # swap undefined on these
     I2, J2 = dc.swap_configurations(I, J, X, Y, 1)
     assert (I2 | J2) == (I | J)

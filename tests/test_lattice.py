@@ -224,8 +224,8 @@ def test_supercluster_decompose_merging_and_provenance():
     assert len(dec.components) == 2
     assert dec.component_of((0,)) == dec.component_of((1,))
     assert dec.component_of((5,)) == dec.component_of((7,))
-    assert dec.in_different_components(X, Y)
-    assert not dec.in_different_components(X, I)
+    assert Y[0] not in dec.component_of(X[0])
+    assert I[0] in dec.component_of(X[0])
 
 
 def test_supercluster_decompose_order_independent():

@@ -15,7 +15,6 @@ from decorr.model import (
     NUMBER,
     PAULI_BY_NAME,
     CertificationError,
-    CouplingRangeError,
     InteractionTerm,
     certify_form_bound,
     interaction_centers,
@@ -180,22 +179,14 @@ def test_spec_rejects_large_coupling():
         chain(4, J12=3.0)
 
 
-def test_coupling_range_enforced():
-    with pytest.raises(CouplingRangeError):
-        chain(6, J12={(0, 2): 0.1, (2, 0): 0.1})
-
-
 @pytest.mark.parametrize(
     "overrides, named",
     [
         ({"lam": np.nan}, "lambda = nan"),
         ({"lam": np.inf}, "lambda = inf"),
         ({"J12": np.inf}, "J12 = inf"),
-        ({"J3": complex(0.02, np.nan)}, "J3 = "),
-        ({"J12": {((1,), (2,)): np.inf, ((2,), (1,)): np.inf}}, "J12 on pair ((1,), (2,))"),
-        ({"J3": [[1, 2, np.nan, 0], [2, 1, np.nan, 0]]}, "J3 on pair ((1,), (2,))"),
     ],
-    ids=["lambda-nan", "lambda-inf", "J12-inf", "J3-complex-nan", "J12-pair-inf", "J3-pair-nan"],
+    ids=["lambda-nan", "lambda-inf", "J12-inf"],
 )
 def test_non_finite_parameters_are_refused_by_name(overrides, named):
     # refused before any product: inf * 0 would warn, and a NaN term ended
@@ -204,22 +195,50 @@ def test_non_finite_parameters_are_refused_by_name(overrides, named):
         chain(5, **overrides)
 
 
-def test_coupling_map_requires_symmetry():
-    with pytest.raises(ValueError, match="symmetric"):
-        chain(6, J12={(0, 1): 0.1})
+N = np.diag([0, 1]).astype(complex)
+HOP = np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=complex)
 
 
-def test_scalar_coupling_equals_explicit_ordered_pairs():
-    n = 4
-    pairs = {}
-    for i in range(n - 1):
-        pairs[(i, i + 1)] = 0.02
-        pairs[(i + 1, i)] = 0.02
-    a = chain(n)
-    b = chain(n, J12=pairs, J3=pairs)
-    Ha = dc.build_restricted(a, a.sites)[2]
-    Hb = dc.build_restricted(b, b.sites)[2]
-    assert np.allclose(Ha.matrix, Hb.matrix, atol=1e-15)
+def _xxz_bonds(sites, x, J12, J3):
+    """(legs, matrix) of each bond {x, x + e_d} in ``sites``, d in axis order."""
+    legs = {z: i for i, z in enumerate(sites)}
+    ends = (x[:d] + (x[d] + 1,) + x[d + 1:] for d in range(len(x)))
+    bond = 2 * J12 * HOP + 2 * J3 * np.kron(N, N)
+    return [((legs[x], legs[y]), bond) for y in ends if y in legs]
+
+
+@pytest.mark.parametrize(
+    "extent, R",
+    [((6,), 1), ((7,), 2), ((3, 3), 1)],
+    ids=["chain6-R1", "chain7-R2", "box3x3"],
+)
+def test_xxz_spec_builds_its_formula(extent, R):
+    # H = sum_z (1 + lam omega_z) N_z + sum over bonds {x, x + e_d} with x
+    # interior of 2 J12 (sp sm + sm sp) + 2 J3 N N, written out with numpy
+    lam, seed, J12, J3 = 0.3, 7, 0.02, -0.03
+    spec = dc.xxz_spec(box_geometry(extent, R), lam=lam, seed=seed, J12=J12, J3=J3)
+    sites = sorted(itertools.product(*map(range, extent)))
+    omega = np.random.default_rng(seed).random(len(sites))
+    terms = [((i,), (1 + lam * w) * N) for i, w in enumerate(omega)]
+    for x in sites:
+        if all(R <= c <= e - 1 - R for c, e in zip(x, extent)):
+            terms += _xxz_bonds(sites, x, J12, J3)
+    H = reference.local_sum(terms, len(sites), 2)
+    # relative: the box's center sums its two bonds before they meet H
+    residual = np.abs(model.build_restricted(spec, spec.sites)[2].matrix - H).max()
+    assert residual <= 1e-15 * np.abs(H).max()
+
+
+def test_xxz_spec_merges_three_bonds_of_one_center():
+    # a 3x3x3 box has one interior center, (1, 1, 1), with a bond along each
+    # axis; 27 sites are over the dense cap, so its one term is compared
+    spec = dc.xxz_spec(box_geometry((3, 3, 3), 1), lam=0.3, seed=7, J12=0.005, J3=0.005)
+    assert spec.a == pytest.approx(0.40, abs=0.005)
+    [(center, term)] = spec.interactions.items()
+    support = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    assert center == (1, 1, 1) and term.support == Region(support)
+    v = reference.local_sum(_xxz_bonds(support, center, 0.005, 0.005), 4, 2)
+    assert np.abs(term.matrix - v).max() <= 1e-15
 
 
 def test_boundary_bonds_dropped(chain6):
@@ -633,15 +652,21 @@ def _pair(center, *support):
             ValueError,
             r"^on-site term at \(2,\) violates the gap condition: ground energy 1\.00e\+00",
         ),
+        # a coupling is one real number; any other interaction is a custom model
         (
-            lambda: dc.xxz_spec(4, J12={((1,), (1,)): 0.02}),
-            ValueError,
-            r"^coupling on the diagonal pair \(\(1,\), \(1,\)\) is not allowed$",
+            lambda: dc.xxz_spec(4, J12={((1,), (2,)): 0.02, ((2,), (1,)): 0.02}),
+            TypeError,
+            r"^coupling J12 = \{.*\} is not a real number$",
+        ),
+        (
+            lambda: dc.xxz_spec(4, J3=[[1, 2, 0.02, 0], [2, 1, 0.02, 0]]),
+            TypeError,
+            r"^coupling J3 = \[\[1, 2, 0\.02, 0\], .*\] is not a real number$",
         ),
         (
             lambda: dc.xxz_spec(4, J3=0.02j),
-            ValueError,
-            "^assembled pair coefficients must be real$",
+            TypeError,
+            r"^coupling J3 = 0\.02j is not a real number$",
         ),
         (
             lambda: model.build_restricted(chain(4), Region([(2,), (7,)])),
@@ -660,8 +685,9 @@ def _pair(center, *support):
         "key-not-the-center",
         "missing-onsite-term",
         "gap-condition",
-        "diagonal-pair",
-        "complex-pair-coefficient",
+        "coupling-dict",
+        "coupling-list",
+        "coupling-complex",
         "restriction-outside-the-lattice-dense",
         "restriction-outside-the-lattice-blocks",
     ],
