@@ -74,7 +74,7 @@ embedded and X dense or held as blocks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,20 +135,31 @@ def _work_dtype(dtype) -> np.dtype:
     return np.dtype(np.complex128)
 
 
-@dataclass(frozen=True)
-class GlobalOperator:
-    """A dense operator together with the region and local dimension it acts on."""
-
+class _Operator(NamedTuple):
+    # a NamedTuple may not define __new__: GlobalOperator checks these fields in its own
     region: Region
     q: int
     matrix: np.ndarray
 
-    def __post_init__(self):
-        dim = self.q ** len(self.region)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match q^|region| = {dim}"
-            )
+
+class GlobalOperator(_Operator):
+    """A dense operator together with the region and local dimension it acts on.
+
+    Building one checks that the matrix is q^|region| square, ``_make`` and
+    ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, region: Region, q: int, matrix: np.ndarray):
+        dim = q ** len(region)
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match q^|region| = {dim}")
+        return super().__new__(cls, region, q, matrix)
 
     @property
     def dim(self) -> int:
@@ -252,8 +263,7 @@ def operator_product(*ops: GlobalOperator) -> GlobalOperator:
 # Hermitian eigen-machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Eigensystem:
+class Eigensystem(NamedTuple):
     """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -509,8 +519,7 @@ def _block_stacks(A: np.ndarray):
         yield rows, A[rows[:, :, None], rows[:, None, :]]
 
 
-@dataclass(frozen=True)
-class BlockOperator:
+class BlockOperator(NamedTuple):
     """A block-diagonal operator on a region, held as its blocks, packed by size.
 
     ``rows`` holds one (k, m) array per block size m, the rows of its k
@@ -733,8 +742,7 @@ def _memo_eighs(splits, memo: dict) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
-class BlockEigensystem:
+class BlockEigensystem(NamedTuple):
     """Eigensystems of the exact zero-pattern blocks of one Hermitian matrix.
 
     ``blocks`` holds one ``(rows, w, V)`` per block size, as yielded by

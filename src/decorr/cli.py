@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -152,7 +151,7 @@ def _certificates(spec: HamiltonianSpec, normalized: HamiltonianSpec) -> tuple[d
     blocks, lines = {}, []
     for key, s in (("certificate", spec), ("certificate_normalized", normalized)):
         cert = gibbs.bound_certificate(s)
-        blocks[key] = {"a": s.a, **dataclasses.asdict(cert)}
+        blocks[key] = {"a": s.a, **cert._asdict()}
         lines.append(
             f"{key}: a={s.a:.12g} p={cert.p:.6g} "
             f"decay_base={cert.decay_base:.6g} active={cert.active}"

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -385,8 +385,7 @@ def _require_disjoint(A: GlobalOperator, B: GlobalOperator):
         raise ValueError("product observable requires disjoint supports")
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(NamedTuple):
     lhs: float
     rhs: float
     rel_residual: float
@@ -465,8 +464,7 @@ def _swap(I: Region, J: Region, S1: Region) -> tuple[Region, Region]:
     return (J & S1) | (I - S1), (I & S1) | (J - S1)
 
 
-@dataclass(frozen=True)
-class SwapCheck:
+class SwapCheck(NamedTuple):
     lhs: float
     rhs: float
     rel_residual: float
@@ -563,8 +561,7 @@ def verify_swap_identity(
 # supercluster class resummation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuperclusterCheck:
+class SuperclusterCheck(NamedTuple):
     lhs_weight: float
     rhs_weight: float
     rel_residual_weight: float
@@ -663,8 +660,7 @@ def verify_supercluster_resummation(
 # partition ratios
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionRatio:
+class PartitionRatio(NamedTuple):
     ratio: float
     bound: float
     bound_ok: bool

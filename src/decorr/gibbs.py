@@ -19,7 +19,7 @@ degenerates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def partition_sum(w: np.ndarray, beta: float) -> tuple[np.longdouble, np.longdou
     return np.exp(top) * s, top + np.log(s)
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(NamedTuple):
     """rho = e^{-beta H} / Z, held as its blocks, those of H's exact zero pattern.
 
     ``blocks`` packs rho's blocks by size (see
@@ -175,8 +174,7 @@ def observable_from_template(
     return operator_product(*factors)
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """ln|cov| against distance, with the fitted correlation length."""
 
     beta: float
@@ -302,8 +300,7 @@ def ising_exact_xi(J: float, beta: float) -> float:
 # the decay-bound certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Parameters of the proved exponential-decay bound for one spec.
 
     The per-configuration weight scale is p = 2 a q^((2R+1)^D); summing the

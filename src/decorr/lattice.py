@@ -12,18 +12,23 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Site = tuple[int, ...]
 
 
 def _real(value) -> float:
-    """float(value) of a real number; a bool or a string, which float() also takes, is refused."""
+    """float(value) of a real number; a bool or a string, which float() also takes, is refused.
+
+    An integer beyond the float range, where float() raises OverflowError, is a ValueError.
+    """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is too large for a float") from None
 
 
 def _integer(value) -> int:
@@ -123,20 +128,33 @@ class Region(tuple):
         return f"Region({list(self)})"
 
 
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """A finite region Lambda of Z^D together with the interaction radius R."""
-
+class _Geometry(NamedTuple):
+    # a NamedTuple may not define __new__: LatticeGeometry checks these fields in its own
     D: int
     R: int
     sites: Region
 
-    def __post_init__(self):
-        if self.D < 1 or self.R < 1:
+
+class LatticeGeometry(_Geometry):
+    """A finite region Lambda of Z^D together with the interaction radius R.
+
+    Building one checks D, R and the dimension of every site, ``_make`` and
+    ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, D: int, R: int, sites: Region):
+        if D < 1 or R < 1:
             raise ValueError("dimension and radius must be positive")
-        for s in self.sites:
-            if len(s) != self.D:
-                raise ValueError(f"site {s} has wrong dimension (expected {self.D})")
+        for s in sites:
+            if len(s) != D:
+                raise ValueError(f"site {s} has wrong dimension (expected {D})")
+        return super().__new__(cls, D, R, sites)
 
 
 def chain_geometry(n: int, R: int = 1) -> LatticeGeometry:
@@ -245,8 +263,7 @@ def connected_components(S: Region, R: int) -> tuple[Region, ...]:
     return tuple(sorted(comps, key=lambda c: c[0]))
 
 
-@dataclass(frozen=True)
-class SuperclusterDecomposition:
+class SuperclusterDecomposition(NamedTuple):
     """The maximal R-connected components of a union of regions.
 
     Merging is decided by geometry alone, never by which part a site came

@@ -19,9 +19,8 @@ unperturbed ground state to itself or to excited states).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from numbers import Real
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .lattice import (
     Region,
     Site,
     _integer,
-    _real,
     ball,
     chain_geometry,
     interior,
@@ -76,8 +74,7 @@ class CertificationError(ValueError):
         self.center = center
 
 
-@dataclass(frozen=True)
-class GapCheck:
+class GapCheck(NamedTuple):
     ok: bool
     ground_energy: float
     gap: float
@@ -94,8 +91,7 @@ def gap_check(h: np.ndarray) -> GapCheck:
     return GapCheck(ok=ok, ground_energy=e0, gap=gap, ground_degeneracy=degeneracy)
 
 
-@dataclass(frozen=True)
-class InteractionTerm:
+class InteractionTerm(NamedTuple):
     """One interaction v_x: a Hermitian operator on ``support`` centered at x."""
 
     center: Site
@@ -113,7 +109,6 @@ def _symmetrized(M, what: str) -> np.ndarray:
     return M
 
 
-@dataclass
 class HamiltonianSpec:
     """A lattice, on-site terms, certified interactions, and their metadata.
 
@@ -143,31 +138,32 @@ class HamiltonianSpec:
     and beta that meets that H_M again, without summing or splitting it;
     with M every interaction center and base the lattice, it is the
     resummation's reference H.
-    The memos live and die with the spec and take no part in its repr or
-    equality.
+    The memos live and die with the spec.
     """
 
-    geometry: LatticeGeometry
-    q: int
-    onsite: dict[Site, np.ndarray]
-    interactions: dict[Site, InteractionTerm]
-    a: float
-    model: str = "custom"
-    params: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    block_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    term_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    h_sup: float = field(init=False)
-    v_sup: float = field(init=False)
-    nonpositive: bool = field(init=False)
-    interior: Region = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.onsite = {z: _symmetrized(h, f"on-site term at {z}") for z, h in self.onsite.items()}
+    def __init__(
+        self,
+        geometry: LatticeGeometry,
+        q: int,
+        onsite: dict[Site, np.ndarray],
+        interactions: dict[Site, InteractionTerm],
+        a: float,
+        model: str = "custom",
+        params: dict | None = None,
+    ):
+        self.geometry = geometry
+        self.q = q
+        self.onsite = {z: _symmetrized(h, f"on-site term at {z}") for z, h in onsite.items()}
         self.interactions = {
             x: InteractionTerm(t.center, t.support, _symmetrized(t.matrix, f"interaction at {x}"))
-            for x, t in self.interactions.items()
+            for x, t in interactions.items()
         }
+        self.a = a
+        self.model = model
+        self.params = {} if params is None else params
+        self.spectra: dict = {}
+        self.block_spectra: dict = {}
+        self.term_blocks: dict = {}
         self.h_sup = max((op_norm(h) for h in self.onsite.values()), default=0.0)
         self.v_sup = max((op_norm(t.matrix) for t in self.interactions.values()), default=0.0)
         eigenvalues = (_herm_blocks(t.matrix).eigenvalues for t in self.interactions.values())
@@ -340,13 +336,17 @@ def _uniform_draws(seed: int, n: int) -> list[float]:
     return out
 
 
-def _coupling(value, name: str) -> float:
-    """A coupling as a float: a finite real number, refused by name otherwise."""
+def _parameter(value, name: str) -> float:
+    """A model parameter as a float: a finite real number, refused by name otherwise."""
     if isinstance(value, bool) or not isinstance(value, Real):  # a bool is a Real
-        raise TypeError(f"coupling {name} = {value!r} is not a real number")
-    if not math.isfinite(value):
-        raise ValueError(f"coupling {name} = {value!r} is not finite")
-    return float(value)
+        raise TypeError(f"{name} = {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} = {value!r} is too large for a float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} = {value!r} is not finite")
+    return x
 
 
 def xxz_spec(
@@ -388,10 +388,8 @@ def xxz_spec(
     seed = _integer(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    lam = _real(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda = {lam!r} is not finite")
-    j12, j3 = _coupling(J12, "J12"), _coupling(J3, "J3")
+    lam = _parameter(lam, "lambda")
+    j12, j3 = _parameter(J12, "coupling J12"), _parameter(J3, "coupling J3")
 
     omega = _uniform_draws(seed, len(sites))
     onsite = {z: (1.0 + lam * w) * NUMBER for z, w in zip(sites, omega)}

@@ -75,6 +75,13 @@ def count_sector_sums(monkeypatch):
     return regions
 
 
+def fresh_memo(spec):
+    """The spec built again from its terms: the same Hamiltonian with empty memos."""
+    return model.HamiltonianSpec(
+        spec.geometry, spec.q, spec.onsite, spec.interactions, spec.a, spec.model, spec.params
+    )
+
+
 def pauli_at(site, name, q=2):
     """Single-site Pauli observable as a GlobalOperator."""
     if isinstance(site, int):

@@ -564,6 +564,27 @@ def test_non_finite_model_numbers_exit_config_by_name(tmp_path, capsys, model, n
 
 
 @pytest.mark.parametrize(
+    "command, payload, named",
+    [
+        ("verify", {"model": CANONICAL_MODEL, "betas": [10**400]}, "bad beta"),
+        ("certify", {"model": {**CANONICAL_MODEL, "lambda": 10**400}}, "lambda = 1000"),
+        ("certify", {"model": {**CANONICAL_MODEL, "J12": 10**400}}, "J12 = 1000"),
+        ("certify", {"model": {**CANONICAL_MODEL, "J3": -(10**400)}}, "J3 = -1000"),
+    ],
+    ids=["betas", "lambda", "J12", "J3"],
+)
+def test_a_number_too_large_for_a_float_exits_config_by_name(
+    tmp_path, capsys, command, payload, named
+):
+    # json reads an integer of any size; float() of it raised OverflowError,
+    # which ended the run in a traceback with exit 1, the code of a failed check
+    rc, _ = run(tmp_path, command, payload)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and "too large for a float" in err
+
+
+@pytest.mark.parametrize(
     "block",
     [
         {"model": "xzz", "n": 4, "R": 1, "lambda": 0.3},

@@ -1,6 +1,5 @@
 """Inclusion-exclusion terms, weights, swap identity, ratio bounds."""
 
-import dataclasses
 import itertools
 import json
 import os
@@ -21,7 +20,7 @@ from decorr.algebra import DimensionError, GlobalOperator, embed, herm_exp, oper
 from decorr.expansion import interior_configurations
 from decorr.lattice import Region, box_geometry, closure, interior, r_connected_set
 
-from conftest import boson_model, chain, count_core_solves, count_sector_sums, pauli_at
+from conftest import boson_model, chain, count_core_solves, count_sector_sums, fresh_memo, pauli_at
 
 
 def interior_sites(spec):
@@ -872,9 +871,7 @@ def test_partition_ratio_solves_each_region_once(chain8, monkeypatch):
     assert len(solved) == len(set(solved)) == 41
     assert set(chain8.spectra) == before
     # a fresh spec (same terms, empty memo) per call gives the same bits
-    fresh = [
-        dc.partition_ratio(S, dataclasses.replace(norm), b).ratio for b in betas for S in sets
-    ]
+    fresh = [dc.partition_ratio(S, fresh_memo(norm), b).ratio for b in betas for S in sets]
     assert memoized == fresh
 
 
@@ -925,7 +922,7 @@ def test_partition_ratio_checks_nonpositive_once(chain8, monkeypatch):
     assert len(calls) == 82
     # every region's H is assembled and solved by blocks, and no matrix is split densely
     assert assembled and solved == []
-    fresh = [dc.partition_ratio(S, dataclasses.replace(norm), b) for S, b in calls]
+    fresh = [dc.partition_ratio(S, fresh_memo(norm), b) for S, b in calls]
     assert memoized == fresh
 
 

@@ -1,6 +1,5 @@
 """Thermal states, covariances, decay fits, closed-form oracles."""
 
-import dataclasses
 import json
 import os
 import re
@@ -26,7 +25,7 @@ from decorr.lattice import Region, counting_constant
 from decorr.model import PAULI_BY_NAME
 
 import reference
-from conftest import chain, count_sector_sums, pauli_at, zero_pattern_groups
+from conftest import chain, count_sector_sums, fresh_memo, pauli_at, zero_pattern_groups
 
 N2 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -256,7 +255,7 @@ def test_gibbs_path_writes_no_full_dimension_matrix(run):
 
 
 def test_decay_sweep_solves_the_full_spectrum_once(chain10, monkeypatch):
-    spec = dataclasses.replace(chain10)  # same Hamiltonian, empty spectrum memo
+    spec = fresh_memo(chain10)  # same Hamiltonian, empty spectrum memo
     solves = count_sector_sums(monkeypatch)
     fits = [
         dc.decay_sweep(spec, beta, [(0, "X")], [(0, "X")], [2, 3], anchor=(1,), strict=False)

@@ -123,6 +123,16 @@ print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 """
 
 
+def _probe(argvs):
+    """(exit codes, modules imported) of the runs ``argvs`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_readme_configs_do_not_import_numpy_random(tmp_path):
     # a seeded spec draws its disorder in model.py; numpy.random and the
     # OpenSSL it loads through secrets cost a fresh process 5 MB and 10-30 ms
@@ -131,12 +141,16 @@ def test_readme_configs_do_not_import_numpy_random(tmp_path):
         config = tmp_path / f"{k}.json"
         config.write_text(block)
         argvs.append([command, "--config", str(config), "--out", str(tmp_path / f"out{k}")])
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
-    )
-    codes, imported = json.loads(run.stdout.splitlines()[-1])
+    codes, imported = _probe(argvs)
     assert codes == [EXIT_OK, EXIT_OK]
     assert "decorr.model" in imported  # the probe sees what the runs import
     assert {"numpy.random", "secrets", "_hashlib"}.isdisjoint(imported)
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # @dataclass writes and execs each record's methods when its module is
+    # imported, 10-13 ms of every fresh process for decorr's 16 records
+    codes, imported = _probe([])
+    assert codes == []
+    assert "decorr.model" in imported  # the probe sees what the import loads
+    assert "dataclasses" not in imported
